@@ -36,6 +36,7 @@ from .ingest import CountMatrix, load_counts, returns_from_counts
 from .lagcorr import equal_time_corr, write_matrix_csv
 from .strobo import (
     characteristic_periods,
+    default_watch,
     peak_report,
     power_spectrum,
     sweep,
@@ -172,10 +173,6 @@ def _load_input(args) -> tuple[CountMatrix, dict | None]:
     return synth_generate(cfg), cfg.to_json()
 
 
-def _default_watch(n: int) -> tuple[int, ...]:
-    return tuple(sorted({1, n // 2, n - 1}))
-
-
 def _check_watch(positions: tuple[int, ...], n: int) -> tuple[int, ...]:
     for k in positions:
         if not 0 <= k < n:
@@ -191,7 +188,7 @@ def cmd_analyze(args) -> int:
     counts, synth_echo = _load_input(args)
     n = counts.n_series
     watch = _parse_watch(args.watch)
-    watch = _default_watch(n) if watch is None else _check_watch(watch, n)
+    watch = default_watch(n) if watch is None else _check_watch(watch, n)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -210,7 +207,7 @@ def cmd_analyze(args) -> int:
 
     g = returns_from_counts(counts)
     seq = sweep(g, args.tau_max, delta_t=counts.interval)
-    equal_time = seq.systems[0]
+    equal_time = seq.equal_time
     bounds = rmt_bounds(n, g.n_returns)
     parts = segment(equal_time, bounds)
     write_matrix_csv(equal_time_corr(g), out_dir / "equal_time.csv")
@@ -272,7 +269,7 @@ def cmd_experiment(args) -> int:
     counts, synth_echo = _load_input(args)
     n = counts.n_series
     watch = _parse_watch(args.watch)
-    watch = _default_watch(n) if watch is None else _check_watch(watch, n)
+    watch = default_watch(n) if watch is None else _check_watch(watch, n)
     spec = load_injection_spec(args.inject)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,6 +314,8 @@ def cmd_experiment(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.tau_max < 0:
+        parser.error(f"argument --tau-max: must be >= 0, got {args.tau_max}")
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

@@ -87,8 +87,10 @@ class SpectrumSegmentation:
 def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
     """Solve the symmetric eigenproblem for one lagged correlation matrix.
 
-    Raises ConvergenceFailure if the solver fails or the residual
-    ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius norm.
+    Raises ConvergenceFailure, naming the lag, if the solver fails, the
+    residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
+    norm, the eigenvalues miss the trace, or the result fails EigenSystem's
+    sort, unit-norm or orthogonality checks.
     """
     try:
         vals, vecs = np.linalg.eigh(d.values)
@@ -115,8 +117,17 @@ def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
             f"eigenvalue sum deviates from trace at lag {d.lag}"
         )
 
-    iprs = np.sum(vecs**4, axis=0)
-    return EigenSystem(lag=d.lag, eigenvalues=vals, eigenvectors=vecs, iprs=iprs)
+    iprs = _column_iprs(vecs)
+    try:
+        return EigenSystem(lag=d.lag, eigenvalues=vals, eigenvectors=vecs, iprs=iprs)
+    except ValueError as exc:
+        raise ConvergenceFailure(f"bad eigen system at lag {d.lag}: {exc}") from exc
+
+
+def _column_iprs(vecs: np.ndarray) -> np.ndarray:
+    """Sum of fourth powers down each column."""
+    sq = vecs * vecs
+    return np.einsum("ij,ij->j", sq, sq)
 
 
 def ipr(vector: np.ndarray) -> float:
@@ -129,7 +140,7 @@ def ipr(vector: np.ndarray) -> float:
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > _NORM_TOL:
         raise NotNormalized(f"vector norm is {norm!r}, expected 1")
-    return float(np.sum(v**4))
+    return float(_column_iprs(v.reshape(-1, 1))[0])
 
 
 def rmt_bounds(n: int, effective_length: int) -> RmtBounds:

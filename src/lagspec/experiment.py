@@ -10,7 +10,7 @@ walks whose rate changes are approximately i.i.d.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Literal, Sequence, Union
 
@@ -24,10 +24,10 @@ from .lagcorr import equal_time_corr
 from .strobo import (
     PowerSpectrum,
     ResonanceReport,
-    StroboscopicSequence,
     Trajectory,
     characteristic_periods,
     compare_spectra,
+    default_watch,
     power_spectrum,
     sweep,
     trajectory,
@@ -337,8 +337,6 @@ class ExperimentReport:
     tau_max: int
     delta_t: float
     watches: tuple[WatchReport, ...]
-    before_sequence: StroboscopicSequence = field(repr=False)
-    after_sequence: StroboscopicSequence = field(repr=False)
 
     def watch(self, position: int, kind: str) -> WatchReport:
         for item in self.watches:
@@ -386,7 +384,6 @@ def run_experiment(
     detrend: Literal["none", "mean"] = "mean",
     probe_top_n: int = 2,
     prominence_factor: float = 5.0,
-    max_workers: int | None = None,
 ) -> ExperimentReport:
     """Sweep before and after an injection and compare trajectory spectra.
 
@@ -394,17 +391,12 @@ def run_experiment(
     injection plus, for periodic injections, the injection period itself.
     """
     if watch_positions is None:
-        n = counts.n_series
-        watch_positions = sorted({1, n // 2, n - 1})
+        watch_positions = default_watch(counts.n_series)
     before_returns = returns_from_counts(counts)
     after_counts = inject(counts, spec)
     after_returns = returns_from_counts(after_counts)
-    seq_before = sweep(
-        before_returns, tau_max, delta_t=counts.interval, max_workers=max_workers
-    )
-    seq_after = sweep(
-        after_returns, tau_max, delta_t=counts.interval, max_workers=max_workers
-    )
+    seq_before = sweep(before_returns, tau_max, delta_t=counts.interval)
+    seq_after = sweep(after_returns, tau_max, delta_t=counts.interval)
 
     watches = []
     for position in watch_positions:
@@ -443,6 +435,4 @@ def run_experiment(
         tau_max=int(tau_max),
         delta_t=float(counts.interval),
         watches=tuple(watches),
-        before_sequence=seq_before,
-        after_sequence=seq_after,
     )

@@ -44,7 +44,7 @@ class LagCorrMatrix:
         if not np.array_equal(values, values.T):
             raise ValueError("lagged correlation matrix must be exactly symmetric")
         if np.any(np.abs(values) > 1.0 + _ENTRY_TOL):
-            raise ValueError("correlation entries must lie in [-1, 1]")
+            raise ValueError(f"correlation entries outside [-1, 1] at lag {self.lag}")
         if self.lag == 0 and np.any(np.abs(np.diag(values) - 1.0) > _DIAG_TOL):
             raise ValueError("equal-time diagonal must be 1")
 

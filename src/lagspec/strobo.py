@@ -1,16 +1,15 @@
-"""Lag sweep of eigen systems, eigenvalue/IPR trajectories, and their power
+"""Lag sweep of eigenvalues and IPRs, their trajectories, and their power
 spectra.
 
-The sweep produces one EigenSystem per lag 0..tau_max.  Trajectories track a
-fixed sorted position across lags 1..tau_max: the equal-time point carries
-the trivial autocorrelation spike and is excluded from spectra, though it
-stays available in the sequence.  Eigenvalues are identified by sorted
-position, not by eigenvector continuity.
+The sweep solves lags 0..tau_max in order and keeps two tables, eigenvalues
+and IPRs with one row per lag, plus the full equal-time EigenSystem.
+Trajectories track a fixed sorted position across lags 1..tau_max: the
+equal-time point carries the trivial autocorrelation spike and is excluded
+from spectra, though it stays available in the sequence.  Eigenvalues are
+identified by sorted position, not by eigenvector continuity.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence, Union
@@ -20,7 +19,6 @@ from scipy.signal import find_peaks
 
 from .eigensys import EigenSystem, eigendecompose
 from .errors import (
-    ConfigInvalid,
     IndexOutOfRange,
     LagTooLarge,
     LengthMismatch,
@@ -41,26 +39,35 @@ UNCHANGED = "unchanged"
 
 @dataclass(frozen=True)
 class StroboscopicSequence:
-    """Eigen systems for every lag 0..tau_max of one return matrix."""
+    """Eigenvalue and IPR tables for every lag 0..tau_max of one return
+    matrix, plus the full equal-time eigen system.
 
-    lags: tuple[int, ...]
-    systems: tuple[EigenSystem, ...]
-    n: int
+    Row k of ``eigenvalues`` and ``iprs`` holds lag k; column j holds the
+    j-th ascending position.
+    """
+
+    eigenvalues: np.ndarray
+    iprs: np.ndarray
+    equal_time: EigenSystem
     delta_t: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lags", tuple(int(k) for k in self.lags))
-        object.__setattr__(self, "systems", tuple(self.systems))
-        if len(self.lags) != len(self.systems):
-            raise ValueError("one eigen system per lag required")
-        if list(self.lags) != list(range(len(self.lags))):
-            raise ValueError("lags must run 0..tau_max in steps of 1")
-        if any(s.n != self.n for s in self.systems):
-            raise ValueError("all systems must share the dimension n")
+        vals = np.asarray(self.eigenvalues, dtype=float)
+        iprs = np.asarray(self.iprs, dtype=float)
+        object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "iprs", iprs)
+        if vals.ndim != 2 or not vals.size or iprs.shape != vals.shape:
+            raise ValueError("eigenvalues and iprs must be (tau_max+1, n) tables")
+        if self.equal_time.lag != 0 or self.equal_time.n != vals.shape[1]:
+            raise ValueError("equal_time must be the lag-0 system of dimension n")
+
+    @property
+    def n(self) -> int:
+        return self.eigenvalues.shape[1]
 
     @property
     def tau_max(self) -> int:
-        return len(self.systems) - 1
+        return self.eigenvalues.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -136,38 +143,14 @@ class ResonanceReport:
         raise KeyError(f"no probe at period {period_steps}")
 
 
-def _worker_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("LAGSPEC_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigInvalid(f"LAGSPEC_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
-
-
-def _system_at_lag(g: ReturnMatrix, lag: int) -> EigenSystem:
-    try:
-        return eigendecompose(lag_corr(g, lag))
-    except LagTooLarge:
-        raise
-    except Exception as exc:  # attach the offending lag
-        raise type(exc)(f"at lag {lag}: {exc}") from exc
-
-
 def sweep(
-    g: ReturnMatrix,
-    tau_max: int,
-    *,
-    delta_t: float = 1.0,
-    max_workers: int | None = None,
+    g: ReturnMatrix, tau_max: int, *, delta_t: float = 1.0
 ) -> StroboscopicSequence:
     """Eigen-decompose the lagged correlation matrix at every lag 0..tau_max.
 
-    Lags are computed as an order-preserving parallel map; the worker count
-    is capped by the LAGSPEC_THREADS environment variable.
+    Lags are solved in order; BLAS threads are the only parallelism.  Every
+    lag passes all of ``eigendecompose``'s checks; only lag 0 keeps its
+    eigenvectors, as ``equal_time``.
     """
     tau_max = int(tau_max)
     if tau_max < 0:
@@ -175,16 +158,21 @@ def sweep(
     length = g.returns.shape[1]
     if tau_max > length // 2:
         raise LagTooLarge(f"tau_max {tau_max} exceeds half the record (L={length})")
-    lags = range(tau_max + 1)
-    workers = _worker_count(max_workers)
-    if workers == 1 or tau_max == 0:
-        systems = [_system_at_lag(g, k) for k in lags]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            systems = list(pool.map(lambda k: _system_at_lag(g, k), lags))
+    equal_time = eigendecompose(lag_corr(g, 0))
+    eigenvalues = np.empty((tau_max + 1, g.n_series))
+    iprs = np.empty_like(eigenvalues)
+    eigenvalues[0], iprs[0] = equal_time.eigenvalues, equal_time.iprs
+    for k in range(1, tau_max + 1):
+        system = eigendecompose(lag_corr(g, k))
+        eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
     return StroboscopicSequence(
-        lags=tuple(lags), systems=tuple(systems), n=g.n_series, delta_t=delta_t
+        eigenvalues=eigenvalues, iprs=iprs, equal_time=equal_time, delta_t=delta_t
     )
+
+
+def default_watch(n: int) -> tuple[int, ...]:
+    """Default watched positions: 1, N/2 and N-1 of the ascending spectrum."""
+    return tuple(sorted({1, n // 2, n - 1}))
 
 
 def trajectory(
@@ -202,11 +190,8 @@ def trajectory(
         raise IndexOutOfRange(
             f"position {position} outside 0..{seq.n - 1}"
         )
-    if kind == "eigenvalue":
-        values = [s.eigenvalues[position] for s in seq.systems[1:]]
-    else:
-        values = [s.iprs[position] for s in seq.systems[1:]]
-    return Trajectory(kind=kind, position=position, values=np.asarray(values))
+    table = seq.eigenvalues if kind == "eigenvalue" else seq.iprs
+    return Trajectory(kind=kind, position=position, values=table[1:, position])
 
 
 def power_spectrum(

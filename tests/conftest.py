@@ -60,3 +60,16 @@ def two_sided_power_sum(power: np.ndarray, m: int) -> float:
 @pytest.fixture(scope="session")
 def gaussian_returns_64():
     return iid_returns(64, 2048, seed=7)
+
+
+@pytest.fixture
+def doubled_eigh(monkeypatch):
+    """Make np.linalg.eigh return 2x its eigenvectors: residual and trace
+    checks still pass, but the vectors are no longer unit norm."""
+    eigh = np.linalg.eigh
+
+    def doubled(a):
+        vals, vecs = eigh(a)
+        return vals, 2.0 * vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", doubled)

@@ -74,7 +74,7 @@ def battery():
         counts = synth_generate(cfg)
         seq = sweep(returns_from_counts(counts), TAU_MAX, delta_t=300.0)
         spectrum = power_spectrum(trajectory(seq, "eigenvalue", N - 1), "mean")
-        parts = segment(seq.systems[0], bounds)
+        parts = segment(seq.equal_time, bounds)
         instances.append(Instance(seed, counts, seq, spectrum, parts.random))
     return instances
 
@@ -251,13 +251,17 @@ def test_a6_new_period_detection(battery):
 def test_a7_numerical_oracles(battery):
     """A7: eigen residuals, trace identities, brute-force DFT agreement and
     Parseval's identity at their stated tolerances."""
-    # residual and trace identity across a full sweep
+    # residual and trace identity at every lag of the sweep, on systems
+    # solved afresh whose eigenvalues and IPRs equal the sweep's rows exactly
     inst = battery[0]
     g = returns_from_counts(inst.counts)
     worst_resid = 0.0
     worst_trace = 0.0
-    for lag, system in zip(inst.seq_before.lags, inst.seq_before.systems):
+    for lag in range(inst.seq_before.tau_max + 1):
         d = lag_corr(g, lag)
+        system = eigendecompose(d)
+        assert np.array_equal(inst.seq_before.eigenvalues[lag], system.eigenvalues)
+        assert np.array_equal(inst.seq_before.iprs[lag], system.iprs)
         resid = d.values @ system.eigenvectors - system.eigenvectors * system.eigenvalues
         worst_resid = max(
             worst_resid,

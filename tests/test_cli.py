@@ -136,6 +136,24 @@ class TestAnalyze:
             "--epsilon-clamp", "--out", str(out),
         ) == 0
 
+    def test_negative_tau_max_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--synth", "small", "--tau-max", "-3", "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tau-max" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_solver_fault_exits_1_naming_the_lag(self, tmp_path, capsys, doubled_eigh):
+        out = tmp_path / "run"
+        assert run_cli(
+            "analyze", "--synth", "small", "--tau-max", "10", "--out", str(out)
+        ) == 1
+        err = capsys.readouterr().err
+        assert "ConvergenceFailure" in err and "at lag 0" in err
+        assert "Traceback" not in err
+
     def test_bad_watch_position_exits_2(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli(

@@ -110,8 +110,8 @@ class TestSynthGenerate:
         for seed in range(2):
             cfg = SynthConfig(**{**DRIVER_CFG.to_json(), "seed": seed})
             seq = sweep(returns_from_counts(synth_generate(cfg)), 100, delta_t=300.0)
-            center_peak = max(s.iprs[32] for s in seq.systems[1:])
-            floor = np.median([np.median(s.iprs) for s in seq.systems[1:]])
+            center_peak = seq.iprs[1:, 32].max()
+            floor = np.median(np.median(seq.iprs[1:], axis=1))
             assert center_peak >= 5.0 * floor
 
 
@@ -307,7 +307,7 @@ class TestRunExperiment:
                     period=900.0, modulation_depth=0.5, seed=seed,
                 )
             seq_a = sweep(returns_from_counts(inject(cm, spec)), 100, delta_t=300.0)
-            parts = segment(seq_b.systems[0], bounds)
+            parts = segment(seq_b.equal_time, bounds)
             random_sets.append(set(parts.random))
             for p in parts.random:
                 var_before[p] += np.var(trajectory(seq_b, "eigenvalue", p).values)

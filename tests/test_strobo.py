@@ -3,6 +3,7 @@ import pytest
 from collections import Counter
 
 from lagspec import (
+    ConvergenceFailure,
     IndexOutOfRange,
     LagTooLarge,
     LengthMismatch,
@@ -36,41 +37,45 @@ class TestSweep:
         g = iid_returns(4, 64, seed=0)
         seq = sweep(g, 0)
         assert seq.tau_max == 0
-        assert len(seq.systems) == 1
-        assert seq.systems[0].lag == 0
+        assert seq.eigenvalues.shape == seq.iprs.shape == (1, 4)
+        assert seq.equal_time.lag == 0
 
     def test_full_sweep_spans_all_lags(self):
         g = iid_returns(8, 256, seed=1)
         seq = sweep(g, 100, delta_t=300.0)
-        assert len(seq.systems) == 101
-        assert [s.lag for s in seq.systems] == list(range(101))
+        assert seq.tau_max == 100
+        assert seq.n == 8
+        assert seq.eigenvalues.shape == seq.iprs.shape == (101, 8)
         assert seq.delta_t == 300.0
 
     def test_prefix_property(self):
         g = iid_returns(6, 128, seed=2)
         long = sweep(g, 8)
         short = sweep(g, 4)
-        for k in range(5):
-            assert np.array_equal(
-                long.systems[k].eigenvalues, short.systems[k].eigenvalues
-            )
-            assert np.array_equal(
-                long.systems[k].eigenvectors, short.systems[k].eigenvectors
-            )
+        assert np.array_equal(long.eigenvalues[:5], short.eigenvalues)
+        assert np.array_equal(long.iprs[:5], short.iprs)
+        assert np.array_equal(
+            long.equal_time.eigenvectors, short.equal_time.eigenvectors
+        )
 
-    def test_serial_and_threaded_agree_exactly(self):
+    def test_rows_match_fresh_solves_exactly(self):
+        from lagspec import lag_corr
+
         g = iid_returns(8, 256, seed=3)
-        serial = sweep(g, 20, max_workers=1)
-        threaded = sweep(g, 20, max_workers=4)
-        for a, b in zip(serial.systems, threaded.systems):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.iprs, b.iprs)
+        seq = sweep(g, 20)
+        for k in range(21):
+            system = eigendecompose(lag_corr(g, k))
+            assert np.array_equal(seq.eigenvalues[k], system.eigenvalues)
+            assert np.array_equal(seq.iprs[k], system.iprs)
+            if k == 0:
+                assert np.array_equal(
+                    seq.equal_time.eigenvectors, system.eigenvectors
+                )
 
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("LAGSPEC_THREADS", "1")
+    def test_solver_fault_names_the_lag(self, doubled_eigh):
         g = iid_returns(4, 64, seed=4)
-        seq = sweep(g, 5)
-        assert len(seq.systems) == 6
+        with pytest.raises(ConvergenceFailure, match="at lag 0.*unit norm"):
+            sweep(g, 5)
 
     def test_lag_too_large(self):
         g = iid_returns(4, 64, seed=5)
@@ -82,11 +87,9 @@ class TestSweep:
 
         g = iid_returns(8, 256, seed=6)
         seq = sweep(g, 20)
-        for k, system in enumerate(seq.systems):
+        for k, eigenvalues in enumerate(seq.eigenvalues):
             d = lag_corr(g, k)
-            assert float(system.eigenvalues.sum()) == pytest.approx(
-                d.trace, abs=1e-8 * 8
-            )
+            assert float(eigenvalues.sum()) == pytest.approx(d.trace, abs=1e-8 * 8)
 
     def test_middle_positions_have_no_extra_structure(self):
         """On i.i.d. data the middle of the spectrum moves no more than the
@@ -110,10 +113,8 @@ class TestTrajectory:
         traj = trajectory(seq, "eigenvalue", 7)
         assert traj.values.shape == (10,)
         for tau in range(1, 11):
-            assert traj.values[tau - 1] == seq.systems[tau].eigenvalues[7]
-            assert seq.systems[tau].eigenvalues[7] == max(
-                seq.systems[tau].eigenvalues
-            )
+            assert traj.values[tau - 1] == seq.eigenvalues[tau, 7]
+            assert seq.eigenvalues[tau, 7] == max(seq.eigenvalues[tau])
 
     def test_lowest_position_extractable(self):
         g = iid_returns(8, 256, seed=8)
@@ -125,23 +126,29 @@ class TestTrajectory:
         g = iid_returns(8, 256, seed=9)
         seq = sweep(g, 10)
         traj = trajectory(seq, "ipr", 3)
-        assert traj.values[4] == seq.systems[5].iprs[3]
+        assert traj.values[4] == seq.iprs[5, 3]
 
     def test_constant_sequence_gives_constant_trajectory(self):
         g = iid_returns(5, 64, seed=10)
         base = eigendecompose(equal_time_corr(g))
-        systems = [
-            type(base)(
-                lag=k,
-                eigenvalues=base.eigenvalues,
-                eigenvectors=base.eigenvectors,
-                iprs=base.iprs,
-            )
-            for k in range(6)
-        ]
-        seq = StroboscopicSequence(lags=range(6), systems=systems, n=5, delta_t=1.0)
+        seq = StroboscopicSequence(
+            eigenvalues=np.tile(base.eigenvalues, (6, 1)),
+            iprs=np.tile(base.iprs, (6, 1)),
+            equal_time=base,
+            delta_t=1.0,
+        )
         traj = trajectory(seq, "eigenvalue", 2)
         assert np.all(traj.values == traj.values[0])
+
+    def test_tables_must_match_equal_time_dimension(self):
+        base = eigendecompose(equal_time_corr(iid_returns(5, 64, seed=10)))
+        with pytest.raises(ValueError, match="lag-0 system"):
+            StroboscopicSequence(
+                eigenvalues=np.zeros((3, 4)),
+                iprs=np.zeros((3, 4)),
+                equal_time=base,
+                delta_t=1.0,
+            )
 
     def test_position_out_of_range(self):
         g = iid_returns(4, 64, seed=11)
