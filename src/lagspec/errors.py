@@ -25,6 +25,10 @@ class LagTooLarge(LagspecError):
     """Requested lag exceeds half the record length."""
 
 
+class CorrelationOutOfRange(LagspecError):
+    """A lagged correlation entry lies outside [-1, 1]."""
+
+
 class ConvergenceFailure(LagspecError):
     """The symmetric eigensolver failed or produced an inaccurate result."""
 

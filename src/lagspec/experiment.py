@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Literal, Sequence, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .eigensys import eigendecompose, rmt_bounds, segment
 from .errors import ConfigInvalid, UnknownSeries, WindowOutOfRange
@@ -178,11 +177,16 @@ class InjectionSpec:
 
 
 def load_injection_spec(path: Union[str, Path]) -> InjectionSpec:
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"injection spec {path}: {exc}") from exc
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigInvalid(f"injection spec {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"injection spec {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"injection spec {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid("injection spec must be a JSON object")
     return InjectionSpec.from_json(data)
@@ -208,9 +212,9 @@ def synth_generate(cfg: SynthConfig) -> CountMatrix:
     if n_bg:
         noise = rng.standard_normal((n_bg, length))
         walk = np.zeros((n_bg, points))
-        walk[:, 1:] = lfilter(
-            [1.0], [1.0, -_BACKGROUND_PHI], _BACKGROUND_SIGMA * noise, axis=1
-        )
+        np.multiply(noise, _BACKGROUND_SIGMA, out=walk[:, 1:])
+        for t in range(1, points):
+            walk[:, t] += _BACKGROUND_PHI * walk[:, t - 1]
         counts[n_drv:] = cfg.baseline * np.exp(walk)
 
     if n_drv:

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import LagTooLarge, ParseError
+from .errors import CorrelationOutOfRange, LagTooLarge, ParseError
 from .ingest import ReturnMatrix
 
 _ENTRY_TOL = 1e-9
@@ -44,7 +44,9 @@ class LagCorrMatrix:
         if not np.array_equal(values, values.T):
             raise ValueError("lagged correlation matrix must be exactly symmetric")
         if np.any(np.abs(values) > 1.0 + _ENTRY_TOL):
-            raise ValueError(f"correlation entries outside [-1, 1] at lag {self.lag}")
+            raise CorrelationOutOfRange(
+                f"correlation entries outside [-1, 1] at lag {self.lag}"
+            )
         if self.lag == 0 and np.any(np.abs(np.diag(values) - 1.0) > _DIAG_TOL):
             raise ValueError("equal-time diagonal must be 1")
 

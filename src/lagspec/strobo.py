@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Literal, Sequence, Union
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .eigensys import EigenSystem, eigendecompose
 from .errors import (
@@ -231,10 +230,9 @@ def _detect_peaks(
     """Local maxima whose prominence exceeds prominence_factor times the
     median nonzero-frequency power.  The zero-frequency bin is never a peak
     because endpoints are not local maxima."""
-    indices, props = find_peaks(power, prominence=0.0)
+    indices, prominences = _local_maxima(power)
     if indices.size == 0:
         return ()
-    prominences = props["prominences"]
     floor = float(np.median(power[1:]))
     keep = prominences > prominence_factor * floor
     peaks = [
@@ -247,6 +245,43 @@ def _detect_peaks(
     ]
     peaks.sort(key=lambda p: (-p.power, p.frequency))
     return tuple(peaks)
+
+
+def _local_maxima(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences of the local maxima of a 1-D array, by the
+    rules of SciPy's ``signal.find_peaks(x, prominence=0.0)``.
+
+    A local maximum is a sample, or a run of equal samples, with a strict
+    rise before it and a strict fall after it; the endpoints never qualify.
+    A flat peak reports its middle index ``(left + right) // 2``.  The
+    prominence is the peak's height above the higher of two minima: those
+    of the samples reached walking left and walking right from the peak
+    until a strictly higher sample or the edge.
+    """
+    values = x.tolist()
+    last = len(values) - 1
+    indices, prominences = [], []
+    i = 1
+    while i < last:
+        if values[i - 1] < values[i]:
+            ahead = i + 1
+            while ahead < last and values[ahead] == values[i]:
+                ahead += 1
+            if values[ahead] < values[i]:
+                peak = (i + ahead - 1) // 2
+                height = values[peak]
+                left = peak
+                while left > 0 and values[left - 1] <= height:
+                    left -= 1
+                right = peak
+                while right < last and values[right + 1] <= height:
+                    right += 1
+                base = max(min(values[left:peak + 1]), min(values[peak:right + 1]))
+                indices.append(peak)
+                prominences.append(height - base)
+                i = ahead
+        i += 1
+    return np.array(indices, dtype=np.intp), np.array(prominences, dtype=float)
 
 
 def characteristic_periods(

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lagspec import SynthConfig, synth_generate
+import lagspec
+from lagspec import CountMatrix, SynthConfig, synth_generate
 from lagspec.cli import main
 
 
@@ -154,6 +157,23 @@ class TestAnalyze:
         assert "ConvergenceFailure" in err and "at lag 0" in err
         assert "Traceback" not in err
 
+    def test_out_of_range_lagged_entry_exits_1_naming_the_lag(self, tmp_path, capsys):
+        # series 0 moves only at t = 0, 10 and 20, so its lag-10 self term
+        # is about 1.23
+        rates = np.zeros((3, 21))
+        rates[0, [0, 10, 20]] = 1.0
+        rates[1:] = 0.1 * np.random.default_rng(0).standard_normal((2, 21))
+        log_counts = np.concatenate((np.zeros((3, 1)), np.cumsum(rates, axis=1)), axis=1)
+        counts = CountMatrix(("a", "b", "c"), 300.0, 100.0 * np.exp(log_counts))
+        csv_path = tmp_path / "spiky.csv"
+        write_counts_csv(csv_path, counts)
+        assert run_cli(
+            "analyze", "--input", str(csv_path), "--tau-max", "10",
+            "--out", str(tmp_path / "run"),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "CorrelationOutOfRange" in err and "at lag 10" in err
+
     def test_bad_watch_position_exits_2(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli(
@@ -234,6 +254,17 @@ class TestExperimentCommand:
         assert code == 2
         assert "UnknownSeries" in capsys.readouterr().err
 
+    def test_missing_spec_file_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        out = tmp_path / "run"
+        assert run_cli(
+            "experiment", "--synth", "small", "--inject", str(missing),
+            "--out", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and str(missing) in err
+        assert not out.exists()
+
     def test_invalid_spec_json_exits_2(self, tmp_path):
         spec_path = tmp_path / "inj.json"
         spec_path.write_text("{broken")
@@ -285,3 +316,20 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(lagspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import lagspec.cli, sys; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

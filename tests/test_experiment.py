@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from lagspec import (
     ConfigInvalid,
     InjectionSpec,
+    SYNTH_PRESETS,
     SynthConfig,
     UnknownSeries,
     WindowOutOfRange,
@@ -22,6 +24,7 @@ from lagspec import (
     synth_generate,
     trajectory,
 )
+from lagspec.experiment import _BACKGROUND_PHI, _BACKGROUND_SIGMA
 
 DRIVER_CFG = SynthConfig(
     n_series=64, length=2049, delta_t=300.0, n_drivers=4,
@@ -69,6 +72,19 @@ class TestSynthGenerate:
         a = synth_generate(DRIVER_CFG)
         b = synth_generate(SynthConfig(**{**DRIVER_CFG.to_json(), "seed": 1}))
         assert not np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("preset", ["default", "small"])
+    def test_background_walk_matches_lfilter(self, preset):
+        cfg = SYNTH_PRESETS[preset]
+        n_bg = cfg.n_series - cfg.n_drivers
+        rng = np.random.default_rng(cfg.seed)
+        noise = rng.standard_normal((n_bg, cfg.length - 1))
+        walk = np.zeros((n_bg, cfg.length))
+        walk[:, 1:] = lfilter(
+            [1.0], [1.0, -_BACKGROUND_PHI], _BACKGROUND_SIGMA * noise, axis=1
+        )
+        counts = synth_generate(cfg).counts
+        assert np.array_equal(counts[cfg.n_drivers:], cfg.baseline * np.exp(walk))
 
     def test_counts_positive_and_shaped(self):
         cm = synth_generate(DRIVER_CFG)
@@ -149,6 +165,12 @@ class TestInjectionSpec:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigInvalid):
+            load_injection_spec(path)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigInvalid, match="bad.json"):
             load_injection_spec(path)
 
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from collections import Counter
 
+from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks
+
 from lagspec import (
     ConvergenceFailure,
     IndexOutOfRange,
@@ -20,6 +23,8 @@ from lagspec import (
     write_spectrum_csv,
     write_trajectory_csv,
 )
+
+from lagspec.strobo import _local_maxima
 
 from conftest import dft_power_oracle, iid_returns, two_sided_power_sum
 
@@ -241,6 +246,19 @@ class TestPowerSpectrum:
                         bin_hits[(pos, kind, round(peak.frequency * 40))] += 1
         assert max(bin_hits.values(), default=0) <= n_seeds // 2
         assert worst <= 40.0  # planted periods in this suite sit above 250x
+
+
+class TestLocalMaxima:
+    """scipy's find_peaks is the reference for the peak rules."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), max_size=300))
+    def test_matches_find_peaks_with_plateaus_and_ties(self, values):
+        x = np.array(values, dtype=float)
+        indices, prominences = _local_maxima(x)
+        want, props = find_peaks(x, prominence=0.0)
+        assert np.array_equal(indices, want)
+        assert np.array_equal(prominences, props["prominences"])
 
 
 class TestCharacteristicPeriods:
