@@ -189,6 +189,13 @@ def cmd_analyze(args) -> int:
     n = counts.n_series
     watch = _parse_watch(args.watch)
     watch = default_watch(n) if watch is None else _check_watch(watch, n)
+    g = returns_from_counts(counts)
+    seq = sweep(g, args.tau_max, delta_t=counts.interval)
+    equal_time = seq.equal_time
+    bounds = rmt_bounds(n, g.n_returns)
+    parts = segment(equal_time, bounds)
+
+    # the run directory appears only once the sweep has succeeded
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -204,12 +211,6 @@ def cmd_analyze(args) -> int:
         epsilon_clamp=args.epsilon_clamp,
     )
     serialize.write_json(config.to_json(), out_dir / "config.json")
-
-    g = returns_from_counts(counts)
-    seq = sweep(g, args.tau_max, delta_t=counts.interval)
-    equal_time = seq.equal_time
-    bounds = rmt_bounds(n, g.n_returns)
-    parts = segment(equal_time, bounds)
     write_matrix_csv(equal_time_corr(g), out_dir / "equal_time.csv")
 
     summary = {
@@ -271,6 +272,10 @@ def cmd_experiment(args) -> int:
     watch = _parse_watch(args.watch)
     watch = default_watch(n) if watch is None else _check_watch(watch, n)
     spec = load_injection_spec(args.inject)
+    report = run_experiment(
+        counts, spec, args.tau_max, watch, detrend=args.detrend
+    )
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -287,10 +292,6 @@ def cmd_experiment(args) -> int:
         injection=spec.to_json(),
     )
     serialize.write_json(config.to_json(), out_dir / "config.json")
-
-    report = run_experiment(
-        counts, spec, args.tau_max, watch, detrend=args.detrend
-    )
     for item in report.watches:
         stem = f"{item.kind}_{item.position}"
         write_trajectory_csv(item.before, out_dir / f"trajectory_before_{stem}.csv")

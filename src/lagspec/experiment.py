@@ -10,6 +10,8 @@ walks whose rate changes are approximately i.i.d.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Literal, Sequence, Union
@@ -144,7 +146,23 @@ class InjectionSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.target_ids, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.target_ids
+        ):
+            raise ConfigInvalid(
+                f"target_ids must be a list of series ids, got {self.target_ids!r}"
+            )
         object.__setattr__(self, "target_ids", tuple(self.target_ids))
+        for name, want, label in (
+            ("t_start", numbers.Integral, "an integer"),
+            ("t_end", (numbers.Integral, type(None)), "an integer or null"),
+            ("period", (numbers.Real, type(None)), "a number or null"),
+            ("modulation_depth", numbers.Real, "a number"),
+            ("seed", numbers.Integral, "an integer"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise ConfigInvalid(f"{name} must be {label}, got {value!r}")
         if self.kind not in ("noise", "periodic"):
             raise ConfigInvalid(f"kind must be 'noise' or 'periodic', got {self.kind!r}")
         if self.t_start < 0:
@@ -152,8 +170,10 @@ class InjectionSpec:
         if self.t_end is not None and self.t_end <= self.t_start:
             raise ConfigInvalid("t_end must exceed t_start")
         if self.kind == "periodic":
-            if self.period is None or self.period <= 0:
-                raise ConfigInvalid("periodic injection needs a positive period")
+            if self.period is None or not 0 < self.period < math.inf:
+                raise ConfigInvalid(
+                    "periodic injection needs a positive finite period"
+                )
             if not 0.0 < self.modulation_depth < 1.0:
                 raise ConfigInvalid("modulation_depth must lie in (0, 1)")
         if self.distribution != "uniform":

@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .errors import NonPositiveCount, ParseError, TooShort, ZeroVariance
+from .errors import (
+    ConfigInvalid,
+    NonPositiveCount,
+    ParseError,
+    TooShort,
+    ZeroVariance,
+)
 
 Source = Union[str, Path, bytes, IO]
 
@@ -115,13 +122,15 @@ class ReturnMatrix:
 
 def _open_text(source: Source) -> IO[str]:
     if isinstance(source, (str, Path)):
-        return open(source, "r", newline="")
+        try:
+            return open(source, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigInvalid(f"counts file {source}: {exc.strerror}") from exc
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        source = io.BytesIO(source)
     if isinstance(source, io.TextIOBase):
         return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8")
+    return io.TextIOWrapper(source, encoding="utf-8", newline="")
 
 
 def load_counts(
@@ -132,32 +141,107 @@ def load_counts(
 ) -> CountMatrix:
     """Parse a counts CSV into a CountMatrix.
 
+    The input is UTF-8 text.  Blank lines and double-quoted cells are
+    accepted; ``#`` does not start a comment.  A malformed data row raises
+    ParseError naming its line; bytes that are not UTF-8 raise ParseError
+    naming the path.  A path that cannot be opened raises ConfigInvalid.
+
     With ``epsilon_clamp`` every count is replaced by max(count, eps) where
     eps defaults to 1e-6 times the median of the series' positive values;
     otherwise any count <= 0 raises NonPositiveCount.
     """
     stream = _open_text(source)
+    try:
+        # the bad-row scan rewinds to the first data line
+        seekable = stream if stream.seekable() else io.StringIO(stream.read())
+        ids, table = _read_table(seekable)
+    except UnicodeDecodeError as exc:
+        name = source if isinstance(source, (str, Path)) else "input"
+        raise ParseError(f"{name} is not UTF-8 text: {exc.reason}") from None
+    finally:
+        if isinstance(source, (str, Path)):
+            stream.close()
+
+    if len(table) < 3:
+        raise TooShort(f"need at least 3 time points, got {len(table)}")
+
+    steps = np.diff(table[:, 0])
+    interval = float(np.median(steps))
+    if interval <= 0 or np.any(np.abs(steps - interval) > _INTERVAL_RTOL * interval):
+        raise ParseError("timestamps are not evenly spaced within 0.1%")
+
+    counts = table[:, 1:].T  # series x time
+    if epsilon_clamp:
+        counts = _clamp_counts(counts, ids, epsilon)
+
+    return CountMatrix(series_ids=ids, interval=interval, counts=counts)
+
+
+def _read_table(stream: IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read the header, then every data row in one ``np.loadtxt`` pass.
+
+    Returns the series ids and a (rows, N+1) table whose first column holds
+    the timestamps.  Only when the table is malformed is the body read a
+    second time, row by row, to name the offending line.
+    """
+    line = stream.readline()
+    if not line:
+        raise ParseError("empty input")
+    try:
+        header = next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ParseError(f"header: {exc}") from None
+    if len(header) < 3 or header[0].strip() != "t":
+        raise ParseError(
+            "header must be 't,<id1>,<id2>,...' with at least two series"
+        )
+    ids = tuple(name.strip() for name in header[1:])
+    if len(set(ids)) != len(ids):
+        raise ParseError("duplicate series ids in header")
+
+    width = len(ids) + 1
+    body = stream.tell()
+    try:
+        with warnings.catch_warnings():
+            # an empty body is reported as TooShort by the caller
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(
+                stream, delimiter=",", ndmin=2, dtype=float,
+                comments=None, quotechar='"',
+            )
+    except UnicodeDecodeError:  # a ValueError, but not a malformed row
+        raise
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        if len(table) == 0 or (
+            table.shape[1] == width and np.isfinite(table).all()
+        ):
+            return ids, table
+        problem = (
+            f"expected {width} fields per row, got {table.shape[1]}"
+            if table.shape[1] != width
+            else "non-finite value"
+        )
+    stream.seek(body)
+    _raise_bad_row(stream, width)
+    raise ParseError(problem)
+
+
+def _raise_bad_row(stream: IO[str], width: int) -> None:
+    """Raise ParseError naming the first data line that fails to parse.
+
+    Reads the rows after the header with ``csv`` and ``float``; returns if
+    every row is well formed.
+    """
     reader = csv.reader(stream)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty input")
-        if len(header) < 3 or header[0].strip() != "t":
-            raise ParseError(
-                "header must be 't,<id1>,<id2>,...' with at least two series"
-            )
-        ids = tuple(name.strip() for name in header[1:])
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate series ids in header")
-
-        timestamps: list[float] = []
-        rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(ids) + 1:
+            if len(row) != width:
                 raise ParseError(
-                    f"row at line {lineno}: expected {len(ids) + 1} fields, "
+                    f"row at line {lineno}: expected {width} fields, "
                     f"got {len(row)}"
                 )
             try:
@@ -166,25 +250,8 @@ def load_counts(
                 raise ParseError(f"row at line {lineno}: {exc}") from None
             if not all(np.isfinite(parsed)):
                 raise ParseError(f"row at line {lineno}: non-finite value")
-            timestamps.append(parsed[0])
-            rows.append(parsed[1:])
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
-
-    if len(rows) < 3:
-        raise TooShort(f"need at least 3 time points, got {len(rows)}")
-
-    steps = np.diff(np.asarray(timestamps))
-    interval = float(np.median(steps))
-    if interval <= 0 or np.any(np.abs(steps - interval) > _INTERVAL_RTOL * interval):
-        raise ParseError("timestamps are not evenly spaced within 0.1%")
-
-    counts = np.asarray(rows, dtype=float).T  # series x time
-    if epsilon_clamp:
-        counts = _clamp_counts(counts, ids, epsilon)
-
-    return CountMatrix(series_ids=ids, interval=interval, counts=counts)
+    except csv.Error as exc:
+        raise ParseError(f"row at line {reader.line_num + 1}: {exc}") from None
 
 
 def _clamp_counts(

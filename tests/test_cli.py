@@ -27,6 +27,19 @@ def write_counts_csv(path, counts):
             )
 
 
+def write_spiky_csv(tmp_path):
+    """Counts whose series 0 moves only at t = 0, 10 and 20, so its lag-10
+    self term is about 1.23."""
+    rates = np.zeros((3, 21))
+    rates[0, [0, 10, 20]] = 1.0
+    rates[1:] = 0.1 * np.random.default_rng(0).standard_normal((2, 21))
+    log_counts = np.concatenate((np.zeros((3, 1)), np.cumsum(rates, axis=1)), axis=1)
+    counts = CountMatrix(("a", "b", "c"), 300.0, 100.0 * np.exp(log_counts))
+    csv_path = tmp_path / "spiky.csv"
+    write_counts_csv(csv_path, counts)
+    return csv_path
+
+
 def summary_without_timestamp(path):
     data = json.loads(path.read_text())
     data.pop("timestamp", None)
@@ -158,21 +171,53 @@ class TestAnalyze:
         assert "Traceback" not in err
 
     def test_out_of_range_lagged_entry_exits_1_naming_the_lag(self, tmp_path, capsys):
-        # series 0 moves only at t = 0, 10 and 20, so its lag-10 self term
-        # is about 1.23
-        rates = np.zeros((3, 21))
-        rates[0, [0, 10, 20]] = 1.0
-        rates[1:] = 0.1 * np.random.default_rng(0).standard_normal((2, 21))
-        log_counts = np.concatenate((np.zeros((3, 1)), np.cumsum(rates, axis=1)), axis=1)
-        counts = CountMatrix(("a", "b", "c"), 300.0, 100.0 * np.exp(log_counts))
-        csv_path = tmp_path / "spiky.csv"
-        write_counts_csv(csv_path, counts)
+        csv_path = write_spiky_csv(tmp_path)
         assert run_cli(
             "analyze", "--input", str(csv_path), "--tau-max", "10",
             "--out", str(tmp_path / "run"),
         ) == 1
         err = capsys.readouterr().err
         assert "CorrelationOutOfRange" in err and "at lag 10" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "experiment"])
+    def test_failed_sweep_leaves_no_run_directory(self, tmp_path, capsys, command):
+        spec_path = tmp_path / "inj.json"
+        spec_path.write_text(json.dumps({"kind": "noise", "target_ids": []}))
+        inject = ("--inject", str(spec_path)) if command == "experiment" else ()
+        out = tmp_path / "run"
+        assert run_cli(
+            command, "--input", str(write_spiky_csv(tmp_path)), "--tau-max", "10",
+            *inject, "--out", str(out),
+        ) == 1
+        assert "CorrelationOutOfRange" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        out = tmp_path / "run"
+        assert run_cli("analyze", "--input", str(missing), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and str(missing) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_directory_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        folder = tmp_path / "data"
+        folder.mkdir()
+        out = tmp_path / "run"
+        assert run_cli("analyze", "--input", str(folder), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and str(folder) in err
+        assert not out.exists()
+
+    def test_undecodable_input_exits_1_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("t,a,b\n0,1,2\n300,3,4\n600,5,6\n# caf\u00e9\n".encode("latin-1"))
+        out = tmp_path / "run"
+        assert run_cli("analyze", "--input", str(bad), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "ParseError" in err and str(bad) in err
+        assert not out.exists()
 
     def test_bad_watch_position_exits_2(self, tmp_path):
         out = tmp_path / "run"
@@ -263,6 +308,28 @@ class TestExperimentCommand:
         ) == 2
         err = capsys.readouterr().err
         assert "ConfigInvalid" in err and str(missing) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "periodic", "target_ids": ["s001"], "period": "900"}, "period"),
+            ({"kind": "noise", "target_ids": ["s001"], "period": "x"}, "period"),
+            ({"kind": "noise", "target_ids": ["s001"], "seed": True}, "seed"),
+            ({"kind": "noise", "target_ids": "s001"}, "target_ids"),
+        ],
+    )
+    def test_mistyped_spec_field_exits_2_naming_it(self, tmp_path, capsys, spec, field):
+        spec_path = tmp_path / "inj.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        assert run_cli(
+            "experiment", "--synth", "small", "--tau-max", "10",
+            "--inject", str(spec_path), "--out", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"ConfigInvalid: {field} must be" in err
+        assert "not supported" not in err
         assert not out.exists()
 
     def test_invalid_spec_json_exits_2(self, tmp_path):

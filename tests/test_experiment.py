@@ -152,6 +152,39 @@ class TestInjectionSpec:
         with pytest.raises(ConfigInvalid):
             InjectionSpec(kind="noise", target_ids=("a",), t_start=5, t_end=5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("target_ids", "s001"),
+            ("target_ids", ["s001", 7]),
+            ("t_start", 1.0),
+            ("t_start", True),
+            ("t_end", "9"),
+            ("period", "900"),
+            ("period", False),
+            ("modulation_depth", "0.5"),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_field_types_checked(self, field, value):
+        kwargs = dict(kind="periodic", target_ids=("a",), period=900.0)
+        kwargs[field] = value
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be"):
+            InjectionSpec(**kwargs)
+
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), -900.0])
+    def test_period_must_be_positive_and_finite(self, period):
+        with pytest.raises(ConfigInvalid, match="period"):
+            InjectionSpec(kind="periodic", target_ids=("a",), period=period)
+
+    def test_numpy_scalars_accepted(self):
+        spec = InjectionSpec(
+            kind="periodic", target_ids=("a",), period=np.float64(900.0),
+            t_start=np.int64(2), seed=np.int64(3),
+        )
+        assert spec.t_start == 2
+
     def test_json_file_round_trip(self, tmp_path):
         spec = InjectionSpec(
             kind="periodic", target_ids=("s001", "s002"), period=900.0,

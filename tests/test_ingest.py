@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from lagspec import (
     CountMatrix,
+    LagspecError,
     NonPositiveCount,
     ParseError,
     TooShort,
@@ -103,6 +105,71 @@ class TestLoadCounts:
     def test_accepts_text_stream(self):
         cm = load_counts(io.StringIO("t,a,b\n0,1,2\n1,3,4\n2,5,6\n"))
         assert cm.interval == 1.0
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("2,5", "expected 3 fields, got 2"),
+            ("2,x,6", "could not convert string to float: 'x'"),
+            ("2,nan,6", "non-finite value"),
+            ("2,1e400,6", "non-finite value"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "layout, line",
+        [
+            # a blank line before the bad row still counts as a line
+            ("t,a,b\n0,1,2\n1,3,4\n\n{bad}\n3,7,8\n", 5),
+            ("t,a,b\r\n0,1,2\r\n\r\n1,3,4\r\n{bad}\r\n3,7,8\r\n", 5),
+            ("t,a,b\n0,1,2\n1,3,4\n3,7,8\n{bad}\n", 5),
+            ("t,a,b\n0,1,2\n1,3,4\n3,7,8\n{bad}", 5),
+            ("t,a,b\n{bad}\n0,1,2\n1,3,4\n3,7,8\n", 2),
+        ],
+    )
+    def test_error_names_the_line(self, bad_row, message, layout, line):
+        with pytest.raises(ParseError) as exc:
+            load_counts(csv_bytes(layout.format(bad=bad_row)))
+        assert str(exc.value) == f"row at line {line}: {message}"
+
+    def test_same_wrong_width_on_every_row_names_line_2(self):
+        with pytest.raises(ParseError, match="^row at line 2: expected 3 fields, got 4$"):
+            load_counts(csv_bytes("t,a,b\n0,1,2,9\n1,3,4,9\n2,5,6,9\n"))
+
+    def test_underscore_digits_rejected(self):
+        # float() accepts "1_000"; numpy's parser does not
+        with pytest.raises(ParseError, match="1_000"):
+            load_counts(csv_bytes("t,a,b\n0,1,2\n1,1_000,4\n2,5,6\n"))
+
+    def test_quoted_cells_blank_lines_and_crlf(self):
+        cm = load_counts(csv_bytes(
+            '"t","a","b"\r\n\r\n0,"1",2\r\n1,3,"4"\r\n\r\n2,5,6\r\n'
+        ))
+        assert cm.series_ids == ("a", "b")
+        assert np.array_equal(cm.counts, [[1, 3, 5], [2, 4, 6]])
+
+    def test_hash_is_not_a_comment(self):
+        with pytest.raises(ParseError, match="line 3"):
+            load_counts(csv_bytes("t,a,b\n0,1,2\n# note\n1,3,4\n2,5,6\n"))
+
+    def test_undecodable_bytes(self):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_counts(b"t,a,b\n0,1,2\n1,\xff,4\n2,5,6\n")
+
+    def test_unseekable_stream_names_the_line(self):
+        class Pipe(io.RawIOBase):
+            def __init__(self, data):
+                self._data = io.BytesIO(data)
+
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                return self._data.readinto(buffer)
+
+        stream = io.BufferedReader(Pipe(b"t,a,b\n0,1,2\n1,x,4\n2,5,6\n"))
+        assert not stream.seekable()
+        with pytest.raises(ParseError, match="^row at line 3:"):
+            load_counts(stream)
 
 
 class TestRateChanges:
@@ -206,3 +273,79 @@ def test_normalization_is_affine_invariant(scale, shift):
     base = normalize(raw)
     scaled = normalize(scale * raw + shift)
     assert np.allclose(base.returns, scaled.returns, atol=1e-10, rtol=0)
+
+
+def reference_load(text: str):
+    """The row-by-row csv + float() parse that load_counts must agree with."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    ids = tuple(name.strip() for name in rows[0][1:])
+    table = np.array([[float(cell) for cell in row] for row in rows[1:] if row])
+    interval = float(np.median(np.diff(table[:, 0])))
+    return ids, interval, table[:, 1:].T
+
+
+positive_cell = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e300).map(repr),
+    st.floats(min_value=5e-324, max_value=1e300).map(lambda v: "%.17g" % v),
+    st.floats(min_value=1e-6, max_value=1e12).map(lambda v: "%.6f" % v),
+    st.integers(min_value=1, max_value=10**15).map(str),
+)
+
+
+@st.composite
+def counts_csv(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    points = draw(st.integers(min_value=3, max_value=12))
+    interval = draw(st.one_of(
+        st.integers(min_value=1, max_value=3600),
+        st.floats(min_value=1e-3, max_value=1e5),
+    ))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def cell(text):
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    lines = [",".join(cell(name) for name in ["t"] + [f"s{i}" for i in range(n)])]
+    for k in range(points):
+        if draw(st.booleans()):
+            lines.append("")
+        stamp = repr(k * interval)
+        lines.append(",".join(cell(c) for c in [stamp] + draw(
+            st.lists(positive_cell, min_size=n, max_size=n)
+        )))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(text=counts_csv())
+@settings(max_examples=300, deadline=None)
+def test_valid_tables_match_row_by_row_parse(text):
+    ids, interval, counts = reference_load(text)
+    cm = load_counts(text.encode())
+    assert cm.series_ids == ids
+    assert cm.interval == interval
+    assert cm.counts.shape == counts.shape
+    assert cm.counts.tobytes() == counts.tobytes()
+
+
+def load_or_lagspec_error(data) -> None:
+    try:
+        load_counts(data)
+    except LagspecError:
+        pass
+
+
+@given(data=st.binary(max_size=400))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_bytes_raise_only_lagspec_errors(data):
+    load_or_lagspec_error(data)
+
+
+@given(
+    body=st.text(
+        alphabet=st.sampled_from(list('0123456789,,,\n\n\r". +-_eEinfatx#\t\x00\xff')),
+        max_size=200,
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_arbitrary_bodies_raise_only_lagspec_errors(body):
+    load_or_lagspec_error(("t,a,b\n" + body).encode())
