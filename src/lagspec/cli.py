@@ -11,9 +11,7 @@ Exit codes: 0 success, 1 data or processing error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +25,7 @@ from .errors import (
 )
 from .experiment import (
     SYNTH_PRESETS,
+    InjectionSpec,
     SynthConfig,
     load_injection_spec,
     run_experiment,
@@ -35,6 +34,7 @@ from .experiment import (
 from .ingest import CountMatrix, load_counts, returns_from_counts
 from .lagcorr import equal_time_corr, write_matrix_csv
 from .strobo import (
+    MIN_SPECTRUM_LEN,
     characteristic_periods,
     default_watch,
     peak_report,
@@ -44,44 +44,6 @@ from .strobo import (
     write_spectrum_csv,
     write_trajectory_csv,
 )
-
-_MIN_SPECTRUM_LEN = 8
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Resolved invocation, echoed verbatim into the run directory."""
-
-    command: str
-    input_path: str | None
-    synth: dict | None
-    tau_max: int
-    watch_positions: tuple[int, ...] | None
-    detrend: str
-    seed: int | None
-    out_dir: str
-    epsilon_clamp: bool
-    injection: dict | None = None
-
-    def to_json(self) -> dict:
-        data = {
-            "command": self.command,
-            "input_path": self.input_path,
-            "synth": self.synth,
-            "tau_max": self.tau_max,
-            "watch_positions": (
-                None
-                if self.watch_positions is None
-                else list(self.watch_positions)
-            ),
-            "detrend": self.detrend,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "epsilon_clamp": self.epsilon_clamp,
-        }
-        if self.injection is not None:
-            data["injection"] = self.injection
-        return data
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,36 +110,58 @@ def _parse_watch(raw: str | None) -> tuple[int, ...] | None:
 def _resolve_synth(raw: str, seed: int | None) -> SynthConfig:
     if raw in SYNTH_PRESETS:
         cfg = SYNTH_PRESETS[raw]
+    elif Path(raw).exists():
+        cfg = SynthConfig.from_json(serialize.read_config(raw, "synth config"))
     else:
-        path = Path(raw)
-        if not path.exists():
-            raise ConfigInvalid(
-                f"--synth {raw!r} is neither a preset "
-                f"({', '.join(sorted(SYNTH_PRESETS))}) nor a file"
-            )
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"synth config {raw}: {exc}") from exc
-        cfg = SynthConfig.from_json(data)
+        raise ConfigInvalid(
+            f"--synth {raw!r} is neither a preset "
+            f"({', '.join(sorted(SYNTH_PRESETS))}) nor a file"
+        )
     if seed is not None:
         cfg = SynthConfig(**{**cfg.to_json(), "seed": seed})
     return cfg
 
 
-def _load_input(args) -> tuple[CountMatrix, dict | None]:
-    if args.input is not None:
+def _prepare(args) -> tuple[CountMatrix, tuple[int, ...], InjectionSpec | None, dict]:
+    """Check every configuration item, then load the input and check the
+    watch positions against it.  Returns the counts, the watch positions, the
+    injection (experiment only) and the record that becomes config.json."""
+    watch = _parse_watch(args.watch)
+    spec = load_injection_spec(args.inject) if args.command == "experiment" else None
+    synth = None if args.synth is None else _resolve_synth(args.synth, args.seed)
+    if synth is None:
         counts = load_counts(args.input, epsilon_clamp=args.epsilon_clamp)
-        return counts, None
-    cfg = _resolve_synth(args.synth, args.seed)
-    return synth_generate(cfg), cfg.to_json()
-
-
-def _check_watch(positions: tuple[int, ...], n: int) -> tuple[int, ...]:
-    for k in positions:
+    else:
+        counts = synth_generate(synth)
+    n = counts.n_series
+    if watch is None:
+        watch = default_watch(n)
+    for k in watch:
         if not 0 <= k < n:
             raise ConfigInvalid(f"watch position {k} outside 0..{n - 1}")
-    return positions
+    config = {
+        "command": args.command,
+        "input_path": args.input,
+        "synth": None if synth is None else synth.to_json(),
+        "tau_max": args.tau_max,
+        "watch_positions": list(watch),
+        "detrend": args.detrend,
+        "seed": args.seed,
+        "out_dir": str(Path(args.out)),
+        "epsilon_clamp": args.epsilon_clamp,
+    }
+    if spec is not None:
+        config["injection"] = spec.to_json()
+    return counts, watch, spec, config
+
+
+def _make_run_dir(config: dict) -> Path:
+    """Create the run directory and write config.json into it.  Called only
+    once the sweep has succeeded, so a failed sweep leaves no directory."""
+    out_dir = Path(config["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    serialize.write_json(config, out_dir / "config.json")
+    return out_dir
 
 
 def _timestamp() -> str:
@@ -185,32 +169,15 @@ def _timestamp() -> str:
 
 
 def cmd_analyze(args) -> int:
-    counts, synth_echo = _load_input(args)
+    counts, watch, _, config = _prepare(args)
     n = counts.n_series
-    watch = _parse_watch(args.watch)
-    watch = default_watch(n) if watch is None else _check_watch(watch, n)
     g = returns_from_counts(counts)
     seq = sweep(g, args.tau_max, delta_t=counts.interval)
     equal_time = seq.equal_time
     bounds = rmt_bounds(n, g.n_returns)
     parts = segment(equal_time, bounds)
 
-    # the run directory appears only once the sweep has succeeded
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    config = PipelineConfig(
-        command="analyze",
-        input_path=args.input,
-        synth=synth_echo,
-        tau_max=args.tau_max,
-        watch_positions=watch,
-        detrend=args.detrend,
-        seed=args.seed,
-        out_dir=str(out_dir),
-        epsilon_clamp=args.epsilon_clamp,
-    )
-    serialize.write_json(config.to_json(), out_dir / "config.json")
+    out_dir = _make_run_dir(config)
     write_matrix_csv(equal_time_corr(g), out_dir / "equal_time.csv")
 
     summary = {
@@ -244,7 +211,7 @@ def cmd_analyze(args) -> int:
                 write_trajectory_csv(
                     traj, out_dir / f"trajectory_{kind}_{position}.csv"
                 )
-                if seq.tau_max >= _MIN_SPECTRUM_LEN:
+                if seq.tau_max >= MIN_SPECTRUM_LEN:
                     spec = power_spectrum(traj, args.detrend)
                     write_spectrum_csv(
                         spec, out_dir / f"spectrum_{kind}_{position}.csv"
@@ -267,31 +234,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    counts, synth_echo = _load_input(args)
-    n = counts.n_series
-    watch = _parse_watch(args.watch)
-    watch = default_watch(n) if watch is None else _check_watch(watch, n)
-    spec = load_injection_spec(args.inject)
+    counts, watch, spec, config = _prepare(args)
     report = run_experiment(
         counts, spec, args.tau_max, watch, detrend=args.detrend
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    config = PipelineConfig(
-        command="experiment",
-        input_path=args.input,
-        synth=synth_echo,
-        tau_max=args.tau_max,
-        watch_positions=watch,
-        detrend=args.detrend,
-        seed=args.seed,
-        out_dir=str(out_dir),
-        epsilon_clamp=args.epsilon_clamp,
-        injection=spec.to_json(),
-    )
-    serialize.write_json(config.to_json(), out_dir / "config.json")
+    out_dir = _make_run_dir(config)
     for item in report.watches:
         stem = f"{item.kind}_{item.position}"
         write_trajectory_csv(item.before, out_dir / f"trajectory_before_{stem}.csv")
@@ -302,7 +250,7 @@ def cmd_experiment(args) -> int:
     serialize.write_json(
         {
             "timestamp": _timestamp(),
-            "n_series": n,
+            "n_series": counts.n_series,
             "delta_t": counts.interval,
             "tau_max": args.tau_max,
             "injection": spec.to_json(),
@@ -315,8 +263,12 @@ def cmd_experiment(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tau_max < 0:
-        parser.error(f"argument --tau-max: must be >= 0, got {args.tau_max}")
+    # experiment compares power spectra, which need MIN_SPECTRUM_LEN lags
+    floor = MIN_SPECTRUM_LEN if args.command == "experiment" else 0
+    if args.tau_max < floor:
+        parser.error(
+            f"argument --tau-max: {args.command} needs >= {floor}, got {args.tau_max}"
+        )
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

@@ -9,7 +9,6 @@ walks whose rate changes are approximately i.i.d.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, asdict
@@ -18,6 +17,7 @@ from typing import Literal, Sequence, Union
 
 import numpy as np
 
+from . import serialize
 from .eigensys import eigendecompose, rmt_bounds, segment
 from .errors import ConfigInvalid, UnknownSeries, WindowOutOfRange
 from .ingest import CountMatrix, returns_from_counts
@@ -39,8 +39,42 @@ _BACKGROUND_PHI = 0.98
 _BACKGROUND_SIGMA = 0.05
 
 
+def _check_types(obj, checks) -> None:
+    """Raise ConfigInvalid naming the first field whose value is not of its
+    type; a bool is not a number."""
+    for name, want, label in checks:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigInvalid(f"{name} must be {label}, got {value!r}")
+
+
+def _set_tuple(obj, name: str, want, label: str) -> None:
+    """Store field ``name`` as a tuple once it is known to list ``want``s."""
+    value = getattr(obj, name)
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, want) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigInvalid(f"{name} must be a list of {label}, got {value!r}")
+    object.__setattr__(obj, name, tuple(value))
+
+
+class _FromJson:
+    """``from_json`` of the frozen config dataclasses: an unknown field or a
+    missing one raises ConfigInvalid."""
+
+    @classmethod
+    def from_json(cls, data: dict):
+        extra = set(data) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ConfigInvalid(f"unknown {cls._what} fields: {sorted(extra)}")
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ConfigInvalid(str(exc)) from exc
+
+
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(_FromJson):
     """Configuration of the synthetic count generator.
 
     The first ``n_drivers`` series carry the shared lagged periodic signal;
@@ -48,6 +82,8 @@ class SynthConfig:
     ``length`` counts sampling instants (L+1), so the series yield
     ``length - 1`` rate changes.
     """
+
+    _what = "synth config"
 
     n_series: int
     length: int
@@ -60,15 +96,24 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "driver_periods", tuple(self.driver_periods))
+        _check_types(self, (
+            ("n_series", numbers.Integral, "an integer"),
+            ("length", numbers.Integral, "an integer"),
+            ("delta_t", numbers.Real, "a number"),
+            ("n_drivers", numbers.Integral, "an integer"),
+            ("coupling", numbers.Real, "a number"),
+            ("baseline", numbers.Real, "a number"),
+            ("seed", numbers.Integral, "an integer"),
+        ))
+        _set_tuple(self, "driver_periods", numbers.Integral, "integers")
         if self.driver_lags is not None:
-            object.__setattr__(self, "driver_lags", tuple(self.driver_lags))
+            _set_tuple(self, "driver_lags", numbers.Integral, "integers")
         if self.n_series < 2:
             raise ConfigInvalid("n_series must be at least 2")
         if self.length < 3:
             raise ConfigInvalid("length must be at least 3 sampling instants")
-        if self.delta_t <= 0:
-            raise ConfigInvalid("delta_t must be positive")
+        if not 0 < self.delta_t < math.inf:
+            raise ConfigInvalid("delta_t must be positive and finite")
         if not 0 <= self.n_drivers <= self.n_series:
             raise ConfigInvalid("n_drivers must lie in 0..n_series")
         if self.n_drivers > 0 and not self.driver_periods:
@@ -77,10 +122,12 @@ class SynthConfig:
             raise ConfigInvalid("driver periods must be at least 2 lag steps")
         if not 0.0 < self.coupling <= 1.0:
             raise ConfigInvalid("coupling must lie in (0, 1]")
-        if self.baseline <= 0:
-            raise ConfigInvalid("baseline must be positive")
+        if not 0 < self.baseline < math.inf:
+            raise ConfigInvalid("baseline must be positive and finite")
         if self.driver_lags is not None and len(self.driver_lags) != self.n_drivers:
             raise ConfigInvalid("driver_lags must list one lag per driver")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be non-negative")
 
     def resolved_lags(self) -> tuple[int, ...]:
         # alternating 0/1 keeps the driver block low rank, which keeps the
@@ -94,17 +141,6 @@ class SynthConfig:
         data["driver_periods"] = list(self.driver_periods)
         data["driver_lags"] = list(self.resolved_lags())
         return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
-        if extra:
-            raise ConfigInvalid(f"unknown synth config fields: {sorted(extra)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigInvalid(str(exc)) from exc
 
 
 DEFAULT_SYNTH = SynthConfig(
@@ -128,13 +164,15 @@ SYNTH_PRESETS = {
 
 
 @dataclass(frozen=True)
-class InjectionSpec:
+class InjectionSpec(_FromJson):
     """What to overwrite in a count matrix and how.
 
     ``kind`` is ``noise`` (uniform draws over each target series' observed
     range) or ``periodic`` (cosinusoidal modulation of the series' median
     count).  The window [t_start, t_end) defaults to the full record.
     """
+
+    _what = "injection"
 
     kind: Literal["noise", "periodic"]
     target_ids: tuple[str, ...]
@@ -146,23 +184,14 @@ class InjectionSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.target_ids, (list, tuple)) or not all(
-            isinstance(name, str) for name in self.target_ids
-        ):
-            raise ConfigInvalid(
-                f"target_ids must be a list of series ids, got {self.target_ids!r}"
-            )
-        object.__setattr__(self, "target_ids", tuple(self.target_ids))
-        for name, want, label in (
+        _set_tuple(self, "target_ids", str, "series ids")
+        _check_types(self, (
             ("t_start", numbers.Integral, "an integer"),
             ("t_end", (numbers.Integral, type(None)), "an integer or null"),
             ("period", (numbers.Real, type(None)), "a number or null"),
             ("modulation_depth", numbers.Real, "a number"),
             ("seed", numbers.Integral, "an integer"),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, want):
-                raise ConfigInvalid(f"{name} must be {label}, got {value!r}")
+        ))
         if self.kind not in ("noise", "periodic"):
             raise ConfigInvalid(f"kind must be 'noise' or 'periodic', got {self.kind!r}")
         if self.t_start < 0:
@@ -178,38 +207,17 @@ class InjectionSpec:
                 raise ConfigInvalid("modulation_depth must lie in (0, 1)")
         if self.distribution != "uniform":
             raise ConfigInvalid("only the uniform noise distribution is supported")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be non-negative")
 
     def to_json(self) -> dict:
         data = asdict(self)
         data["target_ids"] = list(self.target_ids)
         return data
 
-    @classmethod
-    def from_json(cls, data: dict) -> "InjectionSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
-        if extra:
-            raise ConfigInvalid(f"unknown injection fields: {sorted(extra)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigInvalid(str(exc)) from exc
-
 
 def load_injection_spec(path: Union[str, Path]) -> InjectionSpec:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigInvalid(f"injection spec {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigInvalid(f"injection spec {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"injection spec {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigInvalid("injection spec must be a JSON object")
-    return InjectionSpec.from_json(data)
+    return InjectionSpec.from_json(serialize.read_config(path, "injection spec"))
 
 
 def synth_generate(cfg: SynthConfig) -> CountMatrix:

@@ -161,6 +161,8 @@ def load_counts(
     finally:
         if isinstance(source, (str, Path)):
             stream.close()
+        elif stream is not source:
+            stream.detach()  # collecting the wrapper would close its buffer
 
     if len(table) < 3:
         raise TooShort(f"need at least 3 time points, got {len(table)}")

@@ -1,59 +1,32 @@
-"""Deterministic text output: every float is written with up to 17
-significant digits, which round-trips float64 exactly."""
+"""The one JSON path: every JSON file lagspec writes goes through
+``write_json``, and every JSON configuration file it reads goes through
+``read_config``."""
 from __future__ import annotations
 
-import math
+import json
 from pathlib import Path
 from typing import Union
 
-
-def format_float(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return f"{value:.17g}"
+from .errors import ConfigInvalid
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(inner + _encode(x, indent, level + 1) for x in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            parts.append(
-                inner + _encode(key, indent, level + 1) + ": "
-                + _encode(value, indent, level + 1)
-            )
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def write_json(obj, path: Union[str, Path]) -> None:
+    """Write ``obj`` as JSON indented by 2.  Floats use Python's shortest
+    round-trip repr, NaN and infinities are written as ``NaN`` and
+    ``Infinity``, and control characters and non-ASCII text are escaped."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def dumps(obj, *, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
-
-
-def write_json(obj, path: Union[str, Path], *, indent: int = 2) -> None:
-    Path(path).write_text(dumps(obj, indent=indent))
+def read_config(path: Union[str, Path], what: str) -> dict:
+    """Parse a JSON file that must hold one object.  A file that cannot be
+    read, is not UTF-8, is not JSON or holds another value raises
+    ConfigInvalid naming ``what`` and the path."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigInvalid(f"{what} {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
+        raise ConfigInvalid(f"{what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigInvalid(f"{what} {path} must hold a JSON object")
+    return data

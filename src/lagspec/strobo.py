@@ -30,6 +30,8 @@ TrajectoryKind = Literal["eigenvalue", "ipr"]
 
 _KINDS = ("eigenvalue", "ipr")
 _DEFAULT_PROMINENCE_FACTOR = 5.0
+# the fewest trajectory samples (lags 1..tau_max) a power spectrum accepts
+MIN_SPECTRUM_LEN = 8
 
 ENHANCED = "enhanced"
 SUPPRESSED = "suppressed"
@@ -208,8 +210,10 @@ def power_spectrum(
     """
     values = traj.values
     m = values.shape[0]
-    if m < 8:
-        raise TooShort(f"trajectory has {m} samples, need at least 8")
+    if m < MIN_SPECTRUM_LEN:
+        raise TooShort(
+            f"trajectory has {m} samples, need at least {MIN_SPECTRUM_LEN}"
+        )
     if detrend not in ("none", "mean"):
         raise ValueError(f"detrend must be 'none' or 'mean', got {detrend!r}")
     if taper not in ("none", "hann"):

@@ -6,6 +6,8 @@ defining formula.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -55,6 +57,21 @@ def two_sided_power_sum(power: np.ndarray, m: int) -> float:
     else:
         total += 2.0 * power[1:].sum()
     return float(total)
+
+
+def digest_run_dir(out_dir) -> dict:
+    """SHA-256 of every file in a run directory; summary.json is hashed
+    without its timestamp."""
+    hashes = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "summary.json":
+            data = json.loads(path.read_text())
+            data.pop("timestamp", None)
+            payload = json.dumps(data, sort_keys=True).encode()
+        else:
+            payload = path.read_bytes()
+        hashes[path.name] = hashlib.sha256(payload).hexdigest()
+    return hashes
 
 
 @pytest.fixture(scope="session")

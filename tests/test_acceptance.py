@@ -8,8 +8,6 @@ A3  characteristic periods        A8  output determinism
 A4  noise destruction             A9  IPR analytic suite
 A5  resonance
 """
-import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -39,7 +37,12 @@ from lagspec import (
 )
 from lagspec.cli import main as cli_main
 
-from conftest import dft_power_oracle, iid_returns, two_sided_power_sum
+from conftest import (
+    digest_run_dir,
+    dft_power_oracle,
+    iid_returns,
+    two_sided_power_sum,
+)
 
 N = 64
 LENGTH = 2048
@@ -305,19 +308,6 @@ def test_a7_numerical_oracles(battery):
     )
 
 
-def _digest_run_dir(out_dir):
-    hashes = {}
-    for path in sorted(out_dir.iterdir()):
-        if path.name == "summary.json":
-            data = json.loads(path.read_text())
-            data.pop("timestamp", None)
-            payload = json.dumps(data, sort_keys=True).encode()
-        else:
-            payload = path.read_bytes()
-        hashes[path.name] = hashlib.sha256(payload).hexdigest()
-    return hashes
-
-
 def test_a8_determinism(tmp_path):
     """A8: identical config and seed give byte-identical outputs, timestamp
     excluded."""
@@ -327,9 +317,9 @@ def test_a8_determinism(tmp_path):
         "--out", str(out),
     ]
     assert cli_main(args) == 0
-    first = _digest_run_dir(out)
+    first = digest_run_dir(out)
     assert cli_main(args) == 0
-    second = _digest_run_dir(out)
+    second = digest_run_dir(out)
     assert first == second
     assert len(first) >= 4
     print(f"\nA8 PASS: {len(first)} output files hash-identical across reruns")

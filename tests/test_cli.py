@@ -1,16 +1,20 @@
-import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lagspec
-from lagspec import CountMatrix, SynthConfig, synth_generate
+from lagspec import CountMatrix, InjectionSpec, SynthConfig, synth_generate
 from lagspec.cli import main
+
+from conftest import digest_run_dir
 
 
 def run_cli(*argv) -> int:
@@ -38,23 +42,6 @@ def write_spiky_csv(tmp_path):
     csv_path = tmp_path / "spiky.csv"
     write_counts_csv(csv_path, counts)
     return csv_path
-
-
-def summary_without_timestamp(path):
-    data = json.loads(path.read_text())
-    data.pop("timestamp", None)
-    return data
-
-
-def digest_dir(out_dir):
-    hashes = {}
-    for path in sorted(out_dir.iterdir()):
-        if path.name == "summary.json":
-            payload = json.dumps(summary_without_timestamp(path), sort_keys=True)
-            hashes[path.name] = hashlib.sha256(payload.encode()).hexdigest()
-        else:
-            hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return hashes
 
 
 class TestAnalyze:
@@ -242,6 +229,53 @@ class TestAnalyze:
         config = json.loads((out / "config.json").read_text())
         assert config["synth"]["n_series"] == 8
 
+    @pytest.mark.parametrize("content", ["directory", "latin-1", "[8, 129]", "5"])
+    def test_bad_synth_file_exits_2_naming_it(self, tmp_path, capsys, content):
+        path = tmp_path / "synth.json"
+        if content == "directory":
+            path.mkdir()
+        elif content == "latin-1":
+            path.write_bytes('{"n_series": 8, "length": 129, "x": "caf\u00e9"}'
+                             .encode("latin-1"))
+        else:
+            path.write_text(content)
+        out = tmp_path / "run"
+        assert run_cli("analyze", "--synth", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and str(path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [8.5, "8"])
+    def test_mistyped_synth_field_exits_2_naming_it(self, tmp_path, capsys, value):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"n_series": value, "length": 100}))
+        out = tmp_path / "run"
+        assert run_cli("analyze", "--synth", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid: n_series must be an integer" in err
+        assert "not supported" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["tab\trun", "bell\x07run", "caf\u00e9"])
+    def test_out_path_with_control_or_non_ascii_text_gives_valid_json(
+        self, tmp_path, name
+    ):
+        out = tmp_path / name
+        assert run_cli(
+            "analyze", "--synth", "small", "--tau-max", "10", "--out", str(out)
+        ) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert config["out_dir"] == str(out)
+
+    def test_tau_max_below_spectrum_floor_skips_spectra(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(
+            "analyze", "--synth", "small", "--tau-max", "5", "--out", str(out)
+        ) == 0
+        assert (out / "trajectory_eigenvalue_15.csv").exists()
+        assert not list(out.glob("spectrum_*"))
+
     def test_watch_flag_parsed(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli(
@@ -332,6 +366,24 @@ class TestExperimentCommand:
         assert "not supported" not in err
         assert not out.exists()
 
+    def test_tau_max_below_spectrum_floor_exits_2_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        spec_path = tmp_path / "inj.json"
+        spec_path.write_text(json.dumps(
+            {"kind": "periodic", "target_ids": ["s005"], "period": 900.0}
+        ))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "experiment", "--synth", "small", "--tau-max", "5",
+                "--inject", str(spec_path), "--out", str(out),
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tau-max" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_invalid_spec_json_exits_2(self, tmp_path):
         spec_path = tmp_path / "inj.json"
         spec_path.write_text("{broken")
@@ -339,6 +391,58 @@ class TestExperimentCommand:
             "experiment", "--synth", "small", "--inject", str(spec_path),
             "--out", str(tmp_path / "run"),
         ) == 2
+
+
+SERIES = ["s000", "s001", "s005", "zz"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 64) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+field_values = (
+    st.integers(-5, 64)
+    | st.floats()
+    | st.sampled_from(["noise", "periodic", "uniform"])
+    | st.lists(st.integers(-5, 64), max_size=3)
+    | st.lists(st.sampled_from(SERIES), max_size=3)
+    | json_values
+)
+
+
+def config_files(cls, base: dict):
+    """JSON values, and objects over the fields of ``cls``, some of them laid
+    over a valid ``base`` so that whole runs happen too.  Every integer lies
+    in -5..64, which keeps each run to a few MB."""
+    names = st.sampled_from(sorted(cls.__dataclass_fields__))
+    overrides = st.dictionaries(names, field_values, max_size=2)
+    return (
+        json_values
+        | st.dictionaries(names, field_values)
+        | overrides.map(lambda d: {**base, **d})
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["analyze", "experiment"]),
+    synth=config_files(SynthConfig, {"n_series": 8, "length": 40}),
+    spec=config_files(
+        InjectionSpec, {"kind": "periodic", "target_ids": ["s001"], "period": 900.0}
+    ),
+)
+def test_main_gives_an_exit_code_on_fuzzed_config_files(command, synth, spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        synth_path, spec_path = Path(tmp, "synth.json"), Path(tmp, "spec.json")
+        synth_path.write_text(json.dumps(synth))
+        spec_path.write_text(json.dumps(spec))
+        argv = [command, "--synth", str(synth_path), "--tau-max", "8",
+                "--out", str(Path(tmp, "run"))]
+        if command == "experiment":
+            argv += ["--inject", str(spec_path)]
+        code = main(argv)
+        assert code in (0, 1, 2)
+        assert Path(tmp, "run").exists() == (code == 0)
 
 
 class TestDeterminism:
@@ -349,9 +453,9 @@ class TestDeterminism:
             "--out", str(out),
         ]
         assert run_cli(*args) == 0
-        first = digest_dir(out)
+        first = digest_run_dir(out)
         assert run_cli(*args) == 0
-        second = digest_dir(out)
+        second = digest_run_dir(out)
         assert first == second
 
     def test_experiment_determinism(self, tmp_path):
@@ -367,9 +471,9 @@ class TestDeterminism:
             "--inject", str(spec_path), "--out", str(out),
         ]
         assert run_cli(*args) == 0
-        first = digest_dir(out)
+        first = digest_run_dir(out)
         assert run_cli(*args) == 0
-        second = digest_dir(out)
+        second = digest_run_dir(out)
         assert first == second
 
 

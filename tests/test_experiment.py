@@ -45,10 +45,36 @@ class TestSynthConfig:
             dict(n_series=4, length=100, coupling=1.5),
             dict(n_series=4, length=100, baseline=-1.0),
             dict(n_series=4, length=100, n_drivers=2, driver_lags=(0,)),
+            dict(n_series=4, length=100, delta_t=float("inf")),
+            dict(n_series=4, length=100, delta_t=float("nan")),
+            dict(n_series=4, length=100, baseline=float("inf")),
+            dict(n_series=4, length=100, seed=-1),
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigInvalid):
+            SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_series", 8.5),
+            ("n_series", "8"),
+            ("length", True),
+            ("delta_t", "300"),
+            ("n_drivers", None),
+            ("driver_periods", 3),
+            ("driver_periods", [3, 6.0]),
+            ("driver_lags", [0, False]),
+            ("coupling", "0.9"),
+            ("baseline", None),
+            ("seed", 1.5),
+        ],
+    )
+    def test_field_types_checked(self, field, value):
+        kwargs = dict(n_series=4, length=100, n_drivers=2)
+        kwargs[field] = value
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be an? "):
             SynthConfig(**kwargs)
 
     def test_json_round_trip(self):
@@ -147,6 +173,10 @@ class TestInjectionSpec:
     def test_bad_kind(self):
         with pytest.raises(ConfigInvalid):
             InjectionSpec(kind="burst", target_ids=("a",))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigInvalid, match="seed"):
+            InjectionSpec(kind="noise", target_ids=("a",), seed=-1)
 
     def test_window_ordering(self):
         with pytest.raises(ConfigInvalid):
@@ -373,7 +403,7 @@ class TestRunExperiment:
         inside = np.mean((ratios > 1.0 / 3.0) & (ratios < 3.0))
         assert inside >= 0.85
 
-    def test_report_json_is_serializable(self):
+    def test_report_json_is_serializable(self, tmp_path):
         from lagspec import serialize
 
         cfg = SynthConfig(n_series=16, length=513, n_drivers=3, seed=1)
@@ -382,7 +412,7 @@ class TestRunExperiment:
             kind="periodic", target_ids=("s010",), period=900.0, seed=1
         )
         report = run_experiment(counts, spec, 40, watch_positions=[15])
-        text = serialize.dumps(report.to_json())
-        parsed = json.loads(text)
+        serialize.write_json(report.to_json(), tmp_path / "report.json")
+        parsed = json.loads((tmp_path / "report.json").read_text())
         assert parsed["tau_max"] == 40
         assert parsed["watched"][0]["position"] == 15

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import gc
 import io
 import math
 
@@ -105,6 +107,14 @@ class TestLoadCounts:
     def test_accepts_text_stream(self):
         cm = load_counts(io.StringIO("t,a,b\n0,1,2\n1,3,4\n2,5,6\n"))
         assert cm.interval == 1.0
+
+    @pytest.mark.parametrize("row", ["1,3,4", "1,x,4"])
+    def test_leaves_the_callers_binary_stream_open(self, row):
+        stream = io.BytesIO(csv_bytes(f"t,a,b\n0,1,2\n{row}\n2,5,6\n"))
+        with contextlib.suppress(ParseError):
+            load_counts(stream)
+        gc.collect()
+        assert not stream.closed
 
     @pytest.mark.parametrize(
         "bad_row, message",
