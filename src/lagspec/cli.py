@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 data or processing error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,7 +33,7 @@ from .experiment import (
     synth_generate,
 )
 from .ingest import CountMatrix, load_counts, returns_from_counts
-from .lagcorr import equal_time_corr, write_matrix_csv
+from .lagcorr import write_matrix_csv
 from .strobo import (
     MIN_SPECTRUM_LEN,
     characteristic_periods,
@@ -122,10 +123,21 @@ def _resolve_synth(raw: str, seed: int | None) -> SynthConfig:
     return cfg
 
 
+def _check_out(raw: str) -> None:
+    """``--out`` must be a directory or a path that mkdir can create: the
+    nearest part of it that exists must be a directory."""
+    for path in (Path(raw), *Path(raw).parents):
+        if os.path.isdir(path):
+            return
+        if os.path.lexists(path):
+            raise ConfigInvalid(f"--out {raw}: {path} is not a directory")
+
+
 def _prepare(args) -> tuple[CountMatrix, tuple[int, ...], InjectionSpec | None, dict]:
     """Check every configuration item, then load the input and check the
     watch positions against it.  Returns the counts, the watch positions, the
     injection (experiment only) and the record that becomes config.json."""
+    _check_out(args.out)
     watch = _parse_watch(args.watch)
     spec = load_injection_spec(args.inject) if args.command == "experiment" else None
     synth = None if args.synth is None else _resolve_synth(args.synth, args.seed)
@@ -172,13 +184,13 @@ def cmd_analyze(args) -> int:
     counts, watch, _, config = _prepare(args)
     n = counts.n_series
     g = returns_from_counts(counts)
-    seq = sweep(g, args.tau_max, delta_t=counts.interval)
+    seq = sweep(g, args.tau_max)
     equal_time = seq.equal_time
     bounds = rmt_bounds(n, g.n_returns)
     parts = segment(equal_time, bounds)
 
     out_dir = _make_run_dir(config)
-    write_matrix_csv(equal_time_corr(g), out_dir / "equal_time.csv")
+    write_matrix_csv(seq.equal_time_matrix, out_dir / "equal_time.csv")
 
     summary = {
         "timestamp": _timestamp(),

@@ -143,15 +143,16 @@ def ipr(vector: np.ndarray) -> float:
     return float(_column_iprs(v.reshape(-1, 1))[0])
 
 
-def rmt_bounds(n: int, effective_length: int) -> RmtBounds:
-    """Marchenko-Pastur band (1 +- 1/sqrt(q))^2 with q = effective_length / n."""
+def rmt_bounds(n: int, length: int) -> RmtBounds:
+    """Marchenko-Pastur band (1 +- 1/sqrt(q))^2 with q = length / n, where
+    length is the number of returns per series."""
     if n < 1:
         raise ValueError("n must be positive")
-    if effective_length <= n:
+    if length <= n:
         raise DegenerateAspect(
-            f"effective length {effective_length} must exceed dimension {n}"
+            f"effective length {length} must exceed dimension {n}"
         )
-    q = effective_length / n
+    q = length / n
     spread = 1.0 / np.sqrt(q)
     return RmtBounds(
         lambda_minus=float((1.0 - spread) ** 2),

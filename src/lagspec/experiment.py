@@ -37,6 +37,8 @@ from .strobo import (
 # background rate changes are AR(1) increments: w(t+1) = PHI*w(t) + SIGMA*xi
 _BACKGROUND_PHI = 0.98
 _BACKGROUND_SIGMA = 0.05
+# largest synthetic count matrix, n_series * length cells (2 GiB of floats)
+_MAX_SYNTH_CELLS = 2**28
 
 
 def _check_types(obj, checks) -> None:
@@ -80,7 +82,8 @@ class SynthConfig(_FromJson):
     The first ``n_drivers`` series carry the shared lagged periodic signal;
     ``coupling`` weighs signal against noise in the driver rate changes.
     ``length`` counts sampling instants (L+1), so the series yield
-    ``length - 1`` rate changes.
+    ``length - 1`` rate changes.  ``n_series * length`` may not exceed
+    2**28 cells.
     """
 
     _what = "synth config"
@@ -112,6 +115,11 @@ class SynthConfig(_FromJson):
             raise ConfigInvalid("n_series must be at least 2")
         if self.length < 3:
             raise ConfigInvalid("length must be at least 3 sampling instants")
+        if self.n_series * self.length > _MAX_SYNTH_CELLS:
+            raise ConfigInvalid(
+                f"n_series * length must be at most 2**28 cells, "
+                f"got {self.n_series} * {self.length}"
+            )
         if not 0 < self.delta_t < math.inf:
             raise ConfigInvalid("delta_t must be positive and finite")
         if not 0 <= self.n_drivers <= self.n_series:
@@ -180,7 +188,6 @@ class InjectionSpec(_FromJson):
     t_end: int | None = None
     period: float | None = None  # seconds, periodic only
     modulation_depth: float = 0.5
-    distribution: str = "uniform"  # noise only; single supported choice
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -205,8 +212,6 @@ class InjectionSpec(_FromJson):
                 )
             if not 0.0 < self.modulation_depth < 1.0:
                 raise ConfigInvalid("modulation_depth must lie in (0, 1)")
-        if self.distribution != "uniform":
-            raise ConfigInvalid("only the uniform noise distribution is supported")
         if self.seed < 0:
             raise ConfigInvalid("seed must be non-negative")
 
@@ -220,6 +225,7 @@ def load_injection_spec(path: Union[str, Path]) -> InjectionSpec:
     return InjectionSpec.from_json(serialize.read_config(path, "injection spec"))
 
 
+@np.errstate(over="ignore")  # an overflow is reported as ConfigInvalid
 def synth_generate(cfg: SynthConfig) -> CountMatrix:
     """Deterministically generate counts with a planted driver group.
 
@@ -227,7 +233,8 @@ def synth_generate(cfg: SynthConfig) -> CountMatrix:
     their rate changes are approximately i.i.d. Gaussian.  Driver rate
     changes mix the shared signal sum_p cos(2*pi*t/p), shifted by the
     per-driver lag, with i.i.d. noise at weight (1 - coupling), then are
-    accumulated back into counts.
+    accumulated back into counts.  Counts beyond the float range raise
+    ConfigInvalid naming the baseline.
     """
     rng = np.random.default_rng(cfg.seed)
     n, points = cfg.n_series, cfg.length
@@ -258,6 +265,11 @@ def synth_generate(cfg: SynthConfig) -> CountMatrix:
             log_path = np.concatenate(([0.0], np.cumsum(rate)))
             counts[d] = cfg.baseline * np.exp(log_path)
 
+    if not np.isfinite(counts).all():
+        raise ConfigInvalid(
+            f"synthetic counts overflow the float range (baseline {cfg.baseline!r})"
+        )
+
     ids = tuple(f"s{i:03d}" for i in range(n))
     return CountMatrix(series_ids=ids, interval=cfg.delta_t, counts=counts)
 
@@ -266,7 +278,8 @@ def inject(counts: CountMatrix, spec: InjectionSpec) -> CountMatrix:
     """Return a copy of the counts with the target series overwritten.
 
     Non-target series are bit-identical to the input; injected values stay
-    strictly positive by construction.
+    strictly positive by construction.  A periodic injection whose values
+    overflow the float range raises ConfigInvalid naming the series.
     """
     points = counts.counts.shape[1]
     t_end = points if spec.t_end is None else spec.t_end
@@ -295,12 +308,18 @@ def inject(counts: CountMatrix, spec: InjectionSpec) -> CountMatrix:
                 low, high, size=t_end - spec.t_start
             )
         else:
-            base = float(np.median(row))
             t = np.arange(spec.t_start, t_end, dtype=float)
             phase = 2.0 * np.pi * t * counts.interval / spec.period
-            new_counts[index[name], window] = base * (
-                1.0 + spec.modulation_depth * np.cos(phase)
-            )
+            with np.errstate(over="ignore"):
+                base = float(np.median(row))
+                values = base * (1.0 + spec.modulation_depth * np.cos(phase))
+            if not np.isfinite(values).all():
+                raise ConfigInvalid(
+                    f"periodic injection into series {name!r} overflows: "
+                    f"median count {base!r}, modulation_depth "
+                    f"{spec.modulation_depth!r}"
+                )
+            new_counts[index[name], window] = values
     return CountMatrix(
         series_ids=counts.series_ids, interval=counts.interval, counts=new_counts
     )
@@ -414,35 +433,30 @@ def run_experiment(
     watch_positions: Sequence[int] | None = None,
     *,
     detrend: Literal["none", "mean"] = "mean",
-    probe_top_n: int = 2,
-    prominence_factor: float = 5.0,
 ) -> ExperimentReport:
     """Sweep before and after an injection and compare trajectory spectra.
 
-    Probe periods are the characteristic periods detected before the
-    injection plus, for periodic injections, the injection period itself.
+    Probe periods are the two strongest characteristic periods detected
+    before the injection plus, for periodic injections, the injection period
+    itself.
     """
     if watch_positions is None:
         watch_positions = default_watch(counts.n_series)
     before_returns = returns_from_counts(counts)
     after_counts = inject(counts, spec)
     after_returns = returns_from_counts(after_counts)
-    seq_before = sweep(before_returns, tau_max, delta_t=counts.interval)
-    seq_after = sweep(after_returns, tau_max, delta_t=counts.interval)
+    seq_before = sweep(before_returns, tau_max)
+    seq_after = sweep(after_returns, tau_max)
 
     watches = []
     for position in watch_positions:
         for kind in ("eigenvalue", "ipr"):
             t_before = trajectory(seq_before, kind, position)
             t_after = trajectory(seq_after, kind, position)
-            s_before = power_spectrum(
-                t_before, detrend, prominence_factor=prominence_factor
-            )
-            s_after = power_spectrum(
-                t_after, detrend, prominence_factor=prominence_factor
-            )
-            periods_before = tuple(characteristic_periods(s_before, probe_top_n))
-            periods_after = tuple(characteristic_periods(s_after, probe_top_n))
+            s_before = power_spectrum(t_before, detrend)
+            s_after = power_spectrum(t_after, detrend)
+            periods_before = tuple(characteristic_periods(s_before, top_n=2))
+            periods_after = tuple(characteristic_periods(s_after, top_n=2))
             probes = [p for p, _ in periods_before]
             if spec.kind == "periodic":
                 injected_steps = spec.period / counts.interval

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence, Union
 
@@ -87,15 +87,11 @@ class ReturnMatrix:
 
     series_ids: tuple[str, ...]
     returns: np.ndarray
-    raw_mean: np.ndarray = field(repr=False)
-    raw_std: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         returns = np.asarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "series_ids", tuple(self.series_ids))
-        object.__setattr__(self, "raw_mean", np.asarray(self.raw_mean, dtype=float))
-        object.__setattr__(self, "raw_std", np.asarray(self.raw_std, dtype=float))
         if returns.ndim != 2 or len(self.series_ids) != returns.shape[0]:
             raise ParseError("returns must be 2-D with one row per series id")
         means = returns.mean(axis=1)
@@ -133,12 +129,7 @@ def _open_text(source: Source) -> IO[str]:
     return io.TextIOWrapper(source, encoding="utf-8", newline="")
 
 
-def load_counts(
-    source: Source,
-    *,
-    epsilon_clamp: bool = False,
-    epsilon: float | None = None,
-) -> CountMatrix:
+def load_counts(source: Source, *, epsilon_clamp: bool = False) -> CountMatrix:
     """Parse a counts CSV into a CountMatrix.
 
     The input is UTF-8 text.  Blank lines and double-quoted cells are
@@ -147,7 +138,7 @@ def load_counts(
     naming the path.  A path that cannot be opened raises ConfigInvalid.
 
     With ``epsilon_clamp`` every count is replaced by max(count, eps) where
-    eps defaults to 1e-6 times the median of the series' positive values;
+    eps is 1e-6 times the median of the series' positive values;
     otherwise any count <= 0 raises NonPositiveCount.
     """
     stream = _open_text(source)
@@ -174,7 +165,7 @@ def load_counts(
 
     counts = table[:, 1:].T  # series x time
     if epsilon_clamp:
-        counts = _clamp_counts(counts, ids, epsilon)
+        counts = _clamp_counts(counts, ids)
 
     return CountMatrix(series_ids=ids, interval=interval, counts=counts)
 
@@ -256,22 +247,16 @@ def _raise_bad_row(stream: IO[str], width: int) -> None:
         raise ParseError(f"row at line {reader.line_num + 1}: {exc}") from None
 
 
-def _clamp_counts(
-    counts: np.ndarray, ids: Sequence[str], epsilon: float | None
-) -> np.ndarray:
+def _clamp_counts(counts: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     clamped = counts.copy()
     for i in range(counts.shape[0]):
         row = counts[i]
-        if epsilon is not None:
-            eps = epsilon
-        else:
-            positive = row[row > 0.0]
-            if positive.size == 0:
-                raise NonPositiveCount(
-                    f"series {ids[i]!r} has no positive counts to clamp against"
-                )
-            eps = 1e-6 * float(np.median(positive))
-        clamped[i] = np.maximum(row, eps)
+        positive = row[row > 0.0]
+        if positive.size == 0:
+            raise NonPositiveCount(
+                f"series {ids[i]!r} has no positive counts to clamp against"
+            )
+        clamped[i] = np.maximum(row, 1e-6 * float(np.median(positive)))
     return clamped
 
 
@@ -298,20 +283,10 @@ def normalize(
     if np.any(stds == 0.0):
         i = int(np.argmax(stds == 0.0))
         raise ZeroVariance(f"series {series_ids[i]!r} has constant rate changes")
-    centered = raw - means[:, None]
-    returns = centered / stds[:, None]
-    return ReturnMatrix(
-        series_ids=tuple(series_ids),
-        returns=returns,
-        raw_mean=means,
-        raw_std=stds,
-    )
+    returns = (raw - means[:, None]) / stds[:, None]
+    return ReturnMatrix(series_ids=tuple(series_ids), returns=returns)
 
 
-def returns_from_counts(
-    counts: CountMatrix,
-    *,
-    ids: Sequence[str] | None = None,
-) -> ReturnMatrix:
+def returns_from_counts(counts: CountMatrix) -> ReturnMatrix:
     """Convenience: rate_changes followed by normalize, keeping series ids."""
-    return normalize(rate_changes(counts), ids or counts.series_ids)
+    return normalize(rate_changes(counts), counts.series_ids)

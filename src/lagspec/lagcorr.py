@@ -30,7 +30,6 @@ class LagCorrMatrix:
     lag: int
     n: int
     values: np.ndarray
-    effective_length: int
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -39,8 +38,6 @@ class LagCorrMatrix:
             raise ParseError(f"values must be {self.n} x {self.n}")
         if self.lag < 0:
             raise ValueError("lag must be non-negative")
-        if self.effective_length < 1:
-            raise ValueError("effective_length must be positive")
         if not np.array_equal(values, values.T):
             raise ValueError("lagged correlation matrix must be exactly symmetric")
         if np.any(np.abs(values) > 1.0 + _ENTRY_TOL):
@@ -59,8 +56,9 @@ def lag_corr(g: ReturnMatrix, lag: int) -> LagCorrMatrix:
     """Build the symmetrized lagged correlation matrix at integer lag >= 0.
 
     Requires ``lag <= L/2`` so the effective window keeps at least L/2
-    samples.  Symmetry is exact by construction: the upper triangle is
-    computed and mirrored.
+    samples.  Symmetry is exact: entry (i, j) is ``cross[i, j] + cross[j, i]``
+    and entry (j, i) the same two terms added the other way round, and IEEE
+    addition commutes.
     """
     lag = int(lag)
     if lag < 0:
@@ -75,9 +73,8 @@ def lag_corr(g: ReturnMatrix, lag: int) -> LagCorrMatrix:
     head = returns[:, :window]
     tail = returns[:, lag:]
     cross = head @ tail.T  # cross[i, j] = sum_t g_i(t) g_j(t + lag)
-    sym = (cross + cross.T) / (2.0 * window)
-    values = np.triu(sym) + np.triu(sym, 1).T
-    return LagCorrMatrix(lag=lag, n=n, values=values, effective_length=window)
+    values = (cross + cross.T) / (2.0 * window)
+    return LagCorrMatrix(lag=lag, n=n, values=values)
 
 
 def equal_time_corr(g: ReturnMatrix) -> LagCorrMatrix:

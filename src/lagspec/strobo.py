@@ -2,7 +2,8 @@
 spectra.
 
 The sweep solves lags 0..tau_max in order and keeps two tables, eigenvalues
-and IPRs with one row per lag, plus the full equal-time EigenSystem.
+and IPRs with one row per lag, plus the equal-time matrix and its full
+EigenSystem.
 Trajectories track a fixed sorted position across lags 1..tau_max: the
 equal-time point carries the trivial autocorrelation spike and is excluded
 from spectra, though it stays available in the sequence.  Eigenvalues are
@@ -24,12 +25,15 @@ from .errors import (
     TooShort,
 )
 from .ingest import ReturnMatrix
-from .lagcorr import lag_corr
+from .lagcorr import LagCorrMatrix, lag_corr
 
 TrajectoryKind = Literal["eigenvalue", "ipr"]
 
 _KINDS = ("eigenvalue", "ipr")
 _DEFAULT_PROMINENCE_FACTOR = 5.0
+# compare_spectra: enhanced at or above, suppressed at or below
+_ENHANCED_RATIO = 2.0
+_SUPPRESSED_RATIO = 0.5
 # the fewest trajectory samples (lags 1..tau_max) a power spectrum accepts
 MIN_SPECTRUM_LEN = 8
 
@@ -41,7 +45,8 @@ UNCHANGED = "unchanged"
 @dataclass(frozen=True)
 class StroboscopicSequence:
     """Eigenvalue and IPR tables for every lag 0..tau_max of one return
-    matrix, plus the full equal-time eigen system.
+    matrix, plus the equal-time matrix (``equal_time_matrix``) and its full
+    eigen system (``equal_time``).
 
     Row k of ``eigenvalues`` and ``iprs`` holds lag k; column j holds the
     j-th ascending position.
@@ -49,8 +54,8 @@ class StroboscopicSequence:
 
     eigenvalues: np.ndarray
     iprs: np.ndarray
+    equal_time_matrix: LagCorrMatrix
     equal_time: EigenSystem
-    delta_t: float
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -97,8 +102,8 @@ class PowerSpectrum:
     """Squared-magnitude DFT of a trajectory with detected peaks.
 
     ``frequencies`` covers 0..0.5 cycles per lag step; ``peaks`` holds the
-    local maxima whose prominence exceeds the configured multiple of the
-    median nonzero-frequency power, sorted by power descending.
+    local maxima whose prominence exceeds five times the median
+    nonzero-frequency power, sorted by power descending.
     """
 
     frequencies: np.ndarray
@@ -144,13 +149,12 @@ class ResonanceReport:
         raise KeyError(f"no probe at period {period_steps}")
 
 
-def sweep(
-    g: ReturnMatrix, tau_max: int, *, delta_t: float = 1.0
-) -> StroboscopicSequence:
+def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     """Eigen-decompose the lagged correlation matrix at every lag 0..tau_max.
 
-    Lags are solved in order; BLAS threads are the only parallelism.  Every
-    lag passes all of ``eigendecompose``'s checks; only lag 0 keeps its
+    Lags are solved in order, one ``lag_corr`` per lag; BLAS threads are the
+    only parallelism.  Every lag passes all of ``eigendecompose``'s checks;
+    only lag 0 keeps its matrix, as ``equal_time_matrix``, and its
     eigenvectors, as ``equal_time``.
     """
     tau_max = int(tau_max)
@@ -159,7 +163,8 @@ def sweep(
     length = g.returns.shape[1]
     if tau_max > length // 2:
         raise LagTooLarge(f"tau_max {tau_max} exceeds half the record (L={length})")
-    equal_time = eigendecompose(lag_corr(g, 0))
+    equal_time_matrix = lag_corr(g, 0)
+    equal_time = eigendecompose(equal_time_matrix)
     eigenvalues = np.empty((tau_max + 1, g.n_series))
     iprs = np.empty_like(eigenvalues)
     eigenvalues[0], iprs[0] = equal_time.eigenvalues, equal_time.iprs
@@ -167,7 +172,8 @@ def sweep(
         system = eigendecompose(lag_corr(g, k))
         eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
     return StroboscopicSequence(
-        eigenvalues=eigenvalues, iprs=iprs, equal_time=equal_time, delta_t=delta_t
+        eigenvalues=eigenvalues, iprs=iprs,
+        equal_time_matrix=equal_time_matrix, equal_time=equal_time,
     )
 
 
@@ -196,17 +202,13 @@ def trajectory(
 
 
 def power_spectrum(
-    traj: Trajectory,
-    detrend: Literal["none", "mean"] = "mean",
-    *,
-    taper: Literal["none", "hann"] = "none",
-    prominence_factor: float = _DEFAULT_PROMINENCE_FACTOR,
+    traj: Trajectory, detrend: Literal["none", "mean"] = "mean"
 ) -> PowerSpectrum:
     """Squared-magnitude DFT of a trajectory with peak detection.
 
     No zero padding: frequency resolution is 1/len(values) cycles per lag
-    step.  The default transform is rectangular (no taper), matching a plain
-    FFT of the trajectory.
+    step.  The transform is rectangular (no window), a plain FFT of the
+    trajectory.
     """
     values = traj.values
     m = values.shape[0]
@@ -216,29 +218,25 @@ def power_spectrum(
         )
     if detrend not in ("none", "mean"):
         raise ValueError(f"detrend must be 'none' or 'mean', got {detrend!r}")
-    if taper not in ("none", "hann"):
-        raise ValueError(f"taper must be 'none' or 'hann', got {taper!r}")
     x = values - values.mean() if detrend == "mean" else values
-    if taper == "hann":
-        x = x * np.hanning(m)
     transform = np.fft.rfft(x)
     power = transform.real**2 + transform.imag**2
     frequencies = np.fft.rfftfreq(m)
-    peaks = _detect_peaks(frequencies, power, prominence_factor)
+    peaks = _detect_peaks(frequencies, power)
     return PowerSpectrum(frequencies=frequencies, power=power, peaks=peaks)
 
 
 def _detect_peaks(
-    frequencies: np.ndarray, power: np.ndarray, prominence_factor: float
+    frequencies: np.ndarray, power: np.ndarray
 ) -> tuple[SpectralPeak, ...]:
-    """Local maxima whose prominence exceeds prominence_factor times the
-    median nonzero-frequency power.  The zero-frequency bin is never a peak
+    """Local maxima whose prominence exceeds ``_DEFAULT_PROMINENCE_FACTOR``
+    times the median nonzero-frequency power.  The zero-frequency bin is never a peak
     because endpoints are not local maxima."""
     indices, prominences = _local_maxima(power)
     if indices.size == 0:
         return ()
     floor = float(np.median(power[1:]))
-    keep = prominences > prominence_factor * floor
+    keep = prominences > _DEFAULT_PROMINENCE_FACTOR * floor
     peaks = [
         SpectralPeak(
             frequency=float(frequencies[i]),
@@ -318,15 +316,11 @@ def compare_spectra(
     before: PowerSpectrum,
     after: PowerSpectrum,
     probe_periods: Sequence[float],
-    *,
-    enhanced_ratio: float = 2.0,
-    suppressed_ratio: float = 0.5,
 ) -> ResonanceReport:
     """Power ratio after/before within one bin of each probe period.
 
-    A period is classified enhanced when the ratio reaches
-    ``enhanced_ratio`` (default 2), suppressed at or below
-    ``suppressed_ratio`` (default 0.5), unchanged otherwise.
+    A period is classified enhanced when the ratio reaches 2, suppressed at
+    or below 0.5, unchanged otherwise.
     """
     if before.power.shape != after.power.shape:
         raise LengthMismatch(
@@ -342,9 +336,9 @@ def compare_spectra(
             ratio = 1.0 if a == 0.0 else float("inf")
         else:
             ratio = a / b
-        if ratio >= enhanced_ratio:
+        if ratio >= _ENHANCED_RATIO:
             label = ENHANCED
-        elif ratio <= suppressed_ratio:
+        elif ratio <= _SUPPRESSED_RATIO:
             label = SUPPRESSED
         else:
             label = UNCHANGED

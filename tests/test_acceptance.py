@@ -75,7 +75,7 @@ def battery():
             driver_periods=(3, 6), coupling=0.9, seed=seed,
         )
         counts = synth_generate(cfg)
-        seq = sweep(returns_from_counts(counts), TAU_MAX, delta_t=300.0)
+        seq = sweep(returns_from_counts(counts), TAU_MAX)
         spectrum = power_spectrum(trajectory(seq, "eigenvalue", N - 1), "mean")
         parts = segment(seq.equal_time, bounds)
         instances.append(Instance(seed, counts, seq, spectrum, parts.random))
@@ -161,7 +161,7 @@ def noise_injected(battery):
             seed=inst.seed,
         )
         seq = sweep(
-            returns_from_counts(inject(inst.counts, spec)), TAU_MAX, delta_t=300.0
+            returns_from_counts(inject(inst.counts, spec)), TAU_MAX
         )
         after.append(seq)
     return after
@@ -210,7 +210,7 @@ def test_a5_resonance(battery):
             modulation_depth=0.5, seed=inst.seed,
         )
         seq_after = sweep(
-            returns_from_counts(inject(inst.counts, spec)), TAU_MAX, delta_t=300.0
+            returns_from_counts(inject(inst.counts, spec)), TAU_MAX
         )
         spec_after = power_spectrum(
             trajectory(seq_after, "eigenvalue", N - 1), "mean"
@@ -235,7 +235,7 @@ def test_a6_new_period_detection(battery):
         modulation_depth=0.5, seed=inst.seed,
     )
     seq_after = sweep(
-        returns_from_counts(inject(inst.counts, spec)), TAU_MAX, delta_t=300.0
+        returns_from_counts(inject(inst.counts, spec)), TAU_MAX
     )
     spectrum = power_spectrum(trajectory(seq_after, "eigenvalue", N - 1), "mean")
     floor = float(np.median(spectrum.power[1:]))
@@ -283,7 +283,6 @@ def test_a7_numerical_oracles(battery):
         sym = (a + a.T) / 2.0
         d = LagCorrMatrix(
             lag=1, n=16, values=np.triu(sym) + np.triu(sym, 1).T,
-            effective_length=100,
         )
         system = eigendecompose(d)
         resid = d.values @ system.eigenvectors - system.eigenvectors * system.eigenvalues

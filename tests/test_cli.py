@@ -11,7 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagspec
-from lagspec import CountMatrix, InjectionSpec, SynthConfig, synth_generate
+import lagspec.lagcorr
+import lagspec.strobo
+from lagspec import (
+    SYNTH_PRESETS,
+    CountMatrix,
+    InjectionSpec,
+    SynthConfig,
+    lag_corr,
+    returns_from_counts,
+    synth_generate,
+    write_matrix_csv,
+)
 from lagspec.cli import main
 
 from conftest import digest_run_dir
@@ -276,6 +287,63 @@ class TestAnalyze:
         assert (out / "trajectory_eigenvalue_15.csv").exists()
         assert not list(out.glob("spectrum_*"))
 
+    def test_equal_time_csv_is_the_sweeps_lag0_matrix(self, tmp_path, monkeypatch):
+        lags = []
+
+        def counting(g, lag):
+            lags.append(lag)
+            return lag_corr(g, lag)
+
+        # equal_time_corr looks lag_corr up in lagcorr, the sweep in strobo
+        monkeypatch.setattr(lagspec.lagcorr, "lag_corr", counting)
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
+        out = tmp_path / "run"
+        assert run_cli(
+            "analyze", "--synth", "small", "--tau-max", "12", "--out", str(out)
+        ) == 0
+        assert lags == list(range(13))
+        g = returns_from_counts(synth_generate(SYNTH_PRESETS["small"]))
+        write_matrix_csv(lag_corr(g, 0), tmp_path / "expected.csv")
+        assert (out / "equal_time.csv").read_bytes() == (
+            tmp_path / "expected.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_out_on_a_file_exits_2_before_loading(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        out = afile if where == "file" else afile / "sub"
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("input loaded before --out was checked")
+
+        monkeypatch.setattr(lagspec.cli, "synth_generate", no_load)
+        assert run_cli("analyze", "--synth", "small", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"ConfigInvalid: --out {out}: {afile} is not a directory" in err
+        assert "Traceback" not in err
+        assert afile.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    def test_out_under_missing_directories_is_created(self, tmp_path):
+        out = tmp_path / "a" / "b" / "run"
+        assert run_cli(
+            "analyze", "--synth", "small", "--tau-max", "8", "--out", str(out)
+        ) == 0
+        assert (out / "summary.json").exists()
+
+    def test_oversized_synth_config_exits_2_naming_both_fields(self, tmp_path, capsys):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"n_series": 10**30, "length": 100}))
+        out = tmp_path / "run"
+        assert run_cli("analyze", "--synth", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid: n_series * length must be at most 2**28 cells" in err
+        assert str(10**30) in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_watch_flag_parsed(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli(
@@ -382,6 +450,48 @@ class TestExperimentCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--tau-max" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_distribution_field_is_unknown(self, tmp_path, capsys):
+        spec_path = tmp_path / "inj.json"
+        spec_path.write_text(json.dumps(
+            {"kind": "noise", "target_ids": ["s001"], "distribution": "uniform"}
+        ))
+        out = tmp_path / "run"
+        assert run_cli(
+            "experiment", "--synth", "small", "--tau-max", "10",
+            "--inject", str(spec_path), "--out", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid: unknown injection fields: ['distribution']" in err
+        assert not out.exists()
+
+    def test_overflowing_periodic_injection_exits_2_naming_the_series(self, tmp_path):
+        synth_path = tmp_path / "synth.json"
+        synth_path.write_text(json.dumps(
+            {"n_series": 8, "length": 40, "baseline": 1e308}
+        ))
+        spec_path = tmp_path / "inj.json"
+        spec_path.write_text(json.dumps(
+            {"kind": "periodic", "target_ids": ["s001"], "period": 900.0}
+        ))
+        out = tmp_path / "run"
+        src = str(Path(lagspec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagspec", "experiment", "--synth",
+             str(synth_path), "--tau-max", "8", "--inject", str(spec_path),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(
+            "ConfigInvalid: periodic injection into series 's001' overflows"
+        )
         assert not out.exists()
 
     def test_invalid_spec_json_exits_2(self, tmp_path):

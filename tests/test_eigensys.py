@@ -26,12 +26,12 @@ def symmetric_matrix(n: int, seed: int, lag: int = 1) -> LagCorrMatrix:
     a = rng.uniform(-0.5, 0.5, size=(n, n))
     sym = (a + a.T) / 2.0
     values = np.triu(sym) + np.triu(sym, 1).T
-    return LagCorrMatrix(lag=lag, n=n, values=values, effective_length=100)
+    return LagCorrMatrix(lag=lag, n=n, values=values)
 
 
 class TestEigendecompose:
     def test_identity_matrix(self):
-        d = LagCorrMatrix(lag=0, n=5, values=np.eye(5), effective_length=10)
+        d = LagCorrMatrix(lag=0, n=5, values=np.eye(5))
         es = eigendecompose(d)
         assert np.allclose(es.eigenvalues, 1.0, atol=1e-14)
         assert np.allclose(es.eigenvectors.T @ es.eigenvectors, np.eye(5), atol=1e-10)
@@ -40,7 +40,6 @@ class TestEigendecompose:
         rho = 0.6
         d = LagCorrMatrix(
             lag=0, n=2, values=np.array([[1.0, rho], [rho, 1.0]]),
-            effective_length=10,
         )
         es = eigendecompose(d)
         assert es.eigenvalues == pytest.approx([0.4, 1.6], abs=1e-12)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.signal import lfilter
 
 from lagspec import (
     ConfigInvalid,
+    CountMatrix,
     InjectionSpec,
     SYNTH_PRESETS,
     SynthConfig,
@@ -49,11 +51,17 @@ class TestSynthConfig:
             dict(n_series=4, length=100, delta_t=float("nan")),
             dict(n_series=4, length=100, baseline=float("inf")),
             dict(n_series=4, length=100, seed=-1),
+            dict(n_series=10**30, length=100),
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigInvalid):
             SynthConfig(**kwargs)
+
+    def test_size_cap_is_2_to_the_28_cells(self):
+        SynthConfig(n_series=2**14, length=2**14)  # checked, not generated
+        with pytest.raises(ConfigInvalid, match=r"n_series \* length .* 16384 \* 16385"):
+            SynthConfig(n_series=2**14, length=2**14 + 1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -93,6 +101,13 @@ class TestSynthGenerate:
         b = synth_generate(DRIVER_CFG)
         assert np.array_equal(a.counts, b.counts)
         assert a.series_ids == b.series_ids
+
+    def test_overflowing_baseline_names_it(self):
+        cfg = SynthConfig(n_series=8, length=40, baseline=1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigInvalid, match=r"range \(baseline 1.7e\+308\)"):
+                synth_generate(cfg)
 
     def test_seed_changes_output(self):
         a = synth_generate(DRIVER_CFG)
@@ -140,7 +155,7 @@ class TestSynthGenerate:
 
         for seed in range(2):
             cfg = SynthConfig(**{**DRIVER_CFG.to_json(), "seed": seed})
-            seq = sweep(returns_from_counts(synth_generate(cfg)), 100, delta_t=300.0)
+            seq = sweep(returns_from_counts(synth_generate(cfg)), 100)
             spec = power_spectrum(trajectory(seq, "eigenvalue", 63), "mean")
             freqs = sorted(1.0 / p for p, _ in characteristic_periods(spec, 2))
             assert abs(freqs[0] - 1.0 / 6.0) <= 1.0 / 100
@@ -151,7 +166,7 @@ class TestSynthGenerate:
         footprint of about four series, well above the delocalized floor."""
         for seed in range(2):
             cfg = SynthConfig(**{**DRIVER_CFG.to_json(), "seed": seed})
-            seq = sweep(returns_from_counts(synth_generate(cfg)), 100, delta_t=300.0)
+            seq = sweep(returns_from_counts(synth_generate(cfg)), 100)
             center_peak = seq.iprs[1:, 32].max()
             floor = np.median(np.median(seq.iprs[1:], axis=1))
             assert center_peak >= 5.0 * floor
@@ -264,6 +279,17 @@ class TestInject:
         )
         with pytest.raises(ConfigInvalid):
             inject(counts, spec)
+
+    @pytest.mark.parametrize("points, count", [(4, 1e308), (5, 1.2e308)])
+    def test_overflowing_periodic_injection_names_the_series(self, points, count):
+        # four points: the median's mean of two 1e308 counts overflows; five
+        # points: the median is finite and only base * 1.5 overflows
+        cm = CountMatrix(("a", "b"), 300.0, [[1.0] * points, [count] * points])
+        spec = InjectionSpec(kind="periodic", target_ids=("b",), period=900.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigInvalid, match="into series 'b' overflows"):
+                inject(cm, spec)
 
     def test_periodic_cycles_every_three_samples(self, counts):
         # 15 minutes at 300 s sampling is a 3-sample cycle
@@ -378,7 +404,7 @@ class TestRunExperiment:
         for seed in range(4):
             cfg = SynthConfig(**{**DRIVER_CFG.to_json(), "seed": seed})
             cm = synth_generate(cfg)
-            seq_b = sweep(returns_from_counts(cm), 100, delta_t=300.0)
+            seq_b = sweep(returns_from_counts(cm), 100)
             if kind == "noise":
                 spec = InjectionSpec(
                     kind="noise",
@@ -391,7 +417,7 @@ class TestRunExperiment:
                     target_ids=default_targets(cm, "periodic", seed=seed),
                     period=900.0, modulation_depth=0.5, seed=seed,
                 )
-            seq_a = sweep(returns_from_counts(inject(cm, spec)), 100, delta_t=300.0)
+            seq_a = sweep(returns_from_counts(inject(cm, spec)), 100)
             parts = segment(seq_b.equal_time, bounds)
             random_sets.append(set(parts.random))
             for p in parts.random:

@@ -68,14 +68,6 @@ class TestLoadCounts:
         assert cm.counts[0, 1] == pytest.approx(2e-6)
         assert np.all(cm.counts > 0)
 
-    def test_epsilon_clamp_explicit_value(self):
-        cm = load_counts(
-            csv_bytes("t,a,b\n0,1,2\n300,-5,2\n600,3,2\n"),
-            epsilon_clamp=True,
-            epsilon=0.25,
-        )
-        assert cm.counts[0, 1] == 0.25
-
     def test_too_few_rows(self):
         with pytest.raises(TooShort):
             load_counts(csv_bytes("t,a,b\n0,1,2\n300,3,4\n"))
@@ -224,8 +216,8 @@ class TestNormalize:
     def test_traceability_fields(self):
         raw = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 1.0, 3.0]])
         rm = normalize(raw, ["x", "y"])
-        assert rm.raw_mean == pytest.approx([1.5, 2.0])
-        assert rm.raw_std == pytest.approx([math.sqrt(1.25), 1.0])
+        assert rm.series_ids == ("x", "y")
+        assert rm.returns[1] == pytest.approx([-1.0, 1.0, -1.0, 1.0])
 
     def test_returns_from_counts_pipeline(self):
         cm = CountMatrix(("a", "b"), 300.0, [[1.0, 2.0, 8.0], [4.0, 2.0, 4.0]])

@@ -10,6 +10,7 @@ from lagspec import (
     IndexOutOfRange,
     LagTooLarge,
     LengthMismatch,
+    PowerSpectrum,
     StroboscopicSequence,
     TooShort,
     Trajectory,
@@ -47,11 +48,10 @@ class TestSweep:
 
     def test_full_sweep_spans_all_lags(self):
         g = iid_returns(8, 256, seed=1)
-        seq = sweep(g, 100, delta_t=300.0)
+        seq = sweep(g, 100)
         assert seq.tau_max == 100
         assert seq.n == 8
         assert seq.eigenvalues.shape == seq.iprs.shape == (101, 8)
-        assert seq.delta_t == 300.0
 
     def test_prefix_property(self):
         g = iid_returns(6, 128, seed=2)
@@ -76,6 +76,22 @@ class TestSweep:
                 assert np.array_equal(
                     seq.equal_time.eigenvectors, system.eigenvectors
                 )
+                assert np.array_equal(seq.equal_time_matrix.values, lag_corr(g, 0).values)
+
+    def test_one_lag_corr_per_lag(self, monkeypatch):
+        import lagspec.strobo
+
+        lags = []
+        real = lagspec.strobo.lag_corr
+
+        def counting(g, lag):
+            lags.append(lag)
+            return real(g, lag)
+
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
+        seq = sweep(iid_returns(6, 128, seed=5), 12)
+        assert lags == list(range(13))
+        assert seq.equal_time_matrix.lag == 0
 
     def test_solver_fault_names_the_lag(self, doubled_eigh):
         g = iid_returns(4, 64, seed=4)
@@ -135,24 +151,26 @@ class TestTrajectory:
 
     def test_constant_sequence_gives_constant_trajectory(self):
         g = iid_returns(5, 64, seed=10)
-        base = eigendecompose(equal_time_corr(g))
+        d0 = equal_time_corr(g)
+        base = eigendecompose(d0)
         seq = StroboscopicSequence(
             eigenvalues=np.tile(base.eigenvalues, (6, 1)),
             iprs=np.tile(base.iprs, (6, 1)),
+            equal_time_matrix=d0,
             equal_time=base,
-            delta_t=1.0,
         )
         traj = trajectory(seq, "eigenvalue", 2)
         assert np.all(traj.values == traj.values[0])
 
     def test_tables_must_match_equal_time_dimension(self):
-        base = eigendecompose(equal_time_corr(iid_returns(5, 64, seed=10)))
+        d0 = equal_time_corr(iid_returns(5, 64, seed=10))
+        base = eigendecompose(d0)
         with pytest.raises(ValueError, match="lag-0 system"):
             StroboscopicSequence(
                 eigenvalues=np.zeros((3, 4)),
                 iprs=np.zeros((3, 4)),
+                equal_time_matrix=d0,
                 equal_time=base,
-                delta_t=1.0,
             )
 
     def test_position_out_of_range(self):
@@ -219,13 +237,6 @@ class TestPowerSpectrum:
         traj = Trajectory("eigenvalue", 0, np.ones(16))
         with pytest.raises(ValueError):
             power_spectrum(traj, "linear")
-        with pytest.raises(ValueError):
-            power_spectrum(traj, "mean", taper="hamming")
-
-    def test_hann_taper_still_finds_tone(self):
-        traj = tone_trajectory([(4.0, 1.0)], length=96)
-        spec = power_spectrum(traj, "mean", taper="hann")
-        assert abs(spec.peaks[0].frequency - 0.25) <= 1.0 / 96
 
     def test_no_persistent_false_periodicity_on_iid_data(self):
         """White trajectories may throw isolated detections, but no frequency
@@ -296,20 +307,36 @@ class TestCompareSpectra:
             assert entry.ratio == pytest.approx(1.0)
             assert entry.classification == "unchanged"
 
-    def test_boosted_peak_classified_enhanced(self):
+    @pytest.mark.parametrize("ratio", [10.0, 2.0])
+    def test_boosted_peak_classified_enhanced(self, ratio):
         before = power_spectrum(tone_trajectory([(3.0, 1.0), (6.0, 1.0)], 96), "mean")
-        boosted = tone_trajectory([(3.0, np.sqrt(10.0)), (6.0, 1.0)], 96)
-        after = power_spectrum(boosted, "mean")
+        if ratio == 2.0:
+            # doubling the three bins around period 3 is exact: the ratio
+            # sits on the threshold
+            power = before.power.copy()
+            power[31:34] *= 2.0
+            after = PowerSpectrum(before.frequencies, power, ())
+        else:
+            boosted = tone_trajectory([(3.0, np.sqrt(10.0)), (6.0, 1.0)], 96)
+            after = power_spectrum(boosted, "mean")
         report = compare_spectra(before, after, [3.0, 6.0])
         assert report.entry(3.0).classification == "enhanced"
-        assert report.entry(3.0).ratio == pytest.approx(10.0, rel=1e-6)
+        assert report.entry(3.0).ratio == pytest.approx(ratio, rel=1e-6)
         assert report.entry(6.0).classification == "unchanged"
+        if ratio == 2.0:
+            assert report.entry(3.0).ratio == 2.0
 
-    def test_suppression_threshold(self):
+    @pytest.mark.parametrize("exact_half", [False, True])
+    def test_suppression_threshold(self, exact_half):
         before = power_spectrum(tone_trajectory([(4.0, 1.0)], 96), "mean")
-        after = power_spectrum(tone_trajectory([(4.0, 0.1)], 96), "mean")
+        if exact_half:  # halving every bin is exact: the ratio is 0.5
+            after = PowerSpectrum(before.frequencies, before.power * 0.5, ())
+        else:
+            after = power_spectrum(tone_trajectory([(4.0, 0.1)], 96), "mean")
         report = compare_spectra(before, after, [4.0])
         assert report.entry(4.0).classification == "suppressed"
+        if exact_half:
+            assert report.entry(4.0).ratio == 0.5
 
     def test_length_mismatch(self):
         a = power_spectrum(tone_trajectory([(3.0, 1.0)], 96), "mean")
@@ -317,11 +344,6 @@ class TestCompareSpectra:
         with pytest.raises(LengthMismatch):
             compare_spectra(a, b, [3.0])
 
-    def test_custom_thresholds(self):
-        before = power_spectrum(tone_trajectory([(4.0, 1.0)], 96), "mean")
-        after = power_spectrum(tone_trajectory([(4.0, 1.2)], 96), "mean")
-        lenient = compare_spectra(before, after, [4.0], enhanced_ratio=1.2)
-        assert lenient.entry(4.0).classification == "enhanced"
 
 
 def test_csv_exports(tmp_path):
