@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 from . import serialize
 from .eigensys import rmt_bounds, segment
@@ -23,6 +26,7 @@ from .errors import (
     LagspecError,
     UnknownSeries,
     WindowOutOfRange,
+    WriteFailed,
 )
 from .experiment import (
     SYNTH_PRESETS,
@@ -123,10 +127,31 @@ def _resolve_synth(raw: str, seed: int | None) -> SynthConfig:
     return cfg
 
 
+def _holds_a_run(path: Path) -> bool:
+    """Whether ``path/config.json`` is the record of a lagspec run."""
+    try:
+        return "command" in serialize.read_config(path / "config.json", "run record")
+    except ConfigInvalid:
+        return False
+
+
 def _check_out(raw: str) -> None:
     """``--out`` must be a directory or a path that mkdir can create: the
-    nearest part of it that exists must be a directory."""
-    for path in (Path(raw), *Path(raw).parents):
+    nearest part of it that exists must be a directory.  An existing
+    ``--out`` must be empty or hold an earlier run, which the new run
+    replaces whole; any other directory is refused and left as it is."""
+    out = Path(raw)
+    if os.path.isdir(out):
+        try:
+            empty = not os.listdir(out)
+        except OSError as exc:
+            raise ConfigInvalid(f"--out {raw}: {exc.strerror}") from exc
+        if not empty and not _holds_a_run(out):
+            raise ConfigInvalid(
+                f"--out {raw}: {raw} is neither empty nor an earlier lagspec run"
+            )
+        return
+    for path in (out, *out.parents):
         if os.path.isdir(path):
             return
         if os.path.lexists(path):
@@ -167,13 +192,45 @@ def _prepare(args) -> tuple[CountMatrix, tuple[int, ...], InjectionSpec | None, 
     return counts, watch, spec, config
 
 
-def _make_run_dir(config: dict) -> Path:
-    """Create the run directory and write config.json into it.  Called only
-    once the sweep has succeeded, so a failed sweep leaves no directory."""
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    serialize.write_json(config, out_dir / "config.json")
-    return out_dir
+@contextmanager
+def _run_dir(config: dict) -> Iterator[Path]:
+    """A fresh temporary sibling of ``--out`` holding config.json, for the
+    run's writers.  When they finish it is renamed to ``--out``, replacing
+    the directory there.  If anything fails, ``--out`` is left as it was and
+    the sibling is removed; an OSError becomes WriteFailed naming the path.
+    """
+    out = Path(config["out_dir"])
+    target = Path(os.path.abspath(out))
+    tmp = None
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.partial")
+        tmp.mkdir()  # mode from the umask, as for a plain mkdir of --out
+        serialize.write_json(config, tmp / "config.json")
+        yield tmp
+        _move_into_place(tmp, target)
+    except OSError as exc:
+        name = exc.filename
+        if tmp is not None and name is not None and Path(name).is_relative_to(tmp):
+            name = out / Path(name).relative_to(tmp)
+        raise WriteFailed(f"cannot write {name or out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.lexists(tmp):
+            shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _move_into_place(tmp: Path, target: Path) -> None:
+    if not os.path.lexists(target):
+        os.rename(tmp, target)
+        return
+    old = tmp.with_name(tmp.name + ".old")
+    os.rename(target, old)
+    try:
+        os.rename(tmp, target)
+    except OSError:
+        os.rename(old, target)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _timestamp() -> str:
@@ -182,66 +239,66 @@ def _timestamp() -> str:
 
 def cmd_analyze(args) -> int:
     counts, watch, _, config = _prepare(args)
-    n = counts.n_series
+    n, interval = counts.n_series, counts.interval
     g = returns_from_counts(counts)
+    del counts  # free the count table before the sweep
     seq = sweep(g, args.tau_max)
     equal_time = seq.equal_time
     bounds = rmt_bounds(n, g.n_returns)
     parts = segment(equal_time, bounds)
+    with _run_dir(config) as out_dir:
+        write_matrix_csv(seq.equal_time_matrix, out_dir / "equal_time.csv")
 
-    out_dir = _make_run_dir(config)
-    write_matrix_csv(seq.equal_time_matrix, out_dir / "equal_time.csv")
-
-    summary = {
-        "timestamp": _timestamp(),
-        "n_series": n,
-        "n_returns": g.n_returns,
-        "delta_t": counts.interval,
-        "tau_max": args.tau_max,
-        "rmt_bounds": {
-            "lambda_minus": bounds.lambda_minus,
-            "lambda_plus": bounds.lambda_plus,
-            "q": bounds.q,
-        },
-        "equal_time": {
-            "eigenvalues": [float(v) for v in equal_time.eigenvalues],
-            "iprs": [float(v) for v in equal_time.iprs],
-            "segmentation": {
-                "left": list(parts.left),
-                "random": list(parts.random),
-                "right": list(parts.right),
+        summary = {
+            "timestamp": _timestamp(),
+            "n_series": n,
+            "n_returns": g.n_returns,
+            "delta_t": interval,
+            "tau_max": args.tau_max,
+            "rmt_bounds": {
+                "lambda_minus": bounds.lambda_minus,
+                "lambda_plus": bounds.lambda_plus,
+                "q": bounds.q,
             },
-        },
-        "watched": [],
-    }
-    reports = []
-    for position in watch:
-        for kind in ("eigenvalue", "ipr"):
-            entry = {"position": position, "kind": kind}
-            if seq.tau_max >= 1:
-                traj = trajectory(seq, kind, position)
-                write_trajectory_csv(
-                    traj, out_dir / f"trajectory_{kind}_{position}.csv"
-                )
-                if seq.tau_max >= MIN_SPECTRUM_LEN:
-                    spec = power_spectrum(traj, args.detrend)
-                    write_spectrum_csv(
-                        spec, out_dir / f"spectrum_{kind}_{position}.csv"
+            "equal_time": {
+                "eigenvalues": [float(v) for v in equal_time.eigenvalues],
+                "iprs": [float(v) for v in equal_time.iprs],
+                "segmentation": {
+                    "left": list(parts.left),
+                    "random": list(parts.random),
+                    "right": list(parts.right),
+                },
+            },
+            "watched": [],
+        }
+        reports = []
+        for position in watch:
+            for kind in ("eigenvalue", "ipr"):
+                entry = {"position": position, "kind": kind}
+                if seq.tau_max >= 1:
+                    traj = trajectory(seq, kind, position)
+                    write_trajectory_csv(
+                        traj, out_dir / f"trajectory_{kind}_{position}.csv"
                     )
-                    entry["characteristic_periods"] = [
-                        {"period_steps": p, "period_seconds": p * counts.interval,
-                         "power": w}
-                        for p, w in characteristic_periods(spec, top_n=2)
-                    ]
-                    reports.append(
-                        peak_report(
-                            spec, position=position, kind=kind,
-                            delta_t=counts.interval,
+                    if seq.tau_max >= MIN_SPECTRUM_LEN:
+                        spec = power_spectrum(traj, args.detrend)
+                        write_spectrum_csv(
+                            spec, out_dir / f"spectrum_{kind}_{position}.csv"
                         )
-                    )
-            summary["watched"].append(entry)
-    serialize.write_json(summary, out_dir / "summary.json")
-    serialize.write_json(reports, out_dir / "report.json")
+                        entry["characteristic_periods"] = [
+                            {"period_steps": p, "period_seconds": p * interval,
+                             "power": w}
+                            for p, w in characteristic_periods(spec, top_n=2)
+                        ]
+                        reports.append(
+                            peak_report(
+                                spec, position=position, kind=kind,
+                                delta_t=interval,
+                            )
+                        )
+                summary["watched"].append(entry)
+        serialize.write_json(summary, out_dir / "summary.json")
+        serialize.write_json(reports, out_dir / "report.json")
     return 0
 
 
@@ -251,24 +308,24 @@ def cmd_experiment(args) -> int:
         counts, spec, args.tau_max, watch, detrend=args.detrend
     )
 
-    out_dir = _make_run_dir(config)
-    for item in report.watches:
-        stem = f"{item.kind}_{item.position}"
-        write_trajectory_csv(item.before, out_dir / f"trajectory_before_{stem}.csv")
-        write_trajectory_csv(item.after, out_dir / f"trajectory_after_{stem}.csv")
-        write_spectrum_csv(item.spectrum_before, out_dir / f"spectrum_before_{stem}.csv")
-        write_spectrum_csv(item.spectrum_after, out_dir / f"spectrum_after_{stem}.csv")
-    serialize.write_json(report.to_json(), out_dir / "report.json")
-    serialize.write_json(
-        {
-            "timestamp": _timestamp(),
-            "n_series": counts.n_series,
-            "delta_t": counts.interval,
-            "tau_max": args.tau_max,
-            "injection": spec.to_json(),
-        },
-        out_dir / "summary.json",
-    )
+    with _run_dir(config) as out_dir:
+        for item in report.watches:
+            stem = f"{item.kind}_{item.position}"
+            write_trajectory_csv(item.before, out_dir / f"trajectory_before_{stem}.csv")
+            write_trajectory_csv(item.after, out_dir / f"trajectory_after_{stem}.csv")
+            write_spectrum_csv(item.spectrum_before, out_dir / f"spectrum_before_{stem}.csv")
+            write_spectrum_csv(item.spectrum_after, out_dir / f"spectrum_after_{stem}.csv")
+        serialize.write_json(report.to_json(), out_dir / "report.json")
+        serialize.write_json(
+            {
+                "timestamp": _timestamp(),
+                "n_series": counts.n_series,
+                "delta_t": counts.interval,
+                "tau_max": args.tau_max,
+                "injection": spec.to_json(),
+            },
+            out_dir / "summary.json",
+        )
     return 0
 
 

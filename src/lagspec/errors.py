@@ -59,3 +59,7 @@ class LengthMismatch(LagspecError):
 
 class ConfigInvalid(LagspecError):
     """A configuration object violates its invariants."""
+
+
+class WriteFailed(LagspecError):
+    """A run directory could not be written or moved into place."""

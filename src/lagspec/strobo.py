@@ -25,7 +25,7 @@ from .errors import (
     TooShort,
 )
 from .ingest import ReturnMatrix
-from .lagcorr import LagCorrMatrix, lag_corr
+from .lagcorr import LagCorrMatrix, block_lag_corrs, lag_corr, uses_block_path
 
 TrajectoryKind = Literal["eigenvalue", "ipr"]
 
@@ -152,10 +152,13 @@ class ResonanceReport:
 def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     """Eigen-decompose the lagged correlation matrix at every lag 0..tau_max.
 
-    Lags are solved in order, one ``lag_corr`` per lag; BLAS threads are the
-    only parallelism.  Every lag passes all of ``eigendecompose``'s checks;
-    only lag 0 keeps its matrix, as ``equal_time_matrix``, and its
-    eigenvectors, as ``equal_time``.
+    Lags are solved in order; BLAS threads are the only parallelism.  Lag 0
+    is ``lag_corr(g, 0)``.  Lags 1..tau_max come from one ``lag_corr`` per
+    lag, or, for a long record (``uses_block_path``, decided from N and L
+    only), from ``block_lag_corrs``.  Every lag passes all of
+    ``LagCorrMatrix``'s and ``eigendecompose``'s checks; only lag 0 keeps
+    its matrix, as ``equal_time_matrix``, and its eigenvectors, as
+    ``equal_time``.
     """
     tau_max = int(tau_max)
     if tau_max < 0:
@@ -168,8 +171,12 @@ def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     eigenvalues = np.empty((tau_max + 1, g.n_series))
     iprs = np.empty_like(eigenvalues)
     eigenvalues[0], iprs[0] = equal_time.eigenvalues, equal_time.iprs
-    for k in range(1, tau_max + 1):
-        system = eigendecompose(lag_corr(g, k))
+    if uses_block_path(*g.returns.shape):
+        lagged = block_lag_corrs(g, tau_max)
+    else:
+        lagged = (lag_corr(g, k) for k in range(1, tau_max + 1))
+    for k, matrix in enumerate(lagged, start=1):
+        system = eigendecompose(matrix)
         eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
     return StroboscopicSequence(
         eigenvalues=eigenvalues, iprs=iprs,

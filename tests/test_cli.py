@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -553,6 +555,101 @@ def test_main_gives_an_exit_code_on_fuzzed_config_files(command, synth, spec):
         code = main(argv)
         assert code in (0, 1, 2)
         assert Path(tmp, "run").exists() == (code == 0)
+
+
+class TestRunDirectory:
+    """``--out`` is empty, absent or an earlier run, and is replaced whole by
+    a run that is complete; anything else is refused or left as it was."""
+
+    def small(self, out, *extra):
+        return run_cli("analyze", "--synth", "small", "--tau-max", "10",
+                       *extra, "--out", str(out))
+
+    def test_rerun_replaces_the_earlier_run_whole(self, tmp_path):
+        out, fresh = tmp_path / "d", tmp_path / "fresh"
+        assert self.small(out, "--watch", "3,4") == 0
+        assert self.small(out, "--watch", "5") == 0
+        assert self.small(fresh, "--watch", "5") == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in fresh.iterdir()
+        )
+        assert len(list(out.iterdir())) == 8  # 4 files and 2 per watched kind
+        assert json.loads((out / "config.json").read_text())["watch_positions"] == [5]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "fresh"]
+
+    def test_empty_out_is_used(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert self.small(out) == 0
+        assert (out / "summary.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    @pytest.mark.parametrize(
+        "name, content", [("notes.txt", "keep\n"), ("config.json", "{}\n")]
+    )
+    def test_other_nonempty_out_exits_2_before_loading(
+        self, tmp_path, capsys, monkeypatch, name, content
+    ):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / name).write_text(content)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("input loaded before --out was checked")
+
+        monkeypatch.setattr(lagspec.cli, "synth_generate", no_load)
+        assert self.small(out) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"ConfigInvalid: --out {out}: {out} is neither empty nor an "
+            "earlier lagspec run\n"
+        )
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_text() == content
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_writer_fault_exits_1_and_leaves_out_as_it_was(
+        self, tmp_path, capsys, monkeypatch, earlier
+    ):
+        out = tmp_path / "d"
+        if earlier:
+            assert self.small(out, "--watch", "3") == 0
+            before = digest_run_dir(out)
+
+        def full_disk(spec, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(lagspec.cli, "write_spectrum_csv", full_disk)
+        assert self.small(out, "--watch", "5") == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"WriteFailed: cannot write {out / 'spectrum_eigenvalue_5.csv'}: "
+            "No space left on device\n"
+        )
+        if earlier:
+            assert digest_run_dir(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["d"] if earlier else [])
+
+    def test_counts_are_freed_before_the_sweep(self, monkeypatch):
+        made, alive = [], []
+        real_generate, real_sweep = lagspec.cli.synth_generate, lagspec.cli.sweep
+
+        def generate(cfg):
+            counts = real_generate(cfg)
+            made.append(weakref.ref(counts))
+            return counts
+
+        def checked_sweep(g, tau_max):
+            gc.collect()
+            alive.extend(ref() is not None for ref in made)
+            return real_sweep(g, tau_max)
+
+        monkeypatch.setattr(lagspec.cli, "synth_generate", generate)
+        monkeypatch.setattr(lagspec.cli, "sweep", checked_sweep)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert self.small(Path(tmp, "run")) == 0
+        assert alive == [False]
 
 
 class TestDeterminism:

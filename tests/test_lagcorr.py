@@ -1,9 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagspec import LagTooLarge, equal_time_corr, lag_corr, normalize, write_matrix_csv
+from lagspec.lagcorr import block_lag_corrs, uses_block_path
 
 from conftest import iid_returns, lag_corr_oracle
 
@@ -103,6 +107,67 @@ class TestLagCorr:
         d = lag_corr(gaussian_returns_64, 17)
         assert d.lag == 17
         assert d.n == 64
+
+
+class TestBlockPath:
+    @pytest.mark.parametrize(
+        "n, length, tau_max",
+        [
+            (2, 5000, 2500),  # N = 2, L not a multiple of 32, tau_max = L/2
+            (8, 6000, 333),  # block lags in several batches of two
+            (16, 8192, 100),  # L a multiple of 32
+            (64, 32768, 75),  # the shape of the long benchmark record
+        ],
+    )
+    def test_matches_lag_corr(self, n, length, tau_max):
+        g = iid_returns(n, length, seed=n)
+        assert uses_block_path(n, length)
+        lags = []
+        for d in block_lag_corrs(g, tau_max):
+            lags.append(d.lag)
+            direct = lag_corr(g, d.lag).values
+            assert np.max(np.abs(d.values - direct)) <= 1e-14, d.lag
+            assert np.array_equal(d.values, d.values.T)
+        assert lags == list(range(1, tau_max + 1))
+
+    def test_planted_lead_lag_pair(self):
+        # sign or window errors move the planted entry off 1/2 or onto
+        # another lag
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(8192 + 37)
+        g = normalize(np.vstack([x[37:], x[:-37], rng.standard_normal((2, 8192))]))
+        peaks = {d.lag: d.values[0, 1] for d in block_lag_corrs(g, 70)}
+        assert max(peaks, key=peaks.get) == 37
+        assert peaks[37] == pytest.approx(0.5, abs=0.03)
+
+    def test_shape_rule(self):
+        assert uses_block_path(64, 32768)  # long: L/N = 512
+        assert not uses_block_path(64, 2048)  # inject: L/N = 32
+        assert not uses_block_path(512, 4096)  # wide: L/N = 8
+        assert not uses_block_path(8, 256)
+
+    def test_direct_path_shape_and_lag_limit_rejected(self):
+        with pytest.raises(ValueError, match="direct path"):
+            next(block_lag_corrs(iid_returns(8, 256, seed=0), 10))
+        g = iid_returns(16, 8192, seed=0)
+        with pytest.raises(LagTooLarge):
+            next(block_lag_corrs(g, 4097))
+        assert list(block_lag_corrs(g, 0)) == []
+
+    @pytest.mark.parametrize("tau_max", [100, 1000])
+    def test_working_set_within_returns_bytes(self, tau_max):
+        g = iid_returns(16, 8192, seed=3)
+        for _ in block_lag_corrs(g, 40):  # warm FFT and import caches
+            pass
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in block_lag_corrs(g, tau_max):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= g.returns.nbytes
 
 
 @given(perm_seed=st.integers(min_value=0, max_value=2**31), lag=st.integers(0, 8))

@@ -7,6 +7,7 @@ from scipy.signal import find_peaks
 
 from lagspec import (
     ConvergenceFailure,
+    CorrelationOutOfRange,
     IndexOutOfRange,
     LagTooLarge,
     LengthMismatch,
@@ -18,6 +19,7 @@ from lagspec import (
     compare_spectra,
     eigendecompose,
     equal_time_corr,
+    normalize,
     power_spectrum,
     sweep,
     trajectory,
@@ -53,15 +55,24 @@ class TestSweep:
         assert seq.n == 8
         assert seq.eigenvalues.shape == seq.iprs.shape == (101, 8)
 
-    def test_prefix_property(self):
-        g = iid_returns(6, 128, seed=2)
-        long = sweep(g, 8)
-        short = sweep(g, 4)
-        assert np.array_equal(long.eigenvalues[:5], short.eigenvalues)
-        assert np.array_equal(long.iprs[:5], short.iprs)
+    @pytest.mark.parametrize(
+        "n, length, short_tau, long_tau",
+        [(6, 128, 4, 8), (8, 6000, 40, 100)],  # direct path, block path
+    )
+    def test_prefix_property(self, n, length, short_tau, long_tau):
+        g = iid_returns(n, length, seed=2)
+        long = sweep(g, long_tau)
+        short = sweep(g, short_tau)
+        assert np.array_equal(long.eigenvalues[:short_tau + 1], short.eigenvalues)
+        assert np.array_equal(long.iprs[:short_tau + 1], short.iprs)
         assert np.array_equal(
             long.equal_time.eigenvectors, short.equal_time.eigenvectors
         )
+        from lagspec import lag_corr
+
+        for k in (1, short_tau, short_tau + 1, long_tau):
+            fresh = eigendecompose(lag_corr(g, k))
+            assert np.allclose(long.eigenvalues[k], fresh.eigenvalues, atol=1e-13, rtol=0)
 
     def test_rows_match_fresh_solves_exactly(self):
         from lagspec import lag_corr
@@ -93,10 +104,73 @@ class TestSweep:
         assert lags == list(range(13))
         assert seq.equal_time_matrix.lag == 0
 
-    def test_solver_fault_names_the_lag(self, doubled_eigh):
-        g = iid_returns(4, 64, seed=4)
+    @pytest.mark.parametrize(
+        "name, n, length, tau_max, direct",
+        [
+            ("wide", 512, 4096, 30, True),
+            ("inject", 64, 2048, 400, True),
+            ("long", 64, 32768, 100, False),
+        ],
+    )
+    def test_path_follows_the_record_shape(
+        self, monkeypatch, name, n, length, tau_max, direct
+    ):
+        """Long records take lags >= 1 from the block kernel; the shapes of
+        the wide and inject benchmarks call lag_corr once per lag.  The
+        eigensolves are stubbed: only the lags asked for matter here."""
+        import lagspec.strobo
+        from lagspec import EigenSystem, LagCorrMatrix
+
+        lags, solved = [], []
+        system = EigenSystem(lag=0, eigenvalues=np.ones(n), eigenvectors=np.eye(n),
+                             iprs=np.ones(n))
+
+        def counting(g, lag):
+            lags.append(lag)
+            return LagCorrMatrix(lag=lag, n=n, values=np.eye(n))
+
+        def solve(d):
+            solved.append(d.lag)
+            return system
+
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
+        sweep(iid_returns(n, length, seed=1), tau_max)
+        assert lags == (list(range(tau_max + 1)) if direct else [0])
+        assert solved == list(range(tau_max + 1))
+
+    @pytest.mark.parametrize(
+        "n, length, tau_max", [(4, 64, 5), (8, 6000, 40)]  # direct, block path
+    )
+    def test_solver_fault_names_the_lag(self, doubled_eigh, n, length, tau_max):
+        g = iid_returns(n, length, seed=4)
         with pytest.raises(ConvergenceFailure, match="at lag 0.*unit norm"):
-            sweep(g, 5)
+            sweep(g, tau_max)
+
+    def test_solver_fault_at_a_block_path_lag(self, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+
+        def doubled_from_lag_34(a):
+            calls.append(1)
+            vals, vecs = eigh(a)
+            return vals, (2.0 if len(calls) > 34 else 1.0) * vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", doubled_from_lag_34)
+        with pytest.raises(ConvergenceFailure, match="at lag 34.*unit norm"):
+            sweep(iid_returns(8, 6000, seed=4), 40)
+
+    def test_out_of_range_block_path_matrix_names_the_lag(self):
+        # series 0 moves only at t = 0, 2000 and 4000: its lag-2000 self term
+        # is about 2/3 * L / (L - 2000) = 1.11
+        raw = np.zeros((2, 5000))
+        raw[0, [0, 2000, 4000]] = 1.0
+        raw[1] = np.random.default_rng(0).standard_normal(5000)
+        g = normalize(raw)
+        from lagspec.lagcorr import uses_block_path
+
+        assert uses_block_path(2, 5000)
+        with pytest.raises(CorrelationOutOfRange, match="at lag 2000$"):
+            sweep(g, 2100)
 
     def test_lag_too_large(self):
         g = iid_returns(4, 64, seed=5)
