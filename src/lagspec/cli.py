@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 data or processing error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import shutil
 import sys
@@ -127,8 +128,25 @@ def _resolve_synth(raw: str, seed: int | None) -> SynthConfig:
     return cfg
 
 
-def _holds_a_run(path: Path) -> bool:
-    """Whether ``path/config.json`` is the record of a lagspec run."""
+# the files a run writes; an --out holding only these is an earlier run
+RUN_FILES = ("config.json", "summary.json", "report.json", "equal_time.csv",
+             "trajectory_*.csv", "spectrum_*.csv")
+
+
+def _replaceable(path: Path) -> bool:
+    """Whether the directory ``path`` is empty or holds an earlier run and
+    nothing else: plain files named as a run names them, with a config.json
+    that is the record of a lagspec run."""
+    with os.scandir(path) as entries:
+        entries = list(entries)
+    if not entries:
+        return True
+    if not all(
+        entry.is_file(follow_symlinks=False)
+        and any(fnmatch.fnmatchcase(entry.name, pattern) for pattern in RUN_FILES)
+        for entry in entries
+    ):
+        return False
     try:
         return "command" in serialize.read_config(path / "config.json", "run record")
     except ConfigInvalid:
@@ -138,15 +156,16 @@ def _holds_a_run(path: Path) -> bool:
 def _check_out(raw: str) -> None:
     """``--out`` must be a directory or a path that mkdir can create: the
     nearest part of it that exists must be a directory.  An existing
-    ``--out`` must be empty or hold an earlier run, which the new run
-    replaces whole; any other directory is refused and left as it is."""
+    ``--out`` must be empty or hold an earlier run and nothing else, which
+    the new run replaces whole; any other directory is refused and left as
+    it is."""
     out = Path(raw)
     if os.path.isdir(out):
         try:
-            empty = not os.listdir(out)
+            replaceable = _replaceable(out)
         except OSError as exc:
             raise ConfigInvalid(f"--out {raw}: {exc.strerror}") from exc
-        if not empty and not _holds_a_run(out):
+        if not replaceable:
             raise ConfigInvalid(
                 f"--out {raw}: {raw} is neither empty nor an earlier lagspec run"
             )
@@ -198,9 +217,10 @@ def _run_dir(config: dict) -> Iterator[Path]:
     run's writers.  When they finish it is renamed to ``--out``, replacing
     the directory there.  If anything fails, ``--out`` is left as it was and
     the sibling is removed; an OSError becomes WriteFailed naming the path.
+    A symlinked ``--out`` is followed: the directory it names is replaced.
     """
     out = Path(config["out_dir"])
-    target = Path(os.path.abspath(out))
+    target = Path(os.path.realpath(out))
     tmp = None
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -208,6 +228,7 @@ def _run_dir(config: dict) -> Iterator[Path]:
         tmp.mkdir()  # mode from the umask, as for a plain mkdir of --out
         serialize.write_json(config, tmp / "config.json")
         yield tmp
+        _check_out(str(out))  # again: the run may have taken a while
         _move_into_place(tmp, target)
     except OSError as exc:
         name = exc.filename

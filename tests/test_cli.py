@@ -608,6 +608,56 @@ class TestRunDirectory:
         assert (out / name).read_text() == content
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
 
+    def test_earlier_run_with_other_files_exits_2_and_is_left_as_it_was(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "d"
+        assert self.small(out, "--watch", "3") == 0
+        csv_path = out / "counts.csv"
+        write_counts_csv(
+            csv_path, synth_generate(SynthConfig(n_series=8, length=65, seed=3))
+        )
+        (out / "notes").mkdir()
+        before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+        assert run_cli(
+            "analyze", "--input", str(csv_path), "--tau-max", "10", "--out", str(out)
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"ConfigInvalid: --out {out}: {out} is neither empty nor an "
+            "earlier lagspec run\n"
+        )
+        assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    def test_file_added_during_the_run_is_kept(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "d"
+        assert self.small(out, "--watch", "3") == 0
+        real_sweep = lagspec.cli.sweep
+
+        def sweep_then_add(g, tau_max):
+            (out / "notes.txt").write_text("keep\n")
+            return real_sweep(g, tau_max)
+
+        monkeypatch.setattr(lagspec.cli, "sweep", sweep_then_add)
+        assert self.small(out, "--watch", "5") == 2
+        assert capsys.readouterr().err == (
+            f"ConfigInvalid: --out {out}: {out} is neither empty nor an "
+            "earlier lagspec run\n"
+        )
+        assert (out / "notes.txt").read_text() == "keep\n"
+        assert json.loads((out / "config.json").read_text())["watch_positions"] == [3]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    def test_symlinked_out_replaces_the_directory_it_names(self, tmp_path):
+        real, link = tmp_path / "real", tmp_path / "link"
+        assert self.small(real, "--watch", "3,4") == 0
+        link.symlink_to(real, target_is_directory=True)
+        assert self.small(link, "--watch", "5") == 0
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert json.loads((real / "config.json").read_text())["watch_positions"] == [5]
+        assert len(list(real.iterdir())) == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
     @pytest.mark.parametrize("earlier", [False, True])
     def test_writer_fault_exits_1_and_leaves_out_as_it_was(
         self, tmp_path, capsys, monkeypatch, earlier

@@ -57,7 +57,9 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "n, length, short_tau, long_tau",
-        [(6, 128, 4, 8), (8, 6000, 40, 100)],  # direct path, block path
+        # direct path; block path with its first batch of block lags ending
+        # at the same block (40, 100) and at different blocks (10, 100)
+        [(6, 128, 4, 8), (8, 6000, 40, 100), (8, 6000, 10, 100)],
     )
     def test_prefix_property(self, n, length, short_tau, long_tau):
         g = iid_returns(n, length, seed=2)
@@ -89,35 +91,19 @@ class TestSweep:
                 )
                 assert np.array_equal(seq.equal_time_matrix.values, lag_corr(g, 0).values)
 
-    def test_one_lag_corr_per_lag(self, monkeypatch):
-        import lagspec.strobo
-
-        lags = []
-        real = lagspec.strobo.lag_corr
-
-        def counting(g, lag):
-            lags.append(lag)
-            return real(g, lag)
-
-        monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
-        seq = sweep(iid_returns(6, 128, seed=5), 12)
-        assert lags == list(range(13))
-        assert seq.equal_time_matrix.lag == 0
-
     @pytest.mark.parametrize(
-        "name, n, length, tau_max, direct",
+        "n, length, tau_max, block_path",
         [
-            ("wide", 512, 4096, 30, True),
-            ("inject", 64, 2048, 400, True),
-            ("long", 64, 32768, 100, False),
+            (6, 128, 12, False),
+            (512, 4096, 30, False),  # the wide benchmark's shape
+            (64, 2048, 400, False),  # the inject benchmark's shape
+            (64, 32768, 100, True),  # the long benchmark's shape
         ],
     )
-    def test_path_follows_the_record_shape(
-        self, monkeypatch, name, n, length, tau_max, direct
-    ):
-        """Long records take lags >= 1 from the block kernel; the shapes of
-        the wide and inject benchmarks call lag_corr once per lag.  The
-        eigensolves are stubbed: only the lags asked for matter here."""
+    def test_one_lag_corr_per_lag(self, monkeypatch, n, length, tau_max, block_path):
+        """Long records take lags >= 1 from the block kernel; other records
+        call lag_corr once per lag.  The products and eigensolves are
+        stubbed: only the lags asked for matter here."""
         import lagspec.strobo
         from lagspec import EigenSystem, LagCorrMatrix
 
@@ -135,9 +121,10 @@ class TestSweep:
 
         monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
-        sweep(iid_returns(n, length, seed=1), tau_max)
-        assert lags == (list(range(tau_max + 1)) if direct else [0])
+        seq = sweep(iid_returns(n, length, seed=5), tau_max)
+        assert lags == ([0] if block_path else list(range(tau_max + 1)))
         assert solved == list(range(tau_max + 1))
+        assert seq.equal_time_matrix.lag == 0
 
     @pytest.mark.parametrize(
         "n, length, tau_max", [(4, 64, 5), (8, 6000, 40)]  # direct, block path
