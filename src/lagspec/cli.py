@@ -110,6 +110,9 @@ def _parse_watch(raw: str | None) -> tuple[int, ...] | None:
         raise ConfigInvalid(f"--watch must be a comma-separated list of ints: {raw!r}")
     if not positions:
         raise ConfigInvalid("--watch must name at least one position")
+    for i, k in enumerate(positions):
+        if k in positions[:i]:
+            raise ConfigInvalid(f"--watch names position {k} twice")
     return positions
 
 

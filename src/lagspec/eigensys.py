@@ -14,6 +14,7 @@ from .lagcorr import LagCorrMatrix
 _RESIDUAL_FACTOR = 1e-10  # max ||D u - lambda u|| allowed, relative to ||D||_F
 _NORM_TOL = 1e-8
 _ORTHO_TOL = 1e-8
+_RESIDUAL_ROWS = 64  # rows of U diag(vals) formed at a time
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class EigenSystem:
         gram = vecs.T @ vecs
         if np.any(np.abs(np.diag(gram) - 1.0) > 2 * _NORM_TOL):
             raise ValueError("eigenvectors must be unit norm")
-        off = gram - np.diag(np.diag(gram))
-        if np.any(np.abs(off) > _ORTHO_TOL):
+        np.fill_diagonal(gram, 0.0)
+        if np.any(np.abs(gram, out=gram) > _ORTHO_TOL):
             raise ValueError("eigenvectors must be pairwise orthogonal")
 
     @property
@@ -99,13 +100,19 @@ def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
 
     # deterministic sign: largest-magnitude component positive
     n = vals.shape[0]
-    lead = np.argmax(np.abs(vecs), axis=0)
+    # |vecs| laid out transposed: argmax along a strided axis copies it
+    lead = np.argmax(np.abs(vecs.T, order="C"), axis=1)
     signs = np.sign(vecs[lead, np.arange(n)])
     signs[signs == 0.0] = 1.0
-    vecs = vecs * signs
+    vecs *= signs
 
-    residual = d.values @ vecs - vecs * vals
-    worst = float(np.max(np.linalg.norm(residual, axis=0)))
+    # column norms of D U - U diag(vals), built in place in D U
+    residual = d.values @ vecs
+    for r in range(0, n, _RESIDUAL_ROWS):
+        residual[r:r + _RESIDUAL_ROWS] -= vecs[r:r + _RESIDUAL_ROWS] * vals
+    residual *= residual
+    worst = float(np.sqrt(np.max(residual.sum(axis=0))))
+    del residual
     frob = float(np.linalg.norm(d.values))
     if worst > _RESIDUAL_FACTOR * frob:
         raise ConvergenceFailure(

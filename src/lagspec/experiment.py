@@ -9,8 +9,8 @@ walks whose rate changes are approximately i.i.d.
 """
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Literal, Sequence, Union
@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .eigensys import eigendecompose, rmt_bounds, segment
 from .errors import ConfigInvalid, UnknownSeries, WindowOutOfRange
-from .ingest import CountMatrix, returns_from_counts
+from .ingest import CountMatrix, _blocks, returns_from_counts
 from .lagcorr import equal_time_corr
 from .strobo import (
     PowerSpectrum,
@@ -39,6 +39,8 @@ _BACKGROUND_PHI = 0.98
 _BACKGROUND_SIGMA = 0.05
 # largest synthetic count matrix, n_series * length cells (2 GiB of floats)
 _MAX_SYNTH_CELLS = 2**28
+# the largest finite float; a Python int above it cannot become a float
+_FLOAT_MAX = sys.float_info.max
 
 
 def _check_types(obj, checks) -> None:
@@ -120,7 +122,7 @@ class SynthConfig(_FromJson):
                 f"n_series * length must be at most 2**28 cells, "
                 f"got {self.n_series} * {self.length}"
             )
-        if not 0 < self.delta_t < math.inf:
+        if not 0 < self.delta_t <= _FLOAT_MAX:
             raise ConfigInvalid("delta_t must be positive and finite")
         if not 0 <= self.n_drivers <= self.n_series:
             raise ConfigInvalid("n_drivers must lie in 0..n_series")
@@ -128,9 +130,12 @@ class SynthConfig(_FromJson):
             raise ConfigInvalid("drivers need at least one period")
         if any(p < 2 for p in self.driver_periods):
             raise ConfigInvalid("driver periods must be at least 2 lag steps")
+        steps = (*self.driver_periods, *(self.driver_lags or ()))
+        if any(abs(k) > _FLOAT_MAX for k in steps):
+            raise ConfigInvalid("driver periods and lags must fit in a float")
         if not 0.0 < self.coupling <= 1.0:
             raise ConfigInvalid("coupling must lie in (0, 1]")
-        if not 0 < self.baseline < math.inf:
+        if not 0 < self.baseline <= _FLOAT_MAX:
             raise ConfigInvalid("baseline must be positive and finite")
         if self.driver_lags is not None and len(self.driver_lags) != self.n_drivers:
             raise ConfigInvalid("driver_lags must list one lag per driver")
@@ -206,7 +211,7 @@ class InjectionSpec(_FromJson):
         if self.t_end is not None and self.t_end <= self.t_start:
             raise ConfigInvalid("t_end must exceed t_start")
         if self.kind == "periodic":
-            if self.period is None or not 0 < self.period < math.inf:
+            if self.period is None or not 0 < self.period <= _FLOAT_MAX:
                 raise ConfigInvalid(
                     "periodic injection needs a positive finite period"
                 )
@@ -242,15 +247,21 @@ def synth_generate(cfg: SynthConfig) -> CountMatrix:
     n_drv = cfg.n_drivers
     counts = np.empty((n, points), dtype=float)
 
-    # background walks, drawn first so the stream layout is stable
+    # background walks, drawn first so the stream layout is stable; they are
+    # built in place in their rows of ``counts``, the noise a row block at a
+    # time, which draws the same stream as one (n_bg, length) draw
     n_bg = n - n_drv
     if n_bg:
-        noise = rng.standard_normal((n_bg, length))
-        walk = np.zeros((n_bg, points))
-        np.multiply(noise, _BACKGROUND_SIGMA, out=walk[:, 1:])
+        walk = counts[n_drv:]
+        walk[:, 0] = 0.0
+        for rows in _blocks(n_bg, length):
+            noise = rng.standard_normal((rows.stop - rows.start, length))
+            np.multiply(noise, _BACKGROUND_SIGMA, out=walk[rows, 1:])
+            del noise  # before the next block is drawn
         for t in range(1, points):
             walk[:, t] += _BACKGROUND_PHI * walk[:, t - 1]
-        counts[n_drv:] = cfg.baseline * np.exp(walk)
+        np.exp(walk, out=walk)
+        walk *= cfg.baseline
 
     if n_drv:
         t = np.arange(length, dtype=float)
@@ -442,9 +453,9 @@ def run_experiment(
     """
     if watch_positions is None:
         watch_positions = default_watch(counts.n_series)
+    # the injected counts are freed once their returns exist
+    after_returns = returns_from_counts(inject(counts, spec))
     before_returns = returns_from_counts(counts)
-    after_counts = inject(counts, spec)
-    after_returns = returns_from_counts(after_counts)
     seq_before = sweep(before_returns, tau_max)
     seq_after = sweep(after_returns, tau_max)
 

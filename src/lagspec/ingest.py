@@ -13,7 +13,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +30,9 @@ Source = Union[str, Path, bytes, IO]
 _INTERVAL_RTOL = 1e-3  # timestamps must be evenly spaced within 0.1%
 _MEAN_TOL = 1e-10
 _VAR_TOL = 1e-10
+# bytes of one block: the counts and returns are built and reduced a block
+# of rows or columns at a time, so no temporary is the size of a table
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,7 @@ class ReturnMatrix:
         object.__setattr__(self, "series_ids", tuple(self.series_ids))
         if returns.ndim != 2 or len(self.series_ids) != returns.shape[0]:
             raise ParseError("returns must be 2-D with one row per series id")
-        means = returns.mean(axis=1)
-        variances = returns.var(axis=1)  # population convention
+        means, variances = _row_moments(returns)  # population variance
         if np.any(np.abs(means) > _MEAN_TOL):
             i = int(np.argmax(np.abs(means)))
             raise ValueError(
@@ -260,9 +262,58 @@ def _clamp_counts(counts: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     return clamped
 
 
+def _blocks(count: int, width: int) -> Iterator[slice]:
+    """Slices of 0..count-1 that cut a table of ``count`` rows (or columns)
+    of ``width`` floats into blocks of about _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def _row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x.mean(axis=1)`` and ``x.var(axis=1)``, bit for bit, with
+    temporaries of one block rather than of the size of ``x``.
+
+    numpy sums each row of a row-major table pairwise but the rows of a
+    column-major one term by term, left to right.  So a row-major table is
+    taken a block of rows at a time, and a column-major one a block of
+    columns at a time, each block's sums starting from the last block's.
+    """
+    n, length = x.shape
+    means = x.mean(axis=1)
+    if n < 2 or not 0 < x.strides[0] < x.strides[1]:
+        variances = np.empty_like(means)
+        for rows in _blocks(n, length):
+            variances[rows] = x[rows].var(axis=1)
+        return means, variances
+    sums = np.zeros(n)
+    for cols in _blocks(length, n):
+        # column 0 carries the running sums, the rest the block's squares
+        block = np.empty((n, 1 + cols.stop - cols.start), order="F")
+        block[:, 0] = sums
+        squares = block[:, 1:]
+        np.subtract(x[:, cols], means[:, None], out=squares)
+        squares *= squares
+        sums = block.sum(axis=1)
+        del block, squares  # before the next block is allocated
+    return means, sums / length
+
+
 def rate_changes(counts: CountMatrix) -> np.ndarray:
-    """Log ratio of successive counts for every series: shape (N, L)."""
-    return np.diff(np.log(counts.counts), axis=1)
+    """Log ratio of successive counts for every series: shape (N, L).
+
+    Equal bit for bit to ``np.diff(np.log(counts), axis=1)`` and in the
+    same memory order as the counts (column-major for counts read from
+    CSV), but the logs are taken a block of columns at a time.
+    """
+    c = counts.counts
+    n, length = c.shape[0], c.shape[1] - 1
+    out = np.empty_like(c[:, 1:], order="K")
+    for cols in _blocks(length, n):
+        logs = np.log(c[:, cols.start:cols.stop + 1])
+        np.subtract(logs[:, 1:], logs[:, :-1], out=out[:, cols])
+        del logs  # before the next block is allocated
+    return out
 
 
 def normalize(
@@ -271,22 +322,36 @@ def normalize(
     """Shift and scale each row of raw rate changes to zero mean, unit variance.
 
     Uses the population variance (1/L).  A row with zero variance raises
-    ZeroVariance naming the series.
+    ZeroVariance naming the series.  ``raw`` is left as it is.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ParseError("rate changes must be a 2-D array")
+    return _normalize(raw, series_ids, out=None)
+
+
+def _normalize(
+    raw: np.ndarray, series_ids: Sequence[str] | None, out: np.ndarray | None
+) -> ReturnMatrix:
+    """``normalize`` of a 2-D float array, writing the returns into ``out``
+    (which may be ``raw``) or, when it is None, into a new array."""
     if series_ids is None:
         series_ids = tuple(f"g{i}" for i in range(raw.shape[0]))
-    means = raw.mean(axis=1)
-    stds = raw.std(axis=1)  # population convention
+    means, variances = _row_moments(raw)  # population variance
+    stds = np.sqrt(variances)
     if np.any(stds == 0.0):
         i = int(np.argmax(stds == 0.0))
         raise ZeroVariance(f"series {series_ids[i]!r} has constant rate changes")
-    returns = (raw - means[:, None]) / stds[:, None]
+    returns = np.subtract(raw, means[:, None], out=out)
+    returns /= stds[:, None]
     return ReturnMatrix(series_ids=tuple(series_ids), returns=returns)
 
 
 def returns_from_counts(counts: CountMatrix) -> ReturnMatrix:
-    """Convenience: rate_changes followed by normalize, keeping series ids."""
-    return normalize(rate_changes(counts), counts.series_ids)
+    """Convenience: rate_changes followed by normalize, keeping series ids.
+
+    The rate changes are normalized in place, so the returns are the one
+    table of their size that this allocates.
+    """
+    raw = rate_changes(counts)
+    return _normalize(raw, counts.series_ids, out=raw)

@@ -82,7 +82,9 @@ def lag_corr(g: ReturnMatrix, lag: int) -> LagCorrMatrix:
     head = returns[:, :window]
     tail = returns[:, lag:]
     cross = head @ tail.T  # cross[i, j] = sum_t g_i(t) g_j(t + lag)
-    values = (cross + cross.T) / (2.0 * window)
+    values = cross + cross.T
+    del cross
+    values /= 2.0 * window
     return LagCorrMatrix(lag=lag, n=n, values=values)
 
 
@@ -202,7 +204,8 @@ def block_lag_corrs(g: ReturnMatrix, tau_max: int) -> Iterator[LagCorrMatrix]:
             cross = np.fft.irfft(acc.pop(0), 2 * _BLOCK, axis=0)
             for lag in range(max(j * _BLOCK, 1), min((j + 1) * _BLOCK, tau_max + 1)):
                 d = lag - j * _BLOCK
-                values = (cross[d] + cross[d].T) / (2.0 * (length - lag))
+                values = cross[d] + cross[d].T
+                values /= 2.0 * (length - lag)
                 yield LagCorrMatrix(lag=lag, n=n, values=values)
             del cross  # the next batch's working set starts from nothing
 

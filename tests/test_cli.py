@@ -1,10 +1,12 @@
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +226,32 @@ class TestAnalyze:
         assert run_cli(
             "analyze", "--synth", "small", "--watch", "99", "--out", str(out)
         ) == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "experiment"])
+    def test_repeated_watch_position_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, command
+    ):
+        spec_path = tmp_path / "inj.json"
+        spec_path.write_text(json.dumps(
+            {"kind": "periodic", "target_ids": ["s005"], "period": 900.0}
+        ))
+        out = tmp_path / "run"
+        extra = ["--inject", str(spec_path)] if command == "experiment" else []
+        assert run_cli(
+            command, "--synth", "small", "--tau-max", "10", "--watch", "4,3,4",
+            *extra, "--out", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid: --watch names position 4 twice" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inj.json"]
+
+    def test_integer_baseline_beyond_floats_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text('{"n_series": 4, "length": 20, "baseline": 1' + "0" * 400 + "}")
+        out = tmp_path / "run"
+        assert run_cli("analyze", "--synth", str(cfg_path), "--out", str(out)) == 2
+        assert "baseline must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run_cli(
@@ -555,6 +583,110 @@ def test_main_gives_an_exit_code_on_fuzzed_config_files(command, synth, spec):
         code = main(argv)
         assert code in (0, 1, 2)
         assert Path(tmp, "run").exists() == (code == 0)
+
+
+def fuzz_inputs(tmp: Path) -> None:
+    """The files that fuzzed argv may name, written into ``tmp``: six series
+    of 40 samples, each at most a few kB."""
+    rng = np.random.default_rng(0)
+    counts = CountMatrix(
+        tuple(f"s{i:03d}" for i in range(6)), 300.0,
+        1e3 * np.exp(np.cumsum(0.1 * rng.standard_normal((6, 40)), axis=1)),
+    )
+    write_counts_csv(tmp / "good.csv", counts)
+    (tmp / "bad.csv").write_text("t,a,b\n0,1,2\n300,x,4\n600,5,6\n")
+    (tmp / "zeros.csv").write_text(
+        "t,a,b\n" + "".join(f"{300 * i},{i % 3},{i + 1}\n" for i in range(20))
+    )
+    (tmp / "synth.json").write_text(json.dumps({"n_series": 8, "length": 40}))
+    (tmp / "spec.json").write_text(json.dumps(
+        {"kind": "periodic", "target_ids": ["s001"], "period": 900.0}
+    ))
+    (tmp / "noise.json").write_text(json.dumps(
+        {"kind": "noise", "target_ids": ["s000", "s002"], "t_start": 5}
+    ))
+    (tmp / "broken.json").write_text("{")
+    (tmp / "file").write_text("not a directory\n")
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values)
+
+
+IN_TMP = "{tmp}/"  # a value starting with it names a path in the test's directory
+sources = st.one_of(
+    _flag("--input", st.sampled_from(
+        ["good.csv", "bad.csv", "zeros.csv", "missing.csv", "", "."]
+    ).map(IN_TMP.__add__)),
+    _flag("--synth", st.sampled_from(["small", "background", "nonesuch"])
+          | st.just(IN_TMP + "synth.json")),
+)
+# experiment needs --tau-max 8 and analyze at least 0, so 8 is drawn two
+# times in three
+tau_maxes = _flag("--tau-max", st.integers(-1, 8).map(str)) | st.just(
+    ("--tau-max", "8")
+) | st.just(("--tau-max", "8"))
+injects = _flag("--inject", st.sampled_from(
+    ["spec.json", "noise.json", "broken.json", "missing.json"]
+).map(IN_TMP.__add__))
+argv_items = st.lists(
+    st.one_of(
+        _flag("--watch", st.lists(st.integers(-2, 20), max_size=4).map(
+            lambda ks: ",".join(map(str, ks))
+        ) | st.sampled_from(["a", ",", "3,,3", " 1"])),
+        _flag("--detrend", st.sampled_from(["mean", "none", "linear"])),
+        _flag("--seed", st.integers(-3, 5).map(str) | st.just("x")),
+        _flag("--out", st.sampled_from(["run", "run2", "file", "file/under"]).map(
+            IN_TMP.__add__
+        )),
+        st.just(("--epsilon-clamp",)),
+        # rarer: flags that argparse itself mostly rejects
+        st.one_of(
+            tau_maxes,
+            _flag("--tau-max", st.sampled_from(["x", "", "1.5"])),
+            sources,
+            injects,
+            st.sampled_from([("--bogus",), ("extra",)]),
+        ),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["analyze", "experiment"] * 2 + ["nonesuch"]),
+    base=st.tuples(sources, tau_maxes, injects),
+    items=argv_items,
+)
+def test_main_gives_an_exit_code_on_fuzzed_argv(command, base, items):
+    """Any argv over these flags exits 0, 1 or 2 without a traceback (argparse
+    itself exits 2 through SystemExit), and leaves a run directory only on 0.
+    Most draws start from a source, a --tau-max and, for experiment, an
+    --inject, so that whole runs happen too.  Sizes stay small: inputs of
+    6 to 64 series and --tau-max at most 8."""
+    source, tau_max, inject = base
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzz_inputs(Path(tmp))
+        before = sorted(p.name for p in Path(tmp).iterdir())
+        argv = [command, "--out", f"{tmp}/run"]
+        for item in (source, tau_max, *([inject] * (command == "experiment")), *items):
+            argv += [part.replace("{tmp}", tmp) for part in item]
+        out = Path(argv[len(argv) - argv[::-1].index("--out")])  # the last --out
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        after = sorted(p.name for p in Path(tmp).iterdir())
+        if code == 0:
+            assert (out / "config.json").is_file()
+            assert after == sorted({*before, out.name})
+        else:
+            assert after == before, (argv, err.getvalue())
 
 
 class TestRunDirectory:

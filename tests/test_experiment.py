@@ -52,6 +52,11 @@ class TestSynthConfig:
             dict(n_series=4, length=100, baseline=float("inf")),
             dict(n_series=4, length=100, seed=-1),
             dict(n_series=10**30, length=100),
+            # integers that no float holds
+            dict(n_series=4, length=100, delta_t=10**400),
+            dict(n_series=4, length=100, baseline=10**400),
+            dict(n_series=4, length=100, n_drivers=1, driver_periods=(10**400,)),
+            dict(n_series=4, length=100, n_drivers=1, driver_lags=(-(10**400),)),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -218,7 +223,10 @@ class TestInjectionSpec:
         with pytest.raises(ConfigInvalid, match=f"^{field} must be"):
             InjectionSpec(**kwargs)
 
-    @pytest.mark.parametrize("period", [float("nan"), float("inf"), -900.0])
+    @pytest.mark.parametrize(
+        "period",
+        [float("nan"), float("inf"), -900.0, pytest.param(10**400, id="10**400")],
+    )
     def test_period_must_be_positive_and_finite(self, period):
         with pytest.raises(ConfigInvalid, match="period"):
             InjectionSpec(kind="periodic", target_ids=("a",), period=period)
