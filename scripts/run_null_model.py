@@ -35,7 +35,7 @@ def main() -> int:
         rng = np.random.default_rng(seed)
         g = normalize(rng.standard_normal((args.n, args.length)))
         system = eigendecompose(equal_time_corr(g))
-        parts = segment(system, bounds)
+        parts = segment(system.eigenvalues, bounds)
         fraction = len(parts.random) / args.n
         med = float(np.median(system.iprs))
         fractions.append(fraction)

@@ -266,10 +266,9 @@ def cmd_analyze(args) -> int:
     n, interval = counts.n_series, counts.interval
     g = returns_from_counts(counts)
     del counts  # free the count table before the sweep
+    bounds = rmt_bounds(n, g.n_returns)  # N >= L fails here, before any solve
     seq = sweep(g, args.tau_max)
-    equal_time = seq.equal_time
-    bounds = rmt_bounds(n, g.n_returns)
-    parts = segment(equal_time, bounds)
+    parts = segment(seq.eigenvalues[0], bounds)
     with _run_dir(config) as out_dir:
         write_matrix_csv(seq.equal_time_matrix, out_dir / "equal_time.csv")
 
@@ -285,8 +284,8 @@ def cmd_analyze(args) -> int:
                 "q": bounds.q,
             },
             "equal_time": {
-                "eigenvalues": [float(v) for v in equal_time.eigenvalues],
-                "iprs": [float(v) for v in equal_time.iprs],
+                "eigenvalues": [float(v) for v in seq.eigenvalues[0]],
+                "iprs": [float(v) for v in seq.iprs[0]],
                 "segmentation": {
                     "left": list(parts.left),
                     "random": list(parts.random),

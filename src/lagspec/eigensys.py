@@ -27,7 +27,6 @@ class EigenSystem:
     decomposition deterministic.
     """
 
-    lag: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     iprs: np.ndarray
@@ -50,10 +49,6 @@ class EigenSystem:
         np.fill_diagonal(gram, 0.0)
         if np.any(np.abs(gram, out=gram) > _ORTHO_TOL):
             raise ValueError("eigenvectors must be pairwise orthogonal")
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
 
     iprs = _column_iprs(vecs)
     try:
-        return EigenSystem(lag=d.lag, eigenvalues=vals, eigenvectors=vecs, iprs=iprs)
+        return EigenSystem(eigenvalues=vals, eigenvectors=vecs, iprs=iprs)
     except ValueError as exc:
         raise ConvergenceFailure(f"bad eigen system at lag {d.lag}: {exc}") from exc
 
@@ -168,13 +163,13 @@ def rmt_bounds(n: int, length: int) -> RmtBounds:
     )
 
 
-def segment(eigs: EigenSystem, bounds: RmtBounds) -> SpectrumSegmentation:
+def segment(eigenvalues: np.ndarray, bounds: RmtBounds) -> SpectrumSegmentation:
     """Split eigenvalue indices by strict comparison against the band.
 
     Values exactly on a boundary count as random (deviation must be strict
     to be flagged).
     """
-    vals = eigs.eigenvalues
+    vals = np.asarray(eigenvalues, dtype=float)
     left = np.flatnonzero(vals < bounds.lambda_minus)
     right = np.flatnonzero(vals > bounds.lambda_plus)
     random = np.flatnonzero(

@@ -19,14 +19,15 @@ import numpy as np
 
 from . import serialize
 from .eigensys import eigendecompose, rmt_bounds, segment
-from .errors import ConfigInvalid, UnknownSeries, WindowOutOfRange
+from .errors import ConfigInvalid, TooShort, UnknownSeries, WindowOutOfRange
 from .ingest import CountMatrix, _blocks, returns_from_counts
 from .lagcorr import equal_time_corr
 from .strobo import (
+    MIN_SPECTRUM_LEN,
     PowerSpectrum,
     ResonanceReport,
-    Trajectory,
     characteristic_periods,
+    check_position,
     compare_spectra,
     default_watch,
     power_spectrum,
@@ -353,7 +354,7 @@ def default_targets(
     g = returns_from_counts(counts)
     system = eigendecompose(equal_time_corr(g))
     bounds = rmt_bounds(g.n_series, g.n_returns)
-    parts = segment(system, bounds)
+    parts = segment(system.eigenvalues, bounds)
     n = g.n_series
     if parts.right:
         loading = np.sum(system.eigenvectors[:, list(parts.right)] ** 2, axis=1)
@@ -382,8 +383,8 @@ class WatchReport:
 
     position: int
     kind: str
-    before: Trajectory
-    after: Trajectory
+    before: np.ndarray
+    after: np.ndarray
     spectrum_before: PowerSpectrum
     spectrum_after: PowerSpectrum
     periods_before: tuple[tuple[float, float], ...]
@@ -449,10 +450,18 @@ def run_experiment(
 
     Probe periods are the two strongest characteristic periods detected
     before the injection plus, for periodic injections, the injection period
-    itself.
+    itself.  Bad watch positions (IndexOutOfRange, ConfigInvalid) and a
+    ``tau_max`` below MIN_SPECTRUM_LEN (TooShort) fail before any work.
     """
     if watch_positions is None:
         watch_positions = default_watch(counts.n_series)
+    watch_positions = [check_position(k, counts.n_series) for k in watch_positions]
+    for i, k in enumerate(watch_positions):
+        if k in watch_positions[:i]:
+            raise ConfigInvalid(f"watch position {k} is named twice")
+    if int(tau_max) < MIN_SPECTRUM_LEN:
+        raise TooShort(f"tau_max {tau_max} gives trajectories of {tau_max} samples, "
+                       f"need at least {MIN_SPECTRUM_LEN}")
     # the injected counts are freed once their returns exist
     after_returns = returns_from_counts(inject(counts, spec))
     before_returns = returns_from_counts(counts)
@@ -476,7 +485,7 @@ def run_experiment(
             resonance = compare_spectra(s_before, s_after, probes)
             watches.append(
                 WatchReport(
-                    position=int(position),
+                    position=position,
                     kind=kind,
                     before=t_before,
                     after=t_after,

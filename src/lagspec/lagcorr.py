@@ -37,14 +37,13 @@ class LagCorrMatrix:
     """Symmetric N x N lagged correlation matrix for a single lag."""
 
     lag: int
-    n: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.shape != (self.n, self.n):
-            raise ParseError(f"values must be {self.n} x {self.n}")
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ParseError(f"values must be square, got shape {values.shape}")
         if self.lag < 0:
             raise ValueError("lag must be non-negative")
         if not np.array_equal(values, values.T):
@@ -55,6 +54,10 @@ class LagCorrMatrix:
             )
         if self.lag == 0 and np.any(np.abs(np.diag(values) - 1.0) > _DIAG_TOL):
             raise ValueError("equal-time diagonal must be 1")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
 
     @property
     def trace(self) -> float:
@@ -73,7 +76,7 @@ def lag_corr(g: ReturnMatrix, lag: int) -> LagCorrMatrix:
     if lag < 0:
         raise ValueError(f"lag must be non-negative, got {lag}")
     returns = g.returns
-    n, length = returns.shape
+    length = returns.shape[1]
     if lag > length // 2:
         raise LagTooLarge(
             f"lag {lag} exceeds half the record length (L={length})"
@@ -85,7 +88,7 @@ def lag_corr(g: ReturnMatrix, lag: int) -> LagCorrMatrix:
     values = cross + cross.T
     del cross
     values /= 2.0 * window
-    return LagCorrMatrix(lag=lag, n=n, values=values)
+    return LagCorrMatrix(lag=lag, values=values)
 
 
 def _block_plan(n: int, length: int) -> tuple[int, int] | None:
@@ -206,7 +209,7 @@ def block_lag_corrs(g: ReturnMatrix, tau_max: int) -> Iterator[LagCorrMatrix]:
                 d = lag - j * _BLOCK
                 values = cross[d] + cross[d].T
                 values /= 2.0 * (length - lag)
-                yield LagCorrMatrix(lag=lag, n=n, values=values)
+                yield LagCorrMatrix(lag=lag, values=values)
             del cross  # the next batch's working set starts from nothing
 
 

@@ -2,22 +2,22 @@
 spectra.
 
 The sweep solves lags 0..tau_max in order and keeps two tables, eigenvalues
-and IPRs with one row per lag, plus the equal-time matrix and its full
-EigenSystem.
-Trajectories track a fixed sorted position across lags 1..tau_max: the
-equal-time point carries the trivial autocorrelation spike and is excluded
-from spectra, though it stays available in the sequence.  Eigenvalues are
-identified by sorted position, not by eigenvector continuity.
+and IPRs with one row per lag, plus the equal-time matrix.
+A trajectory is one column of a table over lags 1..tau_max, a plain 1-D
+array: the equal-time row carries the trivial autocorrelation spike and is
+excluded from spectra, though it stays available in the tables.  Eigenvalues
+are identified by sorted position, not by eigenvector continuity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Literal, Sequence, Union
 
 import numpy as np
 
-from .eigensys import EigenSystem, eigendecompose
+from .eigensys import eigendecompose
 from .errors import (
     IndexOutOfRange,
     LagTooLarge,
@@ -45,8 +45,7 @@ UNCHANGED = "unchanged"
 @dataclass(frozen=True)
 class StroboscopicSequence:
     """Eigenvalue and IPR tables for every lag 0..tau_max of one return
-    matrix, plus the equal-time matrix (``equal_time_matrix``) and its full
-    eigen system (``equal_time``).
+    matrix, plus the equal-time matrix (``equal_time_matrix``).
 
     Row k of ``eigenvalues`` and ``iprs`` holds lag k; column j holds the
     j-th ascending position.
@@ -55,7 +54,6 @@ class StroboscopicSequence:
     eigenvalues: np.ndarray
     iprs: np.ndarray
     equal_time_matrix: LagCorrMatrix
-    equal_time: EigenSystem
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -64,8 +62,9 @@ class StroboscopicSequence:
         object.__setattr__(self, "iprs", iprs)
         if vals.ndim != 2 or not vals.size or iprs.shape != vals.shape:
             raise ValueError("eigenvalues and iprs must be (tau_max+1, n) tables")
-        if self.equal_time.lag != 0 or self.equal_time.n != vals.shape[1]:
-            raise ValueError("equal_time must be the lag-0 system of dimension n")
+        matrix = self.equal_time_matrix
+        if matrix.lag != 0 or matrix.n != vals.shape[1]:
+            raise ValueError("equal_time_matrix must be the lag-0 matrix of dimension n")
 
     @property
     def n(self) -> int:
@@ -74,20 +73,6 @@ class StroboscopicSequence:
     @property
     def tau_max(self) -> int:
         return self.eigenvalues.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One eigenvalue or IPR tracked by sorted position over lags 1..tau_max."""
-
-    kind: str
-    position: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -156,9 +141,9 @@ def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     is ``lag_corr(g, 0)``.  Lags 1..tau_max come from one ``lag_corr`` per
     lag, or, for a long record (``uses_block_path``, decided from N and L
     only), from ``block_lag_corrs``.  Every lag passes all of
-    ``LagCorrMatrix``'s and ``eigendecompose``'s checks; only lag 0 keeps
-    its matrix, as ``equal_time_matrix``, and its eigenvectors, as
-    ``equal_time``.
+    ``LagCorrMatrix``'s and ``eigendecompose``'s checks and leaves one row
+    of each table; only lag 0 keeps its matrix, as ``equal_time_matrix``.
+    No eigenvectors are kept.
     """
     tau_max = int(tau_max)
     if tau_max < 0:
@@ -167,20 +152,17 @@ def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     if tau_max > length // 2:
         raise LagTooLarge(f"tau_max {tau_max} exceeds half the record (L={length})")
     equal_time_matrix = lag_corr(g, 0)
-    equal_time = eigendecompose(equal_time_matrix)
-    eigenvalues = np.empty((tau_max + 1, g.n_series))
-    iprs = np.empty_like(eigenvalues)
-    eigenvalues[0], iprs[0] = equal_time.eigenvalues, equal_time.iprs
     if uses_block_path(*g.returns.shape):
         lagged = block_lag_corrs(g, tau_max)
     else:
         lagged = (lag_corr(g, k) for k in range(1, tau_max + 1))
-    for k, matrix in enumerate(lagged, start=1):
+    eigenvalues = np.empty((tau_max + 1, g.n_series))
+    iprs = np.empty_like(eigenvalues)
+    for k, matrix in enumerate(chain([equal_time_matrix], lagged)):
         system = eigendecompose(matrix)
         eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
     return StroboscopicSequence(
-        eigenvalues=eigenvalues, iprs=iprs,
-        equal_time_matrix=equal_time_matrix, equal_time=equal_time,
+        eigenvalues=eigenvalues, iprs=iprs, equal_time_matrix=equal_time_matrix
     )
 
 
@@ -189,27 +171,32 @@ def default_watch(n: int) -> tuple[int, ...]:
     return tuple(sorted({1, n // 2, n - 1}))
 
 
+def check_position(position: int, n: int) -> int:
+    """``position`` as an int, or IndexOutOfRange if it is outside 0..n-1."""
+    position = int(position)
+    if not 0 <= position < n:
+        raise IndexOutOfRange(f"position {position} outside 0..{n - 1}")
+    return position
+
+
 def trajectory(
     seq: StroboscopicSequence, kind: TrajectoryKind, position: int
-) -> Trajectory:
-    """Extract the lag trajectory of one sorted spectral position.
+) -> np.ndarray:
+    """The lag trajectory of one sorted spectral position: column
+    ``position`` of the eigenvalue or IPR table over lags 1..tau_max.
 
-    Covers lags 1..tau_max; the lowest position shows secular drift in lag
-    and is excluded from default period reports, but stays extractable.
+    The lowest position shows secular drift in lag and is excluded from
+    default period reports, but stays extractable.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    position = int(position)
-    if not 0 <= position < seq.n:
-        raise IndexOutOfRange(
-            f"position {position} outside 0..{seq.n - 1}"
-        )
+    position = check_position(position, seq.n)
     table = seq.eigenvalues if kind == "eigenvalue" else seq.iprs
-    return Trajectory(kind=kind, position=position, values=table[1:, position])
+    return table[1:, position]
 
 
 def power_spectrum(
-    traj: Trajectory, detrend: Literal["none", "mean"] = "mean"
+    values: np.ndarray, detrend: Literal["none", "mean"] = "mean"
 ) -> PowerSpectrum:
     """Squared-magnitude DFT of a trajectory with peak detection.
 
@@ -217,7 +204,7 @@ def power_spectrum(
     step.  The transform is rectangular (no window), a plain FFT of the
     trajectory.
     """
-    values = traj.values
+    values = np.asarray(values, dtype=float)
     m = values.shape[0]
     if m < MIN_SPECTRUM_LEN:
         raise TooShort(
@@ -361,11 +348,11 @@ def compare_spectra(
     return ResonanceReport(entries=tuple(entries))
 
 
-def write_trajectory_csv(traj: Trajectory, path: Union[str, Path]) -> None:
+def write_trajectory_csv(values: np.ndarray, path: Union[str, Path]) -> None:
     """CSV export: header ``tau,value``, one row per lag 1..tau_max."""
     with open(path, "w") as handle:
         handle.write("tau,value\n")
-        for tau, value in enumerate(traj.values, start=1):
+        for tau, value in enumerate(values, start=1):
             handle.write(f"{tau},{value:.17g}\n")
 
 

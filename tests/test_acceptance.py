@@ -77,7 +77,7 @@ def battery():
         counts = synth_generate(cfg)
         seq = sweep(returns_from_counts(counts), TAU_MAX)
         spectrum = power_spectrum(trajectory(seq, "eigenvalue", N - 1), "mean")
-        parts = segment(seq.equal_time, bounds)
+        parts = segment(seq.eigenvalues[0], bounds)
         instances.append(Instance(seed, counts, seq, spectrum, parts.random))
     return instances
 
@@ -99,7 +99,7 @@ def test_a1_rmt_null_model():
     for seed in range(20):
         g = iid_returns(N, LENGTH, seed=seed)
         system = eigendecompose(equal_time_corr(g))
-        parts = segment(system, bounds)
+        parts = segment(system.eigenvalues, bounds)
         fractions.append(len(parts.random) / N)
         medians.append(float(np.median(system.iprs)))
     elapsed = time.monotonic() - start
@@ -179,11 +179,11 @@ def test_a4_noise_destruction(battery, noise_injected):
         drop3 = power_near(inst.spectrum_before, 3.0) / power_near(spec_after, 3.0)
         drop6 = power_near(inst.spectrum_before, 6.0) / power_near(spec_after, 6.0)
         var_before = [
-            np.var(trajectory(inst.seq_before, "eigenvalue", p).values)
+            np.var(trajectory(inst.seq_before, "eigenvalue", p))
             for p in inst.random_positions
         ]
         var_after = [
-            np.var(trajectory(seq_after, "eigenvalue", p).values)
+            np.var(trajectory(seq_after, "eigenvalue", p))
             for p in inst.random_positions
         ]
         ratio = float(np.median(var_after) / np.median(var_before))
@@ -282,7 +282,7 @@ def test_a7_numerical_oracles(battery):
         a = rng.uniform(-0.5, 0.5, size=(16, 16))
         sym = (a + a.T) / 2.0
         d = LagCorrMatrix(
-            lag=1, n=16, values=np.triu(sym) + np.triu(sym, 1).T,
+            lag=1, values=np.triu(sym) + np.triu(sym, 1).T,
         )
         system = eigendecompose(d)
         resid = d.values @ system.eigenvectors - system.eigenvectors * system.eigenvalues
@@ -291,7 +291,7 @@ def test_a7_numerical_oracles(battery):
     # power spectrum vs direct O(M^2) DFT, and Parseval
     traj = trajectory(inst.seq_before, "eigenvalue", N - 1)
     spectrum = power_spectrum(traj, "mean")
-    detrended = traj.values - traj.values.mean()
+    detrended = traj - traj.mean()
     oracle = dft_power_oracle(detrended)
     dft_err = float(np.max(np.abs(spectrum.power - oracle)) / oracle.max())
     assert dft_err <= 1e-9

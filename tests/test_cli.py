@@ -245,6 +245,24 @@ class TestAnalyze:
         assert "ConfigInvalid: --watch names position 4 twice" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inj.json"]
 
+    def test_more_series_than_returns_exits_1_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps({"n_series": 40, "length": 30}))
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran before the aspect ratio was checked")
+
+        monkeypatch.setattr(lagspec.cli, "sweep", no_sweep)
+        out = tmp_path / "run"
+        assert run_cli(
+            "analyze", "--synth", str(cfg_path), "--tau-max", "10", "--out", str(out)
+        ) == 1
+        err = capsys.readouterr().err
+        assert "DegenerateAspect: effective length 29 must exceed dimension 40" in err
+        assert not out.exists()
+
     def test_integer_baseline_beyond_floats_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text('{"n_series": 4, "length": 20, "baseline": 1' + "0" * 400 + "}")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lagspec import (
     DegenerateAspect,
-    EigenSystem,
     LagCorrMatrix,
     NotNormalized,
     eigendecompose,
@@ -26,12 +25,12 @@ def symmetric_matrix(n: int, seed: int, lag: int = 1) -> LagCorrMatrix:
     a = rng.uniform(-0.5, 0.5, size=(n, n))
     sym = (a + a.T) / 2.0
     values = np.triu(sym) + np.triu(sym, 1).T
-    return LagCorrMatrix(lag=lag, n=n, values=values)
+    return LagCorrMatrix(lag=lag, values=values)
 
 
 class TestEigendecompose:
     def test_identity_matrix(self):
-        d = LagCorrMatrix(lag=0, n=5, values=np.eye(5))
+        d = LagCorrMatrix(lag=0, values=np.eye(5))
         es = eigendecompose(d)
         assert np.allclose(es.eigenvalues, 1.0, atol=1e-14)
         assert np.allclose(es.eigenvectors.T @ es.eigenvectors, np.eye(5), atol=1e-10)
@@ -39,7 +38,7 @@ class TestEigendecompose:
     def test_two_by_two_closed_form(self):
         rho = 0.6
         d = LagCorrMatrix(
-            lag=0, n=2, values=np.array([[1.0, rho], [rho, 1.0]]),
+            lag=0, values=np.array([[1.0, rho], [rho, 1.0]]),
         )
         es = eigendecompose(d)
         assert es.eigenvalues == pytest.approx([0.4, 1.6], abs=1e-12)
@@ -152,39 +151,28 @@ class TestRmtBounds:
 
 
 class TestSegment:
-    def _system(self, eigenvalues):
-        n = len(eigenvalues)
-        return EigenSystem(
-            lag=0,
-            eigenvalues=np.asarray(eigenvalues, dtype=float),
-            eigenvectors=np.eye(n),
-            iprs=np.ones(n),
-        )
-
     def _bounds(self):
         return rmt_bounds(497, 2015)  # approximately (0.2534, 2.2399)
 
     def test_all_random_when_inside(self):
-        parts = segment(self._system([1.0, 1.0, 1.0]), self._bounds())
+        parts = segment([1.0, 1.0, 1.0], self._bounds())
         assert parts.left == () and parts.right == ()
         assert parts.random == (0, 1, 2)
 
     def test_three_way_split(self):
-        parts = segment(self._system([0.1, 1.0, 3.0]), self._bounds())
+        parts = segment([0.1, 1.0, 3.0], self._bounds())
         assert parts.left == (0,)
         assert parts.random == (1,)
         assert parts.right == (2,)
 
     def test_boundary_values_count_as_random(self):
         b = self._bounds()
-        parts = segment(
-            self._system([b.lambda_minus, b.lambda_plus]), b
-        )
+        parts = segment([b.lambda_minus, b.lambda_plus], b)
         assert parts.random == (0, 1)
 
     def test_partition_property(self, gaussian_returns_64):
         es = eigendecompose(equal_time_corr(gaussian_returns_64))
-        parts = segment(es, rmt_bounds(64, 2048))
+        parts = segment(es.eigenvalues, rmt_bounds(64, 2048))
         merged = sorted(parts.left + parts.random + parts.right)
         assert merged == list(range(64))
 
@@ -193,7 +181,7 @@ class TestSegment:
         for seed in range(5):
             g = iid_returns(64, 2048, seed=seed)
             es = eigendecompose(equal_time_corr(g))
-            parts = segment(es, bounds)
+            parts = segment(es.eigenvalues, bounds)
             assert len(parts.random) >= 0.9 * 64
 
     def test_iid_median_ipr_delocalized(self):

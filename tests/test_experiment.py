@@ -8,9 +8,11 @@ from scipy.signal import lfilter
 from lagspec import (
     ConfigInvalid,
     CountMatrix,
+    IndexOutOfRange,
     InjectionSpec,
     SYNTH_PRESETS,
     SynthConfig,
+    TooShort,
     UnknownSeries,
     WindowOutOfRange,
     default_targets,
@@ -143,7 +145,7 @@ class TestSynthGenerate:
         for seed in range(3):
             cfg = SynthConfig(n_series=64, length=2049, n_drivers=0, seed=seed)
             g = returns_from_counts(synth_generate(cfg))
-            parts = segment(eigendecompose(equal_time_corr(g)), bounds)
+            parts = segment(eigendecompose(equal_time_corr(g)).eigenvalues, bounds)
             assert len(parts.random) >= 0.9 * 64
 
     def test_weak_coupling_degrades_to_background(self):
@@ -152,7 +154,7 @@ class TestSynthGenerate:
             n_series=64, length=2049, n_drivers=4, coupling=0.02, seed=5
         )
         g = returns_from_counts(synth_generate(cfg))
-        parts = segment(eigendecompose(equal_time_corr(g)), bounds)
+        parts = segment(eigendecompose(equal_time_corr(g)).eigenvalues, bounds)
         assert len(parts.random) >= 0.9 * 64
 
     def test_drivers_put_planted_periods_on_top(self):
@@ -369,7 +371,7 @@ class TestRunExperiment:
         spec = InjectionSpec(kind="noise", target_ids=())
         report = run_experiment(counts, spec, tau_max=40, watch_positions=[15])
         for watch in report.watches:
-            assert np.array_equal(watch.before.values, watch.after.values)
+            assert np.array_equal(watch.before, watch.after)
             assert np.array_equal(
                 watch.spectrum_before.power, watch.spectrum_after.power
             )
@@ -399,6 +401,30 @@ class TestRunExperiment:
         assert {w.position for w in report.watches} == {1, 8, 15}
         assert {w.kind for w in report.watches} == {"eigenvalue", "ipr"}
 
+    @pytest.mark.parametrize(
+        "watch, tau_max, error, message",
+        [
+            ([3, 99], 20, IndexOutOfRange, "position 99 outside 0..15"),
+            ([-1], 20, IndexOutOfRange, "position -1 outside 0..15"),
+            ([3, 5, 3], 20, ConfigInvalid, "watch position 3 is named twice"),
+            ([3], 5, TooShort, "tau_max 5 gives trajectories of 5 samples"),
+        ],
+    )
+    def test_bad_arguments_fail_before_any_work(
+        self, monkeypatch, watch, tau_max, error, message
+    ):
+        import lagspec.experiment
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the arguments were checked")
+
+        monkeypatch.setattr(lagspec.experiment, "sweep", no_work)
+        monkeypatch.setattr(lagspec.experiment, "inject", no_work)
+        counts = synth_generate(SYNTH_PRESETS["small"])
+        spec = InjectionSpec(kind="noise", target_ids=("s001",))
+        with pytest.raises(error, match=message):
+            run_experiment(counts, spec, tau_max, watch_positions=watch)
+
     @pytest.mark.parametrize("kind", ["noise", "periodic"])
     def test_random_segment_statistically_unchanged(self, kind):
         """Either injection type leaves the random segment's trajectories
@@ -426,11 +452,11 @@ class TestRunExperiment:
                     period=900.0, modulation_depth=0.5, seed=seed,
                 )
             seq_a = sweep(returns_from_counts(inject(cm, spec)), 100)
-            parts = segment(seq_b.equal_time, bounds)
+            parts = segment(seq_b.eigenvalues[0], bounds)
             random_sets.append(set(parts.random))
             for p in parts.random:
-                var_before[p] += np.var(trajectory(seq_b, "eigenvalue", p).values)
-                var_after[p] += np.var(trajectory(seq_a, "eigenvalue", p).values)
+                var_before[p] += np.var(trajectory(seq_b, "eigenvalue", p))
+                var_after[p] += np.var(trajectory(seq_a, "eigenvalue", p))
         common = sorted(set.intersection(*random_sets))
         ratios = var_after[common] / var_before[common]
         assert 1.0 / 3.0 < np.median(ratios) < 3.0

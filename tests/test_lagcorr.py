@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagspec import LagTooLarge, equal_time_corr, lag_corr, normalize, write_matrix_csv
+from lagspec import (
+    LagCorrMatrix,
+    LagTooLarge,
+    ParseError,
+    equal_time_corr,
+    lag_corr,
+    normalize,
+    write_matrix_csv,
+)
 from lagspec.lagcorr import block_lag_corrs, uses_block_path
 
 from conftest import iid_returns, lag_corr_oracle
@@ -107,6 +115,11 @@ class TestLagCorr:
         d = lag_corr(gaussian_returns_64, 17)
         assert d.lag == 17
         assert d.n == 64
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+    def test_values_must_be_square(self, shape):
+        with pytest.raises(ParseError, match="values must be square"):
+            LagCorrMatrix(lag=1, values=np.zeros(shape))
 
 
 class TestBlockPath:

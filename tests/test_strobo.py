@@ -14,7 +14,6 @@ from lagspec import (
     PowerSpectrum,
     StroboscopicSequence,
     TooShort,
-    Trajectory,
     characteristic_periods,
     compare_spectra,
     eigendecompose,
@@ -32,12 +31,12 @@ from lagspec.strobo import _local_maxima
 from conftest import dft_power_oracle, iid_returns, two_sided_power_sum
 
 
-def tone_trajectory(periods_amps, length=100, kind="eigenvalue", position=0):
+def tone_trajectory(periods_amps, length=100):
     t = np.arange(1, length + 1, dtype=float)
     values = np.zeros(length)
     for period, amp in periods_amps:
         values += amp * np.cos(2.0 * np.pi * t / period)
-    return Trajectory(kind=kind, position=position, values=values)
+    return values
 
 
 class TestSweep:
@@ -46,7 +45,6 @@ class TestSweep:
         seq = sweep(g, 0)
         assert seq.tau_max == 0
         assert seq.eigenvalues.shape == seq.iprs.shape == (1, 4)
-        assert seq.equal_time.lag == 0
 
     def test_full_sweep_spans_all_lags(self):
         g = iid_returns(8, 256, seed=1)
@@ -67,9 +65,6 @@ class TestSweep:
         short = sweep(g, short_tau)
         assert np.array_equal(long.eigenvalues[:short_tau + 1], short.eigenvalues)
         assert np.array_equal(long.iprs[:short_tau + 1], short.iprs)
-        assert np.array_equal(
-            long.equal_time.eigenvectors, short.equal_time.eigenvectors
-        )
         from lagspec import lag_corr
 
         for k in (1, short_tau, short_tau + 1, long_tau):
@@ -86,9 +81,6 @@ class TestSweep:
             assert np.array_equal(seq.eigenvalues[k], system.eigenvalues)
             assert np.array_equal(seq.iprs[k], system.iprs)
             if k == 0:
-                assert np.array_equal(
-                    seq.equal_time.eigenvectors, system.eigenvectors
-                )
                 assert np.array_equal(seq.equal_time_matrix.values, lag_corr(g, 0).values)
 
     @pytest.mark.parametrize(
@@ -108,12 +100,12 @@ class TestSweep:
         from lagspec import EigenSystem, LagCorrMatrix
 
         lags, solved = [], []
-        system = EigenSystem(lag=0, eigenvalues=np.ones(n), eigenvectors=np.eye(n),
+        system = EigenSystem(eigenvalues=np.ones(n), eigenvectors=np.eye(n),
                              iprs=np.ones(n))
 
         def counting(g, lag):
             lags.append(lag)
-            return LagCorrMatrix(lag=lag, n=n, values=np.eye(n))
+            return LagCorrMatrix(lag=lag, values=np.eye(n))
 
         def solve(d):
             solved.append(d.lag)
@@ -181,9 +173,9 @@ class TestSweep:
             g = iid_returns(16, 1024, seed=seed)
             seq = sweep(g, 20)
             for pos in (7, 8):
-                mid.append(np.var(trajectory(seq, "eigenvalue", pos).values))
+                mid.append(np.var(trajectory(seq, "eigenvalue", pos)))
             for pos in (0, 15):
-                edge.append(np.var(trajectory(seq, "eigenvalue", pos).values))
+                edge.append(np.var(trajectory(seq, "eigenvalue", pos)))
         ratio = np.mean(mid) / np.mean(edge)
         assert 1.0 / 3.0 < ratio < 3.0
 
@@ -193,22 +185,22 @@ class TestTrajectory:
         g = iid_returns(8, 256, seed=7)
         seq = sweep(g, 10)
         traj = trajectory(seq, "eigenvalue", 7)
-        assert traj.values.shape == (10,)
+        assert traj.shape == (10,)
         for tau in range(1, 11):
-            assert traj.values[tau - 1] == seq.eigenvalues[tau, 7]
+            assert traj[tau - 1] == seq.eigenvalues[tau, 7]
             assert seq.eigenvalues[tau, 7] == max(seq.eigenvalues[tau])
 
     def test_lowest_position_extractable(self):
         g = iid_returns(8, 256, seed=8)
         seq = sweep(g, 10)
         traj = trajectory(seq, "eigenvalue", 0)
-        assert traj.position == 0
+        assert np.array_equal(traj, seq.eigenvalues[1:, 0])
 
     def test_ipr_kind(self):
         g = iid_returns(8, 256, seed=9)
         seq = sweep(g, 10)
         traj = trajectory(seq, "ipr", 3)
-        assert traj.values[4] == seq.iprs[5, 3]
+        assert traj[4] == seq.iprs[5, 3]
 
     def test_constant_sequence_gives_constant_trajectory(self):
         g = iid_returns(5, 64, seed=10)
@@ -218,20 +210,17 @@ class TestTrajectory:
             eigenvalues=np.tile(base.eigenvalues, (6, 1)),
             iprs=np.tile(base.iprs, (6, 1)),
             equal_time_matrix=d0,
-            equal_time=base,
         )
         traj = trajectory(seq, "eigenvalue", 2)
-        assert np.all(traj.values == traj.values[0])
+        assert np.all(traj == traj[0])
 
     def test_tables_must_match_equal_time_dimension(self):
         d0 = equal_time_corr(iid_returns(5, 64, seed=10))
-        base = eigendecompose(d0)
-        with pytest.raises(ValueError, match="lag-0 system"):
+        with pytest.raises(ValueError, match="lag-0 matrix"):
             StroboscopicSequence(
                 eigenvalues=np.zeros((3, 4)),
                 iprs=np.zeros((3, 4)),
                 equal_time_matrix=d0,
-                equal_time=base,
             )
 
     def test_position_out_of_range(self):
@@ -249,7 +238,7 @@ class TestTrajectory:
 
 class TestPowerSpectrum:
     def test_constant_trajectory_all_power_at_zero(self):
-        traj = Trajectory("eigenvalue", 0, np.full(32, 2.5))
+        traj = np.full(32, 2.5)
         spec = power_spectrum(traj, "none")
         assert np.argmax(spec.power) == 0
         assert spec.power[0] == pytest.approx((32 * 2.5) ** 2)
@@ -268,13 +257,13 @@ class TestPowerSpectrum:
         for kind in ("eigenvalue", "ipr"):
             traj = trajectory(seq, kind, 5)
             spec = power_spectrum(traj, "mean")
-            oracle = dft_power_oracle(traj.values - traj.values.mean())
+            oracle = dft_power_oracle(traj - traj.mean())
             scale = oracle.max()
             assert np.max(np.abs(spec.power - oracle)) <= 1e-9 * scale
 
     def test_frequency_grid(self):
         for m in (8, 9, 100):
-            traj = Trajectory("eigenvalue", 0, np.random.default_rng(m).random(m))
+            traj = np.random.default_rng(m).random(m)
             spec = power_spectrum(traj, "mean")
             assert spec.frequencies.shape == (m // 2 + 1,)
             assert spec.frequencies[0] == 0.0
@@ -283,19 +272,19 @@ class TestPowerSpectrum:
     def test_parseval(self):
         for m in (64, 99, 100):
             rng = np.random.default_rng(m)
-            traj = Trajectory("eigenvalue", 0, rng.standard_normal(m))
+            traj = rng.standard_normal(m)
             for detrend in ("none", "mean"):
                 spec = power_spectrum(traj, detrend)
-                x = traj.values - traj.values.mean() if detrend == "mean" else traj.values
+                x = traj - traj.mean() if detrend == "mean" else traj
                 total = two_sided_power_sum(spec.power, m)
                 assert total == pytest.approx(m * np.sum(x**2), rel=1e-6)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            power_spectrum(Trajectory("eigenvalue", 0, np.ones(7)), "mean")
+            power_spectrum(np.ones(7), "mean")
 
     def test_bad_options(self):
-        traj = Trajectory("eigenvalue", 0, np.ones(16))
+        traj = np.ones(16)
         with pytest.raises(ValueError):
             power_spectrum(traj, "linear")
 
@@ -350,7 +339,7 @@ class TestCharacteristicPeriods:
         assert periods[0][1] > periods[1][1]
 
     def test_flat_spectrum_returns_empty(self):
-        traj = Trajectory("eigenvalue", 0, np.full(32, 1.0))
+        traj = np.full(32, 1.0)
         spec = power_spectrum(traj, "mean")
         assert characteristic_periods(spec, top_n=3) == []
 
@@ -417,7 +406,7 @@ def test_csv_exports(tmp_path):
     tdata = np.loadtxt(tpath, delimiter=",", skiprows=1)
     assert tdata.shape == (30, 2)
     assert np.array_equal(tdata[:, 0], np.arange(1, 31))
-    assert np.array_equal(tdata[:, 1], traj.values)
+    assert np.array_equal(tdata[:, 1], traj)
     sdata = np.loadtxt(spath, delimiter=",", skiprows=1)
     assert np.array_equal(sdata[:, 0], spec.frequencies)
     assert np.array_equal(sdata[:, 1], spec.power)
