@@ -15,6 +15,9 @@ _RESIDUAL_FACTOR = 1e-10  # max ||D u - lambda u|| allowed, relative to ||D||_F
 _NORM_TOL = 1e-8
 _ORTHO_TOL = 1e-8
 _RESIDUAL_ROWS = 64  # rows of U diag(vals) formed at a time
+# ascending eigenvalues at most this far apart, relative to ||D||_F, form one
+# degenerate cluster: 100 times the residual bound
+_CLUSTER_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,14 @@ class SpectrumSegmentation:
 def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
     """Solve the symmetric eigenproblem for one lagged correlation matrix.
 
+    Ascending eigenvalues whose consecutive gaps are at most 1e-8 times the
+    Frobenius norm chain into a degenerate cluster.  Rounding picks the
+    eigenvectors within a cluster's span, so each member of a cluster of
+    m >= 2 gets the IPR of the span rather than of its own vector: the
+    expected IPR of a uniformly random unit vector in the span,
+    ``3 * sum_i P_ii**2 / (m * (m + 2))`` with ``P`` the projector onto it.
+    A singleton's IPR is that of its vector, ``sum_i u_i**4``.
+
     Raises ConvergenceFailure, naming the lag, if the solver fails, the
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
     norm, the eigenvalues miss the trace, or the result fails EigenSystem's
@@ -120,6 +131,7 @@ def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
         )
 
     iprs = _column_iprs(vecs)
+    _cluster_iprs(vals, vecs, iprs, _CLUSTER_GAP * frob)
     try:
         return EigenSystem(eigenvalues=vals, eigenvectors=vecs, iprs=iprs)
     except ValueError as exc:
@@ -130,6 +142,24 @@ def _column_iprs(vecs: np.ndarray) -> np.ndarray:
     """Sum of fourth powers down each column."""
     sq = vecs * vecs
     return np.einsum("ij,ij->j", sq, sq)
+
+
+def _cluster_iprs(vals: np.ndarray, vecs: np.ndarray, iprs: np.ndarray,
+                  gap: float) -> None:
+    """Overwrite, in ``iprs``, each member of a run of ascending eigenvalues
+    with consecutive gaps at most ``gap`` by the IPR of the run's span.
+    ``P_ii = sum_{k in run} U_ik**2`` depends on the span only."""
+    close = np.flatnonzero(np.diff(vals) <= gap)
+    if not close.size:
+        return
+    # a run of close gaps i..j joins positions i..j+1
+    starts = close[np.r_[True, np.diff(close) > 1]]
+    ends = close[np.r_[np.diff(close) > 1, True]] + 2
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        span = vecs[:, lo:hi]
+        p = np.einsum("ik,ik->i", span, span)
+        m = hi - lo
+        iprs[lo:hi] = 3.0 * float(p @ p) / (m * (m + 2))
 
 
 def ipr(vector: np.ndarray) -> float:

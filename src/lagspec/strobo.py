@@ -1,8 +1,9 @@
 """Lag sweep of eigenvalues and IPRs, their trajectories, and their power
 spectra.
 
-The sweep solves lags 0..tau_max in order and keeps two tables, eigenvalues
-and IPRs with one row per lag, plus the equal-time matrix.
+The sweep solves lags 0..tau_max, several at once where BLAS threads allow
+(see ``sweep``), and keeps two tables, eigenvalues and IPRs with one row per
+lag, plus the equal-time matrix.
 A trajectory is one column of a table over lags 1..tau_max, a plain 1-D
 array: the equal-time row carries the trivial autocorrelation spike and is
 excluded from spectra, though it stays available in the tables.  Eigenvalues
@@ -10,13 +11,17 @@ are identified by sorted position, not by eigenvector continuity.
 """
 from __future__ import annotations
 
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Literal, Sequence, Union
+from typing import Callable, Iterator, Literal, Sequence, Union
 
 import numpy as np
 
+from . import _blas
 from .eigensys import eigendecompose
 from .errors import (
     IndexOutOfRange,
@@ -137,13 +142,28 @@ class ResonanceReport:
 def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     """Eigen-decompose the lagged correlation matrix at every lag 0..tau_max.
 
-    Lags are solved in order; BLAS threads are the only parallelism.  Lag 0
-    is ``lag_corr(g, 0)``.  Lags 1..tau_max come from one ``lag_corr`` per
-    lag, or, for a long record (``uses_block_path``, decided from N and L
-    only), from ``block_lag_corrs``.  Every lag passes all of
+    Lag 0 is ``lag_corr(g, 0)``.  Lags 1..tau_max come from one ``lag_corr``
+    per lag, or, for a long record (``uses_block_path``, decided from N and
+    L only), from ``block_lag_corrs``.  Every lag passes all of
     ``LagCorrMatrix``'s and ``eigendecompose``'s checks and leaves one row
     of each table; only lag 0 keeps its matrix, as ``equal_time_matrix``.
     No eigenvectors are kept.
+
+    Parallelism (``_split``): the thread budget T is the OpenBLAS thread
+    count at entry.  W lags are solved at once, each with T // W BLAS
+    threads, and the count is restored on exit.  W is at most T and
+    tau_max + 1, and the lags in flight beyond the first may hold at most
+    half the bytes of the returns, at about 5 N^2 floats each (the matrix,
+    ``eigh``'s copy and workspace, the eigenvectors): a wide record such as
+    512 x 4096 is solved one lag at a time, at T BLAS threads.  So is a
+    record on the block path: its kernel builds the lags in batches while
+    the next lag is taken, so further workers would wait on it while it ran
+    at T // W threads (on the 64 x 32768 benchmark record, 2 cores, W = 2
+    cost 9% of the run's wall time).  Where numpy's bundled OpenBLAS is not
+    found, W = 1 and nothing is pinned.  Each lag's arithmetic depends on
+    T // W only, never on which worker solves it.  The first failure stops
+    workers from taking new lags; the error raised is that of the lowest
+    failing lag, as in a serial sweep.
     """
     tau_max = int(tau_max)
     if tau_max < 0:
@@ -151,19 +171,92 @@ def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     length = g.returns.shape[1]
     if tau_max > length // 2:
         raise LagTooLarge(f"tau_max {tau_max} exceeds half the record (L={length})")
-    equal_time_matrix = lag_corr(g, 0)
-    if uses_block_path(*g.returns.shape):
-        lagged = block_lag_corrs(g, tau_max)
-    else:
-        lagged = (lag_corr(g, k) for k in range(1, tau_max + 1))
+    workers, blas_threads = _split(g, tau_max)
     eigenvalues = np.empty((tau_max + 1, g.n_series))
     iprs = np.empty_like(eigenvalues)
-    for k, matrix in enumerate(chain([equal_time_matrix], lagged)):
-        system = eigendecompose(matrix)
-        eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
+    with _blas.threads(blas_threads) if workers > 1 else nullcontext():
+        equal_time_matrix = lag_corr(g, 0)
+        # a direct lag's GEMM runs when its builder is called, outside the
+        # lock; the block kernel is a generator, so it runs when the next
+        # builder is taken
+        if uses_block_path(*g.returns.shape):
+            lagged = map(_built, block_lag_corrs(g, tau_max))
+        else:
+            lagged = (partial(lag_corr, g, k) for k in range(1, tau_max + 1))
+        _solve_rows(chain([_built(equal_time_matrix)], lagged), eigenvalues, iprs, workers)
     return StroboscopicSequence(
         eigenvalues=eigenvalues, iprs=iprs, equal_time_matrix=equal_time_matrix
     )
+
+
+def _split(g: ReturnMatrix, tau_max: int) -> tuple[int, int | None]:
+    """Lags solved at once by ``sweep`` and BLAS threads per lag: (W, T // W)
+    for the thread budget T, which is None where it cannot be read."""
+    total = _blas.thread_count()
+    n, length = g.returns.shape
+    if total is None or uses_block_path(n, length):
+        return 1, total
+    workers = min(total, tau_max + 1, 1 + (g.returns.nbytes // 2) // (40 * n * n))
+    return workers, total // workers
+
+
+def _built(matrix: LagCorrMatrix) -> Callable[[], LagCorrMatrix]:
+    return lambda: matrix
+
+
+def _solve_rows(
+    builders: Iterator[Callable[[], LagCorrMatrix]],
+    eigenvalues: np.ndarray,
+    iprs: np.ndarray,
+    workers: int,
+) -> None:
+    """Build and solve the k-th matrix of ``builders`` into row k of both
+    tables, on ``workers`` threads, the calling one included.
+
+    Builders are taken in order under a lock, then called and solved
+    outside it.  The first failure, in taking, building or solving, stops
+    the taking; once the lags in flight are done, the failure of the
+    lowest lag is raised.  Every lag below it was taken, so that is the
+    failure a serial loop meets first.
+    """
+    lock = threading.Lock()
+    stop = threading.Event()
+    failures: dict[int, Exception] = {}
+    taken = 0
+
+    def work() -> None:
+        nonlocal taken
+        while not stop.is_set():
+            with lock:
+                k = taken
+                try:
+                    build = next(builders, None)
+                except Exception as exc:  # raised in the caller below
+                    failures[k] = exc
+                    stop.set()
+                    return
+                if build is None:
+                    return
+                taken += 1
+            try:
+                system = eigendecompose(build())
+            except Exception as exc:  # raised in the caller below
+                failures[k] = exc
+                stop.set()
+                return
+            eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
 
 
 def default_watch(n: int) -> tuple[int, ...]:

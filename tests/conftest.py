@@ -9,17 +9,32 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from lagspec import ReturnMatrix, normalize
+from lagspec import ReturnMatrix, _blas, normalize
+from lagspec.strobo import _split
 
 
 def iid_returns(n: int, length: int, seed: int) -> ReturnMatrix:
     """Normalized i.i.d. Gaussian return rows."""
     rng = np.random.default_rng(seed)
     return normalize(rng.standard_normal((n, length)))
+
+
+needs_openblas = pytest.mark.skipif(
+    _blas.thread_count() is None, reason="numpy's bundled OpenBLAS not found"
+)
+
+
+def sweep_blas(g: ReturnMatrix, tau_max: int):
+    """A context that runs BLAS at the threads per lag that ``sweep(g,
+    tau_max)`` uses, so that solves made in it match the sweep's bit for
+    bit."""
+    _workers, blas_threads = _split(g, tau_max)
+    return nullcontext() if blas_threads is None else _blas.threads(blas_threads)
 
 
 def lag_corr_oracle(returns: np.ndarray, lag: int) -> np.ndarray:

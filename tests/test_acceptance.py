@@ -41,6 +41,7 @@ from conftest import (
     digest_run_dir,
     dft_power_oracle,
     iid_returns,
+    sweep_blas,
     two_sided_power_sum,
 )
 
@@ -255,14 +256,16 @@ def test_a7_numerical_oracles(battery):
     """A7: eigen residuals, trace identities, brute-force DFT agreement and
     Parseval's identity at their stated tolerances."""
     # residual and trace identity at every lag of the sweep, on systems
-    # solved afresh whose eigenvalues and IPRs equal the sweep's rows exactly
+    # solved afresh, at the sweep's BLAS threads per lag, whose eigenvalues
+    # and IPRs equal the sweep's rows exactly
     inst = battery[0]
     g = returns_from_counts(inst.counts)
     worst_resid = 0.0
     worst_trace = 0.0
     for lag in range(inst.seq_before.tau_max + 1):
-        d = lag_corr(g, lag)
-        system = eigendecompose(d)
+        with sweep_blas(g, inst.seq_before.tau_max):
+            d = lag_corr(g, lag)
+            system = eigendecompose(d)
         assert np.array_equal(inst.seq_before.eigenvalues[lag], system.eigenvalues)
         assert np.array_equal(inst.seq_before.iprs[lag], system.iprs)
         resid = d.values @ system.eigenvectors - system.eigenvectors * system.eigenvalues

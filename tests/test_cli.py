@@ -897,11 +897,15 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
+    """Importing the CLI loads neither scipy nor concurrent.futures, and
+    does not look up OpenBLAS: each would show in every run's set-up."""
     src = str(Path(lagspec.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
-        "import lagspec.cli, sys; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        "import json, sys, lagspec.cli, lagspec._blas; "
+        "print(json.dumps(["
+        "[m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')], "
+        "lagspec._blas._functions.cache_info().misses]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -910,4 +914,4 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == [[], 0]

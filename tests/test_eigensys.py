@@ -17,6 +17,8 @@ from lagspec import (
     segment,
 )
 
+from lagspec.eigensys import _column_iprs
+
 from conftest import iid_returns
 
 
@@ -84,6 +86,70 @@ class TestEigendecompose:
         es = eigendecompose(d)
         for k in range(6):
             assert es.iprs[k] == pytest.approx(ipr(es.eigenvectors[:, k]), abs=1e-14)
+
+
+def planted_cluster(n: int, m: int, lo: int, seed: int, rotation=None) -> tuple:
+    """A lag-1 matrix Q diag(vals) Q^T whose positions lo..lo+m-1 share one
+    eigenvalue, and the cluster columns of Q.  ``rotation`` (m x m,
+    orthogonal) turns those columns first: the matrix is the same but for
+    rounding, which then picks another eigenbasis of the cluster."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.linspace(-0.4, 0.4, n - m + 1)
+    vals = np.concatenate([vals[:lo], np.full(m, vals[lo]), vals[lo + 1:]])
+    if rotation is not None:
+        q[:, lo:lo + m] = q[:, lo:lo + m] @ rotation
+    sym = (q * vals) @ q.T
+    values = np.triu(sym) + np.triu(sym, 1).T
+    return LagCorrMatrix(lag=1, values=values), q[:, lo:lo + m]
+
+
+def span_ipr(basis: np.ndarray) -> float:
+    """Expected IPR of a uniformly random unit vector in the span of the
+    orthonormal columns of ``basis``."""
+    m = basis.shape[1]
+    p = (basis**2).sum(axis=1)
+    return 3.0 * float(p @ p) / (m * (m + 2))
+
+
+class TestDegenerateClusters:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 16),
+        m=st.integers(2, 4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cluster_ipr_ignores_the_basis(self, n, m, data, seed):
+        m = min(m, n)
+        lo = data.draw(st.integers(0, n - m))
+        rng = np.random.default_rng(seed)
+        rotation, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        d, basis = planted_cluster(n, m, lo, seed)
+        d_rot, _ = planted_cluster(n, m, lo, seed, rotation)
+        es, es_rot = eigendecompose(d), eigendecompose(d_rot)
+        cluster = slice(lo, lo + m)
+        expected = span_ipr(basis)
+        assert np.all(np.abs(es.iprs[cluster] - expected) <= 1e-12)
+        assert np.all(np.abs(es_rot.iprs[cluster] - expected) <= 1e-12)
+        # singletons keep the IPR of their own vector, to the bit
+        for es_ in (es, es_rot):
+            own = _column_iprs(es_.eigenvectors)
+            singletons = [*range(lo), *range(lo + m, n)]
+            assert np.array_equal(es_.iprs[singletons], own[singletons])
+
+    def test_close_but_distinct_eigenvalues_stay_singletons(self):
+        # a gap of 1e-6 * ||D||_F, which the solve resolves: no cluster
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 8)))
+        vals = np.linspace(-0.4, 0.4, 8)
+        vals[4] = vals[3] + 1e-6 * np.linalg.norm(vals)
+        sym = (q * vals) @ q.T
+        es = eigendecompose(LagCorrMatrix(lag=1, values=np.triu(sym) + np.triu(sym, 1).T))
+        assert np.array_equal(es.iprs, _column_iprs(es.eigenvectors))
+
+    def test_identity_is_one_cluster(self):
+        es = eigendecompose(LagCorrMatrix(lag=0, values=np.eye(5)))
+        assert np.allclose(es.iprs, 3.0 / 7.0, rtol=0, atol=1e-15)
 
 
 class TestIpr:

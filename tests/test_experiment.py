@@ -19,6 +19,7 @@ from lagspec import (
     eigendecompose,
     equal_time_corr,
     inject,
+    lag_corr,
     load_injection_spec,
     returns_from_counts,
     rmt_bounds,
@@ -28,7 +29,10 @@ from lagspec import (
     synth_generate,
     trajectory,
 )
+from lagspec import _blas
 from lagspec.experiment import _BACKGROUND_PHI, _BACKGROUND_SIGMA
+
+from conftest import needs_openblas
 
 DRIVER_CFG = SynthConfig(
     n_series=64, length=2049, delta_t=300.0, n_drivers=4,
@@ -476,3 +480,44 @@ class TestRunExperiment:
         parsed = json.loads((tmp_path / "report.json").read_text())
         assert parsed["tau_max"] == 40
         assert parsed["watched"][0]["position"] == 15
+
+
+# a periodic injection into 4 background series of the default preset: the
+# targets share their returns to ~3e-15, so each D(tau) has a cluster of 3
+# eigenvalues within ~1e-15 of each other
+PRESET_INJECTION = InjectionSpec(
+    kind="periodic", target_ids=("s020", "s034", "s040", "s052"), period=1200.0,
+    modulation_depth=0.5,
+)
+
+
+@needs_openblas
+class TestAcrossBlasThreads:
+    """Outputs agree within rounding across BLAS thread counts, degenerate
+    positions included."""
+
+    def test_injected_iprs_agree(self):
+        counts = inject(synth_generate(SYNTH_PRESETS["default"]), PRESET_INJECTION)
+        g = returns_from_counts(counts)
+
+        def iprs(threads):
+            with _blas.threads(threads):
+                return np.array([eigendecompose(lag_corr(g, k)).iprs for k in range(21)])
+
+        one, two = iprs(1), iprs(2)
+        assert np.max(np.abs(one - two)) <= 1e-9
+
+    def test_periods_and_classifications_equal(self):
+        counts = synth_generate(SYNTH_PRESETS["default"])
+
+        def experiment(threads):
+            with _blas.threads(threads):
+                return run_experiment(counts, PRESET_INJECTION, 100)
+
+        one, two = experiment(1), experiment(2)
+        for a, b in zip(one.watches, two.watches, strict=True):
+            assert np.allclose(a.after, b.after, rtol=0, atol=1e-9)
+            assert [p for p, _ in a.periods_before] == [p for p, _ in b.periods_before]
+            assert [p for p, _ in a.periods_after] == [p for p, _ in b.periods_after]
+            assert ([e.classification for e in a.resonance.entries]
+                    == [e.classification for e in b.resonance.entries])

@@ -1,6 +1,11 @@
+import sys
+import threading
+import time
+from collections import Counter
+from itertools import chain
+
 import numpy as np
 import pytest
-from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
@@ -18,6 +23,7 @@ from lagspec import (
     compare_spectra,
     eigendecompose,
     equal_time_corr,
+    lag_corr,
     normalize,
     power_spectrum,
     sweep,
@@ -26,9 +32,36 @@ from lagspec import (
     write_trajectory_csv,
 )
 
-from lagspec.strobo import _local_maxima
+from lagspec import _blas
+from lagspec.lagcorr import block_lag_corrs, uses_block_path
+from lagspec.strobo import _built, _local_maxima, _solve_rows, _split
 
-from conftest import dft_power_oracle, iid_returns, two_sided_power_sum
+from conftest import (
+    dft_power_oracle,
+    iid_returns,
+    needs_openblas,
+    sweep_blas,
+    two_sided_power_sum,
+)
+
+
+def faulty_eigh(monkeypatch, matrices, lags, slow=()):
+    """Make np.linalg.eigh return 2x its eigenvectors, which fails the unit
+    norm check, for the matrices of ``matrices`` at ``lags``; at ``slow``
+    lags it first sleeps 0.2 s.  Faults are keyed on the input matrix, so
+    they hold whichever worker solves it."""
+    eigh = np.linalg.eigh
+    matrices = [m for m in matrices if m.lag in lags]
+    faulty = {m.values.tobytes() for m in matrices}
+    sleepy = {m.values.tobytes() for m in matrices if m.lag in slow}
+
+    def doubled_at_lags(a):
+        if a.tobytes() in sleepy:
+            time.sleep(0.2)
+        vals, vecs = eigh(a)
+        return vals, (2.0 if a.tobytes() in faulty else 1.0) * vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", doubled_at_lags)
 
 
 def tone_trajectory(periods_amps, length=100):
@@ -65,19 +98,16 @@ class TestSweep:
         short = sweep(g, short_tau)
         assert np.array_equal(long.eigenvalues[:short_tau + 1], short.eigenvalues)
         assert np.array_equal(long.iprs[:short_tau + 1], short.iprs)
-        from lagspec import lag_corr
-
         for k in (1, short_tau, short_tau + 1, long_tau):
             fresh = eigendecompose(lag_corr(g, k))
             assert np.allclose(long.eigenvalues[k], fresh.eigenvalues, atol=1e-13, rtol=0)
 
     def test_rows_match_fresh_solves_exactly(self):
-        from lagspec import lag_corr
-
         g = iid_returns(8, 256, seed=3)
         seq = sweep(g, 20)
         for k in range(21):
-            system = eigendecompose(lag_corr(g, k))
+            with sweep_blas(g, 20):
+                system = eigendecompose(lag_corr(g, k))
             assert np.array_equal(seq.eigenvalues[k], system.eigenvalues)
             assert np.array_equal(seq.iprs[k], system.iprs)
             if k == 0:
@@ -114,8 +144,9 @@ class TestSweep:
         monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
         seq = sweep(iid_returns(n, length, seed=5), tau_max)
-        assert lags == ([0] if block_path else list(range(tau_max + 1)))
-        assert solved == list(range(tau_max + 1))
+        # each lag built once and solved once, in whatever order
+        assert sorted(lags) == ([0] if block_path else list(range(tau_max + 1)))
+        assert sorted(solved) == list(range(tau_max + 1))
         assert seq.equal_time_matrix.lag == 0
 
     @pytest.mark.parametrize(
@@ -127,16 +158,10 @@ class TestSweep:
             sweep(g, tau_max)
 
     def test_solver_fault_at_a_block_path_lag(self, monkeypatch):
-        eigh, calls = np.linalg.eigh, []
-
-        def doubled_from_lag_34(a):
-            calls.append(1)
-            vals, vecs = eigh(a)
-            return vals, (2.0 if len(calls) > 34 else 1.0) * vecs
-
-        monkeypatch.setattr(np.linalg, "eigh", doubled_from_lag_34)
+        g = iid_returns(8, 6000, seed=4)
+        faulty_eigh(monkeypatch, block_lag_corrs(g, 40), range(34, 41))
         with pytest.raises(ConvergenceFailure, match="at lag 34.*unit norm"):
-            sweep(iid_returns(8, 6000, seed=4), 40)
+            sweep(g, 40)
 
     def test_out_of_range_block_path_matrix_names_the_lag(self):
         # series 0 moves only at t = 0, 2000 and 4000: its lag-2000 self term
@@ -157,8 +182,6 @@ class TestSweep:
             sweep(g, 33)
 
     def test_eigenvalue_sum_matches_trace_at_every_lag(self):
-        from lagspec import lag_corr
-
         g = iid_returns(8, 256, seed=6)
         seq = sweep(g, 20)
         for k, eigenvalues in enumerate(seq.eigenvalues):
@@ -178,6 +201,165 @@ class TestSweep:
                 edge.append(np.var(trajectory(seq, "eigenvalue", pos)))
         ratio = np.mean(mid) / np.mean(edge)
         assert 1.0 / 3.0 < ratio < 3.0
+
+
+# (n, length, tau_max): the direct path, and the block path over two batches
+DIRECT, BLOCK = (8, 256, 20), (8, 6000, 100)
+
+
+def lagged(g, tau_max):
+    """The sweep's matrices of lags 1..tau_max, by either path."""
+    if uses_block_path(*g.returns.shape):
+        return block_lag_corrs(g, tau_max)
+    return (lag_corr(g, k) for k in range(1, tau_max + 1))
+
+
+@needs_openblas
+class TestSweepWorkers:
+    @pytest.mark.parametrize("shape", [DIRECT, BLOCK])
+    def test_tables_bit_equal_for_one_and_two_workers(self, shape):
+        """The worker loop itself, on either path's matrices: at one BLAS
+        thread, one and two workers give the same bytes."""
+        n, length, tau_max = shape
+        g = iid_returns(n, length, seed=12)
+        tables = []
+        for workers in (1, 2):
+            eigenvalues, iprs = np.empty((2, tau_max + 1, n))
+            builders = map(_built, chain([lag_corr(g, 0)], lagged(g, tau_max)))
+            with _blas.threads(1):
+                _solve_rows(builders, eigenvalues, iprs, workers)
+            tables.append((eigenvalues, iprs))
+        assert np.array_equal(tables[0][0], tables[1][0])
+        assert np.array_equal(tables[0][1], tables[1][1])
+
+    def test_sweep_spreads_a_direct_path_record(self):
+        n, length, tau_max = DIRECT
+        g = iid_returns(n, length, seed=12)
+        with _blas.threads(1):
+            assert _split(g, tau_max) == (1, 1)
+            serial = sweep(g, tau_max)
+        with _blas.threads(2):
+            assert _split(g, tau_max) == (2, 1)
+            spread = sweep(g, tau_max)
+        assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
+        assert np.array_equal(serial.iprs, spread.iprs)
+
+    @pytest.mark.parametrize(
+        "n, length, tau_max",
+        [(512, 4096, 30), (64, 32768, 100), BLOCK],  # wide, long benchmark shapes
+    )
+    def test_wide_and_block_path_records_take_one_worker(self, n, length, tau_max):
+        g = iid_returns(n, length, seed=0)
+        with _blas.threads(2):
+            assert _split(g, tau_max) == (1, 2)
+
+    def test_blas_threads_restored(self, monkeypatch):
+        n, length, tau_max = DIRECT
+        g = iid_returns(n, length, seed=13)
+        with _blas.threads(2):
+            sweep(g, tau_max)
+            assert _blas.thread_count() == 2
+            faulty_eigh(monkeypatch, lagged(g, tau_max), {9})
+            with pytest.raises(ConvergenceFailure, match="at lag 9.*unit norm"):
+                sweep(g, tau_max)
+            assert _blas.thread_count() == 2
+
+    def test_lowest_failing_lag_is_raised(self, monkeypatch):
+        n, length, tau_max = DIRECT
+        g = iid_returns(n, length, seed=14)
+        # lag 6 is slow, so lag 7, solved beside it, fails first
+        faulty_eigh(monkeypatch, lagged(g, tau_max), {6, 7, 15, tau_max}, slow={6})
+        with _blas.threads(2):
+            with pytest.raises(ConvergenceFailure, match="at lag 6.*unit norm"):
+                sweep(g, tau_max)
+
+    def test_failure_in_taking_a_builder_names_its_lag(self, monkeypatch):
+        """A builder generator that raises, as the block kernel can: its
+        error is raised unless a lower lag's solve fails too."""
+        n, length, tau_max = BLOCK
+        g = iid_returns(n, length, seed=14)
+
+        def builders():
+            for k, matrix in enumerate(chain([lag_corr(g, 0)], lagged(g, tau_max))):
+                if k == 8:
+                    raise CorrelationOutOfRange("correlation entries outside [-1, 1] at lag 8")
+                yield _built(matrix)
+
+        eigenvalues, iprs = np.empty((2, tau_max + 1, n))
+        with _blas.threads(1):
+            with pytest.raises(CorrelationOutOfRange, match="at lag 8$"):
+                _solve_rows(builders(), eigenvalues, iprs, 2)
+            faulty_eigh(monkeypatch, lagged(g, tau_max), {7}, slow={7})
+            with pytest.raises(ConvergenceFailure, match="at lag 7.*unit norm"):
+                _solve_rows(builders(), eigenvalues, iprs, 2)
+
+    def test_direct_path_build_failure_names_its_lag(self, monkeypatch):
+        import lagspec.strobo
+
+        def failing(g, lag):
+            if lag in (9, 12):
+                raise CorrelationOutOfRange(f"correlation entries outside [-1, 1] at lag {lag}")
+            return lag_corr(g, lag)
+
+        g = iid_returns(*DIRECT[:2], seed=17)
+        # solver faults above the first build failure lose to it
+        faulty_eigh(monkeypatch, lagged(g, DIRECT[2]), {10, 11})
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", failing)
+        with _blas.threads(2):
+            with pytest.raises(CorrelationOutOfRange, match="at lag 9$"):
+                sweep(g, DIRECT[2])
+            assert _blas.thread_count() == 2
+
+    def test_serial_without_openblas(self, monkeypatch):
+        import lagspec.strobo
+
+        threads = set()
+
+        def solve(d):
+            threads.add(threading.get_ident())
+            return eigendecompose(d)
+
+        g = iid_returns(*DIRECT[:2], seed=15)
+        with _blas.threads(2):
+            spread = sweep(g, DIRECT[2])
+        monkeypatch.setattr(_blas, "_functions", lambda: None)
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
+        assert _split(g, DIRECT[2]) == (1, None)
+        serial = sweep(g, DIRECT[2])
+        assert threads == {threading.get_ident()}
+        assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
+
+    def test_many_workers_solve_each_lag_once(self, monkeypatch):
+        """More workers than cores and a short switch interval: a lost
+        update to the shared lag counter would solve a lag twice or leave
+        a row unwritten."""
+        import lagspec.strobo
+
+        solved = []
+
+        def solve(d):
+            solved.append(d.lag)
+            return eigendecompose(d)
+
+        g = iid_returns(8, 4096, seed=16)
+        with _blas.threads(1):
+            serial = sweep(g, 200)
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _blas.threads(8):
+                assert _split(g, 200) == (8, 1)
+                runner = threading.Thread(target=lambda: results.append(sweep(g, 200)))
+                runner.start()
+                runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert sorted(solved) == list(range(201))
+        assert np.array_equal(results[0].eigenvalues, serial.eigenvalues)
+        assert np.array_equal(results[0].iprs, serial.iprs)
 
 
 class TestTrajectory:
