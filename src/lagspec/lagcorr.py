@@ -26,6 +26,8 @@ from .ingest import ReturnMatrix
 
 _ENTRY_TOL = 1e-9
 _DIAG_TOL = 1e-10
+# rows per block when a matrix is symmetrized or checked in place
+_ROWS = 64
 # block path: samples per block, most blocks per chunk, blocks per rfft call
 _BLOCK = 32
 _MAX_CHUNK = 64
@@ -46,9 +48,13 @@ class LagCorrMatrix:
             raise ParseError(f"values must be square, got shape {values.shape}")
         if self.lag < 0:
             raise ValueError("lag must be non-negative")
-        if not np.array_equal(values, values.T):
-            raise ValueError("lagged correlation matrix must be exactly symmetric")
-        if np.any(np.abs(values) > 1.0 + _ENTRY_TOL):
+        # row blocks against column blocks, and reductions, so that no N x N
+        # temporary is made; NaN fails the symmetry test
+        n = values.shape[0]
+        for r in range(0, n, _ROWS):
+            if not np.array_equal(values[r:r + _ROWS], values[:, r:r + _ROWS].T):
+                raise ValueError("lagged correlation matrix must be exactly symmetric")
+        if n and (values.max() > 1.0 + _ENTRY_TOL or values.min() < -(1.0 + _ENTRY_TOL)):
             raise CorrelationOutOfRange(
                 f"correlation entries outside [-1, 1] at lag {self.lag}"
             )
@@ -64,19 +70,23 @@ class LagCorrMatrix:
         return float(np.trace(self.values))
 
 
-def lag_corr(g: ReturnMatrix, lag: int) -> LagCorrMatrix:
+def lag_corr(
+    g: ReturnMatrix, lag: int, out: np.ndarray | None = None
+) -> LagCorrMatrix:
     """Build the symmetrized lagged correlation matrix at integer lag >= 0.
 
     Requires ``lag <= L/2`` so the effective window keeps at least L/2
-    samples.  Symmetry is exact: entry (i, j) is ``cross[i, j] + cross[j, i]``
-    and entry (j, i) the same two terms added the other way round, and IEEE
-    addition commutes.
+    samples.  The product ``cross`` is formed in ``out`` (a C-contiguous
+    N x N float array, overwritten), or in a new array, and symmetrized
+    there in blocks of rows.  Symmetry is exact: entry (i, j) is
+    ``cross[i, j] + cross[j, i]`` and entry (j, i) the same two terms added
+    the other way round, and IEEE addition commutes.
     """
     lag = int(lag)
     if lag < 0:
         raise ValueError(f"lag must be non-negative, got {lag}")
     returns = g.returns
-    length = returns.shape[1]
+    n, length = returns.shape
     if lag > length // 2:
         raise LagTooLarge(
             f"lag {lag} exceeds half the record length (L={length})"
@@ -84,9 +94,14 @@ def lag_corr(g: ReturnMatrix, lag: int) -> LagCorrMatrix:
     window = length - lag
     head = returns[:, :window]
     tail = returns[:, lag:]
-    cross = head @ tail.T  # cross[i, j] = sum_t g_i(t) g_j(t + lag)
-    values = cross + cross.T
-    del cross
+    # values[i, j] = cross[i, j] = sum_t g_i(t) g_j(t + lag)
+    values = np.matmul(head, tail.T, out=np.empty((n, n)) if out is None else out)
+    for r in range(0, n, _ROWS):
+        rows = slice(r, r + _ROWS)
+        s = values[rows, r:] + values[r:, rows].T
+        values[rows, r:] = s
+        values[r:, rows] = s.T
+        del s  # freed before the next block's sum is made
     values /= 2.0 * window
     return LagCorrMatrix(lag=lag, values=values)
 

@@ -1,9 +1,9 @@
 """Lag sweep of eigenvalues and IPRs, their trajectories, and their power
 spectra.
 
-The sweep solves lags 0..tau_max, several at once where BLAS threads allow
-(see ``sweep``), and keeps two tables, eigenvalues and IPRs with one row per
-lag, plus the equal-time matrix.
+The sweep solves lags 0..tau_max, several at once or each beside the build
+of the next where BLAS threads allow (see ``sweep``), and keeps two tables,
+eigenvalues and IPRs with one row per lag, plus the equal-time matrix.
 A trajectory is one column of a table over lags 1..tau_max, a plain 1-D
 array: the equal-time row carries the trivial autocorrelation spike and is
 excluded from spectra, though it stays available in the tables.  Eigenvalues
@@ -11,6 +11,7 @@ are identified by sorted position, not by eigenvector continuity.
 """
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -154,75 +155,116 @@ def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     threads, and the count is restored on exit.  W is at most T and
     tau_max + 1, and the lags in flight beyond the first may hold at most
     half the bytes of the returns, at about 5 N^2 floats each (the matrix,
-    ``eigh``'s copy and workspace, the eigenvectors): a wide record such as
-    512 x 4096 is solved one lag at a time, at T BLAS threads.  So is a
-    record on the block path: its kernel builds the lags in batches while
-    the next lag is taken, so further workers would wait on it while it ran
-    at T // W threads (on the 64 x 32768 benchmark record, 2 cores, W = 2
-    cost 9% of the run's wall time).  Where numpy's bundled OpenBLAS is not
-    found, W = 1 and nothing is pinned.  Each lag's arithmetic depends on
-    T // W only, never on which worker solves it.  The first failure stops
-    workers from taking new lags; the error raised is that of the lowest
-    failing lag, as in a serial sweep.
+    ``eigh``'s copy and workspace, the eigenvectors).
+
+    So a wide record on the direct path (L < 10 N, such as 512 x 4096)
+    gets W = 1.  Where T >= 2 and tau_max >= 1, a helper thread then builds
+    lag k + 1 while the calling thread solves lag k, each at T // 2 BLAS
+    threads: ``eigh`` gains little from a second thread, the GEMM much.
+    The helper builds lags 1..tau_max into two N x N slots allocated once
+    per sweep, and builds lag k + 2 into lag k's slot only once lag k is
+    solved.  Only the calling thread solves: each thread that runs
+    ``eigh`` keeps the solver's freed buffers in its own malloc arena,
+    which cost about 10 MB at 512 x 4096.
+
+    A record on the block path is solved one lag at a time, at T threads:
+    its kernel builds the lags in batches while the next lag is taken, so
+    further workers would wait on it while it ran at T // W threads (on the
+    64 x 32768 benchmark record, 2 cores, W = 2 cost 9% of the run's wall
+    time).  Where numpy's bundled OpenBLAS is not found, W = 1, no helper
+    runs and nothing is pinned.  Each lag's arithmetic depends on its
+    thread count only, never on which thread builds or solves it.  The
+    first failure stops the building of new lags; the error raised is that
+    of the lowest failing lag, as in a serial sweep.
     """
     tau_max = int(tau_max)
     if tau_max < 0:
         raise ValueError("tau_max must be non-negative")
-    length = g.returns.shape[1]
+    n, length = g.returns.shape
     if tau_max > length // 2:
         raise LagTooLarge(f"tau_max {tau_max} exceeds half the record (L={length})")
-    workers, blas_threads = _split(g, tau_max)
-    eigenvalues = np.empty((tau_max + 1, g.n_series))
+    workers, helper, blas_threads = _split(g, tau_max)
+    eigenvalues = np.empty((tau_max + 1, n))
     iprs = np.empty_like(eigenvalues)
-    with _blas.threads(blas_threads) if workers > 1 else nullcontext():
+    # a direct lag's GEMM runs when its builder is called, outside the
+    # lock; the block kernel is a generator, so it runs when the next
+    # builder is taken
+    if uses_block_path(n, length):
+        lagged = map(_built, block_lag_corrs(g, tau_max))
+    else:
+        lagged = (partial(lag_corr, g, k) for k in range(1, tau_max + 1))
+    slots = _unpooled((2, n, n)) if helper else None
+    with _blas.threads(blas_threads) if workers > 1 or helper else nullcontext():
         equal_time_matrix = lag_corr(g, 0)
-        # a direct lag's GEMM runs when its builder is called, outside the
-        # lock; the block kernel is a generator, so it runs when the next
-        # builder is taken
-        if uses_block_path(*g.returns.shape):
-            lagged = map(_built, block_lag_corrs(g, tau_max))
-        else:
-            lagged = (partial(lag_corr, g, k) for k in range(1, tau_max + 1))
-        _solve_rows(chain([_built(equal_time_matrix)], lagged), eigenvalues, iprs, workers)
+        _solve_rows(chain([_built(equal_time_matrix)], lagged), eigenvalues, iprs,
+                    workers, slots)
     return StroboscopicSequence(
         eigenvalues=eigenvalues, iprs=iprs, equal_time_matrix=equal_time_matrix
     )
 
 
-def _split(g: ReturnMatrix, tau_max: int) -> tuple[int, int | None]:
-    """Lags solved at once by ``sweep`` and BLAS threads per lag: (W, T // W)
-    for the thread budget T, which is None where it cannot be read."""
+def _split(g: ReturnMatrix, tau_max: int) -> tuple[int, bool, int | None]:
+    """How ``sweep`` spreads lags 1..tau_max over the thread budget T:
+    (W, helper, BLAS threads per lag).  Either W lags are solved at once
+    at T // W threads each, or, where ``helper``, W = 1 and a helper thread
+    builds the next lag while this one is solved, both at T // 2 threads.
+    The threads per lag are None where T cannot be read."""
     total = _blas.thread_count()
     n, length = g.returns.shape
     if total is None or uses_block_path(n, length):
-        return 1, total
+        return 1, False, total
     workers = min(total, tau_max + 1, 1 + (g.returns.nbytes // 2) // (40 * n * n))
-    return workers, total // workers
+    if workers == 1 and total >= 2 and tau_max >= 1:
+        return 1, True, total // 2
+    return workers, False, total // workers
 
 
-def _built(matrix: LagCorrMatrix) -> Callable[[], LagCorrMatrix]:
-    return lambda: matrix
+def _unpooled(shape: tuple[int, ...]) -> np.ndarray:
+    """A float array in an anonymous memory map of its own, whose pages go
+    back to the OS when the array is freed.  Pages freed to the malloc heap
+    stay resident, and what runs after the sweep adds to them: peak RSS of
+    a 512 x 4096 ``analyze`` was 75.1 MB with the slots on the heap and
+    73.7 MB with them here."""
+    import mmap  # the helper path alone needs it
+
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+
+
+def _built(matrix: LagCorrMatrix) -> Callable[..., LagCorrMatrix]:
+    """A builder of a matrix made already; it ignores ``out``."""
+    return lambda out=None: matrix
 
 
 def _solve_rows(
-    builders: Iterator[Callable[[], LagCorrMatrix]],
+    builders: Iterator[Callable[..., LagCorrMatrix]],
     eigenvalues: np.ndarray,
     iprs: np.ndarray,
     workers: int,
+    slots: np.ndarray | None = None,
 ) -> None:
     """Build and solve the k-th matrix of ``builders`` into row k of both
-    tables, on ``workers`` threads, the calling one included.
+    tables.
 
-    Builders are taken in order under a lock, then called and solved
-    outside it.  The first failure, in taking, building or solving, stops
-    the taking; once the lags in flight are done, the failure of the
-    lowest lag is raised.  Every lag below it was taken, so that is the
-    failure a serial loop meets first.
+    Without ``slots``, ``workers`` threads, the calling one included, take
+    the builders in order under a lock, then call them and solve their
+    matrices outside it.  With ``slots``, a (2, N, N) array, one helper
+    thread calls the k-th builder with ``out=slots[k % 2]`` once lag k - 2
+    is solved, and the calling thread alone solves the lags, in order;
+    ``workers`` is then 1.
+
+    The first failure, in taking, building or solving, stops the taking;
+    once the lags in flight are done, the failure of the lowest lag is
+    raised.  Every lag below it was taken, so that is the failure a serial
+    loop meets first.
     """
     lock = threading.Lock()
     stop = threading.Event()
     failures: dict[int, Exception] = {}
     taken = 0
+    # helper path: built[k] is lag k's matrix or its build failure
+    built: dict[int, LagCorrMatrix | Exception] = {}
+    ready = threading.Condition(lock)
+    solved = 0
 
     def work() -> None:
         nonlocal taken
@@ -246,13 +288,53 @@ def _solve_rows(
                 return
             eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    def build_ahead() -> None:
+        for k in range(len(eigenvalues)):
+            with ready:
+                # lag k - 2 has left slot k % 2
+                ready.wait_for(lambda: solved >= k - 1 or stop.is_set())
+                if stop.is_set():
+                    return
+            try:
+                matrix = next(builders)(out=slots[k % 2])
+            except Exception as exc:  # raised by the caller at lag k
+                matrix = exc
+            with ready:
+                built[k] = matrix
+                ready.notify()
+            if isinstance(matrix, Exception):
+                return
+
+    if slots is None:
+        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    else:
+        helpers = [threading.Thread(target=build_ahead)]
     for helper in helpers:
         helper.start()
     try:
-        work()
+        if slots is None:
+            work()
+        else:
+            for k in range(len(eigenvalues)):
+                with ready:
+                    ready.wait_for(lambda: k in built)
+                    matrix = built.pop(k)
+                if isinstance(matrix, Exception):
+                    failures[k] = matrix
+                    break
+                try:
+                    system = eigendecompose(matrix)
+                except Exception as exc:
+                    failures[k] = exc
+                    break
+                eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
+                with ready:
+                    solved = k + 1
+                    ready.notify()
     finally:
-        stop.set()
+        with ready:
+            stop.set()
+            ready.notify()
         for helper in helpers:
             helper.join()
     if failures:

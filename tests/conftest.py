@@ -31,9 +31,9 @@ needs_openblas = pytest.mark.skipif(
 
 def sweep_blas(g: ReturnMatrix, tau_max: int):
     """A context that runs BLAS at the threads per lag that ``sweep(g,
-    tau_max)`` uses, so that solves made in it match the sweep's bit for
-    bit."""
-    _workers, blas_threads = _split(g, tau_max)
+    tau_max)`` uses, T // W or, beside a helper, T // 2, so that solves made
+    in it match the sweep's bit for bit."""
+    _workers, _helper, blas_threads = _split(g, tau_max)
     return nullcontext() if blas_threads is None else _blas.threads(blas_threads)
 
 

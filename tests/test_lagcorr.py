@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagspec import (
+    CorrelationOutOfRange,
     LagCorrMatrix,
     LagTooLarge,
     ParseError,
@@ -115,6 +116,43 @@ class TestLagCorr:
         d = lag_corr(gaussian_returns_64, 17)
         assert d.lag == 17
         assert d.n == 64
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 65, 130])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_in_place_sum_equals_the_plain_sum(self, n, layout):
+        """Symmetrizing the product in blocks of rows, in a new array or in
+        ``out``, gives the bytes of ``(cross + cross.T) / 2w``."""
+        raw = np.random.default_rng(n).standard_normal((n, 300))
+        g = normalize(np.asfortranarray(raw) if layout == "F" else raw)
+        for lag in (0, 1, 7, 150):
+            window = 300 - lag
+            cross = g.returns[:, :window] @ g.returns[:, lag:].T
+            want = (cross + cross.T) / (2.0 * window)
+            out = np.full((n, n), np.nan)
+            assert np.array_equal(lag_corr(g, lag).values, want)
+            assert lag_corr(g, lag, out=out).values is out
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("at", [(0, 1), (3, 70), (129, 64), (128, 129)])
+    def test_asymmetry_in_any_block_rejected(self, at):
+        values = np.eye(130)
+        values[at] = 0.25
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            LagCorrMatrix(lag=1, values=values)
+        values[at[::-1]] = 0.25
+        LagCorrMatrix(lag=1, values=values)
+        values[at] = values[at[::-1]] = np.nan
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            LagCorrMatrix(lag=1, values=values)
+
+    @pytest.mark.parametrize("entry", [1.0 + 2e-9, -1.0 - 2e-9, np.inf, -np.inf])
+    def test_entries_outside_unit_range_rejected(self, entry):
+        values = np.eye(70)
+        values[2, 68] = values[68, 2] = entry
+        with pytest.raises(CorrelationOutOfRange, match="at lag 4$"):
+            LagCorrMatrix(lag=4, values=values)
+        values[2, 68] = values[68, 2] = np.copysign(1.0 + 1e-9, entry)
+        LagCorrMatrix(lag=4, values=values)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
     def test_values_must_be_square(self, shape):

@@ -48,11 +48,11 @@ from conftest import (
 def faulty_eigh(monkeypatch, matrices, lags, slow=()):
     """Make np.linalg.eigh return 2x its eigenvectors, which fails the unit
     norm check, for the matrices of ``matrices`` at ``lags``; at ``slow``
-    lags it first sleeps 0.2 s.  Faults are keyed on the input matrix, so
-    they hold whichever worker solves it."""
+    lags, faulty or not, it first sleeps 0.2 s.  Faults are keyed on the
+    input matrix, so they hold whichever worker solves it."""
     eigh = np.linalg.eigh
-    matrices = [m for m in matrices if m.lag in lags]
-    faulty = {m.values.tobytes() for m in matrices}
+    matrices = [m for m in matrices if m.lag in lags or m.lag in slow]
+    faulty = {m.values.tobytes() for m in matrices if m.lag in lags}
     sleepy = {m.values.tobytes() for m in matrices if m.lag in slow}
 
     def doubled_at_lags(a):
@@ -62,6 +62,24 @@ def faulty_eigh(monkeypatch, matrices, lags, slow=()):
         return vals, (2.0 if a.tobytes() in faulty else 1.0) * vecs
 
     monkeypatch.setattr(np.linalg, "eigh", doubled_at_lags)
+
+
+def assert_restored_after_sweeps(monkeypatch, shape):
+    """The OpenBLAS count and the number of threads are those before a
+    sweep, after a normal sweep and after one that raises."""
+    n, length, tau_max = shape
+    g = iid_returns(n, length, seed=13)
+    threads = threading.active_count()
+    with _blas.threads(2):
+        sweep(g, tau_max)
+        assert _blas.thread_count() == 2
+        assert threading.active_count() == threads
+        with sweep_blas(g, tau_max):
+            faulty_eigh(monkeypatch, lagged(g, tau_max), {9})
+        with pytest.raises(ConvergenceFailure, match="at lag 9.*unit norm"):
+            sweep(g, tau_max)
+        assert _blas.thread_count() == 2
+        assert threading.active_count() == threads
 
 
 def tone_trajectory(periods_amps, length=100):
@@ -133,7 +151,7 @@ class TestSweep:
         system = EigenSystem(eigenvalues=np.ones(n), eigenvectors=np.eye(n),
                              iprs=np.ones(n))
 
-        def counting(g, lag):
+        def counting(g, lag, out=None):
             lags.append(lag)
             return LagCorrMatrix(lag=lag, values=np.eye(n))
 
@@ -203,8 +221,9 @@ class TestSweep:
         assert 1.0 / 3.0 < ratio < 3.0
 
 
-# (n, length, tau_max): the direct path, and the block path over two batches
-DIRECT, BLOCK = (8, 256, 20), (8, 6000, 100)
+# (n, length, tau_max): the direct path, the block path over two batches,
+# and a direct-path record wide enough (L < 10 N) to take the helper
+DIRECT, BLOCK, HELPER = (8, 256, 20), (8, 6000, 100), (32, 128, 20)
 
 
 def lagged(g, tau_max):
@@ -236,33 +255,35 @@ class TestSweepWorkers:
         n, length, tau_max = DIRECT
         g = iid_returns(n, length, seed=12)
         with _blas.threads(1):
-            assert _split(g, tau_max) == (1, 1)
+            assert _split(g, tau_max) == (1, False, 1)
             serial = sweep(g, tau_max)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, 1)
+            assert _split(g, tau_max) == (2, False, 1)
             spread = sweep(g, tau_max)
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
         assert np.array_equal(serial.iprs, spread.iprs)
 
     @pytest.mark.parametrize(
         "n, length, tau_max",
-        [(512, 4096, 30), (64, 32768, 100), BLOCK],  # wide, long benchmark shapes
+        [(512, 4096, 30), (64, 32768, 100), BLOCK, HELPER],  # wide, long benchmark shapes
     )
     def test_wide_and_block_path_records_take_one_worker(self, n, length, tau_max):
+        """One solver: at 1 thread beside the helper on the direct path, at
+        both threads on the block path."""
         g = iid_returns(n, length, seed=0)
+        block_path = uses_block_path(n, length)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (1, 2)
+            assert _split(g, tau_max) == ((1, False, 2) if block_path else (1, True, 1))
+        with _blas.threads(1):
+            assert _split(g, tau_max) == (1, False, 1)
+
+    def test_no_helper_without_lags_to_build(self):
+        g = iid_returns(*HELPER[:2], seed=0)
+        with _blas.threads(2):
+            assert _split(g, 0) == (1, False, 2)
 
     def test_blas_threads_restored(self, monkeypatch):
-        n, length, tau_max = DIRECT
-        g = iid_returns(n, length, seed=13)
-        with _blas.threads(2):
-            sweep(g, tau_max)
-            assert _blas.thread_count() == 2
-            faulty_eigh(monkeypatch, lagged(g, tau_max), {9})
-            with pytest.raises(ConvergenceFailure, match="at lag 9.*unit norm"):
-                sweep(g, tau_max)
-            assert _blas.thread_count() == 2
+        assert_restored_after_sweeps(monkeypatch, DIRECT)
 
     def test_lowest_failing_lag_is_raised(self, monkeypatch):
         n, length, tau_max = DIRECT
@@ -324,7 +345,8 @@ class TestSweepWorkers:
             spread = sweep(g, DIRECT[2])
         monkeypatch.setattr(_blas, "_functions", lambda: None)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
-        assert _split(g, DIRECT[2]) == (1, None)
+        assert _split(g, DIRECT[2]) == (1, False, None)
+        assert _split(g, HELPER[2]) == (1, False, None)
         serial = sweep(g, DIRECT[2])
         assert threads == {threading.get_ident()}
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
@@ -350,7 +372,7 @@ class TestSweepWorkers:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(8):
-                assert _split(g, 200) == (8, 1)
+                assert _split(g, 200) == (8, False, 1)
                 runner = threading.Thread(target=lambda: results.append(sweep(g, 200)))
                 runner.start()
                 runner.join(timeout=120)
@@ -592,3 +614,135 @@ def test_csv_exports(tmp_path):
     sdata = np.loadtxt(spath, delimiter=",", skiprows=1)
     assert np.array_equal(sdata[:, 0], spec.frequencies)
     assert np.array_equal(sdata[:, 1], spec.power)
+
+
+@needs_openblas
+class TestSweepHelper:
+    """Records that the memory cap keeps at one solver: a helper thread
+    builds lag k + 1 into one of two slots while the calling thread solves
+    lag k, both at 1 BLAS thread of a budget of 2."""
+
+    def test_wide_tables_bit_equal_to_fresh_solves(self):
+        # the wide benchmark's shape, over fewer lags: each slot is reused
+        n, length, tau_max = 512, 4096, 12
+        g = iid_returns(n, length, seed=18)
+        with _blas.threads(2):
+            assert _split(g, tau_max) == (1, True, 1)
+            seq = sweep(g, tau_max)
+            with sweep_blas(g, tau_max):
+                for k in range(tau_max + 1):
+                    system = eigendecompose(lag_corr(g, k))
+                    assert np.array_equal(seq.eigenvalues[k], system.eigenvalues), k
+                    assert np.array_equal(seq.iprs[k], system.iprs), k
+            # lag 0, built at 1 thread, equals its build at 2: numpy forms
+            # returns @ returns.T with syrk, so equal_time.csv keeps its bytes
+            assert np.array_equal(seq.equal_time_matrix.values, lag_corr(g, 0).values)
+
+    def test_blas_threads_restored(self, monkeypatch):
+        assert_restored_after_sweeps(monkeypatch, HELPER)
+
+    def test_helper_builds_into_two_slots_and_the_caller_solves(self, monkeypatch):
+        import lagspec.strobo
+
+        n, length, tau_max = HELPER
+        builders, slots, solvers = {}, {}, set()
+
+        def counting(g, lag, out=None):
+            builders[lag] = threading.get_ident()
+            slots[lag] = None if out is None else out.__array_interface__["data"][0]
+            return lag_corr(g, lag, out=out)
+
+        def solve(d):
+            solvers.add(threading.get_ident())
+            return eigendecompose(d)
+
+        g = iid_returns(n, length, seed=19)
+        with _blas.threads(1):
+            serial = sweep(g, tau_max)
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
+        with _blas.threads(2):
+            helped = sweep(g, tau_max)
+        caller = threading.get_ident()
+        assert solvers == {caller}
+        assert sorted(builders) == list(range(tau_max + 1))
+        assert builders[0] == caller and slots[0] is None
+        assert caller not in {builders[k] for k in range(1, tau_max + 1)}
+        # lags k and k + 2 share a slot; lags k and k + 1 never do
+        assert len({slots[k] for k in range(1, tau_max + 1)}) == 2
+        assert all(slots[k] == slots[k + 2] != slots[k + 1] for k in range(1, tau_max - 1))
+        assert np.array_equal(helped.eigenvalues, serial.eigenvalues)
+        assert np.array_equal(helped.iprs, serial.iprs)
+
+    @pytest.mark.parametrize("slow", [(), (8,)], ids=["none-slow", "lag-8-slow"])
+    def test_build_fault_names_its_lag(self, monkeypatch, slow):
+        """Lag 9's build fails, while lag 8 is solved if that is slow;
+        solver faults above it are never reached."""
+        import lagspec.strobo
+
+        def failing(g, lag, out=None):
+            if lag in (9, 12):
+                raise CorrelationOutOfRange(f"correlation entries outside [-1, 1] at lag {lag}")
+            return lag_corr(g, lag, out=out)
+
+        n, length, tau_max = HELPER
+        g = iid_returns(n, length, seed=20)
+        with _blas.threads(1):
+            faulty_eigh(monkeypatch, lagged(g, tau_max), {10, 11}, slow=slow)
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", failing)
+        with _blas.threads(2):
+            with pytest.raises(CorrelationOutOfRange, match="at lag 9$"):
+                sweep(g, tau_max)
+
+    @pytest.mark.parametrize("slow", [(), (8,), (9,)],
+                             ids=["none-slow", "lag-8-slow", "lag-9-slow"])
+    def test_solve_fault_names_its_lag(self, monkeypatch, slow):
+        """Lag 9's solve fails and lag 10's build fails: lag 9's error is
+        raised, also when lag 9's slow solve lets lag 10's build fail
+        first."""
+        import lagspec.strobo
+
+        def failing(g, lag, out=None):
+            if lag == 10:
+                raise CorrelationOutOfRange(f"correlation entries outside [-1, 1] at lag {lag}")
+            return lag_corr(g, lag, out=out)
+
+        n, length, tau_max = HELPER
+        g = iid_returns(n, length, seed=20)
+        with _blas.threads(1):
+            faulty_eigh(monkeypatch, lagged(g, tau_max), {9, 15}, slow=slow)
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", failing)
+        with _blas.threads(2):
+            with pytest.raises(ConvergenceFailure, match="at lag 9.*unit norm"):
+                sweep(g, tau_max)
+
+    def test_no_slot_is_overwritten_while_its_lag_is_solved(self, monkeypatch):
+        """Slow solves and a short switch interval give the helper every
+        chance to run ahead: a lag whose slot were overwritten before or
+        during its solve would leave another lag's row."""
+        import lagspec.strobo
+
+        def slow_solve(d):
+            time.sleep(0.002)
+            system = eigendecompose(d)
+            time.sleep(0.002)
+            return system
+
+        g = iid_returns(32, 128, seed=21)
+        with _blas.threads(1):
+            serial = sweep(g, 60)
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", slow_solve)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _blas.threads(2):
+                assert _split(g, 60) == (1, True, 1)
+                runner = threading.Thread(target=lambda: results.append(sweep(g, 60)))
+                runner.start()
+                runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert np.array_equal(results[0].eigenvalues, serial.eigenvalues)
+        assert np.array_equal(results[0].iprs, serial.iprs)

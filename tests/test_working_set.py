@@ -10,6 +10,7 @@ import lagspec.ingest
 from lagspec import (
     CountMatrix,
     InjectionSpec,
+    LagCorrMatrix,
     SynthConfig,
     eigendecompose,
     lag_corr,
@@ -146,6 +147,23 @@ class TestReturns:
         cm = counts_matrix(counts)
         g, peak = traced_peak(lambda: returns_from_counts(cm))
         assert peak <= 1.15 * g.returns.nbytes
+
+
+def test_lag_corr_peak_is_within_1_1_matrices():
+    """The product is symmetrized in place: no second N x N array."""
+    n = 1024
+    g = normalize(np.random.default_rng(0).standard_normal((n, 2048)))
+    _, peak = traced_peak(lambda: lag_corr(g, 3))
+    assert peak <= 1.1 * n * n * 8
+
+
+@pytest.mark.parametrize("lag", [0, 3])
+def test_lag_corr_matrix_checks_allocate_no_n_by_n_array(lag):
+    n = 512
+    values = lag_corr(normalize(np.random.default_rng(1).standard_normal((n, 2048))),
+                      lag).values
+    _, peak = traced_peak(lambda: LagCorrMatrix(lag=lag, values=values))
+    assert peak < n * n  # the bytes of an N x N boolean array
 
 
 def test_one_lag_peak_is_within_3_5_matrices():
