@@ -446,7 +446,8 @@ def run_experiment(
     *,
     detrend: Literal["none", "mean"] = "mean",
 ) -> ExperimentReport:
-    """Sweep before and after an injection and compare trajectory spectra.
+    """Sweep before and after an injection, in one pass, and compare
+    trajectory spectra.
 
     Probe periods are the two strongest characteristic periods detected
     before the injection plus, for periodic injections, the injection period
@@ -465,8 +466,7 @@ def run_experiment(
     # the injected counts are freed once their returns exist
     after_returns = returns_from_counts(inject(counts, spec))
     before_returns = returns_from_counts(counts)
-    seq_before = sweep(before_returns, tau_max)
-    seq_after = sweep(after_returns, tau_max)
+    seq_before, seq_after = sweep(before_returns, tau_max, after=after_returns)
 
     watches = []
     for position in watch_positions:

@@ -182,6 +182,8 @@ def _read_table(stream: IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
     line = stream.readline()
     if not line:
         raise ParseError("empty input")
+    # spreadsheet exports often start with a UTF-8 byte order mark
+    line = line.removeprefix("\ufeff")
     try:
         header = next(csv.reader([line]))
     except csv.Error as exc:

@@ -11,7 +11,9 @@ values.
 ``lag_corr`` builds one lag with one GEMM.  ``block_lag_corrs`` builds lags
 1..tau_max of a long record (roughly L >= 200 N, see ``uses_block_path``)
 from block FFTs, about four GEMMs' worth of flops per 32 lags; its entries
-differ from ``lag_corr``'s by rounding only.
+differ from ``lag_corr``'s by rounding only.  ``patch_rows`` builds a lag
+of a record from the same lag of another that differs only in a few series,
+rebuilding those rows and columns alone.
 """
 from __future__ import annotations
 
@@ -103,6 +105,38 @@ def lag_corr(
         values[r:, rows] = s.T
         del s  # freed before the next block's sum is made
     values /= 2.0 * window
+    return LagCorrMatrix(lag=lag, values=values)
+
+
+def patch_rows(
+    base: LagCorrMatrix, g: ReturnMatrix, rows: np.ndarray,
+    out: np.ndarray | None = None,
+) -> LagCorrMatrix:
+    """``lag_corr(g, base.lag)`` where ``base`` is the same lag's matrix of
+    a record that differs from ``g`` only in the series ``rows``: a copy of
+    ``base`` (into ``out`` if given) with those rows and columns rebuilt.
+
+    The k changed rows cost two k x N products, 4kLN flops against the
+    full build's 2N^2 L.  Rebuilt entries differ from ``lag_corr``'s by
+    rounding only; the others are ``base``'s bit for bit.  Symmetry is
+    exact: the k x k block is ``sub + sub.T`` of one product, and row i and
+    column i are written from the same array.
+    """
+    lag = base.lag
+    returns = g.returns
+    window = returns.shape[1] - lag
+    head = returns[:, :window]
+    tail = returns[:, lag:]
+    values = np.empty_like(base.values) if out is None else out
+    values[...] = base.values
+    # s[i, j] = cross[rows[i], j] + cross[j, rows[i]]
+    cross = head[rows] @ tail.T
+    s = cross + tail[rows] @ head.T
+    sub = cross[:, rows]
+    s[:, rows] = sub + sub.T
+    s /= 2.0 * window
+    values[:, rows] = s.T
+    values[rows] = s
     return LagCorrMatrix(lag=lag, values=values)
 
 

@@ -3,7 +3,9 @@ spectra.
 
 The sweep solves lags 0..tau_max, several at once or each beside the build
 of the next where BLAS threads allow (see ``sweep``), and keeps two tables,
-eigenvalues and IPRs with one row per lag, plus the equal-time matrix.
+eigenvalues and IPRs with one row per lag, plus the equal-time matrix.  It
+can sweep a record and an injected copy of it in one pass, building the
+copy's lags from the record's.
 A trajectory is one column of a table over lags 1..tau_max, a plain 1-D
 array: the equal-time row carries the trivial autocorrelation spike and is
 excluded from spectra, though it stays available in the tables.  Eigenvalues
@@ -16,7 +18,7 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterator, Literal, Sequence, Union
 
@@ -31,7 +33,13 @@ from .errors import (
     TooShort,
 )
 from .ingest import ReturnMatrix
-from .lagcorr import LagCorrMatrix, block_lag_corrs, lag_corr, uses_block_path
+from .lagcorr import (
+    LagCorrMatrix,
+    block_lag_corrs,
+    lag_corr,
+    patch_rows,
+    uses_block_path,
+)
 
 TrajectoryKind = Literal["eigenvalue", "ipr"]
 
@@ -140,7 +148,9 @@ class ResonanceReport:
         raise KeyError(f"no probe at period {period_steps}")
 
 
-def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
+def sweep(
+    g: ReturnMatrix, tau_max: int, *, after: ReturnMatrix | None = None
+) -> StroboscopicSequence | tuple[StroboscopicSequence, StroboscopicSequence]:
     """Eigen-decompose the lagged correlation matrix at every lag 0..tau_max.
 
     Lag 0 is ``lag_corr(g, 0)``.  Lags 1..tau_max come from one ``lag_corr``
@@ -150,22 +160,37 @@ def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     of each table; only lag 0 keeps its matrix, as ``equal_time_matrix``.
     No eigenvectors are kept.
 
+    With ``after``, a record of g's shape (ValueError otherwise), both are
+    swept in one pass and the pair (g's sequence, after's) is returned; g's
+    is the one ``sweep(g, tau_max)`` gives, bit for bit.  The series whose
+    returns differ are found from the data, k of N.  Where 2k < N, after's
+    matrix of lag τ is g's with those k rows and columns rebuilt
+    (``patch_rows``), 2k/N of a full GEMM's flops; it differs from a fresh
+    ``lag_corr(after, τ)`` by rounding only and holds g's entries, bit for
+    bit, elsewhere.  Where 2k ≥ N it is ``lag_corr(after, τ)``.  Each lag's
+    matrix of after is made once that of g is solved, and solved next by
+    the same thread.  A failure in g, at any lag, is raised ahead of one in
+    after, as if g were swept first.  On the block path, whose lags cost
+    about N^2 L / 4 flops each, rows are rebuilt only where 16k < N;
+    otherwise g and after are swept one after the other.
+
     Parallelism (``_split``): the thread budget T is the OpenBLAS thread
     count at entry.  W lags are solved at once, each with T // W BLAS
     threads, and the count is restored on exit.  W is at most T and
     tau_max + 1, and the lags in flight beyond the first may hold at most
-    half the bytes of the returns, at about 5 N^2 floats each (the matrix,
-    ``eigh``'s copy and workspace, the eigenvectors).
+    half the bytes of g's returns, at about 5 N^2 floats each (the matrix,
+    ``eigh``'s copy and workspace, the eigenvectors), one N^2 more with
+    ``after``.
 
     So a wide record on the direct path (L < 10 N, such as 512 x 4096)
     gets W = 1.  Where T >= 2 and tau_max >= 1, a helper thread then builds
     lag k + 1 while the calling thread solves lag k, each at T // 2 BLAS
     threads: ``eigh`` gains little from a second thread, the GEMM much.
-    The helper builds lags 1..tau_max into two N x N slots allocated once
-    per sweep, and builds lag k + 2 into lag k's slot only once lag k is
-    solved.  Only the calling thread solves: each thread that runs
-    ``eigh`` keeps the solver's freed buffers in its own malloc arena,
-    which cost about 10 MB at 512 x 4096.
+    The helper builds lags 1..tau_max into two slots of one N x N matrix
+    per record, allocated once per sweep, and builds lag k + 2 into lag
+    k's slot only once lag k is solved.  Only the calling thread solves:
+    each thread that runs ``eigh`` keeps the solver's freed buffers in its
+    own malloc arena, which cost about 10 MB at 512 x 4096.
 
     A record on the block path is solved one lag at a time, at T threads:
     its kernel builds the lags in batches while the next lag is taken, so
@@ -174,46 +199,70 @@ def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence:
     time).  Where numpy's bundled OpenBLAS is not found, W = 1, no helper
     runs and nothing is pinned.  Each lag's arithmetic depends on its
     thread count only, never on which thread builds or solves it.  The
-    first failure stops the building of new lags; the error raised is that
-    of the lowest failing lag, as in a serial sweep.
+    error raised is that of the lowest failing lag, as in a serial sweep.
     """
     tau_max = int(tau_max)
     if tau_max < 0:
         raise ValueError("tau_max must be non-negative")
     n, length = g.returns.shape
+    if after is not None and after.returns.shape != g.returns.shape:
+        raise ValueError(
+            f"records differ in shape: {g.returns.shape} and {after.returns.shape}"
+        )
     if tau_max > length // 2:
         raise LagTooLarge(f"tau_max {tau_max} exceeds half the record (L={length})")
-    workers, helper, blas_threads = _split(g, tau_max)
-    eigenvalues = np.empty((tau_max + 1, n))
+    block_path = uses_block_path(n, length)
+    rows = None
+    if after is not None:
+        changed = np.flatnonzero((g.returns != after.returns).any(axis=1))
+        # rebuilding k rows costs 4kLN flops; a full lag, 2N^2 L by GEMM
+        # or about N^2 L / 4 by the block kernel
+        if (16 if block_path else 2) * len(changed) < n:
+            rows = changed
+        elif block_path:
+            return sweep(g, tau_max), sweep(after, tau_max)
+    records = 1 if after is None else 2
+    workers, helper, blas_threads = _split(g, tau_max, records)
+    eigenvalues = np.empty((records, tau_max + 1, n))
     iprs = np.empty_like(eigenvalues)
     # a direct lag's GEMM runs when its builder is called, outside the
     # lock; the block kernel is a generator, so it runs when the next
     # builder is taken
-    if uses_block_path(n, length):
+    if block_path:
         lagged = map(_built, block_lag_corrs(g, tau_max))
     else:
         lagged = (partial(lag_corr, g, k) for k in range(1, tau_max + 1))
-    slots = _unpooled((2, n, n)) if helper else None
+    slots = _unpooled((2, records, n, n)) if helper else None
     with _blas.threads(blas_threads) if workers > 1 or helper else nullcontext():
         equal_time_matrix = lag_corr(g, 0)
-        _solve_rows(chain([_built(equal_time_matrix)], lagged), eigenvalues, iprs,
-                    workers, slots)
-    return StroboscopicSequence(
-        eigenvalues=eigenvalues, iprs=iprs, equal_time_matrix=equal_time_matrix
+        builders = (partial(_matrices, build, after, rows)
+                    for build in chain([_built(equal_time_matrix)], lagged))
+        _solve_rows(builders, eigenvalues, iprs, workers, slots)
+        # after's lag-0 matrix was not kept: it is made again, at the
+        # threads it was solved at
+        equal_time = list(_matrices(_built(equal_time_matrix), after, rows))
+    sequences = tuple(
+        StroboscopicSequence(eigenvalues=vals, iprs=table, equal_time_matrix=matrix)
+        for vals, table, matrix in zip(eigenvalues, iprs, equal_time)
     )
+    return sequences[0] if after is None else sequences
 
 
-def _split(g: ReturnMatrix, tau_max: int) -> tuple[int, bool, int | None]:
+def _split(
+    g: ReturnMatrix, tau_max: int, records: int = 1
+) -> tuple[int, bool, int | None]:
     """How ``sweep`` spreads lags 1..tau_max over the thread budget T:
     (W, helper, BLAS threads per lag).  Either W lags are solved at once
     at T // W threads each, or, where ``helper``, W = 1 and a helper thread
     builds the next lag while this one is solved, both at T // 2 threads.
-    The threads per lag are None where T cannot be read."""
+    Each lag in flight holds one matrix per record of the sweep.  The
+    threads per lag are None where T cannot be read."""
     total = _blas.thread_count()
     n, length = g.returns.shape
     if total is None or uses_block_path(n, length):
         return 1, False, total
-    workers = min(total, tau_max + 1, 1 + (g.returns.nbytes // 2) // (40 * n * n))
+    per_lag = 8 * (4 + records) * n * n
+    workers = min(total, tau_max + 1, 1 + (g.returns.nbytes // 2) // per_lag)
     if workers == 1 and total >= 2 and tau_max >= 1:
         return 1, True, total // 2
     return workers, False, total // workers
@@ -235,74 +284,122 @@ def _built(matrix: LagCorrMatrix) -> Callable[..., LagCorrMatrix]:
     return lambda out=None: matrix
 
 
+def _matrices(
+    build: Callable[..., LagCorrMatrix],
+    after: ReturnMatrix | None,
+    rows: np.ndarray | None,
+    out: np.ndarray | None = None,
+) -> Iterator[LagCorrMatrix]:
+    """One lag's matrix of each record of a sweep, in record order, each
+    made when it is asked for: ``build``'s, then, with ``after``, after's,
+    made from the first by ``patch_rows`` or, where ``rows`` is None, by
+    ``lag_corr``.  ``out``, if given, holds one N x N slot per record."""
+    first = build() if out is None else build(out=out[0])
+    yield first
+    if after is not None:
+        slot = None if out is None else out[1]
+        if rows is None:
+            yield lag_corr(after, first.lag, out=slot)
+        else:
+            yield patch_rows(first, after, rows, out=slot)
+
+
 def _solve_rows(
-    builders: Iterator[Callable[..., LagCorrMatrix]],
+    builders: Iterator[Callable[..., Iterator[LagCorrMatrix]]],
     eigenvalues: np.ndarray,
     iprs: np.ndarray,
     workers: int,
     slots: np.ndarray | None = None,
 ) -> None:
-    """Build and solve the k-th matrix of ``builders`` into row k of both
-    tables.
+    """Build and solve the matrices of the k-th builder of ``builders``,
+    one per record, into row k of that record's tables: ``eigenvalues[r]``
+    and ``iprs[r]`` are record r's, and a builder, called, returns an
+    iterator of its lag's matrices in record order.
 
     Without ``slots``, ``workers`` threads, the calling one included, take
-    the builders in order under a lock, then call them and solve their
-    matrices outside it.  With ``slots``, a (2, N, N) array, one helper
-    thread calls the k-th builder with ``out=slots[k % 2]`` once lag k - 2
-    is solved, and the calling thread alone solves the lags, in order;
+    the builders in order under a lock, then build and solve their
+    matrices outside it, one record after the other.  With ``slots``, a
+    (2, records, N, N) array, one helper thread calls the k-th builder with
+    ``out=slots[k % 2]`` once lag k - 2 is solved and builds all its
+    matrices, and the calling thread alone solves the lags, in order;
     ``workers`` is then 1.
 
-    The first failure, in taking, building or solving, stops the taking;
-    once the lags in flight are done, the failure of the lowest lag is
-    raised.  Every lag below it was taken, so that is the failure a serial
-    loop meets first.
+    A failure, in taking, building or solving, ends that record's work at
+    higher lags, and a failure in the first record ends all taking.  Once
+    the lags in flight are done, the failure of the lowest record, at its
+    lowest lag, is raised.  Every lag below it was solved for that record
+    and those before it, so that is the failure that sweeping the records
+    one after the other in serial loops meets first.
     """
+    records = len(eigenvalues)
     lock = threading.Lock()
-    stop = threading.Event()
-    failures: dict[int, Exception] = {}
-    taken = 0
-    # helper path: built[k] is lag k's matrix or its build failure
-    built: dict[int, LagCorrMatrix | Exception] = {}
     ready = threading.Condition(lock)
+    # (record, lag): its failure
+    failures: dict[tuple[int, int], Exception] = {}
+    taken = 0
+    done = False
+    # helper path: built[k] is the list of lag k's matrices, perhaps ending
+    # in the failure that stopped its building
+    built: dict[int, list] = {}
     solved = 0
+
+    def needed(k: int) -> int:
+        """How many records, from the first, lag k is still to be solved
+        for: none from one that failed at lag k or below.  Under the lock."""
+        return min([records, *(r for r, lag in failures if lag <= k)])
+
+    def solve(k: int, matrices: Iterator) -> None:
+        """Solve lag k's matrices into row k of their records' tables, in
+        record order, until one fails or lag k is no longer needed."""
+        for r in range(records):
+            with lock:
+                if r >= needed(k):
+                    return
+            try:
+                matrix = next(matrices)
+                if isinstance(matrix, Exception):
+                    raise matrix
+                system = eigendecompose(matrix)
+            except Exception as exc:  # raised in the caller below
+                with lock:
+                    failures[r, k] = exc
+                return
+            eigenvalues[r, k], iprs[r, k] = system.eigenvalues, system.iprs
 
     def work() -> None:
         nonlocal taken
-        while not stop.is_set():
+        while True:
             with lock:
                 k = taken
+                if not needed(k):
+                    return
                 try:
                     build = next(builders, None)
                 except Exception as exc:  # raised in the caller below
-                    failures[k] = exc
-                    stop.set()
+                    failures[0, k] = exc
                     return
                 if build is None:
                     return
                 taken += 1
-            try:
-                system = eigendecompose(build())
-            except Exception as exc:  # raised in the caller below
-                failures[k] = exc
-                stop.set()
-                return
-            eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
+            solve(k, build())
 
     def build_ahead() -> None:
-        for k in range(len(eigenvalues)):
+        for k in range(eigenvalues.shape[1]):
             with ready:
                 # lag k - 2 has left slot k % 2
-                ready.wait_for(lambda: solved >= k - 1 or stop.is_set())
-                if stop.is_set():
-                    return
+                ready.wait_for(lambda: solved >= k - 1 or done)
+                count = 0 if done else needed(k)
+            if not count:
+                return
+            matrices = []
             try:
-                matrix = next(builders)(out=slots[k % 2])
+                matrices.extend(islice(next(builders)(out=slots[k % 2]), count))
             except Exception as exc:  # raised by the caller at lag k
-                matrix = exc
+                matrices.append(exc)
             with ready:
-                built[k] = matrix
+                built[k] = matrices
                 ready.notify()
-            if isinstance(matrix, Exception):
+            if isinstance(matrices[0], Exception):
                 return
 
     if slots is None:
@@ -315,25 +412,19 @@ def _solve_rows(
         if slots is None:
             work()
         else:
-            for k in range(len(eigenvalues)):
+            for k in range(eigenvalues.shape[1]):
                 with ready:
                     ready.wait_for(lambda: k in built)
-                    matrix = built.pop(k)
-                if isinstance(matrix, Exception):
-                    failures[k] = matrix
-                    break
-                try:
-                    system = eigendecompose(matrix)
-                except Exception as exc:
-                    failures[k] = exc
-                    break
-                eigenvalues[k], iprs[k] = system.eigenvalues, system.iprs
+                    matrices = built.pop(k)
+                solve(k, iter(matrices))
                 with ready:
+                    if not needed(k + 1):
+                        break
                     solved = k + 1
                     ready.notify()
     finally:
         with ready:
-            stop.set()
+            done = True
             ready.notify()
         for helper in helpers:
             helper.join()

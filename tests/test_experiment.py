@@ -396,6 +396,32 @@ class TestRunExperiment:
         assert by_period[3].classification == "enhanced"
         assert by_period[6].classification == "suppressed"
 
+    def test_one_sweep_fills_both_records(self, monkeypatch):
+        """``run_experiment`` calls ``sweep`` once, with the injected
+        returns as ``after``; its trajectories are those of lone sweeps,
+        before bit for bit and after within rounding."""
+        import lagspec.experiment
+
+        counts = synth_generate(SYNTH_PRESETS["small"])
+        spec = InjectionSpec(kind="noise", target_ids=("s004", "s009"), seed=1)
+        calls = []
+
+        def counting(g, tau_max, **kwargs):
+            calls.append(sorted(kwargs))
+            return sweep(g, tau_max, **kwargs)
+
+        monkeypatch.setattr(lagspec.experiment, "sweep", counting)
+        report = run_experiment(counts, spec, 40, watch_positions=[1, 15])
+        assert calls == [["after"]]
+        lone_before = sweep(returns_from_counts(counts), 40)
+        lone_after = sweep(returns_from_counts(inject(counts, spec)), 40)
+        for watch in report.watches:
+            before = trajectory(lone_before, watch.kind, watch.position)
+            after = trajectory(lone_after, watch.kind, watch.position)
+            assert np.array_equal(watch.before, before)
+            assert np.allclose(watch.after, after, rtol=0, atol=1e-9)
+            assert not np.array_equal(watch.before, watch.after)
+
     def test_default_watch_positions(self):
         cfg = SynthConfig(n_series=16, length=513, n_drivers=0, seed=4)
         counts = synth_generate(cfg)

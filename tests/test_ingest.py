@@ -96,6 +96,24 @@ class TestLoadCounts:
         with pytest.raises(ParseError):
             load_counts(csv_bytes("time,a,b\n0,1,2\n300,3,4\n600,5,6\n"))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A spreadsheet export's leading U+FEFF, from a file or from bytes,
+        loads to the same counts as the plain file; a malformed row after it
+        is still named by its line."""
+        text = "t,a,b\n0,1,2\n300,3,4\n600,5,6\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = load_counts(plain)
+        for source in (marked, marked.read_bytes()):
+            cm = load_counts(source)
+            assert cm.series_ids == expected.series_ids == ("a", "b")
+            assert cm.interval == expected.interval
+            assert np.array_equal(cm.counts, expected.counts)
+        with pytest.raises(ParseError, match="row at line 3"):
+            load_counts("\ufefft,a,b\n0,1,2\n300,x,4\n600,5,6\n".encode())
+
     def test_accepts_text_stream(self):
         cm = load_counts(io.StringIO("t,a,b\n0,1,2\n1,3,4\n2,5,6\n"))
         assert cm.interval == 1.0

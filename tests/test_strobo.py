@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -17,6 +18,7 @@ from lagspec import (
     LagTooLarge,
     LengthMismatch,
     PowerSpectrum,
+    ReturnMatrix,
     StroboscopicSequence,
     TooShort,
     characteristic_periods,
@@ -33,8 +35,8 @@ from lagspec import (
 )
 
 from lagspec import _blas
-from lagspec.lagcorr import block_lag_corrs, uses_block_path
-from lagspec.strobo import _built, _local_maxima, _solve_rows, _split
+from lagspec.lagcorr import block_lag_corrs, patch_rows, uses_block_path
+from lagspec.strobo import _built, _local_maxima, _matrices, _solve_rows, _split
 
 from conftest import (
     dft_power_oracle,
@@ -233,6 +235,11 @@ def lagged(g, tau_max):
     return (lag_corr(g, k) for k in range(1, tau_max + 1))
 
 
+def one_record(matrices):
+    """``_solve_rows`` builders of one record's matrices, made already."""
+    return (partial(_matrices, _built(m), None, None) for m in matrices)
+
+
 @needs_openblas
 class TestSweepWorkers:
     @pytest.mark.parametrize("shape", [DIRECT, BLOCK])
@@ -243,8 +250,8 @@ class TestSweepWorkers:
         g = iid_returns(n, length, seed=12)
         tables = []
         for workers in (1, 2):
-            eigenvalues, iprs = np.empty((2, tau_max + 1, n))
-            builders = map(_built, chain([lag_corr(g, 0)], lagged(g, tau_max)))
+            eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
+            builders = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
             with _blas.threads(1):
                 _solve_rows(builders, eigenvalues, iprs, workers)
             tables.append((eigenvalues, iprs))
@@ -304,9 +311,9 @@ class TestSweepWorkers:
             for k, matrix in enumerate(chain([lag_corr(g, 0)], lagged(g, tau_max))):
                 if k == 8:
                     raise CorrelationOutOfRange("correlation entries outside [-1, 1] at lag 8")
-                yield _built(matrix)
+                yield from one_record([matrix])
 
-        eigenvalues, iprs = np.empty((2, tau_max + 1, n))
+        eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
         with _blas.threads(1):
             with pytest.raises(CorrelationOutOfRange, match="at lag 8$"):
                 _solve_rows(builders(), eigenvalues, iprs, 2)
@@ -746,3 +753,189 @@ class TestSweepHelper:
         assert not runner.is_alive()
         assert np.array_equal(results[0].eigenvalues, serial.eigenvalues)
         assert np.array_equal(results[0].iprs, serial.iprs)
+
+
+def replaced(g, rows, seed):
+    """g with the series ``rows`` replaced by fresh normalized ones, as an
+    injection leaves a record."""
+    returns = g.returns.copy()
+    returns[rows] = iid_returns(len(rows), g.n_returns, seed=seed).returns
+    return ReturnMatrix(series_ids=g.series_ids, returns=returns)
+
+
+@needs_openblas
+class TestPairedSweep:
+    """``sweep(g, tau_max, after=a)``: both records in one pass, a's lags
+    made from g's by rebuilding the rows that differ, where those are fewer
+    than half."""
+
+    @pytest.mark.parametrize(
+        "shape", [DIRECT, HELPER, (17, 6000, 100), BLOCK],
+        ids=["direct", "helper", "block", "block-in-turn"],
+    )
+    @pytest.mark.parametrize("changed", [0, 1, 3])
+    def test_before_bit_equal_and_after_within_rounding(self, shape, changed):
+        """On the block path rows are rebuilt only where 16k < N; otherwise
+        the records are swept in turn, and a's tables are a lone sweep's."""
+        n, length, tau_max = shape
+        g = iid_returns(n, length, seed=30)
+        a = replaced(g, list(range(2, 2 + changed)), seed=31)
+        with _blas.threads(2):
+            before, after = sweep(g, tau_max, after=a)
+            lone_before, lone_after = sweep(g, tau_max), sweep(a, tau_max)
+            with sweep_blas(g, tau_max):
+                for k, matrix in enumerate(chain([lag_corr(g, 0)], lagged(g, tau_max))):
+                    system = eigendecompose(matrix)
+                    assert np.array_equal(before.eigenvalues[k], system.eigenvalues)
+                    assert np.array_equal(before.iprs[k], system.iprs)
+        assert np.array_equal(before.eigenvalues, lone_before.eigenvalues)
+        assert np.array_equal(before.iprs, lone_before.iprs)
+        assert np.array_equal(before.equal_time_matrix.values,
+                              lone_before.equal_time_matrix.values)
+        if changed == 0:
+            assert np.array_equal(after.eigenvalues, before.eigenvalues)
+            assert np.array_equal(after.iprs, before.iprs)
+        if uses_block_path(n, length) and 16 * changed >= n:
+            assert np.array_equal(after.eigenvalues, lone_after.eigenvalues)
+            assert np.array_equal(after.iprs, lone_after.iprs)
+        assert np.allclose(after.eigenvalues, lone_after.eigenvalues, rtol=0, atol=1e-13)
+        assert np.allclose(after.iprs, lone_after.iprs, rtol=0, atol=1e-9)
+        assert np.allclose(after.equal_time_matrix.values,
+                           lone_after.equal_time_matrix.values, rtol=0, atol=4e-15)
+
+    def test_half_the_series_changed_builds_after_in_full(self, monkeypatch):
+        """Where 2k >= N, each lag of a is ``lag_corr(a, k)``, so a's tables
+        are a lone sweep's bit for bit; where 2k < N no lag of a is built
+        in full."""
+        import lagspec.strobo
+
+        n, length, tau_max = DIRECT
+        g = iid_returns(n, length, seed=32)
+        built = Counter()
+
+        def counting(record, lag, out=None):
+            built[record is g] += 1
+            return lag_corr(record, lag, out=out)
+
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
+        with _blas.threads(2):
+            half = replaced(g, list(range(n // 2)), seed=33)
+            after = sweep(g, tau_max, after=half)[1]
+            assert built == {True: tau_max + 1, False: tau_max + 2}
+            lone = sweep(half, tau_max)
+            assert np.array_equal(after.eigenvalues, lone.eigenvalues)
+            assert np.array_equal(after.iprs, lone.iprs)
+            built.clear()
+            sweep(g, tau_max, after=replaced(g, list(range(n // 2 - 1)), seed=33))
+            assert built == {True: tau_max + 1}
+
+    def test_records_of_different_shapes(self, monkeypatch):
+        import lagspec.strobo
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the shapes were checked")
+
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", no_work)
+        g = iid_returns(8, 256, seed=34)
+        for other in (iid_returns(8, 254, seed=34), iid_returns(7, 256, seed=34)):
+            with pytest.raises(ValueError, match="differ in shape"):
+                sweep(g, 20, after=other)
+
+    @pytest.mark.parametrize("shape", [(8, 1024, 300), (64, 640, 300)], ids=["workers", "helper"])
+    def test_a_fault_in_g_at_any_lag_is_raised_first(self, monkeypatch, shape):
+        """a's solve fails at lag 3 and g's at lag 300: g's error is raised,
+        as if g were swept first; without g's fault a's is.  Helpers are
+        joined and the BLAS count restored either way."""
+        n, length, tau_max = shape
+        g = iid_returns(n, length, seed=35)
+        rows = np.array([1, 4])
+        a = replaced(g, rows, seed=36)
+        with _blas.threads(2):
+            expected = (2, False, 1) if n == 8 else (1, True, 1)
+            assert _split(g, tau_max, records=2) == expected
+            with sweep_blas(g, tau_max):
+                a_at_3 = patch_rows(lag_corr(g, 3), a, rows)
+                g_at_300 = lag_corr(g, 300)
+            threads = threading.active_count()
+            for faults, lag in (([a_at_3, g_at_300], 300), ([a_at_3], 3)):
+                faulty_eigh(monkeypatch, faults, {3, 300})
+                with pytest.raises(ConvergenceFailure, match=f"at lag {lag}.*unit norm"):
+                    sweep(g, tau_max, after=a)
+                assert _blas.thread_count() == 2
+                assert threading.active_count() == threads
+                monkeypatch.undo()
+
+    def test_many_workers_solve_each_lag_of_each_record_once(self, monkeypatch):
+        """More workers than cores and a short switch interval: a lost
+        update would solve a lag of a record twice or leave a row
+        unwritten."""
+        import lagspec.strobo
+
+        solved = Counter()
+
+        def solve(d):
+            solved[d.lag] += 1
+            return eigendecompose(d)
+
+        g = iid_returns(8, 4096, seed=39)
+        a = replaced(g, [5], seed=40)
+        with _blas.threads(1):
+            serial = sweep(g, 200, after=a)
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _blas.threads(8):
+                assert _split(g, 200, records=2) == (8, False, 1)
+                runner = threading.Thread(
+                    target=lambda: results.append(sweep(g, 200, after=a)))
+                runner.start()
+                runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert solved == {k: 2 for k in range(201)}
+        for seq, expected in zip(results[0], serial, strict=True):
+            assert np.array_equal(seq.eigenvalues, expected.eigenvalues)
+            assert np.array_equal(seq.iprs, expected.iprs)
+
+    def test_a_build_fault_in_g_beats_a_lower_one_in_a(self, monkeypatch):
+        import lagspec.strobo
+
+        n, length, tau_max = DIRECT
+        g = iid_returns(n, length, seed=37)
+        a = replaced(g, list(range(n // 2)), seed=38)  # a is built in full
+
+        def failing(record, lag, out=None):
+            if (record is a and lag == 2) or (record is g and lag == 15):
+                raise CorrelationOutOfRange(f"correlation entries outside [-1, 1] at lag {lag}")
+            return lag_corr(record, lag, out=out)
+
+        monkeypatch.setattr(lagspec.strobo, "lag_corr", failing)
+        with _blas.threads(2):
+            with pytest.raises(CorrelationOutOfRange, match="at lag 15$"):
+                sweep(g, tau_max, after=a)
+            with pytest.raises(CorrelationOutOfRange, match="at lag 2$"):
+                sweep(g, 14, after=a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_patched_rows_match_a_full_build(data):
+    """Each patched matrix is exactly symmetric, within 4e-15 of a full
+    build, and g's matrix bit for bit outside the changed rows and
+    columns."""
+    n = data.draw(st.integers(2, 12), label="n")
+    length = data.draw(st.integers(4, 300), label="length")
+    lag = data.draw(st.integers(0, length // 2), label="lag")
+    rows = np.array(sorted(data.draw(
+        st.sets(st.integers(0, n - 1), max_size=n), label="rows")), dtype=np.intp)
+    g = iid_returns(n, length, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    a = replaced(g, rows, seed=length)
+    base = lag_corr(g, lag)
+    patched = patch_rows(base, a, rows).values  # LagCorrMatrix checks symmetry
+    assert np.array_equal(patched, patched.T)
+    assert np.max(np.abs(patched - lag_corr(a, lag).values), initial=0.0) <= 4e-15
+    keep = np.setdiff1d(np.arange(n), rows)
+    assert np.array_equal(patched[np.ix_(keep, keep)], base.values[np.ix_(keep, keep)])
