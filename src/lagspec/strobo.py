@@ -5,7 +5,7 @@ The sweep solves lags 0..tau_max, several at once or each beside the build
 of the next where BLAS threads allow (see ``sweep``), and keeps two tables,
 eigenvalues and IPRs with one row per lag, plus the equal-time matrix.  It
 can sweep a record and an injected copy of it in one pass, building the
-copy's lags from the record's.
+copy's lags from the record's on the direct path.
 A trajectory is one column of a table over lags 1..tau_max, a plain 1-D
 array: the equal-time row carries the trivial autocorrelation spike and is
 excluded from spectra, though it stays available in the tables.  Eigenvalues
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator, Literal, Sequence, Union
+from typing import Callable, Iterator, Literal, Sequence, Union, overload
 
 import numpy as np
 
@@ -148,6 +148,16 @@ class ResonanceReport:
         raise KeyError(f"no probe at period {period_steps}")
 
 
+@overload
+def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence: ...
+
+
+@overload
+def sweep(
+    g: ReturnMatrix, tau_max: int, *, after: ReturnMatrix
+) -> tuple[StroboscopicSequence, StroboscopicSequence]: ...
+
+
 def sweep(
     g: ReturnMatrix, tau_max: int, *, after: ReturnMatrix | None = None
 ) -> StroboscopicSequence | tuple[StroboscopicSequence, StroboscopicSequence]:
@@ -161,18 +171,19 @@ def sweep(
     No eigenvectors are kept.
 
     With ``after``, a record of g's shape (ValueError otherwise), both are
-    swept in one pass and the pair (g's sequence, after's) is returned; g's
-    is the one ``sweep(g, tau_max)`` gives, bit for bit.  The series whose
-    returns differ are found from the data, k of N.  Where 2k < N, after's
-    matrix of lag τ is g's with those k rows and columns rebuilt
-    (``patch_rows``), 2k/N of a full GEMM's flops; it differs from a fresh
-    ``lag_corr(after, τ)`` by rounding only and holds g's entries, bit for
-    bit, elsewhere.  Where 2k ≥ N it is ``lag_corr(after, τ)``.  Each lag's
-    matrix of after is made once that of g is solved, and solved next by
-    the same thread.  A failure in g, at any lag, is raised ahead of one in
-    after, as if g were swept first.  On the block path, whose lags cost
-    about N^2 L / 4 flops each, rows are rebuilt only where 16k < N;
-    otherwise g and after are swept one after the other.
+    swept and the pair (g's sequence, after's) is returned; g's is the one
+    ``sweep(g, tau_max)`` gives, bit for bit.  On the block path the two
+    are swept one after the other.  On the direct path they are swept in
+    one pass.  The series whose returns differ are found from the data, k
+    of N.  Where 2k < N, after's matrix of lag τ is g's with those k rows
+    and columns rebuilt (``patch_rows``), 2k/N of a full GEMM's flops; it
+    differs from a fresh ``lag_corr(after, τ)`` by rounding only and holds
+    g's entries, bit for bit, elsewhere.  Where 2k ≥ N it is
+    ``lag_corr(after, τ)``.  A worker makes after's matrix of lag τ once
+    it has solved g's, and solves it next; a helper (see below) builds
+    both matrices of a lag before the calling thread solves either.  A
+    failure in g, at any lag, is raised ahead of one in after, as if g
+    were swept first.
 
     Parallelism (``_split``): the thread budget T is the OpenBLAS thread
     count at entry.  W lags are solved at once, each with T // W BLAS
@@ -180,7 +191,8 @@ def sweep(
     tau_max + 1, and the lags in flight beyond the first may hold at most
     half the bytes of g's returns, at about 5 N^2 floats each (the matrix,
     ``eigh``'s copy and workspace, the eigenvectors), one N^2 more with
-    ``after``.
+    ``after``.  The extra matrix may lower W but never the T // W threads
+    of a lone sweep of g, so that g's arithmetic stays the same.
 
     So a wide record on the direct path (L < 10 N, such as 512 x 4096)
     gets W = 1.  Where T >= 2 and tau_max >= 1, a helper thread then builds
@@ -214,13 +226,12 @@ def sweep(
     block_path = uses_block_path(n, length)
     rows = None
     if after is not None:
-        changed = np.flatnonzero((g.returns != after.returns).any(axis=1))
-        # rebuilding k rows costs 4kLN flops; a full lag, 2N^2 L by GEMM
-        # or about N^2 L / 4 by the block kernel
-        if (16 if block_path else 2) * len(changed) < n:
-            rows = changed
-        elif block_path:
+        if block_path:
             return sweep(g, tau_max), sweep(after, tau_max)
+        changed = np.flatnonzero((g.returns != after.returns).any(axis=1))
+        # rebuilding k rows costs 4kLN flops; a full lag, 2N^2 L
+        if 2 * len(changed) < n:
+            rows = changed
     records = 1 if after is None else 2
     workers, helper, blas_threads = _split(g, tau_max, records)
     eigenvalues = np.empty((records, tau_max + 1, n))
@@ -255,17 +266,22 @@ def _split(
     (W, helper, BLAS threads per lag).  Either W lags are solved at once
     at T // W threads each, or, where ``helper``, W = 1 and a helper thread
     builds the next lag while this one is solved, both at T // 2 threads.
-    Each lag in flight holds one matrix per record of the sweep.  The
-    threads per lag are None where T cannot be read."""
+    Each lag in flight holds one matrix per record of the sweep.  A second
+    record's matrix may lower W, down to one solver beside a helper, but
+    the threads per lag stay those of a lone sweep of g.  The threads per
+    lag are None where T cannot be read."""
     total = _blas.thread_count()
     n, length = g.returns.shape
     if total is None or uses_block_path(n, length):
         return 1, False, total
-    per_lag = 8 * (4 + records) * n * n
-    workers = min(total, tau_max + 1, 1 + (g.returns.nbytes // 2) // per_lag)
+    budget = g.returns.nbytes // 2
+    workers = min(total, tau_max + 1, 1 + budget // (40 * n * n))
+    threads = total // workers
+    # only a lone W of 2 can fall to 1, whose threads are T // 2 as well
+    workers = min(workers, 1 + budget // (8 * (4 + records) * n * n))
     if workers == 1 and total >= 2 and tau_max >= 1:
         return 1, True, total // 2
-    return workers, False, total // workers
+    return workers, False, threads
 
 
 def _unpooled(shape: tuple[int, ...]) -> np.ndarray:

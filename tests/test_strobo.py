@@ -770,13 +770,12 @@ class TestPairedSweep:
     than half."""
 
     @pytest.mark.parametrize(
-        "shape", [DIRECT, HELPER, (17, 6000, 100), BLOCK],
-        ids=["direct", "helper", "block", "block-in-turn"],
+        "shape", [DIRECT, HELPER, BLOCK], ids=["direct", "helper", "block"],
     )
     @pytest.mark.parametrize("changed", [0, 1, 3])
     def test_before_bit_equal_and_after_within_rounding(self, shape, changed):
-        """On the block path rows are rebuilt only where 16k < N; otherwise
-        the records are swept in turn, and a's tables are a lone sweep's."""
+        """On the block path the records are swept in turn, so a's tables
+        are a lone sweep's."""
         n, length, tau_max = shape
         g = iid_returns(n, length, seed=30)
         a = replaced(g, list(range(2, 2 + changed)), seed=31)
@@ -795,13 +794,32 @@ class TestPairedSweep:
         if changed == 0:
             assert np.array_equal(after.eigenvalues, before.eigenvalues)
             assert np.array_equal(after.iprs, before.iprs)
-        if uses_block_path(n, length) and 16 * changed >= n:
+        if uses_block_path(n, length):
             assert np.array_equal(after.eigenvalues, lone_after.eigenvalues)
             assert np.array_equal(after.iprs, lone_after.iprs)
         assert np.allclose(after.eigenvalues, lone_after.eigenvalues, rtol=0, atol=1e-13)
         assert np.allclose(after.iprs, lone_after.iprs, rtol=0, atol=1e-9)
         assert np.allclose(after.equal_time_matrix.values,
                            lone_after.equal_time_matrix.values, rtol=0, atol=4e-15)
+
+    def test_after_lowers_workers_never_threads_per_lag(self):
+        """On the default experiment preset's shape at T = 6 and 12, a's
+        extra matrix per lag leaves room for fewer lags at once than a lone
+        sweep of g, but each still runs at the lone sweep's BLAS threads,
+        so g's tables keep their bytes."""
+        g = iid_returns(64, 2048, seed=41)
+        a = replaced(g, [3, 9, 20, 40], seed=42)
+        for total, lone, paired in ((6, (4, False, 1), (3, False, 1)),
+                                    (12, (4, False, 3), (3, False, 3))):
+            with _blas.threads(total):
+                assert _split(g, 400) == lone
+                assert _split(g, 400, records=2) == paired
+        with _blas.threads(6):
+            before, after = sweep(g, 40, after=a)
+            lone_before, lone_after = sweep(g, 40), sweep(a, 40)
+        assert np.array_equal(before.eigenvalues, lone_before.eigenvalues)
+        assert np.array_equal(before.iprs, lone_before.iprs)
+        assert np.allclose(after.eigenvalues, lone_after.eigenvalues, rtol=0, atol=1e-13)
 
     def test_half_the_series_changed_builds_after_in_full(self, monkeypatch):
         """Where 2k >= N, each lag of a is ``lag_corr(a, k)``, so a's tables
