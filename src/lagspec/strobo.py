@@ -2,7 +2,7 @@
 spectra.
 
 The sweep solves lags 0..tau_max, several at once or each beside the build
-of the next where BLAS threads allow (see ``sweep``), and keeps two tables,
+of the next where BLAS threads allow (see ``_split``), and keeps two tables,
 eigenvalues and IPRs with one row per lag, plus the equal-time matrix.  It
 can sweep a record and an injected copy of it in one pass, building the
 copy's lags from the record's on the direct path.
@@ -17,8 +17,7 @@ import math
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Literal, Sequence, Union, overload
 
@@ -179,39 +178,15 @@ def sweep(
     and columns rebuilt (``patch_rows``), 2k/N of a full GEMM's flops; it
     differs from a fresh ``lag_corr(after, τ)`` by rounding only and holds
     g's entries, bit for bit, elsewhere.  Where 2k ≥ N it is
-    ``lag_corr(after, τ)``.  A worker makes after's matrix of lag τ once
-    it has solved g's, and solves it next; a helper (see below) builds
-    both matrices of a lag before the calling thread solves either.  A
-    failure in g, at any lag, is raised ahead of one in after, as if g
-    were swept first.
+    ``lag_corr(after, τ)``.
 
-    Parallelism (``_split``): the thread budget T is the OpenBLAS thread
-    count at entry.  W lags are solved at once, each with T // W BLAS
-    threads, and the count is restored on exit.  W is at most T and
-    tau_max + 1, and the lags in flight beyond the first may hold at most
-    half the bytes of g's returns, at about 5 N^2 floats each (the matrix,
-    ``eigh``'s copy and workspace, the eigenvectors), one N^2 more with
-    ``after``.  The extra matrix may lower W but never the T // W threads
-    of a lone sweep of g, so that g's arithmetic stays the same.
-
-    So a wide record on the direct path (L < 10 N, such as 512 x 4096)
-    gets W = 1.  Where T >= 2 and tau_max >= 1, a helper thread then builds
-    lag k + 1 while the calling thread solves lag k, each at T // 2 BLAS
-    threads: ``eigh`` gains little from a second thread, the GEMM much.
-    The helper builds lags 1..tau_max into two slots of one N x N matrix
-    per record, allocated once per sweep, and builds lag k + 2 into lag
-    k's slot only once lag k is solved.  Only the calling thread solves:
-    each thread that runs ``eigh`` keeps the solver's freed buffers in its
-    own malloc arena, which cost about 10 MB at 512 x 4096.
-
-    A record on the block path is solved one lag at a time, at T threads:
-    its kernel builds the lags in batches while the next lag is taken, so
-    further workers would wait on it while it ran at T // W threads (on the
-    64 x 32768 benchmark record, 2 cores, W = 2 cost 9% of the run's wall
-    time).  Where numpy's bundled OpenBLAS is not found, W = 1, no helper
-    runs and nothing is pinned.  Each lag's arithmetic depends on its
-    thread count only, never on which thread builds or solves it.  The
-    error raised is that of the lowest failing lag, as in a serial sweep.
+    The lags are spread over the OpenBLAS threads counted at entry, and
+    the count is restored on exit: ``_split`` chooses the workers and the
+    threads per lag, ``_solve_rows`` the order of builds and solves.  Each
+    lag's arithmetic depends on its thread count only, never on which
+    thread builds or solves it.  The error raised is that of the lowest
+    failing lag, as in a serial sweep; a failure in g, at any lag, is
+    raised ahead of one in after, as if g were swept first.
     """
     tau_max = int(tau_max)
     if tau_max < 0:
@@ -236,22 +211,34 @@ def sweep(
     workers, helper, blas_threads = _split(g, tau_max, records)
     eigenvalues = np.empty((records, tau_max + 1, n))
     iprs = np.empty_like(eigenvalues)
-    # a direct lag's GEMM runs when its builder is called, outside the
-    # lock; the block kernel is a generator, so it runs when the next
-    # builder is taken
-    if block_path:
-        lagged = map(_built, block_lag_corrs(g, tau_max))
-    else:
-        lagged = (partial(lag_corr, g, k) for k in range(1, tau_max + 1))
+    # the block kernel's generator is taken in lag order: _split keeps
+    # that path to one thread
+    block = block_lag_corrs(g, tau_max) if block_path else None
+
+    def matrices(k: int, out: np.ndarray | None = None) -> Iterator[LagCorrMatrix]:
+        """Lag k's matrix of each record, in record order, each made when
+        it is asked for.  ``out``, if given, holds one N x N slot per
+        record; the lag-0 and block-path matrices of g ignore it."""
+        out = (None, None) if out is None else out
+        if k == 0:
+            first = equal_time_matrix
+        elif block is not None:
+            first = next(block)
+        else:
+            first = lag_corr(g, k, out=out[0])
+        yield first
+        if after is not None and rows is None:
+            yield lag_corr(after, k, out=out[1])
+        elif after is not None:
+            yield patch_rows(first, after, rows, out=out[1])
+
     slots = _unpooled((2, records, n, n)) if helper else None
     with _blas.threads(blas_threads) if workers > 1 or helper else nullcontext():
         equal_time_matrix = lag_corr(g, 0)
-        builders = (partial(_matrices, build, after, rows)
-                    for build in chain([_built(equal_time_matrix)], lagged))
-        _solve_rows(builders, eigenvalues, iprs, workers, slots)
+        _solve_rows(matrices, eigenvalues, iprs, workers, slots)
         # after's lag-0 matrix was not kept: it is made again, at the
         # threads it was solved at
-        equal_time = list(_matrices(_built(equal_time_matrix), after, rows))
+        equal_time = list(matrices(0))
     sequences = tuple(
         StroboscopicSequence(eigenvalues=vals, iprs=table, equal_time_matrix=matrix)
         for vals, table, matrix in zip(eigenvalues, iprs, equal_time)
@@ -262,14 +249,30 @@ def sweep(
 def _split(
     g: ReturnMatrix, tau_max: int, records: int = 1
 ) -> tuple[int, bool, int | None]:
-    """How ``sweep`` spreads lags 1..tau_max over the thread budget T:
-    (W, helper, BLAS threads per lag).  Either W lags are solved at once
-    at T // W threads each, or, where ``helper``, W = 1 and a helper thread
-    builds the next lag while this one is solved, both at T // 2 threads.
-    Each lag in flight holds one matrix per record of the sweep.  A second
-    record's matrix may lower W, down to one solver beside a helper, but
-    the threads per lag stay those of a lone sweep of g.  The threads per
-    lag are None where T cannot be read."""
+    """How ``sweep`` spreads lags 0..tau_max over the thread budget T, the
+    OpenBLAS thread count: (W, helper, BLAS threads per lag), the threads
+    per lag being None where T cannot be read.
+
+    Either W threads solve a lag each at T // W BLAS threads, or, where
+    ``helper``, W = 1 and a helper thread builds the next lag while the
+    calling thread solves this one, both at T // 2.  W is at most T and
+    tau_max + 1, and the lags in flight beyond the first may hold at most
+    half the bytes of g's returns, at about 5 N^2 floats each (the matrix,
+    ``eigh``'s copy and workspace, the eigenvectors) and one N^2 more per
+    further record.  A second record may lower W, down to one solver
+    beside a helper, but never the T // W threads of a lone sweep of g,
+    so that g's arithmetic stays the same.
+
+    So a wide record on the direct path (L < 10 N, such as 512 x 4096)
+    takes the helper where T >= 2 and tau_max >= 1: ``eigh`` gains little
+    from a second thread, the GEMM much.  Only the calling thread solves
+    then, as each thread that runs ``eigh`` keeps the solver's freed
+    buffers in its own malloc arena, about 10 MB at 512 x 4096.  A record
+    on the block path is solved one lag at a time at T threads: its kernel
+    builds the lags in batches, so further workers would wait on it while
+    it ran at T // W threads (on the 64 x 32768 benchmark record, 2 cores,
+    W = 2 cost 9% of the run's wall time).  Where numpy's bundled OpenBLAS
+    is not found, W = 1, no helper runs and nothing is pinned."""
     total = _blas.thread_count()
     n, length = g.returns.shape
     if total is None or uses_block_path(n, length):
@@ -295,61 +298,35 @@ def _unpooled(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
 
 
-def _built(matrix: LagCorrMatrix) -> Callable[..., LagCorrMatrix]:
-    """A builder of a matrix made already; it ignores ``out``."""
-    return lambda out=None: matrix
-
-
-def _matrices(
-    build: Callable[..., LagCorrMatrix],
-    after: ReturnMatrix | None,
-    rows: np.ndarray | None,
-    out: np.ndarray | None = None,
-) -> Iterator[LagCorrMatrix]:
-    """One lag's matrix of each record of a sweep, in record order, each
-    made when it is asked for: ``build``'s, then, with ``after``, after's,
-    made from the first by ``patch_rows`` or, where ``rows`` is None, by
-    ``lag_corr``.  ``out``, if given, holds one N x N slot per record."""
-    first = build() if out is None else build(out=out[0])
-    yield first
-    if after is not None:
-        slot = None if out is None else out[1]
-        if rows is None:
-            yield lag_corr(after, first.lag, out=slot)
-        else:
-            yield patch_rows(first, after, rows, out=slot)
-
-
 def _solve_rows(
-    builders: Iterator[Callable[..., Iterator[LagCorrMatrix]]],
+    matrices: Callable[..., Iterator[LagCorrMatrix]],
     eigenvalues: np.ndarray,
     iprs: np.ndarray,
     workers: int,
     slots: np.ndarray | None = None,
 ) -> None:
-    """Build and solve the matrices of the k-th builder of ``builders``,
-    one per record, into row k of that record's tables: ``eigenvalues[r]``
-    and ``iprs[r]`` are record r's, and a builder, called, returns an
-    iterator of its lag's matrices in record order.
+    """Solve the matrices of ``matrices(k)``, one per record, into row k
+    of that record's tables, for every row k: ``eigenvalues[r]`` and
+    ``iprs[r]`` are record r's, and ``matrices(k, out)`` makes lag k's
+    matrices in record order as they are asked for.
 
-    Without ``slots``, ``workers`` threads, the calling one included, take
-    the builders in order under a lock, then build and solve their
-    matrices outside it, one record after the other.  With ``slots``, a
-    (2, records, N, N) array, one helper thread calls the k-th builder with
-    ``out=slots[k % 2]`` once lag k - 2 is solved and builds all its
-    matrices, and the calling thread alone solves the lags, in order;
-    ``workers`` is then 1.
+    ``workers`` threads, the calling one included, take lags from a
+    counter under a lock, in order.  Without ``slots``, each builds and
+    solves its lag's matrices outside the lock, one record after the
+    other.  With ``slots``, a (2, records, N, N) array, ``workers`` is 1:
+    a helper thread builds all of lag k's matrices into ``slots[k % 2]``
+    once lag k - 1 is taken, which is once lag k - 2 is solved, and the
+    calling thread waits for that build and solves it.
 
-    A failure, in taking, building or solving, ends that record's work at
-    higher lags, and a failure in the first record ends all taking.  Once
-    the lags in flight are done, the failure of the lowest record, at its
+    A failure, in building or solving, ends that record's work at higher
+    lags, and a failure in the first record ends all taking.  Once the
+    lags in flight are done, the failure of the lowest record, at its
     lowest lag, is raised.  Every lag below it was solved for that record
     and those before it, so that is the failure that sweeping the records
     one after the other in serial loops meets first.
     """
-    records = len(eigenvalues)
-    lock = threading.Lock()
-    ready = threading.Condition(lock)
+    records, lags = eigenvalues.shape[:2]
+    ready = threading.Condition()
     # (record, lag): its failure
     failures: dict[tuple[int, int], Exception] = {}
     taken = 0
@@ -357,27 +334,29 @@ def _solve_rows(
     # helper path: built[k] is the list of lag k's matrices, perhaps ending
     # in the failure that stopped its building
     built: dict[int, list] = {}
-    solved = 0
 
     def needed(k: int) -> int:
         """How many records, from the first, lag k is still to be solved
         for: none from one that failed at lag k or below.  Under the lock."""
         return min([records, *(r for r, lag in failures if lag <= k)])
 
-    def solve(k: int, matrices: Iterator) -> None:
+    def solve(k: int, made: Iterator) -> None:
         """Solve lag k's matrices into row k of their records' tables, in
-        record order, until one fails or lag k is no longer needed."""
+        record order, until one fails or lag k is no longer needed.  The
+        last matrix and eigensystem die on return, before the next lag is
+        built: a 512 x 512 eigensystem kept through the next solve raised
+        a 512 x 4096 analyze's peak RSS by 1.8 MB."""
         for r in range(records):
-            with lock:
+            with ready:
                 if r >= needed(k):
                     return
             try:
-                matrix = next(matrices)
+                matrix = next(made)
                 if isinstance(matrix, Exception):
                     raise matrix
                 system = eigendecompose(matrix)
             except Exception as exc:  # raised in the caller below
-                with lock:
+                with ready:
                     failures[r, k] = exc
                 return
             eigenvalues[r, k], iprs[r, k] = system.eigenvalues, system.iprs
@@ -385,37 +364,36 @@ def _solve_rows(
     def work() -> None:
         nonlocal taken
         while True:
-            with lock:
+            with ready:
                 k = taken
-                if not needed(k):
-                    return
-                try:
-                    build = next(builders, None)
-                except Exception as exc:  # raised in the caller below
-                    failures[0, k] = exc
-                    return
-                if build is None:
+                if k == lags or not needed(k):
                     return
                 taken += 1
-            solve(k, build())
+                if slots is None:
+                    made = matrices(k)
+                else:
+                    ready.notify()
+                    ready.wait_for(lambda: k in built)
+                    made = iter(built.pop(k))
+            solve(k, made)
 
     def build_ahead() -> None:
-        for k in range(eigenvalues.shape[1]):
+        for k in range(lags):
             with ready:
-                # lag k - 2 has left slot k % 2
-                ready.wait_for(lambda: solved >= k - 1 or done)
+                # lag k - 1 is taken, so lag k - 2 has left slot k % 2
+                ready.wait_for(lambda: taken >= k or done)
                 count = 0 if done else needed(k)
             if not count:
                 return
-            matrices = []
+            made = []
             try:
-                matrices.extend(islice(next(builders)(out=slots[k % 2]), count))
+                made.extend(islice(matrices(k, slots[k % 2]), count))
             except Exception as exc:  # raised by the caller at lag k
-                matrices.append(exc)
+                made.append(exc)
             with ready:
-                built[k] = matrices
+                built[k] = made
                 ready.notify()
-            if isinstance(matrices[0], Exception):
+            if isinstance(made[0], Exception):
                 return
 
     if slots is None:
@@ -425,19 +403,7 @@ def _solve_rows(
     for helper in helpers:
         helper.start()
     try:
-        if slots is None:
-            work()
-        else:
-            for k in range(eigenvalues.shape[1]):
-                with ready:
-                    ready.wait_for(lambda: k in built)
-                    matrices = built.pop(k)
-                solve(k, iter(matrices))
-                with ready:
-                    if not needed(k + 1):
-                        break
-                    solved = k + 1
-                    ready.notify()
+        work()
     finally:
         with ready:
             done = True

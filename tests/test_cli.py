@@ -338,9 +338,9 @@ class TestAnalyze:
     def test_equal_time_csv_is_the_sweeps_lag0_matrix(self, tmp_path, monkeypatch):
         lags = []
 
-        def counting(g, lag):
+        def counting(g, lag, out=None):
             lags.append(lag)
-            return lag_corr(g, lag)
+            return lag_corr(g, lag, out=out)
 
         # equal_time_corr looks lag_corr up in lagcorr, the sweep in strobo
         monkeypatch.setattr(lagspec.lagcorr, "lag_corr", counting)

@@ -2,13 +2,12 @@ import sys
 import threading
 import time
 from collections import Counter
-from functools import partial
 from itertools import chain
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from scipy.signal import find_peaks
 
 from lagspec import (
@@ -36,7 +35,7 @@ from lagspec import (
 
 from lagspec import _blas
 from lagspec.lagcorr import block_lag_corrs, patch_rows, uses_block_path
-from lagspec.strobo import _built, _local_maxima, _matrices, _solve_rows, _split
+from lagspec.strobo import _local_maxima, _solve_rows, _split
 
 from conftest import (
     dft_power_oracle,
@@ -236,8 +235,10 @@ def lagged(g, tau_max):
 
 
 def one_record(matrices):
-    """``_solve_rows`` builders of one record's matrices, made already."""
-    return (partial(_matrices, _built(m), None, None) for m in matrices)
+    """``_solve_rows``'s lag function for one record's matrices, made
+    already: lag k yields the k-th."""
+    matrices = list(matrices)
+    return lambda k, out=None: iter(matrices[k:k + 1])
 
 
 @needs_openblas
@@ -251,9 +252,9 @@ class TestSweepWorkers:
         tables = []
         for workers in (1, 2):
             eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
-            builders = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
+            matrices = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
             with _blas.threads(1):
-                _solve_rows(builders, eigenvalues, iprs, workers)
+                _solve_rows(matrices, eigenvalues, iprs, workers)
             tables.append((eigenvalues, iprs))
         assert np.array_equal(tables[0][0], tables[1][0])
         assert np.array_equal(tables[0][1], tables[1][1])
@@ -301,33 +302,33 @@ class TestSweepWorkers:
             with pytest.raises(ConvergenceFailure, match="at lag 6.*unit norm"):
                 sweep(g, tau_max)
 
-    def test_failure_in_taking_a_builder_names_its_lag(self, monkeypatch):
-        """A builder generator that raises, as the block kernel can: its
-        error is raised unless a lower lag's solve fails too."""
+    def test_failure_in_building_names_its_lag(self, monkeypatch):
+        """A lag whose build raises, as the block kernel can: its error is
+        raised unless a lower lag's solve fails too."""
         n, length, tau_max = BLOCK
         g = iid_returns(n, length, seed=14)
+        made = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
 
-        def builders():
-            for k, matrix in enumerate(chain([lag_corr(g, 0)], lagged(g, tau_max))):
-                if k == 8:
-                    raise CorrelationOutOfRange("correlation entries outside [-1, 1] at lag 8")
-                yield from one_record([matrix])
+        def matrices(k, out=None):
+            if k == 8:
+                raise CorrelationOutOfRange("correlation entries outside [-1, 1] at lag 8")
+            yield from made(k)
 
         eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
         with _blas.threads(1):
             with pytest.raises(CorrelationOutOfRange, match="at lag 8$"):
-                _solve_rows(builders(), eigenvalues, iprs, 2)
+                _solve_rows(matrices, eigenvalues, iprs, 2)
             faulty_eigh(monkeypatch, lagged(g, tau_max), {7}, slow={7})
             with pytest.raises(ConvergenceFailure, match="at lag 7.*unit norm"):
-                _solve_rows(builders(), eigenvalues, iprs, 2)
+                _solve_rows(matrices, eigenvalues, iprs, 2)
 
     def test_direct_path_build_failure_names_its_lag(self, monkeypatch):
         import lagspec.strobo
 
-        def failing(g, lag):
+        def failing(g, lag, out=None):
             if lag in (9, 12):
                 raise CorrelationOutOfRange(f"correlation entries outside [-1, 1] at lag {lag}")
-            return lag_corr(g, lag)
+            return lag_corr(g, lag, out=out)
 
         g = iid_returns(*DIRECT[:2], seed=17)
         # solver faults above the first build failure lose to it
@@ -337,6 +338,29 @@ class TestSweepWorkers:
             with pytest.raises(CorrelationOutOfRange, match="at lag 9$"):
                 sweep(g, DIRECT[2])
             assert _blas.thread_count() == 2
+
+    @pytest.mark.parametrize("shape, total", [(BLOCK, 2), (DIRECT, 1)], ids=["block", "direct"])
+    def test_one_worker_solves_every_lag_on_the_calling_thread_in_order(
+        self, monkeypatch, shape, total
+    ):
+        """Where ``_split`` gives one worker and no helper, the calling
+        thread solves lags 0..tau_max in order; the block kernel's lags
+        are taken from its generator with no lock on that ground."""
+        import lagspec.strobo
+
+        solves = []
+
+        def solve(d):
+            solves.append((threading.get_ident(), d.lag))
+            return eigendecompose(d)
+
+        n, length, tau_max = shape
+        g = iid_returns(n, length, seed=22)
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
+        with _blas.threads(total):
+            assert _split(g, tau_max) == (1, False, total)
+            sweep(g, tau_max)
+        assert solves == [(threading.get_ident(), k) for k in range(tau_max + 1)]
 
     def test_serial_without_openblas(self, monkeypatch):
         import lagspec.strobo
@@ -943,7 +967,9 @@ class TestPairedSweep:
 def test_patched_rows_match_a_full_build(data):
     """Each patched matrix is exactly symmetric, within 4e-15 of a full
     build, and g's matrix bit for bit outside the changed rows and
-    columns."""
+    columns.  Short records can have lagged entries above 1, as
+    |D_ij(τ)| <= L / (L - τ): draws where g's matrix is out of range are
+    rejected, and where a's is, patching must fail at the same lag."""
     n = data.draw(st.integers(2, 12), label="n")
     length = data.draw(st.integers(4, 300), label="length")
     lag = data.draw(st.integers(0, length // 2), label="lag")
@@ -951,9 +977,18 @@ def test_patched_rows_match_a_full_build(data):
         st.sets(st.integers(0, n - 1), max_size=n), label="rows")), dtype=np.intp)
     g = iid_returns(n, length, seed=data.draw(st.integers(0, 2**16), label="seed"))
     a = replaced(g, rows, seed=length)
-    base = lag_corr(g, lag)
+    try:
+        base = lag_corr(g, lag)
+    except CorrelationOutOfRange:
+        reject()
+    try:
+        full = lag_corr(a, lag).values
+    except CorrelationOutOfRange:
+        with pytest.raises(CorrelationOutOfRange, match=f"at lag {lag}$"):
+            patch_rows(base, a, rows)
+        return
     patched = patch_rows(base, a, rows).values  # LagCorrMatrix checks symmetry
     assert np.array_equal(patched, patched.T)
-    assert np.max(np.abs(patched - lag_corr(a, lag).values), initial=0.0) <= 4e-15
+    assert np.max(np.abs(patched - full), initial=0.0) <= 4e-15
     keep = np.setdiff1d(np.arange(n), rows)
     assert np.array_equal(patched[np.ix_(keep, keep)], base.values[np.ix_(keep, keep)])
