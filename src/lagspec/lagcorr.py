@@ -9,20 +9,24 @@ O(tau/L).  Symmetrization restricts eigenvalues and eigenvectors to real
 values.
 
 ``lag_corr`` builds one lag with one GEMM.  ``block_lag_corrs`` builds lags
-1..tau_max of a long record (roughly L >= 200 N, see ``uses_block_path``)
-from block FFTs, about four GEMMs' worth of flops per 32 lags; its entries
-differ from ``lag_corr``'s by rounding only.  ``patch_rows`` builds a lag
+1..tau_max of a long record (``uses_block_path``: L >= 14124 at N = 64, the
+bound falling from 268 N at N = 32 to 153 N at N = 512) from block FFTs,
+about four GEMMs' worth of flops per 32 lags, on one thread or several; its
+entries differ from ``lag_corr``'s by rounding only.  ``patch_rows`` builds a lag
 of a record from the same lag of another that differs only in a few series,
 rebuilding those rows and columns alone.
 """
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Union
 
 import numpy as np
 
+from . import _threads
 from .errors import CorrelationOutOfRange, LagTooLarge, ParseError
 from .ingest import ReturnMatrix
 
@@ -149,7 +153,10 @@ def _block_plan(n: int, length: int) -> tuple[int, int] | None:
     chunk: at most 2 * chunk + 2 * batch + 2 * _PIECE blocks of
     (_BLOCK + 1) * n complex, rfft temporaries included.  The spectra get
     about a quarter of the bytes of the returns and the accumulators the
-    rest, so the path needs L >> N.
+    rest, so the path needs L >> N.  Split over threads, the kernel still
+    holds one such set: each thread transforms a share of the series into
+    the shared spectra and fills its share of the frequency bins of the
+    shared accumulators.
     """
     budget = 8 * n * length
     block = (_BLOCK + 1) * n * 16
@@ -166,63 +173,108 @@ def uses_block_path(n: int, length: int) -> bool:
     return _block_plan(n, length) is not None
 
 
-def _spectra(returns: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """G_t for blocks t = lo..hi-1: the rfft of block t of every row,
-    zero-padded to 2 * _BLOCK samples; blocks past the record are zero.
-    Shape (_BLOCK + 1, n, hi - lo), so each frequency bin is one
-    n x (hi - lo) matrix."""
-    n = returns.shape[0]
-    # (n, bins, blocks): copying rfft's (n, blocks, bins) output into this
-    # layout is about twice as fast as into (bins, n, blocks), and each
-    # bin's n x blocks matrix still has unit stride for BLAS
-    out = np.empty((n, _BLOCK + 1, hi - lo), dtype=complex)
+def _spectra(
+    returns: np.ndarray, rows: slice, lo: int, hi: int, out: np.ndarray
+) -> None:
+    """G_t for blocks t = lo..hi-1 of the series ``rows`` into
+    ``out[:, rows]``, of shape (_BLOCK + 1, n, hi - lo): the rfft of block t
+    of each series, zero-padded to 2 * _BLOCK samples; blocks past the
+    record are zero.  Each series is transformed on its own, so the spectra
+    do not depend on how the series are shared out."""
     for a in range(lo, hi, _PIECE):
         b = min(a + _PIECE, hi)
-        seg = returns[:, a * _BLOCK:b * _BLOCK]
+        seg = returns[rows, a * _BLOCK:b * _BLOCK]
         if seg.shape[1] < (b - a) * _BLOCK:
             seg = np.pad(seg, ((0, 0), (0, (b - a) * _BLOCK - seg.shape[1])))
-        blocks = seg.reshape(n, b - a, _BLOCK)
-        out[:, :, a - lo:b - lo] = np.fft.rfft(blocks, 2 * _BLOCK).transpose(0, 2, 1)
-    return out.transpose(1, 0, 2)
+        blocks = seg.reshape(seg.shape[0], b - a, _BLOCK)
+        out[:, rows, a - lo:b - lo] = np.fft.rfft(blocks, 2 * _BLOCK).transpose(2, 0, 1)
 
 
-def _block_cross(returns: np.ndarray, j0: int, j1: int, chunk: int) -> list:
-    """Z_j(f) = sum_s conj(G_s(f)) V_{s+j}(f)^T for block lags j0..j1-1.
+def _block_cross(
+    returns: np.ndarray, j0: int, chunk: int, threads: int,
+    acc: np.ndarray, scratch: np.ndarray, stores: np.ndarray,
+) -> None:
+    """Z_j(f) = sum_s conj(G_s(f)) V_{s+j}(f)^T for block lags j = j0,
+    j0 + 1, ..., into ``acc[j - j0]``, one (_BLOCK + 1, n, n) complex array
+    per block lag.
 
     V_t = G_t + (-1)^f G_{t+1} is the spectrum of the 2 * _BLOCK samples
     from block t on, so irfft(Z_j)[d] is sum_t g_i(t) g_k(t + j * _BLOCK + d)
     for 0 <= d < _BLOCK.  The products are formed as G_s conj(V_{s+j})^T,
     whose conjugate is Z_j, so that G itself is the left factor.  Blocks s
-    are summed in chunks that start at multiples of ``chunk``, whatever j0
-    and j1 are.
+    are summed in chunks that start at multiples of ``chunk``, whatever the
+    block lags are.  ``scratch`` holds one product and ``stores`` the G and
+    conj(V) of a chunk, two flat complex arrays.
+
+    Each chunk's work is shared by ``threads`` parts, run on as many
+    threads: part i transforms its share of the series into the shared
+    spectra, then, once every part is done, forms V and the products of
+    its share of the frequency bins into its slice of the accumulators and
+    of ``scratch``.  Every bin's product is the same BLAS call whatever the
+    share, so Z_j does not depend on ``threads``.
     """
     n, length = returns.shape
     nblocks = -(-length // _BLOCK)
-    acc = [np.zeros((_BLOCK + 1, n, n), dtype=complex) for _ in range(j0, j1)]
-    scratch = np.empty((_BLOCK + 1, n, n), dtype=complex)
-    for s0 in range(0, nblocks - j0, chunk):
-        s1 = min(s0 + chunk, nblocks - j0)
-        # conj(V_t) for t = s0 + j0 .. s1 + j1 - 2, from G_t up to a block further
-        g = _spectra(returns, s0 + j0, min(s1 + j1, nblocks + 1))
-        v = np.empty_like(g[:, :, 1:])
-        np.add(g[0::2, :, :-1], g[0::2, :, 1:], out=v[0::2])
-        np.subtract(g[1::2, :, :-1], g[1::2, :, 1:], out=v[1::2])
-        np.conjugate(v, out=v)
-        if j0 > 0:
-            del g
-            g = _spectra(returns, s0, s1)
-        for j, z in zip(range(j0, j1), acc):
-            k = min(s1, nblocks - j) - s0
-            if k <= 0:
-                break
-            np.matmul(g[:, :, :k], v[:, :, j - j0:j - j0 + k].transpose(0, 2, 1),
-                      out=scratch)
-            z += scratch
-        del g, v
-    return [np.conjugate(z, out=z) for z in acc]
+    bins = _BLOCK + 1
+    j1 = j0 + len(acc)
+    acc[...] = 0.0
+
+    def spectra(store: np.ndarray, blocks: int) -> np.ndarray:
+        """A chunk's spectra of ``blocks`` blocks, seen as (bins, n, blocks)
+        and stored (n, bins, blocks): copying rfft's (n, blocks, bins)
+        output into that layout is about twice as fast as into (bins, n,
+        blocks), and each bin's n x blocks matrix still has unit stride for
+        BLAS."""
+        return store[:n * bins * blocks].reshape(n, bins, blocks).transpose(1, 0, 2)
+
+    barrier = threading.Barrier(threads)
+
+    def part(i: int) -> None:
+        rows = slice(i * n // threads, (i + 1) * n // threads)
+        f0, f1 = i * bins // threads, (i + 1) * bins // threads
+        even, odd = f0 + f0 % 2, f0 + 1 - f0 % 2
+        for s0 in range(0, nblocks - j0, chunk):
+            s1 = min(s0 + chunk, nblocks - j0)
+            # conj(V_t) for t = s0 + j0 .. s1 + j1 - 2, from G_t up to a block further
+            lo, hi = s0 + j0, min(s1 + j1, nblocks + 1)
+            g = spectra(stores[0], hi - lo)
+            _spectra(returns, rows, lo, hi, g)
+            barrier.wait()
+            v = spectra(stores[1], hi - lo - 1)
+            np.add(g[even:f1:2, :, :-1], g[even:f1:2, :, 1:], out=v[even:f1:2])
+            np.subtract(g[odd:f1:2, :, :-1], g[odd:f1:2, :, 1:], out=v[odd:f1:2])
+            np.conjugate(v[f0:f1], out=v[f0:f1])
+            if j0 > 0:
+                barrier.wait()  # no part reads the wide G any more
+                g = spectra(stores[0], s1 - s0)
+                _spectra(returns, rows, s0, s1, g)
+                barrier.wait()
+            for j, z in zip(range(j0, j1), acc):
+                k = min(s1, nblocks - j) - s0
+                if k <= 0:
+                    break
+                np.matmul(g[f0:f1, :, :k],
+                          v[f0:f1, :, j - j0:j - j0 + k].transpose(0, 2, 1),
+                          out=scratch[f0:f1])
+                z[f0:f1] += scratch[f0:f1]
+            barrier.wait()  # the next chunk overwrites G and V
+
+    def guarded(i: int) -> None:
+        try:
+            part(i)
+        except threading.BrokenBarrierError:
+            pass  # another part failed; _threads.run raises its error
+        except BaseException:
+            barrier.abort()
+            raise
+
+    _threads.run([functools.partial(guarded, i) for i in range(threads)])
+    np.conjugate(acc, out=acc)
 
 
-def block_lag_corrs(g: ReturnMatrix, tau_max: int) -> Iterator[LagCorrMatrix]:
+def block_lag_corrs(
+    g: ReturnMatrix, tau_max: int, threads: int = 1
+) -> Iterator[LagCorrMatrix]:
     """The matrices of lags 1..tau_max in order, by block FFT.
 
     Each series is cut into blocks of 32 samples and each block is
@@ -233,8 +285,20 @@ def block_lag_corrs(g: ReturnMatrix, tau_max: int) -> Iterator[LagCorrMatrix]:
     1e-15); symmetry is exact as there.  Block lags are built in batches
     whose working set stays within ``g.returns.nbytes``; a shape for which
     that is impossible (``uses_block_path`` false) raises ValueError.
+
+    The arguments are checked and the working set is made by this call,
+    on the calling thread, and every batch reuses it: a batch that another
+    thread runs allocates nothing large, which would stay in that thread's
+    malloc arena (2 MB more peak RSS on the long benchmark record).  Each
+    batch is split over ``threads`` threads, the one that runs it
+    included, each making its BLAS calls at the current thread count.  At
+    the same BLAS thread count the matrices are the same bit for bit for
+    every ``threads``.
     """
     tau_max = int(tau_max)
+    threads = int(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     returns = g.returns
     n, length = returns.shape
     if tau_max < 0:
@@ -247,19 +311,37 @@ def block_lag_corrs(g: ReturnMatrix, tau_max: int) -> Iterator[LagCorrMatrix]:
     if plan is None:
         raise ValueError(f"a {n} x {length} record takes the direct path")
     if tau_max == 0:
-        return
+        return iter(())
     chunk, batch = plan
+    batch = min(batch, tau_max // _BLOCK + 1)
+    width = min(chunk + batch, -(-length // _BLOCK) + 1)
+    acc = np.empty((batch, _BLOCK + 1, n, n), dtype=complex)
+    scratch = np.empty((_BLOCK + 1, n, n), dtype=complex)
+    stores = np.empty((2, n * (_BLOCK + 1) * width), dtype=complex)
+    return _block_lags(returns, tau_max, chunk, threads, acc, scratch, stores)
+
+
+def _block_lags(
+    returns: np.ndarray, tau_max: int, chunk: int, threads: int,
+    acc: np.ndarray, scratch: np.ndarray, stores: np.ndarray,
+) -> Iterator[LagCorrMatrix]:
+    """``block_lag_corrs``'s lags, batch by batch, in its working set."""
+    n, length = returns.shape
     last = tau_max // _BLOCK
-    for j0 in range(0, last + 1, batch):
-        acc = _block_cross(returns, j0, min(j0 + batch, last + 1), chunk)
-        for j in range(j0, j0 + len(acc)):
-            cross = np.fft.irfft(acc.pop(0), 2 * _BLOCK, axis=0)
+    # a block lag's inverse transform, in the bytes of the scratch product,
+    # which its batch no longer needs
+    cross = scratch.reshape(-1).view(float)[:2 * _BLOCK * n * n]
+    cross = cross.reshape(2 * _BLOCK, n, n)
+    for j0 in range(0, last + 1, len(acc)):
+        sums = acc[:last + 1 - j0]
+        _block_cross(returns, j0, chunk, threads, sums, scratch, stores)
+        for j, z in enumerate(sums, start=j0):
+            np.fft.irfft(z, 2 * _BLOCK, axis=0, out=cross)
             for lag in range(max(j * _BLOCK, 1), min((j + 1) * _BLOCK, tau_max + 1)):
                 d = lag - j * _BLOCK
                 values = cross[d] + cross[d].T
                 values /= 2.0 * (length - lag)
                 yield LagCorrMatrix(lag=lag, values=values)
-            del cross  # the next batch's working set starts from nothing
 
 
 def equal_time_corr(g: ReturnMatrix) -> LagCorrMatrix:

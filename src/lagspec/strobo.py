@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Literal, Sequence, Union, overload
 
 import numpy as np
 
-from . import _blas
+from . import _blas, _threads
 from .eigensys import eigendecompose
 from .errors import (
     IndexOutOfRange,
@@ -31,7 +31,7 @@ from .errors import (
     LengthMismatch,
     TooShort,
 )
-from .ingest import ReturnMatrix
+from .ingest import ReturnMatrix, _blocks
 from .lagcorr import (
     LagCorrMatrix,
     block_lag_corrs,
@@ -182,8 +182,10 @@ def sweep(
 
     The lags are spread over the OpenBLAS threads counted at entry, and
     the count is restored on exit: ``_split`` chooses the workers and the
-    threads per lag, ``_solve_rows`` the order of builds and solves.  Each
-    lag's arithmetic depends on its thread count only, never on which
+    threads per lag, ``_solve_rows`` the order of builds and solves.  On
+    the block path the kernel splits its work over the same W threads,
+    and each solver gets its own lag's matrix from it (``_in_lag_order``).
+    Each lag's arithmetic depends on its thread count only, never on which
     thread builds or solves it.  The error raised is that of the lowest
     failing lag, as in a serial sweep; a failure in g, at any lag, is
     raised ahead of one in after, as if g were swept first.
@@ -203,7 +205,10 @@ def sweep(
     if after is not None:
         if block_path:
             return sweep(g, tau_max), sweep(after, tau_max)
-        changed = np.flatnonzero((g.returns != after.returns).any(axis=1))
+        differs = np.zeros(n, dtype=bool)
+        for span in _blocks(n, length):  # no N x L temporary
+            differs[span] = (g.returns[span] != after.returns[span]).any(axis=1)
+        changed = np.flatnonzero(differs)
         # rebuilding k rows costs 4kLN flops; a full lag, 2N^2 L
         if 2 * len(changed) < n:
             rows = changed
@@ -211,9 +216,7 @@ def sweep(
     workers, helper, blas_threads = _split(g, tau_max, records)
     eigenvalues = np.empty((records, tau_max + 1, n))
     iprs = np.empty_like(eigenvalues)
-    # the block kernel's generator is taken in lag order: _split keeps
-    # that path to one thread
-    block = block_lag_corrs(g, tau_max) if block_path else None
+    block = _in_lag_order(block_lag_corrs(g, tau_max, workers)) if block_path else None
 
     def matrices(k: int, out: np.ndarray | None = None) -> Iterator[LagCorrMatrix]:
         """Lag k's matrix of each record, in record order, each made when
@@ -223,7 +226,7 @@ def sweep(
         if k == 0:
             first = equal_time_matrix
         elif block is not None:
-            first = next(block)
+            first = block(k)
         else:
             first = lag_corr(g, k, out=out[0])
         yield first
@@ -268,15 +271,16 @@ def _split(
     from a second thread, the GEMM much.  Only the calling thread solves
     then, as each thread that runs ``eigh`` keeps the solver's freed
     buffers in its own malloc arena, about 10 MB at 512 x 4096.  A record
-    on the block path is solved one lag at a time at T threads: its kernel
-    builds the lags in batches, so further workers would wait on it while
-    it ran at T // W threads (on the 64 x 32768 benchmark record, 2 cores,
-    W = 2 cost 9% of the run's wall time).  Where numpy's bundled OpenBLAS
+    on the block path has L > 130 N, so memory caps its W at 14 or more:
+    it takes W = min(T, tau_max + 1) at T // W threads up to there.  Its
+    kernel builds the lags in batches and splits each batch over the same
+    W threads, so the worker that reaches the kernel runs it on all of
+    them while the others solve or wait.  Where numpy's bundled OpenBLAS
     is not found, W = 1, no helper runs and nothing is pinned."""
     total = _blas.thread_count()
-    n, length = g.returns.shape
-    if total is None or uses_block_path(n, length):
+    if total is None:
         return 1, False, total
+    n = g.returns.shape[0]
     budget = g.returns.nbytes // 2
     workers = min(total, tau_max + 1, 1 + budget // (40 * n * n))
     threads = total // workers
@@ -285,6 +289,36 @@ def _split(
     if workers == 1 and total >= 2 and tau_max >= 1:
         return 1, True, total // 2
     return workers, False, threads
+
+
+def _in_lag_order(lags: Iterator[LagCorrMatrix]) -> Callable[[int], LagCorrMatrix]:
+    """A function that gives lag k's matrix from ``lags``, which yields
+    the lags in order from the lowest, to whichever thread asks for lag k,
+    in whatever order the threads come.  Each lag may be asked for once.
+    The thread that comes first advances ``lags`` up to its lag under a
+    lock, and keeps the lags it passes for their own threads.  Once
+    ``lags`` raises, at the lowest lag not yet yielded, every lag not yet
+    yielded raises that error: the failing lag's own thread raises it too,
+    whichever thread met it first."""
+    lock = threading.Lock()
+    kept: dict[int, LagCorrMatrix] = {}
+    failure: Exception | None = None
+
+    def take(k: int) -> LagCorrMatrix:
+        nonlocal failure
+        with lock:
+            while k not in kept:
+                if failure is not None:
+                    raise failure
+                try:
+                    matrix = next(lags)
+                except Exception as exc:
+                    failure = exc
+                    raise
+                kept[matrix.lag] = matrix
+            return kept.pop(k)
+
+    return take
 
 
 def _unpooled(shape: tuple[int, ...]) -> np.ndarray:
@@ -396,20 +430,16 @@ def _solve_rows(
             if isinstance(made[0], Exception):
                 return
 
-    if slots is None:
-        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    else:
-        helpers = [threading.Thread(target=build_ahead)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        with ready:
-            done = True
-            ready.notify()
-        for helper in helpers:
-            helper.join()
+    def first() -> None:
+        nonlocal done
+        try:
+            work()
+        finally:
+            with ready:
+                done = True
+                ready.notify()
+
+    _threads.run([first, *([work] * (workers - 1) if slots is None else [build_ahead])])
     if failures:
         raise failures[min(failures)]
 

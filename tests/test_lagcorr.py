@@ -16,9 +16,10 @@ from lagspec import (
     normalize,
     write_matrix_csv,
 )
+from lagspec import _blas
 from lagspec.lagcorr import block_lag_corrs, uses_block_path
 
-from conftest import iid_returns, lag_corr_oracle
+from conftest import iid_returns, lag_corr_oracle, needs_openblas
 
 
 class TestEqualTime:
@@ -193,6 +194,8 @@ class TestBlockPath:
 
     def test_shape_rule(self):
         assert uses_block_path(64, 32768)  # long: L/N = 512
+        assert not uses_block_path(64, 14123)
+        assert uses_block_path(64, 14124)  # the first block-path L at N = 64
         assert not uses_block_path(64, 2048)  # inject: L/N = 32
         assert not uses_block_path(512, 4096)  # wide: L/N = 8
         assert not uses_block_path(8, 256)
@@ -205,15 +208,38 @@ class TestBlockPath:
             next(block_lag_corrs(g, 4097))
         assert list(block_lag_corrs(g, 0)) == []
 
+    @needs_openblas
+    @pytest.mark.parametrize(
+        "n, length, tau_max",
+        [
+            (8, 6000, 333),  # several batches, the last block padded
+            (64, 32768, 100),  # the shape of the long benchmark record
+        ],
+    )
+    def test_split_kernel_bit_equal_to_one_thread(self, n, length, tau_max):
+        g = iid_returns(n, length, seed=n)
+        with _blas.threads(1):
+            want = [d.values for d in block_lag_corrs(g, tau_max)]
+            for threads in (2, 3):
+                got = [d.values for d in block_lag_corrs(g, tau_max, threads)]
+                assert len(got) == len(want) == tau_max
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), threads
+
+    def test_threads_must_be_positive(self):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            next(block_lag_corrs(iid_returns(8, 6000, seed=0), 10, 0))
+
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("tau_max", [100, 1000])
-    def test_working_set_within_returns_bytes(self, tau_max):
+    def test_working_set_within_returns_bytes(self, tau_max, threads):
+        """The peak of every thread's allocations together."""
         g = iid_returns(16, 8192, seed=3)
-        for _ in block_lag_corrs(g, 40):  # warm FFT and import caches
+        for _ in block_lag_corrs(g, 40, threads):  # warm FFT and import caches
             pass
         gc.collect()
         tracemalloc.start()
         try:
-            for _ in block_lag_corrs(g, tau_max):
+            for _ in block_lag_corrs(g, tau_max, threads):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -178,7 +178,8 @@ class TestSweep:
 
     def test_solver_fault_at_a_block_path_lag(self, monkeypatch):
         g = iid_returns(8, 6000, seed=4)
-        faulty_eigh(monkeypatch, block_lag_corrs(g, 40), range(34, 41))
+        with sweep_blas(g, 40):
+            faulty_eigh(monkeypatch, block_lag_corrs(g, 40), range(34, 41))
         with pytest.raises(ConvergenceFailure, match="at lag 34.*unit norm"):
             sweep(g, 40)
 
@@ -271,17 +272,36 @@ class TestSweepWorkers:
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
         assert np.array_equal(serial.iprs, spread.iprs)
 
+    def test_sweep_spreads_a_block_path_record(self):
+        """Two solvers, the kernel split over both threads: the tables of
+        one thread, bit for bit."""
+        n, length, tau_max = BLOCK
+        g = iid_returns(n, length, seed=12)
+        with _blas.threads(1):
+            assert _split(g, tau_max) == (1, False, 1)
+            serial = sweep(g, tau_max)
+        with _blas.threads(2):
+            assert _split(g, tau_max) == (2, False, 1)
+            spread = sweep(g, tau_max)
+        assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
+        assert np.array_equal(serial.iprs, spread.iprs)
+
     @pytest.mark.parametrize(
         "n, length, tau_max",
         [(512, 4096, 30), (64, 32768, 100), BLOCK, HELPER],  # wide, long benchmark shapes
     )
-    def test_wide_and_block_path_records_take_one_worker(self, n, length, tau_max):
-        """One solver: at 1 thread beside the helper on the direct path, at
-        both threads on the block path."""
+    def test_wide_records_take_the_helper_and_block_path_records_spread(
+        self, n, length, tau_max
+    ):
+        """On the direct path a wide record has one solver, at 1 thread
+        beside the helper; a block-path record has a solver per thread, as
+        its kernel is split over them.  At one thread, one serial solver."""
         g = iid_returns(n, length, seed=0)
         block_path = uses_block_path(n, length)
         with _blas.threads(2):
-            assert _split(g, tau_max) == ((1, False, 2) if block_path else (1, True, 1))
+            assert _split(g, tau_max) == ((2, False, 1) if block_path else (1, True, 1))
+        with _blas.threads(3):
+            assert _split(g, tau_max) == ((3, False, 1) if block_path else (1, True, 1))
         with _blas.threads(1):
             assert _split(g, tau_max) == (1, False, 1)
 
@@ -322,6 +342,47 @@ class TestSweepWorkers:
             with pytest.raises(ConvergenceFailure, match="at lag 7.*unit norm"):
                 _solve_rows(matrices, eigenvalues, iprs, 2)
 
+    @pytest.mark.parametrize("case", ["out-of-range", "solver-fault"])
+    def test_block_path_failure_met_first_by_the_next_lag(self, monkeypatch, case):
+        """Lag k's take is held back, so the solver holding lag k + 1 runs
+        the kernel past lag k first.  Lag k still reaches its own solver,
+        and the sweep raises lag k's error: neither the kernel's failure
+        nor lag k's matrix goes to the solver of lag k + 1 instead."""
+        import lagspec.strobo
+
+        if case == "out-of-range":
+            # series 0 moves only at t = 0, 2000 and 4000
+            raw = np.zeros((2, 5000))
+            raw[0, [0, 2000, 4000]] = 1.0
+            raw[1] = np.random.default_rng(0).standard_normal(5000)
+            g, tau_max, k = normalize(raw), 2100, 2000
+            error, match = CorrelationOutOfRange, "at lag 2000$"
+        else:
+            g, tau_max, k = iid_returns(8, 6000, seed=4), 40, 34
+            error, match = ConvergenceFailure, "at lag 34.*unit norm"
+            with _blas.threads(1):
+                faulty_eigh(monkeypatch, block_lag_corrs(g, tau_max), range(34, 41))
+        in_lag_order = lagspec.strobo._in_lag_order
+        asked = []
+
+        def held_back(lags):
+            take = in_lag_order(lags)
+
+            def slow_take(lag):
+                if lag == k:
+                    time.sleep(0.3)
+                asked.append(lag)
+                return take(lag)
+
+            return slow_take
+
+        monkeypatch.setattr(lagspec.strobo, "_in_lag_order", held_back)
+        with _blas.threads(2):
+            assert _split(g, tau_max) == (2, False, 1)
+            with pytest.raises(error, match=match):
+                sweep(g, tau_max)
+        assert asked.index(k + 1) < asked.index(k)
+
     def test_direct_path_build_failure_names_its_lag(self, monkeypatch):
         import lagspec.strobo
 
@@ -339,13 +400,12 @@ class TestSweepWorkers:
                 sweep(g, DIRECT[2])
             assert _blas.thread_count() == 2
 
-    @pytest.mark.parametrize("shape, total", [(BLOCK, 2), (DIRECT, 1)], ids=["block", "direct"])
+    @pytest.mark.parametrize("shape, total", [(BLOCK, 1), (DIRECT, 1)], ids=["block", "direct"])
     def test_one_worker_solves_every_lag_on_the_calling_thread_in_order(
         self, monkeypatch, shape, total
     ):
-        """Where ``_split`` gives one worker and no helper, the calling
-        thread solves lags 0..tau_max in order; the block kernel's lags
-        are taken from its generator with no lock on that ground."""
+        """Where ``_split`` gives one worker and no helper, at one thread on
+        either path, the calling thread solves lags 0..tau_max in order."""
         import lagspec.strobo
 
         solves = []
@@ -411,6 +471,39 @@ class TestSweepWorkers:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert sorted(solved) == list(range(201))
+        assert np.array_equal(results[0].eigenvalues, serial.eigenvalues)
+        assert np.array_equal(results[0].iprs, serial.iprs)
+
+    def test_many_workers_take_each_block_path_lag_once(self, monkeypatch):
+        """Eight solvers and a kernel split eight ways, with a short switch
+        interval: every lag reaches its own solver once, and the tables are
+        those of one thread."""
+        import lagspec.strobo
+
+        solved = []
+
+        def solve(d):
+            solved.append(d.lag)
+            return eigendecompose(d)
+
+        n, length, tau_max = BLOCK
+        g = iid_returns(n, length, seed=16)
+        with _blas.threads(1):
+            serial = sweep(g, tau_max)
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _blas.threads(8):
+                assert _split(g, tau_max) == (8, False, 1)
+                runner = threading.Thread(target=lambda: results.append(sweep(g, tau_max)))
+                runner.start()
+                runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert sorted(solved) == list(range(tau_max + 1))
         assert np.array_equal(results[0].eigenvalues, serial.eigenvalues)
         assert np.array_equal(results[0].iprs, serial.iprs)
 

@@ -18,9 +18,11 @@ from lagspec import (
     rate_changes,
     returns_from_counts,
     run_experiment,
+    sweep,
     synth_generate,
 )
 from lagspec.experiment import _BACKGROUND_PHI, _BACKGROUND_SIGMA
+from lagspec.lagcorr import uses_block_path
 
 # the benchmark's `wide` shape: 512 series, 4096 returns
 WIDE = SynthConfig(n_series=512, length=4097, n_drivers=8, driver_periods=(3, 6), seed=1)
@@ -180,3 +182,18 @@ def test_experiment_peak_is_within_2_5_counts():
     spec = InjectionSpec(kind="periodic", target_ids=("s010", "s020"), period=1200.0)
     _, peak = traced_peak(lambda: run_experiment(counts, spec, 8, [1, 64]))
     assert peak <= 2.5 * counts.counts.nbytes
+
+
+def test_paired_sweep_finds_the_changed_series_in_row_blocks():
+    """The records are compared a block of rows at a time: no N x L
+    boolean array, on the longest direct-path record at N = 64."""
+    n, length = 64, 14000
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal((n, length))
+    g = normalize(raw)
+    raw[5] = rng.standard_normal(length)
+    after = normalize(raw)
+    assert not uses_block_path(n, length)
+    sweep(g, 0, after=after)  # warm caches
+    _, peak = traced_peak(lambda: sweep(g, 0, after=after))
+    assert peak < n * length // 2  # half the bytes of an N x L boolean array
