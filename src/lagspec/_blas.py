@@ -1,5 +1,5 @@
 """The thread count of the OpenBLAS that numpy's wheel bundles, read and
-set through ctypes.
+set through ctypes, and its LAPACK eigensolver.
 
 numpy's wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas64_-*.so``
 (``numpy/.dylibs`` on macOS), which exports
@@ -19,11 +19,13 @@ from typing import Callable, Iterator
 
 _GET = "scipy_openblas_get_num_threads64_"
 _SET = "scipy_openblas_set_num_threads64_"
+_SYEVD = "scipy_dsyevd_64_"
 
 
 @functools.cache
-def _functions() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The get and set functions of numpy's loaded OpenBLAS, or None."""
+def _functions() -> tuple[Callable[[], int], Callable[[int], None], Callable | None] | None:
+    """The get and set functions of numpy's loaded OpenBLAS and its
+    ``dsyevd`` (None where missing), or None."""
     import numpy
 
     root = Path(numpy.__file__).parent
@@ -37,8 +39,21 @@ def _functions() -> tuple[Callable[[], int], Callable[[int], None]] | None:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        syevd = getattr(lib, _SYEVD, None)
+        if syevd is not None:
+            i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+            syevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr, ptr, i64,
+                              ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
+            syevd.restype = None
+        return get, set_, syevd
     return None
+
+
+def syevd() -> Callable | None:
+    """The LAPACK ``dsyevd`` (64-bit integers) that ``np.linalg.eigh`` calls,
+    or None.  The call releases the GIL."""
+    functions = _functions()
+    return None if functions is None else functions[2]
 
 
 def thread_count() -> int | None:
@@ -55,7 +70,7 @@ def threads(count: int) -> Iterator[None]:
     functions = _functions()
     if functions is None:
         raise RuntimeError("numpy's bundled OpenBLAS was not found")
-    get, set_ = functions
+    get, set_, _ = functions
     previous = get()
     set_(int(count))
     try:

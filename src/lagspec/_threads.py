@@ -1,7 +1,7 @@
 """The one way lagspec runs work on several threads: the calling thread
 runs the first target, a thread started for each further target runs that
-one, and all have ended before ``run`` returns.  The sweep's solvers and
-helper and the block kernel's parts are started this way.
+one, and all have ended before ``run`` returns.  The sweep's workers and
+the block kernel's parts are started this way.
 """
 from __future__ import annotations
 

@@ -6,7 +6,8 @@ a characteristic-period summary into one output directory.
 ``lagspec experiment`` additionally applies an injection and reports
 before/after spectra with per-period resonance classification.
 
-Exit codes: 0 success, 1 data or processing error, 2 configuration error.
+Exit codes: 0 success, 1 data or processing error, 2 configuration error,
+130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .experiment import (
     synth_generate,
 )
 from .ingest import CountMatrix, load_counts, returns_from_counts
-from .lagcorr import write_matrix_csv
+from .lagcorr import equal_time_corr, write_matrix_csv
 from .strobo import (
     MIN_SPECTRUM_LEN,
     characteristic_periods,
@@ -270,7 +271,7 @@ def cmd_analyze(args) -> int:
     seq = sweep(g, args.tau_max)
     parts = segment(seq.eigenvalues[0], bounds)
     with _run_dir(config) as out_dir:
-        write_matrix_csv(seq.equal_time_matrix, out_dir / "equal_time.csv")
+        write_matrix_csv(equal_time_corr(g), out_dir / "equal_time.csv")
 
         summary = {
             "timestamp": _timestamp(),
@@ -371,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except LagspecError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("KeyboardInterrupt: stopped", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

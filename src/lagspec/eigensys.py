@@ -4,17 +4,21 @@ bounds.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .errors import ConvergenceFailure, DegenerateAspect, NotNormalized
 from .lagcorr import LagCorrMatrix
 
 _RESIDUAL_FACTOR = 1e-10  # max ||D u - lambda u|| allowed, relative to ||D||_F
 _NORM_TOL = 1e-8
 _ORTHO_TOL = 1e-8
-_RESIDUAL_ROWS = 64  # rows of U diag(vals) formed at a time
+# floats per block of EigenSystem's Gram product: half the bytes of an
+# N x N boolean array at N = 512
+_GRAM_FLOATS = 1 << 14
 # ascending eigenvalues at most this far apart, relative to ||D||_F, form one
 # degenerate cluster: 100 times the residual bound
 _CLUSTER_GAP = 1e-8
@@ -46,12 +50,18 @@ class EigenSystem:
             raise ValueError("eigenvalues, eigenvectors and iprs disagree in shape")
         if np.any(np.diff(vals) < 0.0):
             raise ValueError("eigenvalues must be sorted ascending")
-        gram = vecs.T @ vecs
-        if np.any(np.abs(np.diag(gram) - 1.0) > 2 * _NORM_TOL):
+        if np.any(np.abs(np.einsum("ij,ij->j", vecs, vecs) - 1.0) > 2 * _NORM_TOL):
             raise ValueError("eigenvectors must be unit norm")
-        np.fill_diagonal(gram, 0.0)
-        if np.any(np.abs(gram, out=gram) > _ORTHO_TOL):
-            raise ValueError("eigenvectors must be pairwise orthogonal")
+        # the upper triangle of V^T V a block of rows at a time, less its
+        # diagonal: no N x N temporary, and half the flops of the full product
+        rows = max(1, _GRAM_FLOATS // n)
+        block = np.empty(min(rows, n) * n)
+        for r in range(0, n, rows):
+            left = vecs[:, r:r + rows].T
+            gram = np.matmul(left, vecs[:, r:], out=block[:len(left) * (n - r)].reshape(-1, n - r))
+            np.fill_diagonal(gram, 0.0)
+            if np.any(np.abs(gram, out=gram) > _ORTHO_TOL):
+                raise ValueError("eigenvectors must be pairwise orthogonal")
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,54 @@ class SpectrumSegmentation:
         object.__setattr__(self, "right", tuple(int(i) for i in self.right))
 
 
-def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
+class Workspace:
+    """The buffers of ``eigendecompose(d, out=ws)`` at N x N, for one call
+    at a time: the copy of D that LAPACK overwrites with the eigenvectors,
+    one per row, the eigenvalues, and LAPACK's work arrays at the sizes of
+    a workspace query, ``work`` holding the checks' scratch after the solve."""
+
+    def __init__(self, n: int) -> None:
+        self.a = np.empty((n, n))
+        self.w = np.empty(n)
+        self.info = ctypes.c_int64()
+        self.work, self.iwork = np.ones(1), np.ones(1, dtype=np.int64)
+        if _blas.syevd() is not None:  # the workspace query; sizes of 1 without it
+            _blas.syevd()(*self._args(-1, -1))
+        lwork, liwork = int(self.work[0]), int(self.iwork[0])
+        # the checks need 2 N^2 floats, which LAPACK's own need exceeds for N > 1
+        self.work = np.empty(max(lwork, 2 * n * n))
+        self.iwork = np.empty(liwork, dtype=np.int64)
+        self.args = self._args(lwork, liwork)
+
+    def _args(self, lwork: int, liwork: int) -> tuple:
+        """dsyevd's arguments, then gfortran's lengths of the two strings:
+        eigenvalues and eigenvectors (JOBZ = 'V') of the lower triangle
+        (UPLO = 'L') of ``a`` as LAPACK sees it, which is ``a`` transposed,
+        the same bits for an exactly symmetric matrix."""
+        n = len(self.w)
+        ints = [ctypes.byref(ctypes.c_int64(v)) for v in (n, max(n, 1), lwork, liwork)]
+        a, w, work, iwork = (x.ctypes.data for x in (self.a, self.w, self.work, self.iwork))
+        return (b"V", b"L", ints[0], a, ints[1], w, work, ints[2], iwork, ints[3],
+                ctypes.byref(self.info), 1, 1)
+
+
+def _eigh(ws: Workspace) -> None:
+    """Solve the symmetric ``ws.a`` in place: ascending eigenvalues into
+    ``ws.w``, eigenvector k into row k of ``ws.a``.  LAPACK's ``dsyevd``
+    is called as ``np.linalg.eigh`` calls it, so the results are eigh's bit
+    for bit; eigh itself is called where that is not found.  Raises
+    np.linalg.LinAlgError if the solver fails.  Fault tests patch this."""
+    lapack = _blas.syevd()
+    if lapack is None:
+        vals, vecs = np.linalg.eigh(ws.a)
+        ws.w[...], ws.a[...] = vals, vecs.T
+        return
+    lapack(*ws.args)
+    if ws.info.value:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (info {ws.info.value})")
+
+
+def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSystem:
     """Solve the symmetric eigenproblem for one lagged correlation matrix.
 
     Ascending eigenvalues whose consecutive gaps are at most 1e-8 times the
@@ -94,31 +151,36 @@ def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
     ``3 * sum_i P_ii**2 / (m * (m + 2))`` with ``P`` the projector onto it.
     A singleton's IPR is that of its vector, ``sum_i u_i**4``.
 
+    The solve and its checks make no N x N temporary: they run in ``out``,
+    a ``Workspace(N)``, or in one made for the call.  With ``out``, the
+    result's eigenvalues and eigenvectors are views into it.
+
     Raises ConvergenceFailure, naming the lag, if the solver fails, the
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
     norm, the eigenvalues miss the trace, or the result fails EigenSystem's
     sort, unit-norm or orthogonality checks.
     """
+    n = d.n
+    ws = Workspace(n) if out is None else out
+    a, vals, work = ws.a, ws.w, ws.work
+    a[...] = d.values
     try:
-        vals, vecs = np.linalg.eigh(d.values)
+        _eigh(ws)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed at lag {d.lag}: {exc}") from exc
 
     # deterministic sign: largest-magnitude component positive
-    n = vals.shape[0]
-    # |vecs| laid out transposed: argmax along a strided axis copies it
-    lead = np.argmax(np.abs(vecs.T, order="C"), axis=1)
-    signs = np.sign(vecs[lead, np.arange(n)])
+    lead = np.abs(a, out=work[:n * n].reshape(n, n)).argmax(axis=1)
+    signs = np.sign(a[np.arange(n), lead])
     signs[signs == 0.0] = 1.0
-    vecs *= signs
+    a *= signs[:, None]
 
-    # column norms of D U - U diag(vals), built in place in D U
-    residual = d.values @ vecs
-    for r in range(0, n, _RESIDUAL_ROWS):
-        residual[r:r + _RESIDUAL_ROWS] -= vecs[r:r + _RESIDUAL_ROWS] * vals
+    # row k of U^T D - diag(vals) U^T is (D u_k - lambda_k u_k)^T
+    residual, scaled = work[:2 * n * n].reshape(2, n, n)
+    np.matmul(a, d.values, out=residual)
+    residual -= np.multiply(a, vals[:, None], out=scaled)
     residual *= residual
-    worst = float(np.sqrt(np.max(residual.sum(axis=0))))
-    del residual
+    worst = float(np.sqrt(residual.sum(axis=1).max()))
     frob = float(np.linalg.norm(d.values))
     if worst > _RESIDUAL_FACTOR * frob:
         raise ConvergenceFailure(
@@ -130,17 +192,19 @@ def eigendecompose(d: LagCorrMatrix) -> EigenSystem:
             f"eigenvalue sum deviates from trace at lag {d.lag}"
         )
 
-    iprs = _column_iprs(vecs)
-    _cluster_iprs(vals, vecs, iprs, _CLUSTER_GAP * frob)
+    iprs = _column_iprs(a.T, out=work[:n * n].reshape(n, n))
+    _cluster_iprs(vals, a.T, iprs, _CLUSTER_GAP * frob)
     try:
-        return EigenSystem(eigenvalues=vals, eigenvectors=vecs, iprs=iprs)
+        return EigenSystem(eigenvalues=vals, eigenvectors=a.T, iprs=iprs)
     except ValueError as exc:
         raise ConvergenceFailure(f"bad eigen system at lag {d.lag}: {exc}") from exc
 
 
-def _column_iprs(vecs: np.ndarray) -> np.ndarray:
-    """Sum of fourth powers down each column."""
-    sq = vecs * vecs
+def _column_iprs(vecs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of fourth powers down each column, from squares made in C order
+    (in ``out`` if given): the sums then run as for ``np.linalg.eigh``'s
+    C-order eigenvectors, whatever the layout of ``vecs``."""
+    sq = np.multiply(vecs, vecs, out=out, order="C")
     return np.einsum("ij,ij->j", sq, sq)
 
 
@@ -156,7 +220,9 @@ def _cluster_iprs(vals: np.ndarray, vecs: np.ndarray, iprs: np.ndarray,
     starts = close[np.r_[True, np.diff(close) > 1]]
     ends = close[np.r_[np.diff(close) > 1, True]] + 2
     for lo, hi in zip(starts.tolist(), ends.tolist()):
-        span = vecs[:, lo:hi]
+        # rows of unit stride, as in np.linalg.eigh's C-order eigenvectors:
+        # the sums run the same way for any layout of ``vecs``
+        span = np.ascontiguousarray(vecs[:, lo:hi])
         p = np.einsum("ik,ik->i", span, span)
         m = hi - lo
         iprs[lo:hi] = 3.0 * float(p @ p) / (m * (m + 2))

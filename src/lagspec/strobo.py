@@ -1,11 +1,10 @@
 """Lag sweep of eigenvalues and IPRs, their trajectories, and their power
 spectra.
 
-The sweep solves lags 0..tau_max, several at once or each beside the build
-of the next where BLAS threads allow (see ``_split``), and keeps two tables,
-eigenvalues and IPRs with one row per lag, plus the equal-time matrix.  It
-can sweep a record and an injected copy of it in one pass, building the
-copy's lags from the record's on the direct path.
+The sweep solves lags 0..tau_max, several at once where BLAS threads allow
+(see ``_split``), and keeps two tables, eigenvalues and IPRs with one row
+per lag.  It can sweep a record and an injected copy of it in one pass,
+building the copy's lags from the record's on the direct path.
 A trajectory is one column of a table over lags 1..tau_max, a plain 1-D
 array: the equal-time row carries the trivial autocorrelation spike and is
 excluded from spectra, though it stays available in the tables.  Eigenvalues
@@ -13,18 +12,18 @@ are identified by sorted position, not by eigenvector continuity.
 """
 from __future__ import annotations
 
-import math
+import queue
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Literal, Sequence, Union, overload
 
 import numpy as np
 
 from . import _blas, _threads
-from .eigensys import eigendecompose
+from .eigensys import Workspace, eigendecompose
 from .errors import (
     IndexOutOfRange,
     LagTooLarge,
@@ -58,7 +57,7 @@ UNCHANGED = "unchanged"
 @dataclass(frozen=True)
 class StroboscopicSequence:
     """Eigenvalue and IPR tables for every lag 0..tau_max of one return
-    matrix, plus the equal-time matrix (``equal_time_matrix``).
+    matrix.
 
     Row k of ``eigenvalues`` and ``iprs`` holds lag k; column j holds the
     j-th ascending position.
@@ -66,7 +65,6 @@ class StroboscopicSequence:
 
     eigenvalues: np.ndarray
     iprs: np.ndarray
-    equal_time_matrix: LagCorrMatrix
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -75,9 +73,6 @@ class StroboscopicSequence:
         object.__setattr__(self, "iprs", iprs)
         if vals.ndim != 2 or not vals.size or iprs.shape != vals.shape:
             raise ValueError("eigenvalues and iprs must be (tau_max+1, n) tables")
-        matrix = self.equal_time_matrix
-        if matrix.lag != 0 or matrix.n != vals.shape[1]:
-            raise ValueError("equal_time_matrix must be the lag-0 matrix of dimension n")
 
     @property
     def n(self) -> int:
@@ -166,8 +161,7 @@ def sweep(
     per lag, or, for a long record (``uses_block_path``, decided from N and
     L only), from ``block_lag_corrs``.  Every lag passes all of
     ``LagCorrMatrix``'s and ``eigendecompose``'s checks and leaves one row
-    of each table; only lag 0 keeps its matrix, as ``equal_time_matrix``.
-    No eigenvectors are kept.
+    of each table.  No matrix or eigenvector is kept.
 
     With ``after``, a record of g's shape (ValueError otherwise), both are
     swept and the pair (g's sequence, after's) is returned; g's is the one
@@ -181,10 +175,11 @@ def sweep(
     ``lag_corr(after, τ)``.
 
     The lags are spread over the OpenBLAS threads counted at entry, and
-    the count is restored on exit: ``_split`` chooses the workers and the
-    threads per lag, ``_solve_rows`` the order of builds and solves.  On
-    the block path the kernel splits its work over the same W threads,
-    and each solver gets its own lag's matrix from it (``_in_lag_order``).
+    the count is restored on exit: ``_split`` chooses the workers, the
+    solvers and the threads per lag, ``_solve_rows`` the order of builds
+    and solves.  On the block path the kernel splits its work over the
+    same W threads, and each worker gets its own lag's matrix from it
+    (``_in_lag_order``).
     Each lag's arithmetic depends on its thread count only, never on which
     thread builds or solves it.  The error raised is that of the lowest
     failing lag, as in a serial sweep; a failure in g, at any lag, is
@@ -213,82 +208,62 @@ def sweep(
         if 2 * len(changed) < n:
             rows = changed
     records = 1 if after is None else 2
-    workers, helper, blas_threads = _split(g, tau_max, records)
+    workers, solvers, blas_threads = _split(g, tau_max, records)
     eigenvalues = np.empty((records, tau_max + 1, n))
     iprs = np.empty_like(eigenvalues)
     block = _in_lag_order(block_lag_corrs(g, tau_max, workers)) if block_path else None
 
-    def matrices(k: int, out: np.ndarray | None = None) -> Iterator[LagCorrMatrix]:
+    def matrices(k: int, out: np.ndarray) -> Iterator[LagCorrMatrix]:
         """Lag k's matrix of each record, in record order, each made when
-        it is asked for.  ``out``, if given, holds one N x N slot per
-        record; the lag-0 and block-path matrices of g ignore it."""
-        out = (None, None) if out is None else out
-        if k == 0:
-            first = equal_time_matrix
-        elif block is not None:
-            first = block(k)
-        else:
-            first = lag_corr(g, k, out=out[0])
+        it is asked for, into ``out``, one N x N slot per record; the
+        block path's matrices of g come from the kernel instead."""
+        first = block(k) if k and block is not None else lag_corr(g, k, out=out[0])
         yield first
         if after is not None and rows is None:
             yield lag_corr(after, k, out=out[1])
         elif after is not None:
             yield patch_rows(first, after, rows, out=out[1])
 
-    slots = _unpooled((2, records, n, n)) if helper else None
-    with _blas.threads(blas_threads) if workers > 1 or helper else nullcontext():
-        equal_time_matrix = lag_corr(g, 0)
-        _solve_rows(matrices, eigenvalues, iprs, workers, slots)
-        # after's lag-0 matrix was not kept: it is made again, at the
-        # threads it was solved at
-        equal_time = list(matrices(0))
-    sequences = tuple(
-        StroboscopicSequence(eigenvalues=vals, iprs=table, equal_time_matrix=matrix)
-        for vals, table, matrix in zip(eigenvalues, iprs, equal_time)
-    )
+    with _blas.threads(blas_threads) if workers > 1 else nullcontext():
+        _solve_rows(matrices, eigenvalues, iprs, workers, solvers)
+    sequences = tuple(map(StroboscopicSequence, eigenvalues, iprs))
     return sequences[0] if after is None else sequences
 
 
 def _split(
     g: ReturnMatrix, tau_max: int, records: int = 1
-) -> tuple[int, bool, int | None]:
+) -> tuple[int, int, int | None]:
     """How ``sweep`` spreads lags 0..tau_max over the thread budget T, the
-    OpenBLAS thread count: (W, helper, BLAS threads per lag), the threads
-    per lag being None where T cannot be read.
+    OpenBLAS thread count: (W workers, S solvers, BLAS threads per lag),
+    the threads per lag being None where T cannot be read.
 
-    Either W threads solve a lag each at T // W BLAS threads, or, where
-    ``helper``, W = 1 and a helper thread builds the next lag while the
-    calling thread solves this one, both at T // 2.  W is at most T and
-    tau_max + 1, and the lags in flight beyond the first may hold at most
-    half the bytes of g's returns, at about 5 N^2 floats each (the matrix,
-    ``eigh``'s copy and workspace, the eigenvectors) and one N^2 more per
-    further record.  A second record may lower W, down to one solver
-    beside a helper, but never the T // W threads of a lone sweep of g,
-    so that g's arithmetic stays the same.
+    W threads build and solve a lag each, sharing S <= W eigensolver
+    workspaces, at T // W BLAS threads.  S is at most T and tau_max + 1,
+    and the lags in flight beyond the first may hold at most half the
+    bytes of g's returns, at about 5 N^2 floats each (the matrix, the
+    solver's copy and workspace) and one N^2 more per further record.  A
+    second record may lower W and S, but never the threads per lag of a
+    lone sweep of g, so that g's arithmetic stays the same.
 
-    So a wide record on the direct path (L < 10 N, such as 512 x 4096)
-    takes the helper where T >= 2 and tau_max >= 1: ``eigh`` gains little
-    from a second thread, the GEMM much.  Only the calling thread solves
-    then, as each thread that runs ``eigh`` keeps the solver's freed
-    buffers in its own malloc arena, about 10 MB at 512 x 4096.  A record
-    on the block path has L > 130 N, so memory caps its W at 14 or more:
-    it takes W = min(T, tau_max + 1) at T // W threads up to there.  Its
-    kernel builds the lags in batches and splits each batch over the same
-    W threads, so the worker that reaches the kernel runs it on all of
-    them while the others solve or wait.  Where numpy's bundled OpenBLAS
-    is not found, W = 1, no helper runs and nothing is pinned."""
+    W = S, but where memory leaves one solver, T >= 2 and tau_max >= 1,
+    W = 2 at T // 2: a wide record on the direct path (L < 10 N, such as
+    512 x 4096) builds a lag while another is solved, as ``eigh`` gains
+    little from a second thread, the GEMM much.  A record on the block
+    path has L > 130 N, so memory caps its S at 14 or more.  Its kernel
+    builds the lags in batches split over the same W threads, so the
+    worker that reaches the kernel runs it on all of them while the others
+    solve or wait.  Without numpy's bundled OpenBLAS, W = S = 1 and
+    nothing is pinned."""
     total = _blas.thread_count()
     if total is None:
-        return 1, False, total
+        return 1, 1, total
     n = g.returns.shape[0]
     budget = g.returns.nbytes // 2
-    workers = min(total, tau_max + 1, 1 + budget // (40 * n * n))
-    threads = total // workers
-    # only a lone W of 2 can fall to 1, whose threads are T // 2 as well
-    workers = min(workers, 1 + budget // (8 * (4 + records) * n * n))
-    if workers == 1 and total >= 2 and tau_max >= 1:
-        return 1, True, total // 2
-    return workers, False, threads
+    lone = min(total, tau_max + 1, 1 + budget // (40 * n * n))
+    solvers = min(lone, 1 + budget // (8 * (4 + records) * n * n))
+    # only a lone S of 2 can fall to 1, whose threads are T // 2 as well
+    workers = 2 if solvers == 1 and total >= 2 and tau_max >= 1 else solvers
+    return workers, solvers, total // max(lone, workers)
 
 
 def _in_lag_order(lags: Iterator[LagCorrMatrix]) -> Callable[[int], LagCorrMatrix]:
@@ -299,10 +274,10 @@ def _in_lag_order(lags: Iterator[LagCorrMatrix]) -> Callable[[int], LagCorrMatri
     lock, and keeps the lags it passes for their own threads.  Once
     ``lags`` raises, at the lowest lag not yet yielded, every lag not yet
     yielded raises that error: the failing lag's own thread raises it too,
-    whichever thread met it first."""
+    whichever thread met it first.  An interrupt counts as such an error."""
     lock = threading.Lock()
     kept: dict[int, LagCorrMatrix] = {}
-    failure: Exception | None = None
+    failure: BaseException | None = None
 
     def take(k: int) -> LagCorrMatrix:
         nonlocal failure
@@ -312,7 +287,7 @@ def _in_lag_order(lags: Iterator[LagCorrMatrix]) -> Callable[[int], LagCorrMatri
                     raise failure
                 try:
                     matrix = next(lags)
-                except Exception as exc:
+                except BaseException as exc:
                     failure = exc
                     raise
                 kept[matrix.lag] = matrix
@@ -321,125 +296,85 @@ def _in_lag_order(lags: Iterator[LagCorrMatrix]) -> Callable[[int], LagCorrMatri
     return take
 
 
-def _unpooled(shape: tuple[int, ...]) -> np.ndarray:
-    """A float array in an anonymous memory map of its own, whose pages go
-    back to the OS when the array is freed.  Pages freed to the malloc heap
-    stay resident, and what runs after the sweep adds to them: peak RSS of
-    a 512 x 4096 ``analyze`` was 75.1 MB with the slots on the heap and
-    73.7 MB with them here."""
-    import mmap  # the helper path alone needs it
-
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-
-
 def _solve_rows(
-    matrices: Callable[..., Iterator[LagCorrMatrix]],
+    matrices: Callable[[int, np.ndarray], Iterator[LagCorrMatrix]],
     eigenvalues: np.ndarray,
     iprs: np.ndarray,
     workers: int,
-    slots: np.ndarray | None = None,
+    solvers: int,
 ) -> None:
-    """Solve the matrices of ``matrices(k)``, one per record, into row k
-    of that record's tables, for every row k: ``eigenvalues[r]`` and
-    ``iprs[r]`` are record r's, and ``matrices(k, out)`` makes lag k's
-    matrices in record order as they are asked for.
+    """Solve the matrices of ``matrices(k, slot)``, one per record, into
+    row k of that record's tables, for every row k: ``eigenvalues[r]``
+    and ``iprs[r]`` are record r's, and ``matrices(k, slot)`` makes lag
+    k's matrices in record order, into ``slot``, as they are asked for.
 
     ``workers`` threads, the calling one included, take lags from a
-    counter under a lock, in order.  Without ``slots``, each builds and
-    solves its lag's matrices outside the lock, one record after the
-    other.  With ``slots``, a (2, records, N, N) array, ``workers`` is 1:
-    a helper thread builds all of lag k's matrices into ``slots[k % 2]``
-    once lag k - 1 is taken, which is once lag k - 2 is solved, and the
-    calling thread waits for that build and solves it.
+    counter under a lock, in order, and build each into a slot of their
+    own; each solve takes one of ``solvers`` workspaces for its duration.
+    Slots and workspaces are made once, here on the calling thread: memory
+    freed in another thread stays in its malloc arena, which cost about
+    10 MB at 512 x 4096 when each thread ran ``np.linalg.eigh``.
 
     A failure, in building or solving, ends that record's work at higher
     lags, and a failure in the first record ends all taking.  Once the
     lags in flight are done, the failure of the lowest record, at its
     lowest lag, is raised.  Every lag below it was solved for that record
     and those before it, so that is the failure that sweeping the records
-    one after the other in serial loops meets first.
+    one after the other in serial loops meets first.  An interrupt (any
+    BaseException) on any worker ends all taking, and is raised instead.
     """
-    records, lags = eigenvalues.shape[:2]
-    ready = threading.Condition()
-    # (record, lag): its failure
-    failures: dict[tuple[int, int], Exception] = {}
+    records, lags, n = eigenvalues.shape
+    lock = threading.Lock()
+    # (record, lag): its failure; an interrupt is filed at (0, -1), below
+    # every lag, so that it ends all taking and is the one raised
+    failures: dict[tuple[int, int], BaseException] = {}
     taken = 0
-    done = False
-    # helper path: built[k] is the list of lag k's matrices, perhaps ending
-    # in the failure that stopped its building
-    built: dict[int, list] = {}
+    spaces: queue.SimpleQueue[Workspace] = queue.SimpleQueue()
+    for _ in range(solvers):
+        spaces.put(Workspace(n))
 
     def needed(k: int) -> int:
         """How many records, from the first, lag k is still to be solved
         for: none from one that failed at lag k or below.  Under the lock."""
         return min([records, *(r for r, lag in failures if lag <= k)])
 
-    def solve(k: int, made: Iterator) -> None:
-        """Solve lag k's matrices into row k of their records' tables, in
-        record order, until one fails or lag k is no longer needed.  The
-        last matrix and eigensystem die on return, before the next lag is
-        built: a 512 x 512 eigensystem kept through the next solve raised
-        a 512 x 4096 analyze's peak RSS by 1.8 MB."""
+    def solve(k: int, slot: np.ndarray) -> None:
+        """Build and solve lag k's matrices into row k of their records'
+        tables, in record order, until one fails or lag k is no longer
+        needed."""
+        made = matrices(k, slot)
         for r in range(records):
-            with ready:
+            with lock:
                 if r >= needed(k):
                     return
             try:
                 matrix = next(made)
-                if isinstance(matrix, Exception):
-                    raise matrix
-                system = eigendecompose(matrix)
+                ws = spaces.get()
+                try:
+                    system = eigendecompose(matrix, out=ws)
+                    eigenvalues[r, k], iprs[r, k] = system.eigenvalues, system.iprs
+                finally:
+                    spaces.put(ws)
             except Exception as exc:  # raised in the caller below
-                with ready:
+                with lock:
                     failures[r, k] = exc
                 return
-            eigenvalues[r, k], iprs[r, k] = system.eigenvalues, system.iprs
 
-    def work() -> None:
+    def work(slot: np.ndarray) -> None:
         nonlocal taken
-        while True:
-            with ready:
-                k = taken
-                if k == lags or not needed(k):
-                    return
-                taken += 1
-                if slots is None:
-                    made = matrices(k)
-                else:
-                    ready.notify()
-                    ready.wait_for(lambda: k in built)
-                    made = iter(built.pop(k))
-            solve(k, made)
-
-    def build_ahead() -> None:
-        for k in range(lags):
-            with ready:
-                # lag k - 1 is taken, so lag k - 2 has left slot k % 2
-                ready.wait_for(lambda: taken >= k or done)
-                count = 0 if done else needed(k)
-            if not count:
-                return
-            made = []
-            try:
-                made.extend(islice(matrices(k, slots[k % 2]), count))
-            except Exception as exc:  # raised by the caller at lag k
-                made.append(exc)
-            with ready:
-                built[k] = made
-                ready.notify()
-            if isinstance(made[0], Exception):
-                return
-
-    def first() -> None:
-        nonlocal done
         try:
-            work()
-        finally:
-            with ready:
-                done = True
-                ready.notify()
+            while True:
+                with lock:
+                    k = taken
+                    if k == lags or not needed(k):
+                        return
+                    taken += 1
+                solve(k, slot)
+        except BaseException as exc:  # raised in the caller below
+            with lock:
+                failures[0, -1] = exc
 
-    _threads.run([first, *([work] * (workers - 1) if slots is None else [build_ahead])])
+    _threads.run([partial(work, np.empty((records, n, n))) for _ in range(workers)])
     if failures:
         raise failures[min(failures)]
 

@@ -14,6 +14,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+import lagspec.eigensys
 from lagspec import ReturnMatrix, _blas, normalize
 from lagspec.strobo import _split
 
@@ -31,9 +32,9 @@ needs_openblas = pytest.mark.skipif(
 
 def sweep_blas(g: ReturnMatrix, tau_max: int):
     """A context that runs BLAS at the threads per lag that ``sweep(g,
-    tau_max)`` uses, T // W or, beside a helper, T // 2, so that solves made
-    in it match the sweep's bit for bit."""
-    _workers, _helper, blas_threads = _split(g, tau_max)
+    tau_max)`` uses, T // W, or T // 2 where two workers share one solver,
+    so that solves made in it match the sweep's bit for bit."""
+    _workers, _solvers, blas_threads = _split(g, tau_max)
     return nullcontext() if blas_threads is None else _blas.threads(blas_threads)
 
 
@@ -96,12 +97,13 @@ def gaussian_returns_64():
 
 @pytest.fixture
 def doubled_eigh(monkeypatch):
-    """Make np.linalg.eigh return 2x its eigenvectors: residual and trace
-    checks still pass, but the vectors are no longer unit norm."""
-    eigh = np.linalg.eigh
+    """Make every eigensolve return 2x its eigenvectors: residual and trace
+    checks still pass, but the vectors are no longer unit norm.  It patches
+    ``eigensys._eigh``, the one solve that ``eigendecompose`` calls."""
+    eigh = lagspec.eigensys._eigh
 
-    def doubled(a):
-        vals, vecs = eigh(a)
-        return vals, 2.0 * vecs
+    def doubled(ws):
+        eigh(ws)
+        ws.a *= 2.0
 
-    monkeypatch.setattr(np.linalg, "eigh", doubled)
+    monkeypatch.setattr(lagspec.eigensys, "_eigh", doubled)

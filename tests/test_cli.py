@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagspec
+import lagspec.cli
 import lagspec.lagcorr
 import lagspec.strobo
 from lagspec import (
@@ -194,6 +195,37 @@ class TestAnalyze:
         assert "CorrelationOutOfRange" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, where", [
+        ("analyze", "sweep"), ("experiment", "sweep"), ("analyze", "writers"),
+    ])
+    def test_interrupt_exits_130_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
+        """Ctrl-C in the sweep, or while the run directory is written,
+        gives exit 130, one line on stderr and no --out."""
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        if where == "sweep":
+            solve = lagspec.strobo.eigendecompose
+            monkeypatch.setattr(
+                lagspec.strobo, "eigendecompose",
+                lambda d, out=None: interrupt() if d.lag == 5 else solve(d, out=out),
+            )
+        else:
+            monkeypatch.setattr(lagspec.cli, "write_matrix_csv", interrupt)
+        spec_path = tmp_path / "inj.json"
+        spec_path.write_text(json.dumps({"kind": "noise", "target_ids": ["s001"]}))
+        inject = ("--inject", str(spec_path)) if command == "experiment" else ()
+        out = tmp_path / "run"
+        assert run_cli(
+            command, "--synth", "small", "--tau-max", "12", *inject, "--out", str(out)
+        ) == 130
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "KeyboardInterrupt" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inj.json"]
+
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         out = tmp_path / "run"
@@ -336,6 +368,8 @@ class TestAnalyze:
         assert not list(out.glob("spectrum_*"))
 
     def test_equal_time_csv_is_the_sweeps_lag0_matrix(self, tmp_path, monkeypatch):
+        """The sweep builds each lag once; equal_time.csv is lag 0 built
+        again, after the sweep, which keeps no matrix."""
         lags = []
 
         def counting(g, lag, out=None):
@@ -349,7 +383,7 @@ class TestAnalyze:
         assert run_cli(
             "analyze", "--synth", "small", "--tau-max", "12", "--out", str(out)
         ) == 0
-        assert lags == list(range(13))
+        assert sorted(lags[:-1]) == list(range(13)) and lags[-1] == 0
         g = returns_from_counts(synth_generate(SYNTH_PRESETS["small"]))
         write_matrix_csv(lag_corr(g, 0), tmp_path / "expected.csv")
         assert (out / "equal_time.csv").read_bytes() == (
@@ -885,12 +919,18 @@ class TestDeterminism:
 
 
 def test_module_entry_point(tmp_path):
+    """``python -m lagspec``, with the tested package's directory on the
+    subprocess's PYTHONPATH, as pytest's ``pythonpath`` reaches only this
+    process."""
     out = tmp_path / "run"
+    src = str(Path(lagspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "lagspec", "analyze", "--synth", "small",
          "--tau-max", "10", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()

@@ -7,6 +7,8 @@ from itertools import chain
 import numpy as np
 import pytest
 
+import lagspec.eigensys
+import lagspec.strobo
 from hypothesis import given, reject, settings, strategies as st
 from scipy.signal import find_peaks
 
@@ -47,22 +49,25 @@ from conftest import (
 
 
 def faulty_eigh(monkeypatch, matrices, lags, slow=()):
-    """Make np.linalg.eigh return 2x its eigenvectors, which fails the unit
-    norm check, for the matrices of ``matrices`` at ``lags``; at ``slow``
-    lags, faulty or not, it first sleeps 0.2 s.  Faults are keyed on the
-    input matrix, so they hold whichever worker solves it."""
-    eigh = np.linalg.eigh
+    """Make the eigensolve (``eigensys._eigh``) return 2x its eigenvectors,
+    which fails the unit norm check, for the matrices of ``matrices`` at
+    ``lags``; at ``slow`` lags, faulty or not, it first sleeps 0.2 s.
+    Faults are keyed on the input matrix, which the solve finds copied
+    into its workspace, so they hold whichever worker solves it."""
+    eigh = lagspec.eigensys._eigh
     matrices = [m for m in matrices if m.lag in lags or m.lag in slow]
     faulty = {m.values.tobytes() for m in matrices if m.lag in lags}
     sleepy = {m.values.tobytes() for m in matrices if m.lag in slow}
 
-    def doubled_at_lags(a):
-        if a.tobytes() in sleepy:
+    def doubled_at_lags(ws):
+        key = ws.a.tobytes()
+        if key in sleepy:
             time.sleep(0.2)
-        vals, vecs = eigh(a)
-        return vals, (2.0 if a.tobytes() in faulty else 1.0) * vecs
+        eigh(ws)
+        if key in faulty:
+            ws.a *= 2.0
 
-    monkeypatch.setattr(np.linalg, "eigh", doubled_at_lags)
+    monkeypatch.setattr(lagspec.eigensys, "_eigh", doubled_at_lags)
 
 
 def assert_restored_after_sweeps(monkeypatch, shape):
@@ -129,8 +134,6 @@ class TestSweep:
                 system = eigendecompose(lag_corr(g, k))
             assert np.array_equal(seq.eigenvalues[k], system.eigenvalues)
             assert np.array_equal(seq.iprs[k], system.iprs)
-            if k == 0:
-                assert np.array_equal(seq.equal_time_matrix.values, lag_corr(g, 0).values)
 
     @pytest.mark.parametrize(
         "n, length, tau_max, block_path",
@@ -145,7 +148,6 @@ class TestSweep:
         """Long records take lags >= 1 from the block kernel; other records
         call lag_corr once per lag.  The products and eigensolves are
         stubbed: only the lags asked for matter here."""
-        import lagspec.strobo
         from lagspec import EigenSystem, LagCorrMatrix
 
         lags, solved = [], []
@@ -156,7 +158,7 @@ class TestSweep:
             lags.append(lag)
             return LagCorrMatrix(lag=lag, values=np.eye(n))
 
-        def solve(d):
+        def solve(d, out=None):
             solved.append(d.lag)
             return system
 
@@ -166,7 +168,7 @@ class TestSweep:
         # each lag built once and solved once, in whatever order
         assert sorted(lags) == ([0] if block_path else list(range(tau_max + 1)))
         assert sorted(solved) == list(range(tau_max + 1))
-        assert seq.equal_time_matrix.lag == 0
+        assert seq.eigenvalues.shape == (tau_max + 1, n)
 
     @pytest.mark.parametrize(
         "n, length, tau_max", [(4, 64, 5), (8, 6000, 40)]  # direct, block path
@@ -224,8 +226,9 @@ class TestSweep:
 
 
 # (n, length, tau_max): the direct path, the block path over two batches,
-# and a direct-path record wide enough (L < 10 N) to take the helper
-DIRECT, BLOCK, HELPER = (8, 256, 20), (8, 6000, 100), (32, 128, 20)
+# and a direct-path record wide enough (L < 10 N) that two workers share
+# one solver at T = 2
+DIRECT, BLOCK, POOLED = (8, 256, 20), (8, 6000, 100), (32, 128, 20)
 
 
 def lagged(g, tau_max):
@@ -247,27 +250,29 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("shape", [DIRECT, BLOCK])
     def test_tables_bit_equal_for_one_and_two_workers(self, shape):
         """The worker loop itself, on either path's matrices: at one BLAS
-        thread, one and two workers give the same bytes."""
+        thread, one worker, two with a solver each and two sharing one
+        give the same bytes."""
         n, length, tau_max = shape
         g = iid_returns(n, length, seed=12)
         tables = []
-        for workers in (1, 2):
+        for workers, solvers in ((1, 1), (2, 2), (2, 1)):
             eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
             matrices = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
             with _blas.threads(1):
-                _solve_rows(matrices, eigenvalues, iprs, workers)
+                _solve_rows(matrices, eigenvalues, iprs, workers, solvers)
             tables.append((eigenvalues, iprs))
-        assert np.array_equal(tables[0][0], tables[1][0])
-        assert np.array_equal(tables[0][1], tables[1][1])
+        for eigenvalues, iprs in tables[1:]:
+            assert np.array_equal(tables[0][0], eigenvalues)
+            assert np.array_equal(tables[0][1], iprs)
 
     def test_sweep_spreads_a_direct_path_record(self):
         n, length, tau_max = DIRECT
         g = iid_returns(n, length, seed=12)
         with _blas.threads(1):
-            assert _split(g, tau_max) == (1, False, 1)
+            assert _split(g, tau_max) == (1, 1, 1)
             serial = sweep(g, tau_max)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, False, 1)
+            assert _split(g, tau_max) == (2, 2, 1)
             spread = sweep(g, tau_max)
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
         assert np.array_equal(serial.iprs, spread.iprs)
@@ -278,37 +283,38 @@ class TestSweepWorkers:
         n, length, tau_max = BLOCK
         g = iid_returns(n, length, seed=12)
         with _blas.threads(1):
-            assert _split(g, tau_max) == (1, False, 1)
+            assert _split(g, tau_max) == (1, 1, 1)
             serial = sweep(g, tau_max)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, False, 1)
+            assert _split(g, tau_max) == (2, 2, 1)
             spread = sweep(g, tau_max)
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
         assert np.array_equal(serial.iprs, spread.iprs)
 
     @pytest.mark.parametrize(
         "n, length, tau_max",
-        [(512, 4096, 30), (64, 32768, 100), BLOCK, HELPER],  # wide, long benchmark shapes
+        [(512, 4096, 30), (64, 32768, 100), BLOCK, POOLED],  # wide, long benchmark shapes
     )
-    def test_wide_records_take_the_helper_and_block_path_records_spread(
+    def test_wide_records_share_one_solver_and_block_path_records_spread(
         self, n, length, tau_max
     ):
-        """On the direct path a wide record has one solver, at 1 thread
-        beside the helper; a block-path record has a solver per thread, as
-        its kernel is split over them.  At one thread, one serial solver."""
+        """On the direct path a wide record has one solver, shared by two
+        workers at 1 thread each; a block-path record has a worker and a
+        solver per thread, as its kernel is split over them.  At one
+        thread, one serial worker."""
         g = iid_returns(n, length, seed=0)
         block_path = uses_block_path(n, length)
         with _blas.threads(2):
-            assert _split(g, tau_max) == ((2, False, 1) if block_path else (1, True, 1))
+            assert _split(g, tau_max) == ((2, 2, 1) if block_path else (2, 1, 1))
         with _blas.threads(3):
-            assert _split(g, tau_max) == ((3, False, 1) if block_path else (1, True, 1))
+            assert _split(g, tau_max) == ((3, 3, 1) if block_path else (2, 1, 1))
         with _blas.threads(1):
-            assert _split(g, tau_max) == (1, False, 1)
+            assert _split(g, tau_max) == (1, 1, 1)
 
-    def test_no_helper_without_lags_to_build(self):
-        g = iid_returns(*HELPER[:2], seed=0)
+    def test_one_worker_without_lags_to_build(self):
+        g = iid_returns(*POOLED[:2], seed=0)
         with _blas.threads(2):
-            assert _split(g, 0) == (1, False, 2)
+            assert _split(g, 0) == (1, 1, 2)
 
     def test_blas_threads_restored(self, monkeypatch):
         assert_restored_after_sweeps(monkeypatch, DIRECT)
@@ -337,10 +343,10 @@ class TestSweepWorkers:
         eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
         with _blas.threads(1):
             with pytest.raises(CorrelationOutOfRange, match="at lag 8$"):
-                _solve_rows(matrices, eigenvalues, iprs, 2)
+                _solve_rows(matrices, eigenvalues, iprs, 2, 2)
             faulty_eigh(monkeypatch, lagged(g, tau_max), {7}, slow={7})
             with pytest.raises(ConvergenceFailure, match="at lag 7.*unit norm"):
-                _solve_rows(matrices, eigenvalues, iprs, 2)
+                _solve_rows(matrices, eigenvalues, iprs, 2, 2)
 
     @pytest.mark.parametrize("case", ["out-of-range", "solver-fault"])
     def test_block_path_failure_met_first_by_the_next_lag(self, monkeypatch, case):
@@ -348,8 +354,6 @@ class TestSweepWorkers:
         the kernel past lag k first.  Lag k still reaches its own solver,
         and the sweep raises lag k's error: neither the kernel's failure
         nor lag k's matrix goes to the solver of lag k + 1 instead."""
-        import lagspec.strobo
-
         if case == "out-of-range":
             # series 0 moves only at t = 0, 2000 and 4000
             raw = np.zeros((2, 5000))
@@ -378,14 +382,12 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(lagspec.strobo, "_in_lag_order", held_back)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, False, 1)
+            assert _split(g, tau_max) == (2, 2, 1)
             with pytest.raises(error, match=match):
                 sweep(g, tau_max)
         assert asked.index(k + 1) < asked.index(k)
 
     def test_direct_path_build_failure_names_its_lag(self, monkeypatch):
-        import lagspec.strobo
-
         def failing(g, lag, out=None):
             if lag in (9, 12):
                 raise CorrelationOutOfRange(f"correlation entries outside [-1, 1] at lag {lag}")
@@ -404,40 +406,36 @@ class TestSweepWorkers:
     def test_one_worker_solves_every_lag_on_the_calling_thread_in_order(
         self, monkeypatch, shape, total
     ):
-        """Where ``_split`` gives one worker and no helper, at one thread on
-        either path, the calling thread solves lags 0..tau_max in order."""
-        import lagspec.strobo
-
+        """Where ``_split`` gives one worker, at one thread on either path,
+        the calling thread solves lags 0..tau_max in order."""
         solves = []
 
-        def solve(d):
+        def solve(d, out=None):
             solves.append((threading.get_ident(), d.lag))
-            return eigendecompose(d)
+            return eigendecompose(d, out=out)
 
         n, length, tau_max = shape
         g = iid_returns(n, length, seed=22)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
         with _blas.threads(total):
-            assert _split(g, tau_max) == (1, False, total)
+            assert _split(g, tau_max) == (1, 1, total)
             sweep(g, tau_max)
         assert solves == [(threading.get_ident(), k) for k in range(tau_max + 1)]
 
     def test_serial_without_openblas(self, monkeypatch):
-        import lagspec.strobo
-
         threads = set()
 
-        def solve(d):
+        def solve(d, out=None):
             threads.add(threading.get_ident())
-            return eigendecompose(d)
+            return eigendecompose(d, out=out)
 
         g = iid_returns(*DIRECT[:2], seed=15)
         with _blas.threads(2):
             spread = sweep(g, DIRECT[2])
         monkeypatch.setattr(_blas, "_functions", lambda: None)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
-        assert _split(g, DIRECT[2]) == (1, False, None)
-        assert _split(g, HELPER[2]) == (1, False, None)
+        assert _split(g, DIRECT[2]) == (1, 1, None)
+        assert _split(g, POOLED[2]) == (1, 1, None)
         serial = sweep(g, DIRECT[2])
         assert threads == {threading.get_ident()}
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
@@ -446,13 +444,11 @@ class TestSweepWorkers:
         """More workers than cores and a short switch interval: a lost
         update to the shared lag counter would solve a lag twice or leave
         a row unwritten."""
-        import lagspec.strobo
-
         solved = []
 
-        def solve(d):
+        def solve(d, out=None):
             solved.append(d.lag)
-            return eigendecompose(d)
+            return eigendecompose(d, out=out)
 
         g = iid_returns(8, 4096, seed=16)
         with _blas.threads(1):
@@ -463,7 +459,7 @@ class TestSweepWorkers:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(8):
-                assert _split(g, 200) == (8, False, 1)
+                assert _split(g, 200) == (8, 8, 1)
                 runner = threading.Thread(target=lambda: results.append(sweep(g, 200)))
                 runner.start()
                 runner.join(timeout=120)
@@ -478,13 +474,11 @@ class TestSweepWorkers:
         """Eight solvers and a kernel split eight ways, with a short switch
         interval: every lag reaches its own solver once, and the tables are
         those of one thread."""
-        import lagspec.strobo
-
         solved = []
 
-        def solve(d):
+        def solve(d, out=None):
             solved.append(d.lag)
-            return eigendecompose(d)
+            return eigendecompose(d, out=out)
 
         n, length, tau_max = BLOCK
         g = iid_returns(n, length, seed=16)
@@ -496,7 +490,7 @@ class TestSweepWorkers:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(8):
-                assert _split(g, tau_max) == (8, False, 1)
+                assert _split(g, tau_max) == (8, 8, 1)
                 runner = threading.Thread(target=lambda: results.append(sweep(g, tau_max)))
                 runner.start()
                 runner.join(timeout=120)
@@ -537,19 +531,14 @@ class TestTrajectory:
         seq = StroboscopicSequence(
             eigenvalues=np.tile(base.eigenvalues, (6, 1)),
             iprs=np.tile(base.iprs, (6, 1)),
-            equal_time_matrix=d0,
         )
         traj = trajectory(seq, "eigenvalue", 2)
         assert np.all(traj == traj[0])
 
-    def test_tables_must_match_equal_time_dimension(self):
-        d0 = equal_time_corr(iid_returns(5, 64, seed=10))
-        with pytest.raises(ValueError, match="lag-0 matrix"):
-            StroboscopicSequence(
-                eigenvalues=np.zeros((3, 4)),
-                iprs=np.zeros((3, 4)),
-                equal_time_matrix=d0,
-            )
+    @pytest.mark.parametrize("shapes", [((3, 4), (3, 5)), ((4,), (4,)), ((0, 4), (0, 4))])
+    def test_tables_must_agree_in_shape(self, shapes):
+        with pytest.raises(ValueError, match="tables"):
+            StroboscopicSequence(eigenvalues=np.zeros(shapes[0]), iprs=np.zeros(shapes[1]))
 
     def test_position_out_of_range(self):
         g = iid_returns(4, 64, seed=11)
@@ -740,45 +729,63 @@ def test_csv_exports(tmp_path):
     assert np.array_equal(sdata[:, 1], spec.power)
 
 
+def replaced(g, rows, seed):
+    """g with the series ``rows`` replaced by fresh normalized ones, as an
+    injection leaves a record."""
+    returns = g.returns.copy()
+    returns[rows] = iid_returns(len(rows), g.n_returns, seed=seed).returns
+    return ReturnMatrix(series_ids=g.series_ids, returns=returns)
+
+
 @needs_openblas
-class TestSweepHelper:
-    """Records that the memory cap keeps at one solver: a helper thread
-    builds lag k + 1 into one of two slots while the calling thread solves
-    lag k, both at 1 BLAS thread of a budget of 2."""
+class TestPooledSweep:
+    """Records that the memory cap keeps at one solver: two workers each
+    build a lag into a slot of their own and take turns on the one solver
+    workspace, both at 1 BLAS thread of a budget of 2."""
 
     def test_wide_tables_bit_equal_to_fresh_solves(self):
         # the wide benchmark's shape, over fewer lags: each slot is reused
         n, length, tau_max = 512, 4096, 12
         g = iid_returns(n, length, seed=18)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (1, True, 1)
+            assert _split(g, tau_max) == (2, 1, 1)
             seq = sweep(g, tau_max)
             with sweep_blas(g, tau_max):
+                lag0 = lag_corr(g, 0)
                 for k in range(tau_max + 1):
                     system = eigendecompose(lag_corr(g, k))
                     assert np.array_equal(seq.eigenvalues[k], system.eigenvalues), k
                     assert np.array_equal(seq.iprs[k], system.iprs), k
             # lag 0, built at 1 thread, equals its build at 2: numpy forms
-            # returns @ returns.T with syrk, so equal_time.csv keeps its bytes
-            assert np.array_equal(seq.equal_time_matrix.values, lag_corr(g, 0).values)
+            # returns @ returns.T with syrk, so equal_time.csv, built after
+            # the sweep, holds the matrix the sweep solved
+            assert np.array_equal(lag0.values, equal_time_corr(g).values)
 
     def test_blas_threads_restored(self, monkeypatch):
-        assert_restored_after_sweeps(monkeypatch, HELPER)
+        assert_restored_after_sweeps(monkeypatch, POOLED)
 
-    def test_helper_builds_into_two_slots_and_the_caller_solves(self, monkeypatch):
-        import lagspec.strobo
-
-        n, length, tau_max = HELPER
-        builders, slots, solvers = {}, {}, set()
+    def test_workers_build_into_their_own_slots_and_solve_one_at_a_time(self, monkeypatch):
+        n, length, tau_max = POOLED
+        lock = threading.Lock()
+        slots, solvers, spaces = {}, set(), set()
+        active = [0, 0]  # solves running now, most at once
 
         def counting(g, lag, out=None):
-            builders[lag] = threading.get_ident()
-            slots[lag] = None if out is None else out.__array_interface__["data"][0]
+            slots[lag] = (threading.get_ident(), out.__array_interface__["data"][0])
             return lag_corr(g, lag, out=out)
 
-        def solve(d):
-            solvers.add(threading.get_ident())
-            return eigendecompose(d)
+        def solve(d, out=None):
+            with lock:
+                active[0] += 1
+                active[1] = max(active)
+                solvers.add(threading.get_ident())
+                spaces.add(id(out))
+            time.sleep(0.002)
+            try:
+                return eigendecompose(d, out=out)
+            finally:
+                with lock:
+                    active[0] -= 1
 
         g = iid_returns(n, length, seed=19)
         with _blas.threads(1):
@@ -786,30 +793,25 @@ class TestSweepHelper:
         monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
         with _blas.threads(2):
-            helped = sweep(g, tau_max)
-        caller = threading.get_ident()
-        assert solvers == {caller}
-        assert sorted(builders) == list(range(tau_max + 1))
-        assert builders[0] == caller and slots[0] is None
-        assert caller not in {builders[k] for k in range(1, tau_max + 1)}
-        # lags k and k + 2 share a slot; lags k and k + 1 never do
-        assert len({slots[k] for k in range(1, tau_max + 1)}) == 2
-        assert all(slots[k] == slots[k + 2] != slots[k + 1] for k in range(1, tau_max - 1))
-        assert np.array_equal(helped.eigenvalues, serial.eigenvalues)
-        assert np.array_equal(helped.iprs, serial.iprs)
+            pooled = sweep(g, tau_max)
+        assert sorted(slots) == list(range(tau_max + 1))
+        # one slot per worker thread, lag 0's included
+        builders = dict(slots.values())
+        assert len(builders) == 2 == len(set(builders.values()))
+        assert len(solvers) == 2 and len(spaces) == 1 and active[1] == 1
+        assert np.array_equal(pooled.eigenvalues, serial.eigenvalues)
+        assert np.array_equal(pooled.iprs, serial.iprs)
 
     @pytest.mark.parametrize("slow", [(), (8,)], ids=["none-slow", "lag-8-slow"])
     def test_build_fault_names_its_lag(self, monkeypatch, slow):
         """Lag 9's build fails, while lag 8 is solved if that is slow;
         solver faults above it are never reached."""
-        import lagspec.strobo
-
         def failing(g, lag, out=None):
             if lag in (9, 12):
                 raise CorrelationOutOfRange(f"correlation entries outside [-1, 1] at lag {lag}")
             return lag_corr(g, lag, out=out)
 
-        n, length, tau_max = HELPER
+        n, length, tau_max = POOLED
         g = iid_returns(n, length, seed=20)
         with _blas.threads(1):
             faulty_eigh(monkeypatch, lagged(g, tau_max), {10, 11}, slow=slow)
@@ -824,14 +826,12 @@ class TestSweepHelper:
         """Lag 9's solve fails and lag 10's build fails: lag 9's error is
         raised, also when lag 9's slow solve lets lag 10's build fail
         first."""
-        import lagspec.strobo
-
         def failing(g, lag, out=None):
             if lag == 10:
                 raise CorrelationOutOfRange(f"correlation entries outside [-1, 1] at lag {lag}")
             return lag_corr(g, lag, out=out)
 
-        n, length, tau_max = HELPER
+        n, length, tau_max = POOLED
         g = iid_returns(n, length, seed=20)
         with _blas.threads(1):
             faulty_eigh(monkeypatch, lagged(g, tau_max), {9, 15}, slow=slow)
@@ -841,14 +841,13 @@ class TestSweepHelper:
                 sweep(g, tau_max)
 
     def test_no_slot_is_overwritten_while_its_lag_is_solved(self, monkeypatch):
-        """Slow solves and a short switch interval give the helper every
-        chance to run ahead: a lag whose slot were overwritten before or
-        during its solve would leave another lag's row."""
-        import lagspec.strobo
-
-        def slow_solve(d):
+        """Slow solves and a short switch interval give the other worker
+        every chance to run ahead: a lag whose slot or workspace were
+        overwritten before or during its solve would leave another lag's
+        row."""
+        def slow_solve(d, out=None):
             time.sleep(0.002)
-            system = eigendecompose(d)
+            system = eigendecompose(d, out=out)
             time.sleep(0.002)
             return system
 
@@ -861,7 +860,7 @@ class TestSweepHelper:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(2):
-                assert _split(g, 60) == (1, True, 1)
+                assert _split(g, 60) == (2, 1, 1)
                 runner = threading.Thread(target=lambda: results.append(sweep(g, 60)))
                 runner.start()
                 runner.join(timeout=60)
@@ -872,12 +871,89 @@ class TestSweepHelper:
         assert np.array_equal(results[0].iprs, serial.iprs)
 
 
-def replaced(g, rows, seed):
-    """g with the series ``rows`` replaced by fresh normalized ones, as an
-    injection leaves a record."""
-    returns = g.returns.copy()
-    returns[rows] = iid_returns(len(rows), g.n_returns, seed=seed).returns
-    return ReturnMatrix(series_ids=g.series_ids, returns=returns)
+@needs_openblas
+class TestInterrupt:
+    """A KeyboardInterrupt raised by the solve of lag k, on whichever
+    worker holds it: all taking stops, the workers end after the lags in
+    flight, and the interrupt is raised with the BLAS count restored."""
+
+    @pytest.mark.parametrize(
+        "shape, paired, split",
+        [(DIRECT, False, (2, 2, 1)), (POOLED, False, (2, 1, 1)),
+         (BLOCK, False, (2, 2, 1)), (DIRECT, True, (2, 2, 1))],
+        ids=["direct", "pooled", "block", "paired"],
+    )
+    def test_interrupt_stops_the_sweep(self, monkeypatch, shape, paired, split):
+        n, length, tau_max = shape
+        k = 8
+        g = iid_returns(n, length, seed=23)
+        after = replaced(g, [1], seed=24) if paired else None
+        solved = []
+
+        def interrupted(d, out=None):
+            solved.append(d.lag)
+            if d.lag == k:
+                raise KeyboardInterrupt
+            time.sleep(0.001)
+            return eigendecompose(d, out=out)
+
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", interrupted)
+        threads = threading.active_count()
+        with _blas.threads(2):
+            assert _split(g, tau_max, records=2 if paired else 1) == split
+            with pytest.raises(KeyboardInterrupt):
+                sweep(g, tau_max, after=after)
+            assert _blas.thread_count() == 2
+        assert threading.active_count() == threads
+        assert k in solved and max(solved) <= k + split[0]
+
+    def test_interrupt_while_the_kernel_runs(self, monkeypatch):
+        """An interrupt in one of the block kernel's parts, at its third
+        transform, ends the kernel's parts and the sweep."""
+        n, length, tau_max = BLOCK
+        g = iid_returns(n, length, seed=25)
+        spectra = lagspec.lagcorr._spectra
+        calls = []
+
+        def interrupted(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return spectra(*args)
+
+        monkeypatch.setattr(lagspec.lagcorr, "_spectra", interrupted)
+        threads = threading.active_count()
+        with _blas.threads(2):
+            with pytest.raises(KeyboardInterrupt):
+                sweep(g, tau_max)
+            assert _blas.thread_count() == 2
+        assert threading.active_count() == threads
+
+
+@needs_openblas
+@pytest.mark.parametrize("shape", [DIRECT, POOLED, BLOCK], ids=["direct", "pooled", "block"])
+@pytest.mark.parametrize("paired", [False, True], ids=["lone", "paired"])
+def test_eigh_fallback_gives_the_same_tables(monkeypatch, shape, paired):
+    """Where numpy's bundled LAPACK is not found, every solve calls
+    np.linalg.eigh, and the tables keep their bytes."""
+    n, length, tau_max = shape
+    g = iid_returns(n, length, seed=26)
+    after = replaced(g, [2], seed=27) if paired else None
+    with _blas.threads(2):
+        lapack = sweep(g, tau_max, after=after)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(_blas, "syevd", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        fallback = sweep(g, tau_max, after=after)
+    assert len(calls) == (tau_max + 1) * (2 if paired else 1)
+    for got, want in zip(fallback, lapack) if paired else [(fallback, lapack)]:
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.iprs, want.iprs)
 
 
 @needs_openblas
@@ -887,7 +963,7 @@ class TestPairedSweep:
     than half."""
 
     @pytest.mark.parametrize(
-        "shape", [DIRECT, HELPER, BLOCK], ids=["direct", "helper", "block"],
+        "shape", [DIRECT, POOLED, BLOCK], ids=["direct", "pooled", "block"],
     )
     @pytest.mark.parametrize("changed", [0, 1, 3])
     def test_before_bit_equal_and_after_within_rounding(self, shape, changed):
@@ -906,8 +982,6 @@ class TestPairedSweep:
                     assert np.array_equal(before.iprs[k], system.iprs)
         assert np.array_equal(before.eigenvalues, lone_before.eigenvalues)
         assert np.array_equal(before.iprs, lone_before.iprs)
-        assert np.array_equal(before.equal_time_matrix.values,
-                              lone_before.equal_time_matrix.values)
         if changed == 0:
             assert np.array_equal(after.eigenvalues, before.eigenvalues)
             assert np.array_equal(after.iprs, before.iprs)
@@ -916,8 +990,6 @@ class TestPairedSweep:
             assert np.array_equal(after.iprs, lone_after.iprs)
         assert np.allclose(after.eigenvalues, lone_after.eigenvalues, rtol=0, atol=1e-13)
         assert np.allclose(after.iprs, lone_after.iprs, rtol=0, atol=1e-9)
-        assert np.allclose(after.equal_time_matrix.values,
-                           lone_after.equal_time_matrix.values, rtol=0, atol=4e-15)
 
     def test_after_lowers_workers_never_threads_per_lag(self):
         """On the default experiment preset's shape at T = 6 and 12, a's
@@ -926,8 +998,8 @@ class TestPairedSweep:
         so g's tables keep their bytes."""
         g = iid_returns(64, 2048, seed=41)
         a = replaced(g, [3, 9, 20, 40], seed=42)
-        for total, lone, paired in ((6, (4, False, 1), (3, False, 1)),
-                                    (12, (4, False, 3), (3, False, 3))):
+        for total, lone, paired in ((6, (4, 4, 1), (3, 3, 1)),
+                                    (12, (4, 4, 3), (3, 3, 3))):
             with _blas.threads(total):
                 assert _split(g, 400) == lone
                 assert _split(g, 400, records=2) == paired
@@ -941,9 +1013,7 @@ class TestPairedSweep:
     def test_half_the_series_changed_builds_after_in_full(self, monkeypatch):
         """Where 2k >= N, each lag of a is ``lag_corr(a, k)``, so a's tables
         are a lone sweep's bit for bit; where 2k < N no lag of a is built
-        in full."""
-        import lagspec.strobo
-
+        in full.  Each lag of each record is built once."""
         n, length, tau_max = DIRECT
         g = iid_returns(n, length, seed=32)
         built = Counter()
@@ -956,7 +1026,7 @@ class TestPairedSweep:
         with _blas.threads(2):
             half = replaced(g, list(range(n // 2)), seed=33)
             after = sweep(g, tau_max, after=half)[1]
-            assert built == {True: tau_max + 1, False: tau_max + 2}
+            assert built == {True: tau_max + 1, False: tau_max + 1}
             lone = sweep(half, tau_max)
             assert np.array_equal(after.eigenvalues, lone.eigenvalues)
             assert np.array_equal(after.iprs, lone.iprs)
@@ -965,8 +1035,6 @@ class TestPairedSweep:
             assert built == {True: tau_max + 1}
 
     def test_records_of_different_shapes(self, monkeypatch):
-        import lagspec.strobo
-
         def no_work(*args, **kwargs):
             raise AssertionError("work began before the shapes were checked")
 
@@ -976,17 +1044,17 @@ class TestPairedSweep:
             with pytest.raises(ValueError, match="differ in shape"):
                 sweep(g, 20, after=other)
 
-    @pytest.mark.parametrize("shape", [(8, 1024, 300), (64, 640, 300)], ids=["workers", "helper"])
+    @pytest.mark.parametrize("shape", [(8, 1024, 300), (64, 640, 300)], ids=["workers", "pooled"])
     def test_a_fault_in_g_at_any_lag_is_raised_first(self, monkeypatch, shape):
         """a's solve fails at lag 3 and g's at lag 300: g's error is raised,
-        as if g were swept first; without g's fault a's is.  Helpers are
+        as if g were swept first; without g's fault a's is.  Workers are
         joined and the BLAS count restored either way."""
         n, length, tau_max = shape
         g = iid_returns(n, length, seed=35)
         rows = np.array([1, 4])
         a = replaced(g, rows, seed=36)
         with _blas.threads(2):
-            expected = (2, False, 1) if n == 8 else (1, True, 1)
+            expected = (2, 2, 1) if n == 8 else (2, 1, 1)
             assert _split(g, tau_max, records=2) == expected
             with sweep_blas(g, tau_max):
                 a_at_3 = patch_rows(lag_corr(g, 3), a, rows)
@@ -1004,13 +1072,11 @@ class TestPairedSweep:
         """More workers than cores and a short switch interval: a lost
         update would solve a lag of a record twice or leave a row
         unwritten."""
-        import lagspec.strobo
-
         solved = Counter()
 
-        def solve(d):
+        def solve(d, out=None):
             solved[d.lag] += 1
-            return eigendecompose(d)
+            return eigendecompose(d, out=out)
 
         g = iid_returns(8, 4096, seed=39)
         a = replaced(g, [5], seed=40)
@@ -1022,7 +1088,7 @@ class TestPairedSweep:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(8):
-                assert _split(g, 200, records=2) == (8, False, 1)
+                assert _split(g, 200, records=2) == (8, 8, 1)
                 runner = threading.Thread(
                     target=lambda: results.append(sweep(g, 200, after=a)))
                 runner.start()
@@ -1036,8 +1102,6 @@ class TestPairedSweep:
             assert np.array_equal(seq.iprs, expected.iprs)
 
     def test_a_build_fault_in_g_beats_a_lower_one_in_a(self, monkeypatch):
-        import lagspec.strobo
-
         n, length, tau_max = DIRECT
         g = iid_returns(n, length, seed=37)
         a = replaced(g, list(range(n // 2)), seed=38)  # a is built in full
