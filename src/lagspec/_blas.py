@@ -39,13 +39,7 @@ def _functions() -> tuple[Callable[[], int], Callable[[int], None], Callable | N
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        syevd = getattr(lib, _SYEVD, None)
-        if syevd is not None:
-            i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-            syevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr, ptr, i64,
-                              ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
-            syevd.restype = None
-        return get, set_, syevd
+        return get, set_, getattr(lib, _SYEVD, None)
     return None
 
 

@@ -16,9 +16,9 @@ from .lagcorr import LagCorrMatrix
 _RESIDUAL_FACTOR = 1e-10  # max ||D u - lambda u|| allowed, relative to ||D||_F
 _NORM_TOL = 1e-8
 _ORTHO_TOL = 1e-8
-# floats per block of EigenSystem's Gram product: half the bytes of an
-# N x N boolean array at N = 512
-_GRAM_FLOATS = 1 << 14
+# floats per block of rows of U diag(vals) or of EigenSystem's Gram
+# product: half the bytes of an N x N boolean array at N = 512
+_BLOCK_FLOATS = 1 << 14
 # ascending eigenvalues at most this far apart, relative to ||D||_F, form one
 # degenerate cluster: 100 times the residual bound
 _CLUSTER_GAP = 1e-8
@@ -54,7 +54,7 @@ class EigenSystem:
             raise ValueError("eigenvectors must be unit norm")
         # the upper triangle of V^T V a block of rows at a time, less its
         # diagonal: no N x N temporary, and half the flops of the full product
-        rows = max(1, _GRAM_FLOATS // n)
+        rows = max(1, _BLOCK_FLOATS // n)
         block = np.empty(min(rows, n) * n)
         for r in range(0, n, rows):
             left = vecs[:, r:r + rows].T
@@ -100,44 +100,44 @@ class Workspace:
     a workspace query, ``work`` holding the checks' scratch after the solve."""
 
     def __init__(self, n: int) -> None:
-        self.a = np.empty((n, n))
-        self.w = np.empty(n)
-        self.info = ctypes.c_int64()
+        self.a, self.w, self.info = np.empty((n, n)), np.empty(n), ctypes.c_int64()
         self.work, self.iwork = np.ones(1), np.ones(1, dtype=np.int64)
-        if _blas.syevd() is not None:  # the workspace query; sizes of 1 without it
-            _blas.syevd()(*self._args(-1, -1))
-        lwork, liwork = int(self.work[0]), int(self.iwork[0])
-        # the checks need 2 N^2 floats, which LAPACK's own need exceeds for N > 1
-        self.work = np.empty(max(lwork, 2 * n * n))
-        self.iwork = np.empty(liwork, dtype=np.int64)
-        self.args = self._args(lwork, liwork)
+        sizes = [ctypes.c_int64(v) for v in (n, max(n, 1), -1, -1)]
 
-    def _args(self, lwork: int, liwork: int) -> tuple:
-        """dsyevd's arguments, then gfortran's lengths of the two strings:
-        eigenvalues and eigenvectors (JOBZ = 'V') of the lower triangle
-        (UPLO = 'L') of ``a`` as LAPACK sees it, which is ``a`` transposed,
-        the same bits for an exactly symmetric matrix."""
-        n = len(self.w)
-        ints = [ctypes.byref(ctypes.c_int64(v)) for v in (n, max(n, 1), lwork, liwork)]
-        a, w, work, iwork = (x.ctypes.data for x in (self.a, self.w, self.work, self.iwork))
-        return (b"V", b"L", ints[0], a, ints[1], w, work, ints[2], iwork, ints[3],
-                ctypes.byref(self.info), 1, 1)
+        def args() -> tuple:
+            """dsyevd's arguments and gfortran's string lengths: JOBZ = 'V', UPLO
+            = 'L' of ``a`` as LAPACK sees it, ``a`` transposed, which has the
+            same bits for an exactly symmetric matrix."""
+            n_, lda, lwork, liwork, info = map(ctypes.byref, (*sizes, self.info))
+            a, w, work, iwork = (ctypes.c_void_p(x.ctypes.data)
+                                 for x in (self.a, self.w, self.work, self.iwork))
+            return (b"V", b"L", n_, a, lda, w, work, lwork, iwork, liwork, info,
+                    ctypes.c_size_t(1), ctypes.c_size_t(1))
+
+        if _blas.syevd() is not None:  # the workspace query
+            _blas.syevd()(*args())
+        # the checks' scratch, 2 N^2 floats at most, fits in LAPACK's 2 N^2 +
+        # 6 N + 1 but for N < 2 and where LAPACK is not found
+        sizes[2].value = max(int(self.work[0]), 2 * n * n)
+        sizes[3].value = int(self.iwork[0])
+        self.work = np.empty(sizes[2].value)
+        self.iwork = np.empty(sizes[3].value, dtype=np.int64)
+        self.args = args()
 
 
-def _eigh(ws: Workspace) -> None:
-    """Solve the symmetric ``ws.a`` in place: ascending eigenvalues into
-    ``ws.w``, eigenvector k into row k of ``ws.a``.  LAPACK's ``dsyevd``
-    is called as ``np.linalg.eigh`` calls it, so the results are eigh's bit
-    for bit; eigh itself is called where that is not found.  Raises
-    np.linalg.LinAlgError if the solver fails.  Fault tests patch this."""
+def _eigh(d: np.ndarray, ws: Workspace | None) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(d)`` for a symmetric ``d``.  With ``ws``, LAPACK's
+    ``dsyevd`` solves a copy of ``d`` there, called as eigh calls it, so
+    with eigh's bits; eigh runs without ``ws`` or where that is not found.
+    Fault tests patch this."""
     lapack = _blas.syevd()
-    if lapack is None:
-        vals, vecs = np.linalg.eigh(ws.a)
-        ws.w[...], ws.a[...] = vals, vecs.T
-        return
+    if ws is None or lapack is None:
+        return np.linalg.eigh(d)
+    ws.a[...] = d
     lapack(*ws.args)
     if ws.info.value:
         raise np.linalg.LinAlgError(f"Eigenvalues did not converge (info {ws.info.value})")
+    return ws.w, ws.a.T
 
 
 def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSystem:
@@ -151,36 +151,39 @@ def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSyste
     ``3 * sum_i P_ii**2 / (m * (m + 2))`` with ``P`` the projector onto it.
     A singleton's IPR is that of its vector, ``sum_i u_i**4``.
 
-    The solve and its checks make no N x N temporary: they run in ``out``,
-    a ``Workspace(N)``, or in one made for the call.  With ``out``, the
-    result's eigenvalues and eigenvectors are views into it.
+    With ``out``, a ``Workspace(N)``, the solve and its checks run in its
+    buffers, making no N x N temporary, and where numpy's LAPACK is found
+    the result's eigenvalues and eigenvectors are views into it.  Without
+    ``out``, ``np.linalg.eigh`` solves D.
 
     Raises ConvergenceFailure, naming the lag, if the solver fails, the
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
     norm, the eigenvalues miss the trace, or the result fails EigenSystem's
     sort, unit-norm or orthogonality checks.
     """
-    n = d.n
-    ws = Workspace(n) if out is None else out
-    a, vals, work = ws.a, ws.w, ws.work
-    a[...] = d.values
     try:
-        _eigh(ws)
+        vals, vecs = _eigh(d.values, out)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed at lag {d.lag}: {exc}") from exc
+    n = vals.shape[0]
+    rows = min(n, max(1, _BLOCK_FLOATS // n))
+    scratch = np.empty(n * (n + rows)) if out is None else out.work
+    square = scratch[:n * n].reshape(n, n)
+    block = scratch[n * n:n * (n + rows)].reshape(rows, n)
 
     # deterministic sign: largest-magnitude component positive
-    lead = np.abs(a, out=work[:n * n].reshape(n, n)).argmax(axis=1)
-    signs = np.sign(a[np.arange(n), lead])
+    # |vecs| laid out transposed: argmax along a strided axis copies it
+    lead = np.argmax(np.abs(vecs.T, out=square), axis=1)
+    signs = np.sign(vecs[lead, np.arange(n)])
     signs[signs == 0.0] = 1.0
-    a *= signs[:, None]
+    vecs *= signs
 
-    # row k of U^T D - diag(vals) U^T is (D u_k - lambda_k u_k)^T
-    residual, scaled = work[:2 * n * n].reshape(2, n, n)
-    np.matmul(a, d.values, out=residual)
-    residual -= np.multiply(a, vals[:, None], out=scaled)
+    # column norms of D U - U diag(vals), built in place in D U
+    residual = np.matmul(d.values, vecs, out=square)
+    for r in range(0, n, rows):
+        residual[r:r + rows] -= np.multiply(vecs[r:r + rows], vals, out=block[:n - r])
     residual *= residual
-    worst = float(np.sqrt(residual.sum(axis=1).max()))
+    worst = float(np.sqrt(np.max(residual.sum(axis=0))))
     frob = float(np.linalg.norm(d.values))
     if worst > _RESIDUAL_FACTOR * frob:
         raise ConvergenceFailure(
@@ -192,10 +195,10 @@ def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSyste
             f"eigenvalue sum deviates from trace at lag {d.lag}"
         )
 
-    iprs = _column_iprs(a.T, out=work[:n * n].reshape(n, n))
-    _cluster_iprs(vals, a.T, iprs, _CLUSTER_GAP * frob)
+    iprs = _column_iprs(vecs, out=square)
+    _cluster_iprs(vals, vecs, iprs, _CLUSTER_GAP * frob)
     try:
-        return EigenSystem(eigenvalues=vals, eigenvectors=a.T, iprs=iprs)
+        return EigenSystem(eigenvalues=vals, eigenvectors=vecs, iprs=iprs)
     except ValueError as exc:
         raise ConvergenceFailure(f"bad eigen system at lag {d.lag}: {exc}") from exc
 

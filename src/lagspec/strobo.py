@@ -12,7 +12,6 @@ are identified by sorted position, not by eigenvector continuity.
 """
 from __future__ import annotations
 
-import queue
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -175,11 +174,10 @@ def sweep(
     ``lag_corr(after, τ)``.
 
     The lags are spread over the OpenBLAS threads counted at entry, and
-    the count is restored on exit: ``_split`` chooses the workers, the
-    solvers and the threads per lag, ``_solve_rows`` the order of builds
-    and solves.  On the block path the kernel splits its work over the
-    same W threads, and each worker gets its own lag's matrix from it
-    (``_in_lag_order``).
+    the count is restored on exit: ``_split`` chooses the workers, solvers
+    and threads per lag, ``_solve_rows`` the order of builds and solves.
+    On the block path the kernel splits its work over the same W threads,
+    and each worker gets its own lag's matrix from it (``_in_lag_order``).
     Each lag's arithmetic depends on its thread count only, never on which
     thread builds or solves it.  The error raised is that of the lowest
     failing lag, as in a serial sweep; a failure in g, at any lag, is
@@ -235,25 +233,13 @@ def _split(
 ) -> tuple[int, int, int | None]:
     """How ``sweep`` spreads lags 0..tau_max over the thread budget T, the
     OpenBLAS thread count: (W workers, S solvers, BLAS threads per lag),
-    the threads per lag being None where T cannot be read.
-
-    W threads build and solve a lag each, sharing S <= W eigensolver
-    workspaces, at T // W BLAS threads.  S is at most T and tau_max + 1,
-    and the lags in flight beyond the first may hold at most half the
-    bytes of g's returns, at about 5 N^2 floats each (the matrix, the
-    solver's copy and workspace) and one N^2 more per further record.  A
-    second record may lower W and S, but never the threads per lag of a
-    lone sweep of g, so that g's arithmetic stays the same.
-
-    W = S, but where memory leaves one solver, T >= 2 and tau_max >= 1,
-    W = 2 at T // 2: a wide record on the direct path (L < 10 N, such as
-    512 x 4096) builds a lag while another is solved, as ``eigh`` gains
-    little from a second thread, the GEMM much.  A record on the block
-    path has L > 130 N, so memory caps its S at 14 or more.  Its kernel
-    builds the lags in batches split over the same W threads, so the
-    worker that reaches the kernel runs it on all of them while the others
-    solve or wait.  Without numpy's bundled OpenBLAS, W = S = 1 and
-    nothing is pinned."""
+    the threads per lag being None where T cannot be read.  README §Thread
+    budget gives the rules: S is at most T and tau_max + 1, and its lags in
+    flight beyond the first, about 5 N^2 floats each and one N^2 more per
+    further record, may hold at most half the bytes of g's returns.  W = S,
+    but where memory leaves one solver, T >= 2 and tau_max >= 1, W = 2.  A
+    second record never changes the threads per lag of a lone sweep of g,
+    so that g's arithmetic stays the same."""
     total = _blas.thread_count()
     if total is None:
         return 1, 1, total
@@ -310,10 +296,10 @@ def _solve_rows(
 
     ``workers`` threads, the calling one included, take lags from a
     counter under a lock, in order, and build each into a slot of their
-    own; each solve takes one of ``solvers`` workspaces for its duration.
-    Slots and workspaces are made once, here on the calling thread: memory
-    freed in another thread stays in its malloc arena, which cost about
-    10 MB at 512 x 4096 when each thread ran ``np.linalg.eigh``.
+    own.  Worker i solves in workspace i % ``solvers``, holding its lock
+    for the solve; ``with`` releases it also on an interrupt.
+    Slots and workspaces are made once, here on the calling thread, so no
+    worker leaves freed memory in a malloc arena of its own.
 
     A failure, in building or solving, ends that record's work at higher
     lags, and a failure in the first record ends all taking.  Once the
@@ -329,16 +315,14 @@ def _solve_rows(
     # every lag, so that it ends all taking and is the one raised
     failures: dict[tuple[int, int], BaseException] = {}
     taken = 0
-    spaces: queue.SimpleQueue[Workspace] = queue.SimpleQueue()
-    for _ in range(solvers):
-        spaces.put(Workspace(n))
+    spaces = [(threading.Lock(), Workspace(n)) for _ in range(solvers)]
 
     def needed(k: int) -> int:
         """How many records, from the first, lag k is still to be solved
         for: none from one that failed at lag k or below.  Under the lock."""
         return min([records, *(r for r, lag in failures if lag <= k)])
 
-    def solve(k: int, slot: np.ndarray) -> None:
+    def solve(k: int, slot: np.ndarray, held: threading.Lock, ws: Workspace) -> None:
         """Build and solve lag k's matrices into row k of their records'
         tables, in record order, until one fails or lag k is no longer
         needed."""
@@ -349,18 +333,15 @@ def _solve_rows(
                     return
             try:
                 matrix = next(made)
-                ws = spaces.get()
-                try:
+                with held:
                     system = eigendecompose(matrix, out=ws)
                     eigenvalues[r, k], iprs[r, k] = system.eigenvalues, system.iprs
-                finally:
-                    spaces.put(ws)
             except Exception as exc:  # raised in the caller below
                 with lock:
                     failures[r, k] = exc
                 return
 
-    def work(slot: np.ndarray) -> None:
+    def work(slot: np.ndarray, held: threading.Lock, ws: Workspace) -> None:
         nonlocal taken
         try:
             while True:
@@ -369,12 +350,13 @@ def _solve_rows(
                     if k == lags or not needed(k):
                         return
                     taken += 1
-                solve(k, slot)
+                solve(k, slot, held, ws)
         except BaseException as exc:  # raised in the caller below
             with lock:
                 failures[0, -1] = exc
 
-    _threads.run([partial(work, np.empty((records, n, n))) for _ in range(workers)])
+    _threads.run([partial(work, np.empty((records, n, n)), *spaces[i % solvers])
+                  for i in range(workers)])
     if failures:
         raise failures[min(failures)]
 

@@ -102,8 +102,9 @@ def doubled_eigh(monkeypatch):
     ``eigensys._eigh``, the one solve that ``eigendecompose`` calls."""
     eigh = lagspec.eigensys._eigh
 
-    def doubled(ws):
-        eigh(ws)
-        ws.a *= 2.0
+    def doubled(d, ws):
+        vals, vecs = eigh(d, ws)
+        vecs *= 2.0
+        return vals, vecs
 
     monkeypatch.setattr(lagspec.eigensys, "_eigh", doubled)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagspec import (
+    ConvergenceFailure,
     DegenerateAspect,
     LagCorrMatrix,
     NotNormalized,
@@ -15,9 +16,10 @@ from lagspec import (
     lag_corr,
     rmt_bounds,
     segment,
+    _blas,
 )
 
-from lagspec.eigensys import _column_iprs
+from lagspec.eigensys import Workspace, _column_iprs
 
 from conftest import iid_returns
 
@@ -86,6 +88,43 @@ class TestEigendecompose:
         es = eigendecompose(d)
         for k in range(6):
             assert es.iprs[k] == pytest.approx(ipr(es.eigenvectors[:, k]), abs=1e-14)
+
+
+needs_lapack = pytest.mark.skipif(
+    _blas.syevd() is None, reason="numpy's bundled LAPACK not found"
+)
+
+
+@needs_lapack
+class TestWorkspace:
+    """``eigendecompose(d, out=ws)`` solves with numpy's LAPACK ``dsyevd``
+    in the workspace's buffers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_equals_eigh_bit_for_bit(self, n):
+        d = symmetric_matrix(n, seed=n)
+        ws = Workspace(n)
+        for seed in (n + 1, n):  # a used workspace gives the same bytes
+            got = eigendecompose(symmetric_matrix(n, seed=seed), out=ws)
+        want = eigendecompose(d)
+        assert np.shares_memory(got.eigenvectors, ws.a)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        assert np.array_equal(got.iprs, want.iprs)
+
+    def test_lapack_failure_names_the_lag(self, monkeypatch):
+        """A nonzero INFO from dsyevd is a ConvergenceFailure at d's lag."""
+        ws = Workspace(5)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            ws.info.value = 3
+
+        monkeypatch.setattr(_blas, "syevd", lambda: failing)
+        with pytest.raises(ConvergenceFailure, match="eigensolver failed at lag 7.*info 3"):
+            eigendecompose(symmetric_matrix(5, seed=4, lag=7), out=ws)
+        assert calls == [ws.args]
 
 
 def planted_cluster(n: int, m: int, lo: int, seed: int, rotation=None) -> tuple:

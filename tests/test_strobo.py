@@ -52,20 +52,21 @@ def faulty_eigh(monkeypatch, matrices, lags, slow=()):
     """Make the eigensolve (``eigensys._eigh``) return 2x its eigenvectors,
     which fails the unit norm check, for the matrices of ``matrices`` at
     ``lags``; at ``slow`` lags, faulty or not, it first sleeps 0.2 s.
-    Faults are keyed on the input matrix, which the solve finds copied
-    into its workspace, so they hold whichever worker solves it."""
+    Faults are keyed on the input matrix, so they hold whichever worker
+    solves it."""
     eigh = lagspec.eigensys._eigh
     matrices = [m for m in matrices if m.lag in lags or m.lag in slow]
     faulty = {m.values.tobytes() for m in matrices if m.lag in lags}
     sleepy = {m.values.tobytes() for m in matrices if m.lag in slow}
 
-    def doubled_at_lags(ws):
-        key = ws.a.tobytes()
+    def doubled_at_lags(d, ws):
+        key = d.tobytes()
         if key in sleepy:
             time.sleep(0.2)
-        eigh(ws)
+        vals, vecs = eigh(d, ws)
         if key in faulty:
-            ws.a *= 2.0
+            vecs *= 2.0
+        return vals, vecs
 
     monkeypatch.setattr(lagspec.eigensys, "_eigh", doubled_at_lags)
 

@@ -8,6 +8,7 @@ import pytest
 
 import lagspec.ingest
 from lagspec import (
+    _blas,
     CountMatrix,
     InjectionSpec,
     LagCorrMatrix,
@@ -169,21 +170,17 @@ def test_lag_corr_matrix_checks_allocate_no_n_by_n_array(lag):
     assert peak < n * n  # the bytes of an N x N boolean array
 
 
-def test_one_lag_peak_is_within_4_25_matrices():
-    """The matrix, LAPACK's copy of it, which becomes the eigenvectors, and
-    LAPACK's work array of 2 N^2 + 6 N + 1 floats, 4 N^2 at least, and the
-    checks' blocks.  np.linalg.eigh made the same copy and work array, and
-    an N x N array of eigenvectors besides, in memory that tracemalloc
-    does not see."""
+def test_one_lag_peak_is_within_3_5_matrices():
     n = 512
     g = normalize(np.random.default_rng(0).standard_normal((n, 2048)))
     _, peak = traced_peak(lambda: eigendecompose(lag_corr(g, 3)))
-    assert peak <= 4.25 * n * n * 8
+    assert peak <= 3.5 * n * n * 8
 
 
+@pytest.mark.skipif(_blas.syevd() is None, reason="numpy's bundled LAPACK not found")
 def test_solve_into_a_workspace_allocates_no_n_by_n_array():
     """The solve, its checks and the IPRs run in the workspace's buffers,
-    and give the bytes of a solve in buffers of its own."""
+    and give the bytes of ``np.linalg.eigh``'s solve."""
     n = 512
     d = lag_corr(normalize(np.random.default_rng(2).standard_normal((n, 2048))), 3)
     ws = Workspace(n)
