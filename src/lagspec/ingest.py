@@ -147,7 +147,7 @@ def load_counts(source: Source, *, epsilon_clamp: bool = False) -> CountMatrix:
     try:
         # the bad-row scan rewinds to the first data line
         seekable = stream if stream.seekable() else io.StringIO(stream.read())
-        ids, table = _read_table(seekable)
+        ids, table = _read_table(seekable, epsilon_clamp)
     except UnicodeDecodeError as exc:
         name = source if isinstance(source, (str, Path)) else "input"
         raise ParseError(f"{name} is not UTF-8 text: {exc.reason}") from None
@@ -172,12 +172,15 @@ def load_counts(source: Source, *, epsilon_clamp: bool = False) -> CountMatrix:
     return CountMatrix(series_ids=ids, interval=interval, counts=counts)
 
 
-def _read_table(stream: IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read the header, then every data row in one ``np.loadtxt`` pass.
+def _read_table(
+    stream: IO[str], epsilon_clamp: bool
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read the header, then every data row with ``np.loadtxt``: as int64
+    where every cell is one, else in a second pass as floats.
 
     Returns the series ids and a (rows, N+1) table whose first column holds
-    the timestamps.  Only when the table is malformed is the body read a
-    second time, row by row, to name the offending line.
+    the timestamps.  Only when the table is malformed is the body read once
+    more, row by row, to name the offending line.
     """
     line = stream.readline()
     if not line:
@@ -198,14 +201,12 @@ def _read_table(stream: IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
     width = len(ids) + 1
     body = stream.tell()
+    table = _read_integers(stream, width, epsilon_clamp)
+    if table is not None:
+        return ids, table
+    stream.seek(body)
     try:
-        with warnings.catch_warnings():
-            # an empty body is reported as TooShort by the caller
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(
-                stream, delimiter=",", ndmin=2, dtype=float,
-                comments=None, quotechar='"',
-            )
+        table = _loadtxt(stream, float)
     except UnicodeDecodeError:  # a ValueError, but not a malformed row
         raise
     except ValueError as exc:
@@ -223,6 +224,53 @@ def _read_table(stream: IO[str]) -> tuple[tuple[str, ...], np.ndarray]:
     stream.seek(body)
     _raise_bad_row(stream, width)
     raise ParseError(problem)
+
+
+def _loadtxt(stream: IO[str], dtype: type) -> np.ndarray:
+    """The rest of ``stream`` as a table of ``dtype``, read by
+    ``np.loadtxt`` with load_counts' rules for cells and quotes."""
+    with warnings.catch_warnings():
+        # an empty body is reported as TooShort by load_counts
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            stream, delimiter=",", ndmin=2, dtype=dtype,
+            comments=None, quotechar='"',
+        )
+
+
+def _read_integers(
+    stream: IO[str], width: int, epsilon_clamp: bool
+) -> np.ndarray | None:
+    """The body as a float64 table, if every cell is an int64, every row
+    has ``width`` of them and, unless ``epsilon_clamp``, every count is
+    positive; otherwise None, and the caller parses the body again as
+    floats, which reports any error.
+
+    numpy's int64 parse is faster than its float parse.  Its table is made
+    float64 in place, a block of rows at a time, and the cast rounds as the
+    float parse does, so the table is the same bit for bit.  The int parse
+    reads ``-0`` as 0, so without the clamp a count <= 0 is left to the
+    float parse, for the NonPositiveCount message to keep its sign.  The
+    clamp maps -0, 0 and every negative count alike to its epsilon.
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy releases that still read a float cell as an int, by
+            # truncating it, warn that they do
+            warnings.simplefilter("error", DeprecationWarning)
+            ints = _loadtxt(stream, np.int64)
+    except UnicodeDecodeError:  # a ValueError, but not a malformed row
+        raise
+    except (ValueError, DeprecationWarning):
+        return None
+    if ints.shape[1] != width:
+        return None
+    table = ints.view(np.float64)
+    for rows in _blocks(len(ints), width):
+        if not epsilon_clamp and ints[rows, 1:].min() <= 0:
+            return None
+        table[rows] = ints[rows]
+    return table
 
 
 def _raise_bad_row(stream: IO[str], width: int) -> None:

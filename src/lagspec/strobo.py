@@ -307,7 +307,8 @@ def _solve_rows(
     lowest lag, is raised.  Every lag below it was solved for that record
     and those before it, so that is the failure that sweeping the records
     one after the other in serial loops meets first.  An interrupt (any
-    BaseException) on any worker ends all taking, and is raised instead.
+    BaseException) on any worker, or on the calling thread while it waits
+    for the others, ends all taking, and is raised instead.
     """
     records, lags, n = eigenvalues.shape
     lock = threading.Lock()
@@ -341,6 +342,10 @@ def _solve_rows(
                     failures[r, k] = exc
                 return
 
+    def stop(exc: BaseException) -> None:
+        with lock:
+            failures[0, -1] = exc
+
     def work(slot: np.ndarray, held: threading.Lock, ws: Workspace) -> None:
         nonlocal taken
         try:
@@ -352,11 +357,10 @@ def _solve_rows(
                     taken += 1
                 solve(k, slot, held, ws)
         except BaseException as exc:  # raised in the caller below
-            with lock:
-                failures[0, -1] = exc
+            stop(exc)
 
     _threads.run([partial(work, np.empty((records, n, n)), *spaces[i % solvers])
-                  for i in range(workers)])
+                  for i in range(workers)], stop)
     if failures:
         raise failures[min(failures)]
 

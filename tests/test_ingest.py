@@ -3,12 +3,14 @@ import csv
 import gc
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagspec.ingest
 from lagspec import (
     CountMatrix,
     LagspecError,
@@ -27,6 +29,20 @@ E = math.e
 
 def csv_bytes(text: str) -> bytes:
     return text.encode()
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The dtype of every ``np.loadtxt`` call, in order."""
+    dtypes = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, dtype=float, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return loadtxt(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return dtypes
 
 
 class TestLoadCounts:
@@ -175,6 +191,86 @@ class TestLoadCounts:
         with pytest.raises(ParseError, match="not UTF-8"):
             load_counts(b"t,a,b\n0,1,2\n1,\xff,4\n2,5,6\n")
 
+    def test_undecodable_bytes_are_parsed_once(self, parses):
+        # beyond the first chunk that reading the header decodes
+        rows = b"".join(b"%d,1,2\n" % k for k in range(5000))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_counts(b"t,a,b\n" + rows + b"5000,\xff,4\n5001,5,6\n")
+        assert parses == [np.int64]
+
+    def test_negative_zero_keeps_its_sign(self, parses):
+        with pytest.raises(
+            NonPositiveCount, match=r"^series 'a' has count -0\.0 at sample 1$"
+        ):
+            load_counts(csv_bytes("t,a,b\n0,1,2\n300,-0,2\n600,3,2\n"))
+        assert parses == [np.int64, np.float64]
+
+    def test_clamped_zero_and_negative_counts_take_the_int_parse(
+        self, parses, monkeypatch
+    ):
+        """The clamp maps -0, 0 and a negative count alike to its epsilon,
+        so such a table is parsed once, to the float parse's bytes."""
+        text = "t,a,b\n0,1,-7\n300,-0,2\n600,3,0\n900,4,5\n"
+        cm = load_counts(csv_bytes(text), epsilon_clamp=True)
+        assert parses == [np.int64]
+        monkeypatch.setattr(lagspec.ingest, "_read_integers", lambda *args: None)
+        floats = load_counts(csv_bytes(text), epsilon_clamp=True)
+        assert parses == [np.int64, np.float64]
+        assert cm.counts.strides == floats.counts.strides
+        assert cm.counts.tobytes() == floats.counts.tobytes()
+
+    @pytest.mark.parametrize(
+        "cell, dtypes",
+        [("9223372036854775807", [np.int64]),
+         ("9223372036854775808", [np.int64, np.float64]),
+         ("300", [np.int64]),
+         ("300.0", [np.int64, np.float64])],
+    )
+    def test_integer_tables_take_the_int_parse(self, parses, cell, dtypes):
+        text = f"t,a,b\n0,1,2\n300,{cell},2\n600,3,2\n"
+        cm = load_counts(csv_bytes(text))
+        assert parses == dtypes
+        assert cm.counts[0, 1] == float(cell)
+        assert cm.counts.tobytes() == reference_load(text)[2].tobytes()
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11\uff12"])
+    def test_separators_and_non_ascii_digits_rejected(self, cell):
+        with pytest.raises(ParseError) as exc:
+            load_counts(csv_bytes(f"t,a,b\n0,1,2\n1,{cell},4\n2,5,6\n"))
+        assert str(exc.value) == (
+            f"could not convert string '{cell}' to float64 at row 1, column 2."
+        )
+
+    def test_one_float_cell_in_the_last_row(self, parses):
+        rows = [f"{300 * k},{k + 1},{2 * k + 1}" for k in range(5000)]
+        rows[-1] = f"{300 * 4999},1.5e6,7"
+        text = "t,a,b\n" + "\n".join(rows) + "\n"
+        cm = load_counts(csv_bytes(text))
+        assert parses == [np.int64, np.float64]
+        table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        assert cm.counts.strides == table[:, 1:].T.strides
+        assert cm.counts.tobytes() == table[:, 1:].T.tobytes()
+
+    def test_int_parse_that_warns_falls_back(self, monkeypatch):
+        """numpy releases that read ``300.5`` as an int truncate it with a
+        DeprecationWarning: the float parse's table is the one kept."""
+        loadtxt = np.loadtxt
+
+        def truncating(*args, dtype=float, **kwargs):
+            table = loadtxt(*args, dtype=float, **kwargs)
+            if dtype is np.int64:
+                warnings.warn("loadtxt(): Parsing an integer via a float is "
+                              "deprecated.", DeprecationWarning)
+                return table.astype(np.int64)
+            return table
+
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        with warnings.catch_warnings():
+            # outside __main__, Python's default
+            warnings.simplefilter("ignore", DeprecationWarning)
+            cm = load_counts(csv_bytes("t,a,b\n0,1,2\n300,300.5,2\n600,3,2\n"))
+        assert np.array_equal(cm.counts, [[1.0, 300.5, 3.0], [2.0, 2.0, 2.0]])
+
     def test_unseekable_stream_names_the_line(self):
         class Pipe(io.RawIOBase):
             def __init__(self, data):
@@ -312,11 +408,16 @@ positive_cell = st.one_of(
 )
 
 
+# every cell and timestamp an integer, a few beyond int64's largest
+integer_cell = st.integers(min_value=1, max_value=2**63 + 10).map(str)
+
+
 @st.composite
 def counts_csv(draw):
     n = draw(st.integers(min_value=2, max_value=5))
     points = draw(st.integers(min_value=3, max_value=12))
-    interval = draw(st.one_of(
+    integers = draw(st.booleans())
+    interval = draw(st.integers(min_value=1, max_value=3600) if integers else st.one_of(
         st.integers(min_value=1, max_value=3600),
         st.floats(min_value=1e-3, max_value=1e5),
     ))
@@ -331,7 +432,7 @@ def counts_csv(draw):
             lines.append("")
         stamp = repr(k * interval)
         lines.append(",".join(cell(c) for c in [stamp] + draw(
-            st.lists(positive_cell, min_size=n, max_size=n)
+            st.lists(integer_cell if integers else positive_cell, min_size=n, max_size=n)
         )))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 

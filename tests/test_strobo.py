@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -35,7 +36,7 @@ from lagspec import (
     write_trajectory_csv,
 )
 
-from lagspec import _blas
+from lagspec import _blas, _threads
 from lagspec.lagcorr import block_lag_corrs, patch_rows, uses_block_path
 from lagspec.strobo import _local_maxima, _solve_rows, _split
 
@@ -907,6 +908,100 @@ class TestInterrupt:
             assert _blas.thread_count() == 2
         assert threading.active_count() == threads
         assert k in solved and max(solved) <= k + split[0]
+
+    def test_interrupt_while_the_caller_joins(self, monkeypatch):
+        """An interrupt that reaches the calling thread in its join, while
+        the other worker still solves the first record of its lag: that
+        worker solves nothing more, and the interrupt is raised once it has
+        ended, the BLAS count being restored after that."""
+        n, length, tau_max = DIRECT
+        g = iid_returns(n, length, seed=26)
+        after = replaced(g, [1], seed=27)
+        caller = threading.current_thread()
+        holding = threading.Event()  # the other worker is in its first solve
+        interrupted = threading.Event()  # the caller's join has raised
+        solves = []  # (lag, whether the join had raised) of every solve
+        other = []
+
+        def solve(d, out=None):
+            solves.append((d.lag, interrupted.is_set()))
+            if threading.current_thread() is caller:
+                assert holding.wait(timeout=30)
+            elif not holding.is_set():
+                other.append(threading.current_thread())
+                holding.set()
+                assert interrupted.wait(timeout=30)
+                time.sleep(0.05)  # still solving while the caller joins
+            return eigendecompose(d, out=out)
+
+        join = threading.Thread.join
+
+        def join_once_interrupted(thread, timeout=None):
+            if threading.current_thread() is caller and not interrupted.is_set():
+                interrupted.set()
+                raise KeyboardInterrupt
+            return join(thread, timeout)
+
+        blas_threads = _blas.threads
+        alive_when_restored = []
+
+        @contextmanager
+        def watched_threads(count):
+            try:
+                with blas_threads(count):
+                    yield
+            finally:
+                alive_when_restored.append(other[0].is_alive())
+
+        monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
+        threads = threading.active_count()
+        with _blas.threads(2):
+            assert _split(g, tau_max, records=2) == (2, 2, 1)
+            monkeypatch.setattr(_blas, "threads", watched_threads)
+            monkeypatch.setattr(threading.Thread, "join", join_once_interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                sweep(g, tau_max, after=after)
+            other[0].join(timeout=30)
+            assert not other[0].is_alive()
+        assert alive_when_restored == [False]
+        assert interrupted.is_set() and not any(late for _, late in solves)
+        # every lag was solved for both records, but the other worker's
+        # for the first only
+        assert sorted(Counter(lag for lag, _ in solves).values()) == [1] + [2] * tau_max
+        assert threading.active_count() == threads
+
+    def test_interrupt_that_cuts_stop_short(self, monkeypatch):
+        """A second interrupt that lands in ``stop``, before it has taken
+        effect, does not end the join: ``stop`` is called again, and the
+        first interrupt is raised once the other thread has ended."""
+        caller = threading.current_thread()
+        stopped = threading.Event()
+        ended = []
+        calls = []
+
+        def other():
+            assert stopped.wait(timeout=30)
+            time.sleep(0.05)  # still running while the caller joins
+            ended.append(True)
+
+        def stop(exc):
+            calls.append(exc)
+            if len(calls) == 1:
+                raise KeyboardInterrupt("second")
+            stopped.set()
+
+        join = threading.Thread.join
+
+        def join_once_interrupted(thread, timeout=None):
+            if threading.current_thread() is caller and not calls:
+                raise KeyboardInterrupt("first")
+            return join(thread, timeout)
+
+        monkeypatch.setattr(threading.Thread, "join", join_once_interrupted)
+        with pytest.raises(KeyboardInterrupt, match="^first$"):
+            _threads.run([lambda: None, other], stop)
+        assert ended == [True]
+        assert [str(exc) for exc in calls] == ["first", "first"]
 
     def test_interrupt_while_the_kernel_runs(self, monkeypatch):
         """An interrupt in one of the block kernel's parts, at its third

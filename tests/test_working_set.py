@@ -153,6 +153,26 @@ class TestReturns:
         assert peak <= 1.15 * g.returns.nbytes
 
 
+def test_integer_table_peak_is_within_one_block_of_the_float_parse():
+    """An all-integer table is parsed as int64 and made float64 in place:
+    its peak is at most one block above that of the same table with one
+    float cell, which numpy parses as floats."""
+    counts = long_counts(64, 8193).astype(np.int64)
+    rows = [[300 * t, *column] for t, column in enumerate(counts.T.tolist())]
+    lines = ["t," + ",".join(f"s{i}" for i in range(64))]
+    lines += [",".join(map(str, row)) for row in rows]
+    integers = ("\n".join(lines) + "\n").encode()
+    rows[0][1] = f"{rows[0][1]}.0"
+    lines[1] = ",".join(map(str, rows[0]))
+    one_float = ("\n".join(lines) + "\n").encode()
+    for data in integers, one_float:  # not the first call's one-time set-up
+        lagspec.ingest.load_counts(data)
+    int_cm, int_peak = traced_peak(lambda: lagspec.ingest.load_counts(integers))
+    float_cm, float_peak = traced_peak(lambda: lagspec.ingest.load_counts(one_float))
+    assert int_cm.counts.tobytes() == float_cm.counts.tobytes()
+    assert int_peak <= float_peak + lagspec.ingest._BLOCK_BYTES
+
+
 def test_lag_corr_peak_is_within_1_1_matrices():
     """The product is symmetrized in place: no second N x N array."""
     n = 1024
