@@ -1,5 +1,5 @@
 """The thread count of the OpenBLAS that numpy's wheel bundles, read and
-set through ctypes, and its LAPACK eigensolver.
+set through ctypes, and the LAPACK routines of its symmetric eigensolver.
 
 numpy's wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas64_-*.so``
 (``numpy/.dylibs`` on macOS), which exports
@@ -7,6 +7,14 @@ numpy's wheels ship OpenBLAS as ``numpy.libs/libscipy_openblas64_-*.so``
 The library is looked up on first use, not at import, and only if it is
 already loaded; with another BLAS, or where the functions are missing,
 ``thread_count`` returns None and nothing is pinned.
+
+The same library exports LAPACK with 64-bit integers.  ``np.linalg.eigh``
+calls its ``dsyevd``, which runs three stages: ``dsytrd`` reduces D to a
+tridiagonal matrix in D's own storage, ``dstedc`` solves that into a
+separate matrix Z, and ``dormtr`` turns Z into D's eigenvectors.
+``lapack`` gives those three, so that a caller can run dsyevd's
+arithmetic on buffers of its own.  Each takes gfortran's hidden string
+lengths last, and releases the GIL.
 """
 from __future__ import annotations
 
@@ -19,13 +27,17 @@ from typing import Callable, Iterator
 
 _GET = "scipy_openblas_get_num_threads64_"
 _SET = "scipy_openblas_set_num_threads64_"
-_SYEVD = "scipy_dsyevd_64_"
+# dsyevd's three stages, in the order it calls them, and the kinds of their
+# arguments: c a character, i a pointer to an integer, p to an array, and n
+# a character's hidden length
+STAGES = ("sytrd", "stedc", "ormtr")
+_SIGNATURES = ("cipippppiin", "cipppipipiin", "ccciipippipiinnn")
 
 
 @functools.cache
-def _functions() -> tuple[Callable[[], int], Callable[[int], None], Callable | None] | None:
+def _functions() -> tuple[Callable[[], int], Callable[[int], None], tuple | None] | None:
     """The get and set functions of numpy's loaded OpenBLAS and its
-    ``dsyevd`` (None where missing), or None."""
+    ``STAGES`` (None where one is missing), or None."""
     import numpy
 
     root = Path(numpy.__file__).parent
@@ -39,13 +51,22 @@ def _functions() -> tuple[Callable[[], int], Callable[[int], None], Callable | N
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_, getattr(lib, _SYEVD, None)
+        try:
+            stages = tuple(getattr(lib, f"scipy_d{name}_64_") for name in STAGES)
+        except AttributeError:
+            stages = None
+        else:
+            types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
+                     "p": ctypes.c_void_p, "n": ctypes.c_size_t}
+            for stage, signature in zip(stages, _SIGNATURES):
+                stage.argtypes = [types[kind] for kind in signature]
+                stage.restype = None
+        return get, set_, stages
     return None
 
 
-def syevd() -> Callable | None:
-    """The LAPACK ``dsyevd`` (64-bit integers) that ``np.linalg.eigh`` calls,
-    or None.  The call releases the GIL."""
+def lapack() -> tuple | None:
+    """The ``STAGES`` of ``np.linalg.eigh``'s ``dsyevd``, or None."""
     functions = _functions()
     return None if functions is None else functions[2]
 

@@ -5,6 +5,7 @@ bounds.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,9 @@ class EigenSystem:
         n = vals.shape[0]
         if vecs.shape != (n, n) or iprs.shape != (n,):
             raise ValueError("eigenvalues, eigenvectors and iprs disagree in shape")
-        if np.any(np.diff(vals) < 0.0):
+        if (vals[1:] < vals[:-1]).any():
             raise ValueError("eigenvalues must be sorted ascending")
-        if np.any(np.abs(np.einsum("ij,ij->j", vecs, vecs) - 1.0) > 2 * _NORM_TOL):
+        if np.abs(np.einsum("ij,ij->j", vecs, vecs) - 1.0).max() > 2 * _NORM_TOL:
             raise ValueError("eigenvectors must be unit norm")
         # the upper triangle of V^T V a block of rows at a time, less its
         # diagonal: no N x N temporary, and half the flops of the full product
@@ -59,8 +60,8 @@ class EigenSystem:
         for r in range(0, n, rows):
             left = vecs[:, r:r + rows].T
             gram = np.matmul(left, vecs[:, r:], out=block[:len(left) * (n - r)].reshape(-1, n - r))
-            np.fill_diagonal(gram, 0.0)
-            if np.any(np.abs(gram, out=gram) > _ORTHO_TOL):
+            gram.reshape(-1)[::n - r + 1] = 0.0  # the diagonal
+            if np.abs(gram, out=gram).max() > _ORTHO_TOL:
                 raise ValueError("eigenvectors must be pairwise orthogonal")
 
 
@@ -95,49 +96,113 @@ class SpectrumSegmentation:
 
 class Workspace:
     """The buffers of ``eigendecompose(d, out=ws)`` at N x N, for one call
-    at a time: the copy of D that LAPACK overwrites with the eigenvectors,
-    one per row, the eigenvalues, and LAPACK's work arrays at the sizes of
-    a workspace query, ``work`` holding the checks' scratch after the solve."""
+    at a time.  ``work`` is laid out as LAPACK's ``dsyevd`` lays out its
+    own, at the size of dsyevd's workspace query: the tridiagonal's
+    off-diagonal and the reflectors' scalars, N floats each, then ``z``,
+    where the eigenvectors are left, one per row, then the later stages'
+    scratch, of which the checks take ``scratch``, N x N, after the solve.
+    ``w`` holds the eigenvalues, ``diag`` D's diagonal while the solve
+    overwrites it, and ``block``, rows of N floats, the checks' blocks and
+    the restore's, its rows at most ``_BLOCK_FLOATS`` floats and N.  D is
+    not copied: that is 2 N^2 + O(N) floats and one block in all.
+
+    The LAPACK calls' arguments are made here, once, but for D's address,
+    ``a``, which each solve sets."""
 
     def __init__(self, n: int) -> None:
-        self.a, self.w, self.info = np.empty((n, n)), np.empty(n), ctypes.c_int64()
-        self.work, self.iwork = np.ones(1), np.ones(1, dtype=np.int64)
-        sizes = [ctypes.c_int64(v) for v in (n, max(n, 1), -1, -1)]
+        rows = min(n, max(1, _BLOCK_FLOATS // max(n, 1)))
+        self.info, self.a = ctypes.c_int64(), ctypes.c_void_p()
+        lwork, liwork = 1 + 6 * n + 2 * n * n, 3 + 5 * n
+        lapack = _blas.lapack()
+        if lapack is not None:
+            # dsyevd's query: its minimum, or the two leading vectors and
+            # dsytrd's optimum where that is more
+            lwork = max(lwork, 2 * n + _sytrd_query(lapack, n))
+        self.work, self.iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+        self.w, self.diag = np.empty(n), np.empty(n)
+        self.z = self.work[2 * n:2 * n + n * n].reshape(n, n)
+        self.scratch = self.work[2 * n + n * n:2 * n + 2 * n * n].reshape(n, n)
+        self.block = np.empty((rows, n))
+        # the entries of a block of rows from the diagonal on that lie
+        # above it
+        self.upper = np.arange(n) > np.arange(rows)[:, None]
 
-        def args() -> tuple:
-            """dsyevd's arguments and gfortran's string lengths: JOBZ = 'V', UPLO
-            = 'L' of ``a`` as LAPACK sees it, ``a`` transposed, which has the
-            same bits for an exactly symmetric matrix."""
-            n_, lda, lwork, liwork, info = map(ctypes.byref, (*sizes, self.info))
-            a, w, work, iwork = (ctypes.c_void_p(x.ctypes.data)
-                                 for x in (self.a, self.w, self.work, self.iwork))
-            return (b"V", b"L", n_, a, lda, w, work, lwork, iwork, liwork, info,
-                    ctypes.c_size_t(1), ctypes.c_size_t(1))
+        # dsyevd's calls, with gfortran's string lengths: UPLO = 'L' of D
+        # as LAPACK sees it, D transposed, which has the same bits for an
+        # exactly symmetric matrix; dsytrd gets the work from z on, the
+        # later stages the work after z
+        e, tau, z, rest = (ctypes.c_void_p(self.work.ctypes.data + 8 * i)
+                           for i in (0, n, 2 * n, 2 * n + n * n))
+        w, iwork = (ctypes.c_void_p(x.ctypes.data) for x in (self.w, self.iwork))
+        n_, ld, lwork1, lwork2, liwork_ = (ctypes.byref(ctypes.c_int64(v)) for v in (
+            n, max(n, 1), lwork - 2 * n, lwork - 2 * n - n * n, liwork))
+        info, one = ctypes.byref(self.info), ctypes.c_size_t(1)
+        self.stages = (
+            (b"L", n_, self.a, ld, w, e, tau, z, lwork1, info, one),
+            (b"I", n_, w, e, z, ld, rest, lwork2, iwork, liwork_, info, one),
+            (b"L", b"L", b"N", n_, n_, self.a, ld, tau, z, ld, rest, lwork2, info,
+             one, one, one),
+        )
 
-        if _blas.syevd() is not None:  # the workspace query
-            _blas.syevd()(*args())
-        # the checks' scratch, 2 N^2 floats at most, fits in LAPACK's 2 N^2 +
-        # 6 N + 1 but for N < 2 and where LAPACK is not found
-        sizes[2].value = max(int(self.work[0]), 2 * n * n)
-        sizes[3].value = int(self.iwork[0])
-        self.work = np.empty(sizes[2].value)
-        self.iwork = np.empty(sizes[3].value, dtype=np.int64)
-        self.args = args()
+
+def _sytrd_query(lapack: tuple, n: int) -> int:
+    """dsytrd's optimal work size at N x N, UPLO = 'L'."""
+    size, info = np.zeros(1), ctypes.c_int64()
+    p = ctypes.c_void_p(size.ctypes.data)
+    n_, ld, query = (ctypes.byref(ctypes.c_int64(v)) for v in (n, max(n, 1), -1))
+    lapack[0](b"L", n_, p, ld, p, p, p, p, query, ctypes.byref(info), ctypes.c_size_t(1))
+    return int(size[0])
+
+
+# dsyevd scales D first where its largest entry is not 0 and outside
+# [2^-485, 2^485]: 2^-485 is sqrt(safe minimum / precision) in float64
+_SCALE_MIN, _SCALE_MAX = 2.0 ** -485, 2.0 ** 485
 
 
 def _eigh(d: np.ndarray, ws: Workspace | None) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(d)`` for a symmetric ``d``.  With ``ws``, LAPACK's
-    ``dsyevd`` solves a copy of ``d`` there, called as eigh calls it, so
-    with eigh's bits; eigh runs without ``ws`` or where that is not found.
-    Fault tests patch this."""
-    lapack = _blas.syevd()
+    """``np.linalg.eigh(d)`` for an exactly symmetric ``d``.  With ``ws``,
+    ``dsyevd``'s three stages run on ``d`` itself, called as dsyevd calls
+    them, so with eigh's bits: the eigenvalues and eigenvectors are left
+    in ``ws``, and ``d`` is restored bit for bit, also when a stage fails.
+    eigh solves instead without ``ws``, where LAPACK is not found, where
+    ``d`` is not a writable C-ordered float array, and where dsyevd would
+    scale ``d`` first, so that ``d`` is never written then.  Fault tests
+    patch this."""
+    lapack = _blas.lapack()
     if ws is None or lapack is None:
         return np.linalg.eigh(d)
-    ws.a[...] = d
-    lapack(*ws.args)
-    if ws.info.value:
-        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (info {ws.info.value})")
-    return ws.w, ws.a.T
+    if d.shape != ws.z.shape:
+        raise ValueError(f"a workspace for {ws.z.shape} cannot solve {d.shape}")
+    if not (d.flags.c_contiguous and d.flags.writeable and d.dtype == np.float64):
+        return np.linalg.eigh(d)
+    top = max(d.max(), -d.min())  # dsyevd's dlansy('M'): NaN where one is
+    if 0.0 < top < _SCALE_MIN or top > _SCALE_MAX:
+        return np.linalg.eigh(d)
+    ws.a.value = d.ctypes.data
+    diagonal = d.reshape(-1)[::len(d) + 1]
+    ws.diag[...] = diagonal
+    try:
+        for name, stage, args in zip(_blas.STAGES, lapack, ws.stages):
+            stage(*args)
+            if ws.info.value:
+                raise np.linalg.LinAlgError(f"LAPACK d{name} gave info {ws.info.value}")
+    finally:
+        _restore(d, ws.block, ws.upper)
+        diagonal[...] = ws.diag
+    return ws.w, ws.z.T
+
+
+def _restore(d: np.ndarray, block: np.ndarray, upper: np.ndarray) -> None:
+    """Rebuild the strict upper triangle of ``d`` from its strict lower
+    one, which LAPACK never writes, a block of rows at a time through
+    ``block``: no N x N temporary."""
+    n = len(d)
+    rows = len(block)
+    for r in range(0, n, rows):
+        c = min(rows, n - r)
+        mirror = block[:c, :n - r]
+        np.copyto(mirror, d[r:, r:r + c].T)
+        np.copyto(d[r:r + c, r:], mirror, where=upper[:c, :n - r])
 
 
 def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSystem:
@@ -152,9 +217,10 @@ def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSyste
     A singleton's IPR is that of its vector, ``sum_i u_i**4``.
 
     With ``out``, a ``Workspace(N)``, the solve and its checks run in its
-    buffers, making no N x N temporary, and where numpy's LAPACK is found
-    the result's eigenvalues and eigenvectors are views into it.  Without
-    ``out``, ``np.linalg.eigh`` solves D.
+    buffers and, where numpy's LAPACK is found, in ``d.values`` itself,
+    which holds its bytes again on return (see ``_eigh``): no N x N
+    temporary is made, and the result's eigenvalues and eigenvectors are
+    views into ``out``.  Without ``out``, ``np.linalg.eigh`` solves D.
 
     Raises ConvergenceFailure, naming the lag, if the solver fails, the
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
@@ -167,25 +233,28 @@ def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSyste
         raise ConvergenceFailure(f"eigensolver failed at lag {d.lag}: {exc}") from exc
     n = vals.shape[0]
     rows = min(n, max(1, _BLOCK_FLOATS // n))
-    scratch = np.empty(n * (n + rows)) if out is None else out.work
-    square = scratch[:n * n].reshape(n, n)
-    block = scratch[n * n:n * (n + rows)].reshape(rows, n)
+    if out is None:
+        square, block = np.empty((n, n)), np.empty((rows, n))
+    else:
+        square, block = out.scratch, out.block
 
+    # row k of ``each`` is eigenvector k, with unit stride where the solve
+    # left it in ``out``
+    each = vecs.T
     # deterministic sign: largest-magnitude component positive
-    # |vecs| laid out transposed: argmax along a strided axis copies it
-    lead = np.argmax(np.abs(vecs.T, out=square), axis=1)
-    signs = np.sign(vecs[lead, np.arange(n)])
-    signs[signs == 0.0] = 1.0
-    vecs *= signs
+    lead = np.argmax(np.abs(each, out=square), axis=1)
+    each *= np.copysign(1.0, each[np.arange(n), lead])[:, None]
 
-    # column norms of D U - U diag(vals), built in place in D U
-    residual = np.matmul(d.values, vecs, out=square)
+    # row norms of U^T D - diag(vals) U^T, the residuals D u - lambda u
+    # transposed, as D is symmetric, built in place in U^T D
+    residual = np.matmul(each, d.values, out=square)
     for r in range(0, n, rows):
-        residual[r:r + rows] -= np.multiply(vecs[r:r + rows], vals, out=block[:n - r])
-    residual *= residual
-    worst = float(np.sqrt(np.max(residual.sum(axis=0))))
-    frob = float(np.linalg.norm(d.values))
-    if worst > _RESIDUAL_FACTOR * frob:
+        residual[r:r + rows] -= np.multiply(each[r:r + rows], vals[r:r + rows, None],
+                                            out=block[:n - r])
+    worst = math.sqrt(np.einsum("ij,ij->i", residual, residual).max())
+    flat = d.values.ravel(order="K")
+    frob = math.sqrt(flat.dot(flat))  # np.linalg.norm(d.values), bit for bit
+    if not worst <= _RESIDUAL_FACTOR * frob:  # NaN fails too
         raise ConvergenceFailure(
             f"eigen residual {worst:.3e} exceeds {_RESIDUAL_FACTOR:.0e} * ||D||_F "
             f"at lag {d.lag}"
@@ -216,12 +285,13 @@ def _cluster_iprs(vals: np.ndarray, vecs: np.ndarray, iprs: np.ndarray,
     """Overwrite, in ``iprs``, each member of a run of ascending eigenvalues
     with consecutive gaps at most ``gap`` by the IPR of the run's span.
     ``P_ii = sum_{k in run} U_ik**2`` depends on the span only."""
-    close = np.flatnonzero(np.diff(vals) <= gap)
+    close = (vals[1:] - vals[:-1] <= gap).nonzero()[0]
     if not close.size:
         return
     # a run of close gaps i..j joins positions i..j+1
-    starts = close[np.r_[True, np.diff(close) > 1]]
-    ends = close[np.r_[np.diff(close) > 1, True]] + 2
+    breaks = close[1:] - close[:-1] > 1
+    starts = close[np.concatenate(([True], breaks))]
+    ends = close[np.concatenate((breaks, [True]))] + 2
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         # rows of unit stride, as in np.linalg.eigh's C-order eigenvectors:
         # the sums run the same way for any layout of ``vecs``

@@ -73,7 +73,7 @@ class LagCorrMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.values))
+        return float(self.values.trace())
 
 
 def lag_corr(
@@ -350,5 +350,10 @@ def equal_time_corr(g: ReturnMatrix) -> LagCorrMatrix:
 
 
 def write_matrix_csv(matrix: LagCorrMatrix, path: Union[str, Path]) -> None:
-    """Dump the full N x N matrix as CSV with 17-significant-digit floats."""
-    np.savetxt(path, matrix.values, fmt="%.17g", delimiter=",")
+    """Dump the full N x N matrix as CSV with 17-significant-digit floats:
+    the bytes of ``np.savetxt(path, values, fmt="%.17g", delimiter=",")``,
+    each row formatted by one ``%`` over its Python floats, made a row at
+    a time."""
+    row = ",".join(["%.17g"] * matrix.values.shape[1]) + "\n"
+    with open(path, "w", encoding="latin1") as handle:
+        handle.writelines(row % tuple(values.tolist()) for values in matrix.values)

@@ -235,18 +235,20 @@ def _split(
     OpenBLAS thread count: (W workers, S solvers, BLAS threads per lag),
     the threads per lag being None where T cannot be read.  README §Thread
     budget gives the rules: S is at most T and tau_max + 1, and its lags in
-    flight beyond the first, about 5 N^2 floats each and one N^2 more per
-    further record, may hold at most half the bytes of g's returns.  W = S,
-    but where memory leaves one solver, T >= 2 and tau_max >= 1, W = 2.  A
-    second record never changes the threads per lag of a lone sweep of g,
-    so that g's arithmetic stays the same."""
+    flight beyond the first may hold at most half the bytes of g's returns.
+    Each holds 3 N^2 floats, a worker's slot and a solver's two N x N
+    buffers (``Workspace``), and one N^2 more per further record.  So a
+    lone record takes a second solver where L >= 6 N.  W = S, but where
+    memory leaves one solver, T >= 2 and tau_max >= 1, W = 2.  A second
+    record never changes the threads per lag of a lone sweep of g, so that
+    g's arithmetic stays the same."""
     total = _blas.thread_count()
     if total is None:
         return 1, 1, total
     n = g.returns.shape[0]
     budget = g.returns.nbytes // 2
-    lone = min(total, tau_max + 1, 1 + budget // (40 * n * n))
-    solvers = min(lone, 1 + budget // (8 * (4 + records) * n * n))
+    lone = min(total, tau_max + 1, 1 + budget // (24 * n * n))
+    solvers = min(lone, 1 + budget // (8 * (2 + records) * n * n))
     # only a lone S of 2 can fall to 1, whose threads are T // 2 as well
     workers = 2 if solvers == 1 and total >= 2 and tau_max >= 1 else solvers
     return workers, solvers, total // max(lone, workers)

@@ -32,8 +32,10 @@ needs_openblas = pytest.mark.skipif(
 
 def sweep_blas(g: ReturnMatrix, tau_max: int):
     """A context that runs BLAS at the threads per lag that ``sweep(g,
-    tau_max)`` uses, T // W, or T // 2 where two workers share one solver,
-    so that solves made in it match the sweep's bit for bit."""
+    tau_max)`` uses, T // W, or T // 2 where two workers share one solver
+    (L < 6 N), so that solves made in it match the sweep's bit for bit:
+    the sweep solves each matrix in its slot with dsyevd's own stages,
+    which give ``np.linalg.eigh``'s bits at the same thread count."""
     _workers, _solvers, blas_threads = _split(g, tau_max)
     return nullcontext() if blas_threads is None else _blas.threads(blas_threads)
 

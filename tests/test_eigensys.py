@@ -19,7 +19,7 @@ from lagspec import (
     _blas,
 )
 
-from lagspec.eigensys import Workspace, _column_iprs
+from lagspec.eigensys import Workspace, _column_iprs, _eigh
 
 from conftest import iid_returns
 
@@ -91,40 +91,108 @@ class TestEigendecompose:
 
 
 needs_lapack = pytest.mark.skipif(
-    _blas.syevd() is None, reason="numpy's bundled LAPACK not found"
+    _blas.lapack() is None, reason="numpy's bundled LAPACK not found"
 )
+
+
+def lapack_spies(monkeypatch, failing=None, ws=None):
+    """Record the LAPACK routines that solves call, by name; the stage
+    named ``failing`` runs and then reports INFO = 3 in ``ws``."""
+    called = []
+
+    def spy(name, stage):
+        def call(*args):
+            called.append(name)
+            stage(*args)
+            if name == failing:
+                ws.info.value = 3
+        return call
+
+    spies = tuple(map(spy, _blas.STAGES, _blas.lapack()))
+    monkeypatch.setattr(_blas, "lapack", lambda: spies)
+    return called
 
 
 @needs_lapack
 class TestWorkspace:
-    """``eigendecompose(d, out=ws)`` solves with numpy's LAPACK ``dsyevd``
-    in the workspace's buffers."""
+    """``eigendecompose(d, out=ws)`` runs LAPACK's ``dsyevd`` in its three
+    stages on D itself, which it restores, and on the workspace's
+    buffers."""
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 64])
-    def test_equals_eigh_bit_for_bit(self, n):
-        d = symmetric_matrix(n, seed=n)
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 13, 64, 512])
+    def test_equals_eigh_bit_for_bit(self, n, threads):
         ws = Workspace(n)
-        for seed in (n + 1, n):  # a used workspace gives the same bytes
-            got = eigendecompose(symmetric_matrix(n, seed=seed), out=ws)
-        want = eigendecompose(d)
-        assert np.shares_memory(got.eigenvectors, ws.a)
+        with _blas.threads(threads):
+            for seed in (n + 1, n):  # a used workspace gives the same bytes
+                d = symmetric_matrix(n, seed=seed)
+                before = d.values.copy()
+                got = eigendecompose(d, out=ws)
+            want = eigendecompose(symmetric_matrix(n, seed=n))
+            vals, vecs = np.linalg.eigh(before)
+        assert np.array_equal(d.values, before)
+        assert np.shares_memory(got.eigenvectors, ws.z)
+        assert np.array_equal(got.eigenvalues, vals)
+        assert np.array_equal(np.abs(got.eigenvectors), np.abs(vecs))
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
         assert np.array_equal(got.iprs, want.iprs)
 
-    def test_lapack_failure_names_the_lag(self, monkeypatch):
-        """A nonzero INFO from dsyevd is a ConvergenceFailure at d's lag."""
+    @pytest.mark.parametrize("failing", ["sytrd", "stedc", "ormtr"])
+    def test_lapack_failure_names_the_lag_and_restores_d(self, monkeypatch, failing):
+        """A nonzero INFO from any stage is a ConvergenceFailure at d's lag,
+        and the later stages do not run; D keeps its bytes."""
         ws = Workspace(5)
-        calls = []
+        d = symmetric_matrix(5, seed=4, lag=7)
+        before = d.values.copy()
+        called = lapack_spies(monkeypatch, failing, ws)
+        with pytest.raises(ConvergenceFailure,
+                           match=f"eigensolver failed at lag 7: LAPACK d{failing} gave info 3"):
+            eigendecompose(d, out=ws)
+        assert called == list(_blas.STAGES[:_blas.STAGES.index(failing) + 1])
+        assert np.array_equal(d.values, before)
 
-        def failing(*args):
-            calls.append(args)
-            ws.info.value = 3
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_matrices_dsyevd_would_scale_go_to_eigh(self, monkeypatch, scale):
+        """dsyevd scales D first where its largest entry is below 2^-485
+        or above 2^485, which its stages alone do not: such a D goes to
+        np.linalg.eigh untouched."""
+        values = symmetric_matrix(9, seed=3).values * scale
+        before = values.copy()
+        vals, vecs = np.linalg.eigh(values)
+        ws = Workspace(9)
+        called = lapack_spies(monkeypatch)
+        got_vals, got_vecs = _eigh(values, ws)
+        assert called == []
+        assert np.array_equal(values, before)
+        assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
+        if scale < 1:  # a correlation matrix cannot exceed 1
+            system = eigendecompose(LagCorrMatrix(lag=1, values=values), out=ws)
+            assert np.array_equal(system.eigenvalues, vals)
 
-        monkeypatch.setattr(_blas, "syevd", lambda: failing)
-        with pytest.raises(ConvergenceFailure, match="eigensolver failed at lag 7.*info 3"):
-            eigendecompose(symmetric_matrix(5, seed=4, lag=7), out=ws)
-        assert calls == [ws.args]
+    @pytest.mark.parametrize("layout", ["read-only", "fortran", "strided"])
+    def test_values_lapack_cannot_write_go_to_eigh(self, monkeypatch, layout):
+        d = symmetric_matrix(6, seed=5)
+        want = eigendecompose(d)
+        values = d.values
+        if layout == "read-only":
+            values = values.copy()
+            values.flags.writeable = False
+        elif layout == "fortran":
+            values = np.asfortranarray(values)
+        else:
+            values = np.zeros((12, 12))[::2, ::2]
+            values[...] = d.values
+        ws = Workspace(6)
+        called = lapack_spies(monkeypatch)
+        got = eigendecompose(LagCorrMatrix(lag=1, values=values), out=ws)
+        assert called == []
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.iprs, want.iprs)
+
+    def test_workspace_of_another_size(self):
+        with pytest.raises(ValueError, match="workspace for"):
+            eigendecompose(symmetric_matrix(6, seed=5), out=Workspace(5))
 
 
 def planted_cluster(n: int, m: int, lo: int, seed: int, rotation=None) -> tuple:

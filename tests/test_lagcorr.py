@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,3 +267,19 @@ def test_matrix_csv_round_trip(tmp_path, gaussian_returns_64):
     loaded = np.loadtxt(path, delimiter=",")
     assert loaded.shape == (64, 64)
     assert np.array_equal(loaded, d.values)  # 17 significant digits round-trip
+
+
+@pytest.mark.parametrize("case", ["random", "edges", "one-by-one", "wide"])
+def test_matrix_csv_has_the_bytes_of_savetxt(tmp_path, case):
+    """The writer formats rows itself: its bytes are np.savetxt's, for
+    -0.0, the smallest subnormal, +-1e308 and a 1 x 1 matrix too."""
+    rng = np.random.default_rng(9)
+    values = {
+        "random": rng.uniform(-1.0, 1.0, (37, 37)),
+        "edges": np.array([[-0.0, 5e-324, 1e308], [-1e308, 0.0, -5e-324], [1.0, -1.0, 0.1]]),
+        "one-by-one": np.array([[0.30000000000000004]]),
+        "wide": rng.standard_normal((3, 300)) * 10.0 ** rng.integers(-300, 300, (3, 300)),
+    }[case]
+    write_matrix_csv(SimpleNamespace(values=values), tmp_path / "got.csv")
+    np.savetxt(tmp_path / "want.csv", values, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -4,6 +4,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ class TestSweep:
 
 
 # (n, length, tau_max): the direct path, the block path over two batches,
-# and a direct-path record wide enough (L < 10 N) that two workers share
+# and a direct-path record wide enough (L < 6 N) that two workers share
 # one solver at T = 2
 DIRECT, BLOCK, POOLED = (8, 256, 20), (8, 6000, 100), (32, 128, 20)
 
@@ -267,6 +268,25 @@ class TestSweepWorkers:
             assert np.array_equal(tables[0][0], eigenvalues)
             assert np.array_equal(tables[0][1], iprs)
 
+    def test_wide_tables_bit_equal_to_fresh_solves(self):
+        # the wide benchmark's shape, over fewer lags, on two solvers:
+        # each slot and workspace is reused
+        n, length, tau_max = 512, 4096, 12
+        g = iid_returns(n, length, seed=18)
+        with _blas.threads(2):
+            assert _split(g, tau_max) == (2, 2, 1)
+            seq = sweep(g, tau_max)
+            with sweep_blas(g, tau_max):
+                lag0 = lag_corr(g, 0)
+                for k in range(tau_max + 1):
+                    system = eigendecompose(lag_corr(g, k))
+                    assert np.array_equal(seq.eigenvalues[k], system.eigenvalues), k
+                    assert np.array_equal(seq.iprs[k], system.iprs), k
+            # lag 0, built at 1 thread, equals its build at 2: numpy forms
+            # returns @ returns.T with syrk, so equal_time.csv, built after
+            # the sweep, holds the matrix the sweep solved
+            assert np.array_equal(lag0.values, equal_time_corr(g).values)
+
     def test_sweep_spreads_a_direct_path_record(self):
         n, length, tau_max = DIRECT
         g = iid_returns(n, length, seed=12)
@@ -294,24 +314,41 @@ class TestSweepWorkers:
         assert np.array_equal(serial.iprs, spread.iprs)
 
     @pytest.mark.parametrize(
-        "n, length, tau_max",
-        [(512, 4096, 30), (64, 32768, 100), BLOCK, POOLED],  # wide, long benchmark shapes
+        "n, length, tau_max, at_2, at_3",
+        [
+            # the wide and long benchmark shapes
+            (512, 4096, 30, (2, 2, 1), (2, 2, 1)),
+            (64, 32768, 100, (2, 2, 1), (3, 3, 1)),
+            (*BLOCK, (2, 2, 1), (3, 3, 1)),
+            (512, 2048, 30, (2, 1, 1), (2, 1, 1)),
+            (*POOLED, (2, 1, 1), (2, 1, 1)),
+        ],
     )
-    def test_wide_records_share_one_solver_and_block_path_records_spread(
-        self, n, length, tau_max
-    ):
-        """On the direct path a wide record has one solver, shared by two
-        workers at 1 thread each; a block-path record has a worker and a
+    def test_records_below_six_n_share_one_solver(self, n, length, tau_max, at_2, at_3):
+        """On the direct path a record with L < 6 N has one solver, shared
+        by two workers at 1 thread each; a longer one, such as the wide
+        benchmark's, has two.  A block-path record has a worker and a
         solver per thread, as its kernel is split over them.  At one
         thread, one serial worker."""
         g = iid_returns(n, length, seed=0)
-        block_path = uses_block_path(n, length)
         with _blas.threads(2):
-            assert _split(g, tau_max) == ((2, 2, 1) if block_path else (2, 1, 1))
+            assert _split(g, tau_max) == at_2
         with _blas.threads(3):
-            assert _split(g, tau_max) == ((3, 3, 1) if block_path else (2, 1, 1))
+            assert _split(g, tau_max) == at_3
         with _blas.threads(1):
             assert _split(g, tau_max) == (1, 1, 1)
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_a_lag_in_flight_holds_three_matrices(self, n):
+        """Each lag in flight beyond the first holds 3 N^2 floats, and 4 N^2
+        with a second record, within half the bytes of the returns: a
+        second solver from L = 6 N, or 8 N for a pair."""
+        def split(length, records=1):
+            with _blas.threads(2):
+                return _split(SimpleNamespace(returns=np.empty((n, length))), 30, records)
+
+        assert split(6 * n - 1) == (2, 1, 1) and split(6 * n) == (2, 2, 1)
+        assert split(8 * n - 1, 2) == (2, 1, 1) and split(8 * n, 2) == (2, 2, 1)
 
     def test_one_worker_without_lags_to_build(self):
         g = iid_returns(*POOLED[:2], seed=0)
@@ -745,24 +782,6 @@ class TestPooledSweep:
     build a lag into a slot of their own and take turns on the one solver
     workspace, both at 1 BLAS thread of a budget of 2."""
 
-    def test_wide_tables_bit_equal_to_fresh_solves(self):
-        # the wide benchmark's shape, over fewer lags: each slot is reused
-        n, length, tau_max = 512, 4096, 12
-        g = iid_returns(n, length, seed=18)
-        with _blas.threads(2):
-            assert _split(g, tau_max) == (2, 1, 1)
-            seq = sweep(g, tau_max)
-            with sweep_blas(g, tau_max):
-                lag0 = lag_corr(g, 0)
-                for k in range(tau_max + 1):
-                    system = eigendecompose(lag_corr(g, k))
-                    assert np.array_equal(seq.eigenvalues[k], system.eigenvalues), k
-                    assert np.array_equal(seq.iprs[k], system.iprs), k
-            # lag 0, built at 1 thread, equals its build at 2: numpy forms
-            # returns @ returns.T with syrk, so equal_time.csv, built after
-            # the sweep, holds the matrix the sweep solved
-            assert np.array_equal(lag0.values, equal_time_corr(g).values)
-
     def test_blas_threads_restored(self, monkeypatch):
         assert_restored_after_sweeps(monkeypatch, POOLED)
 
@@ -1043,7 +1062,7 @@ def test_eigh_fallback_gives_the_same_tables(monkeypatch, shape, paired):
             calls.append(a.shape)
             return eigh(a)
 
-        monkeypatch.setattr(_blas, "syevd", lambda: None)
+        monkeypatch.setattr(_blas, "lapack", lambda: None)
         monkeypatch.setattr(np.linalg, "eigh", counted)
         fallback = sweep(g, tau_max, after=after)
     assert len(calls) == (tau_max + 1) * (2 if paired else 1)
@@ -1094,8 +1113,8 @@ class TestPairedSweep:
         so g's tables keep their bytes."""
         g = iid_returns(64, 2048, seed=41)
         a = replaced(g, [3, 9, 20, 40], seed=42)
-        for total, lone, paired in ((6, (4, 4, 1), (3, 3, 1)),
-                                    (12, (4, 4, 3), (3, 3, 3))):
+        for total, lone, paired in ((6, (6, 6, 1), (5, 5, 1)),
+                                    (12, (6, 6, 2), (5, 5, 2))):
             with _blas.threads(total):
                 assert _split(g, 400) == lone
                 assert _split(g, 400, records=2) == paired
@@ -1140,9 +1159,10 @@ class TestPairedSweep:
             with pytest.raises(ValueError, match="differ in shape"):
                 sweep(g, 20, after=other)
 
-    @pytest.mark.parametrize("shape", [(8, 1024, 300), (64, 640, 300)], ids=["workers", "pooled"])
+    # below L = 8 N a pair of records has one solver
+    @pytest.mark.parametrize("shape", [(8, 1024, 300), (64, 500, 240)], ids=["workers", "pooled"])
     def test_a_fault_in_g_at_any_lag_is_raised_first(self, monkeypatch, shape):
-        """a's solve fails at lag 3 and g's at lag 300: g's error is raised,
+        """a's solve fails at lag 3 and g's at tau_max: g's error is raised,
         as if g were swept first; without g's fault a's is.  Workers are
         joined and the BLAS count restored either way."""
         n, length, tau_max = shape
@@ -1154,10 +1174,10 @@ class TestPairedSweep:
             assert _split(g, tau_max, records=2) == expected
             with sweep_blas(g, tau_max):
                 a_at_3 = patch_rows(lag_corr(g, 3), a, rows)
-                g_at_300 = lag_corr(g, 300)
+                g_at_last = lag_corr(g, tau_max)
             threads = threading.active_count()
-            for faults, lag in (([a_at_3, g_at_300], 300), ([a_at_3], 3)):
-                faulty_eigh(monkeypatch, faults, {3, 300})
+            for faults, lag in (([a_at_3, g_at_last], tau_max), ([a_at_3], 3)):
+                faulty_eigh(monkeypatch, faults, {3, tau_max})
                 with pytest.raises(ConvergenceFailure, match=f"at lag {lag}.*unit norm"):
                     sweep(g, tau_max, after=a)
                 assert _blas.thread_count() == 2

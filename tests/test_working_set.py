@@ -22,7 +22,7 @@ from lagspec import (
     sweep,
     synth_generate,
 )
-from lagspec.eigensys import Workspace
+from lagspec.eigensys import _BLOCK_FLOATS, Workspace
 from lagspec.experiment import _BACKGROUND_PHI, _BACKGROUND_SIGMA
 from lagspec.lagcorr import uses_block_path
 
@@ -197,20 +197,34 @@ def test_one_lag_peak_is_within_3_5_matrices():
     assert peak <= 3.5 * n * n * 8
 
 
-@pytest.mark.skipif(_blas.syevd() is None, reason="numpy's bundled LAPACK not found")
+@pytest.mark.skipif(_blas.lapack() is None, reason="numpy's bundled LAPACK not found")
 def test_solve_into_a_workspace_allocates_no_n_by_n_array():
-    """The solve, its checks and the IPRs run in the workspace's buffers,
-    and give the bytes of ``np.linalg.eigh``'s solve."""
+    """The solve, its checks and the IPRs run in D and the workspace's
+    buffers, leave D as it was, and give the bytes of
+    ``np.linalg.eigh``'s solve."""
     n = 512
     d = lag_corr(normalize(np.random.default_rng(2).standard_normal((n, 2048))), 3)
+    before = d.values.copy()
     ws = Workspace(n)
     system, peak = traced_peak(lambda: eigendecompose(d, out=ws))
     assert peak < n * n  # the bytes of an N x N boolean array
-    assert np.shares_memory(system.eigenvectors, ws.a)
+    assert np.shares_memory(system.eigenvectors, ws.z)
+    assert np.array_equal(d.values, before)
     fresh = eigendecompose(d)
     assert np.array_equal(system.eigenvalues, fresh.eigenvalues)
     assert np.array_equal(system.eigenvectors, fresh.eigenvectors)
     assert np.array_equal(system.iprs, fresh.iprs)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_workspace_holds_two_matrices(n):
+    """A solver holds z and LAPACK's scratch, 2 N^2 floats, a few vectors
+    of N, and one check block with its mask; with the worker's slot that
+    is the 3 N^2 per lag in flight of ``strobo._split``."""
+    ws = Workspace(n)
+    held = sum(x.nbytes for x in vars(ws).values()
+               if isinstance(x, np.ndarray) and x.base is None)
+    assert held <= 8 * (2 * n * n + 16 * n) + 9 * _BLOCK_FLOATS
 
 
 def test_experiment_peak_is_within_2_5_counts():
