@@ -7,6 +7,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from typing import Sequence, overload
 
 import numpy as np
 
@@ -49,20 +50,53 @@ class EigenSystem:
         n = vals.shape[0]
         if vecs.shape != (n, n) or iprs.shape != (n,):
             raise ValueError("eigenvalues, eigenvectors and iprs disagree in shape")
-        if (vals[1:] < vals[:-1]).any():
-            raise ValueError("eigenvalues must be sorted ascending")
-        if np.abs(np.einsum("ij,ij->j", vecs, vecs) - 1.0).max() > 2 * _NORM_TOL:
-            raise ValueError("eigenvectors must be unit norm")
-        # the upper triangle of V^T V a block of rows at a time, less its
-        # diagonal: no N x N temporary, and half the flops of the full product
-        rows = max(1, _BLOCK_FLOATS // n)
-        block = np.empty(min(rows, n) * n)
-        for r in range(0, n, rows):
-            left = vecs[:, r:r + rows].T
-            gram = np.matmul(left, vecs[:, r:], out=block[:len(left) * (n - r)].reshape(-1, n - r))
-            gram.reshape(-1)[::n - r + 1] = 0.0  # the diagonal
-            if np.abs(gram, out=gram).max() > _ORTHO_TOL:
-                raise ValueError("eigenvectors must be pairwise orthogonal")
+        if not n:
+            raise ValueError("an eigen system needs at least one eigenvalue")
+        fault = _system_fault(vals[None], vecs[None], np.empty(_rows(n, 1) * n))
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    @classmethod
+    def _checked(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray,
+                 iprs: np.ndarray) -> EigenSystem:
+        """A system of float arrays that have passed ``_system_fault``
+        already: its checks are not run a second time."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "eigenvalues", eigenvalues)
+        object.__setattr__(system, "eigenvectors", eigenvectors)
+        object.__setattr__(system, "iprs", iprs)
+        return system
+
+
+def _system_fault(vals: np.ndarray, vecs: np.ndarray,
+                  block: np.ndarray) -> tuple[int, str] | None:
+    """EigenSystem's checks over a stack of b systems, eigenvalues (b, N)
+    and eigenvectors (b, N, N) as columns: the first of them that any
+    system fails, as (the first system failing it, its message), or None.
+    The upper triangles of the products VᵀV are made a block of rows at a
+    time, less their diagonals, in ``block``, flat, which holds b blocks
+    of ``_rows(N, b)`` rows: no N x N temporary at b = 1, and half the
+    flops of the full products."""
+    b, n = vals.shape
+    unsorted = (vals[:, 1:] < vals[:, :-1]).any(axis=1)
+    if unsorted.any():
+        return int(unsorted.argmax()), "eigenvalues must be sorted ascending"
+    norms = np.einsum("bij,bij->bj", vecs, vecs)
+    unnormed = np.abs(norms - 1.0, out=norms).max(axis=1) > 2 * _NORM_TOL
+    if unnormed.any():
+        return int(unnormed.argmax()), "eigenvectors must be unit norm"
+    rows = _rows(n, b)
+    skewed = np.zeros(b, dtype=bool)
+    for r in range(0, n, rows):
+        left = vecs[:, :, r:r + rows].transpose(0, 2, 1)
+        c = left.shape[1]
+        gram = np.matmul(left, vecs[:, :, r:],
+                         out=block[:b * c * (n - r)].reshape(b, c, n - r))
+        gram.reshape(b, -1)[:, ::n - r + 1] = 0.0  # the diagonals
+        skewed |= np.abs(gram, out=gram).max(axis=(1, 2)) > _ORTHO_TOL
+    if skewed.any():
+        return int(skewed.argmax()), "eigenvectors must be pairwise orthogonal"
+    return None
 
 
 @dataclass(frozen=True)
@@ -94,23 +128,41 @@ class SpectrumSegmentation:
         object.__setattr__(self, "right", tuple(int(i) for i in self.right))
 
 
+def batch_size(n: int) -> int:
+    """The most lags per batch of the sweep at N x N: as many N x N
+    matrices as fill one block of ``_BLOCK_FLOATS`` floats, 4 at N = 64
+    and 1 from N = 91, and at least one.  The sweep may take fewer
+    (``strobo._batch``)."""
+    return max(1, _BLOCK_FLOATS // (n * n))
+
+
+def _rows(n: int, batch: int) -> int:
+    """Rows per block of a stack of ``batch`` N x N matrices: all N where
+    the stack fits in ``_BLOCK_FLOATS`` floats, as a batch does at b >= 2,
+    and so many that b blocks do at b = 1."""
+    return min(n, max(1, _BLOCK_FLOATS // (batch * n)))
+
+
 class Workspace:
-    """The buffers of ``eigendecompose(d, out=ws)`` at N x N, for one call
-    at a time.  ``work`` is laid out as LAPACK's ``dsyevd`` lays out its
-    own, at the size of dsyevd's workspace query: the tridiagonal's
-    off-diagonal and the reflectors' scalars, N floats each, then ``z``,
-    where the eigenvectors are left, one per row, then the later stages'
-    scratch, of which the checks take ``scratch``, N x N, after the solve.
-    ``w`` holds the eigenvalues, ``diag`` D's diagonal while the solve
-    overwrites it, and ``block``, rows of N floats, the checks' blocks and
-    the restore's, its rows at most ``_BLOCK_FLOATS`` floats and N.  D is
-    not copied: that is 2 N^2 + O(N) floats and one block in all.
+    """The buffers of ``eigendecompose(ds, out=ws)`` for up to ``batch``
+    N x N matrices, for one call at a time.  ``work`` is laid out as
+    LAPACK's ``dsyevd`` lays out its own, at the size of dsyevd's workspace
+    query: the tridiagonal's off-diagonal and the reflectors' scalars, N
+    floats each, then ``z``, where each matrix's eigenvectors are left in
+    a plane of its own, one per row, then the later stages' scratch, which
+    the checks take as ``scratch``, ``batch`` planes, after the solves.
+    ``w`` holds each matrix's eigenvalues, ``diag`` its diagonal while the
+    solve overwrites it, and ``block``, ``batch`` blocks of rows of N
+    floats (``_rows``), the checks' blocks and the restore's.  D is not
+    copied.  At batch 1 that is 2 N^2 + O(N) floats and one block of at
+    most ``_BLOCK_FLOATS``; at batch b >= 2 each of ``z``, ``scratch`` and
+    ``block`` holds b N^2 floats.
 
-    The LAPACK calls' arguments are made here, once, but for D's address,
-    ``a``, which each solve sets."""
+    The LAPACK calls' arguments are made here, once for each plane, but for
+    D's address, ``a``, which each solve sets."""
 
-    def __init__(self, n: int) -> None:
-        rows = min(n, max(1, _BLOCK_FLOATS // max(n, 1)))
+    def __init__(self, n: int, batch: int = 1) -> None:
+        rows = _rows(n, batch)
         self.info, self.a = ctypes.c_int64(), ctypes.c_void_p()
         lwork, liwork = 1 + 6 * n + 2 * n * n, 3 + 5 * n
         lapack = _blas.lapack()
@@ -118,31 +170,39 @@ class Workspace:
             # dsyevd's query: its minimum, or the two leading vectors and
             # dsytrd's optimum where that is more
             lwork = max(lwork, 2 * n + _sytrd_query(lapack, n))
-        self.work, self.iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-        self.w, self.diag = np.empty(n), np.empty(n)
-        self.z = self.work[2 * n:2 * n + n * n].reshape(n, n)
-        self.scratch = self.work[2 * n + n * n:2 * n + 2 * n * n].reshape(n, n)
-        self.block = np.empty((rows, n))
+        planes = batch * n * n
+        # the stages' scratch, stretched to hold the checks' planes
+        rest = max(lwork - 2 * n - n * n, planes)
+        self.work = np.empty(2 * n + planes + rest)
+        self.iwork = np.empty(liwork, dtype=np.int64)
+        self.w, self.diag = np.empty((batch, n)), np.empty((batch, n))
+        self.z = self.work[2 * n:2 * n + planes].reshape(batch, n, n)
+        self.scratch = self.work[2 * n + planes:2 * n + 2 * planes].reshape(batch, n, n)
+        self.block = np.empty(batch * rows * n)
         # the entries of a block of rows from the diagonal on that lie
         # above it
         self.upper = np.arange(n) > np.arange(rows)[:, None]
 
-        # dsyevd's calls, with gfortran's string lengths: UPLO = 'L' of D
-        # as LAPACK sees it, D transposed, which has the same bits for an
-        # exactly symmetric matrix; dsytrd gets the work from z on, the
-        # later stages the work after z
-        e, tau, z, rest = (ctypes.c_void_p(self.work.ctypes.data + 8 * i)
-                           for i in (0, n, 2 * n, 2 * n + n * n))
-        w, iwork = (ctypes.c_void_p(x.ctypes.data) for x in (self.w, self.iwork))
+        # dsyevd's calls for each plane, with gfortran's string lengths:
+        # UPLO = 'L' of D as LAPACK sees it, D transposed, which has the
+        # same bits for an exactly symmetric matrix; dsytrd gets the work
+        # from the plane's z on, the later stages the work after every z,
+        # each the length dsyevd gives it
+        e, tau, after = (ctypes.c_void_p(self.work.ctypes.data + 8 * i)
+                         for i in (0, n, 2 * n + planes))
+        iwork = ctypes.c_void_p(self.iwork.ctypes.data)
         n_, ld, lwork1, lwork2, liwork_ = (ctypes.byref(ctypes.c_int64(v)) for v in (
             n, max(n, 1), lwork - 2 * n, lwork - 2 * n - n * n, liwork))
         info, one = ctypes.byref(self.info), ctypes.c_size_t(1)
-        self.stages = (
-            (b"L", n_, self.a, ld, w, e, tau, z, lwork1, info, one),
-            (b"I", n_, w, e, z, ld, rest, lwork2, iwork, liwork_, info, one),
-            (b"L", b"L", b"N", n_, n_, self.a, ld, tau, z, ld, rest, lwork2, info,
-             one, one, one),
-        )
+        self.stages = []
+        for w, z in zip(self.w, self.z):
+            w, z = ctypes.c_void_p(w.ctypes.data), ctypes.c_void_p(z.ctypes.data)
+            self.stages.append((
+                (b"L", n_, self.a, ld, w, e, tau, z, lwork1, info, one),
+                (b"I", n_, w, e, z, ld, after, lwork2, iwork, liwork_, info, one),
+                (b"L", b"L", b"N", n_, n_, self.a, ld, tau, z, ld, after, lwork2, info,
+                 one, one, one),
+            ))
 
 
 def _sytrd_query(lapack: tuple, n: int) -> int:
@@ -159,54 +219,103 @@ def _sytrd_query(lapack: tuple, n: int) -> int:
 _SCALE_MIN, _SCALE_MAX = 2.0 ** -485, 2.0 ** 485
 
 
-def _eigh(d: np.ndarray, ws: Workspace | None) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(d: np.ndarray, ws: Workspace | None, i: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(d)`` for an exactly symmetric ``d``.  With ``ws``,
-    ``dsyevd``'s three stages run on ``d`` itself, called as dsyevd calls
-    them, so with eigh's bits: the eigenvalues and eigenvectors are left
-    in ``ws``, and ``d`` is restored bit for bit, also when a stage fails.
-    eigh solves instead without ``ws``, where LAPACK is not found, where
-    ``d`` is not a writable C-ordered float array, and where dsyevd would
-    scale ``d`` first, so that ``d`` is never written then.  Fault tests
-    patch this."""
-    lapack = _blas.lapack()
-    if ws is None or lapack is None:
-        return np.linalg.eigh(d)
-    if d.shape != ws.z.shape:
-        raise ValueError(f"a workspace for {ws.z.shape} cannot solve {d.shape}")
-    if not (d.flags.c_contiguous and d.flags.writeable and d.dtype == np.float64):
-        return np.linalg.eigh(d)
-    top = max(d.max(), -d.min())  # dsyevd's dlansy('M'): NaN where one is
-    if 0.0 < top < _SCALE_MIN or top > _SCALE_MAX:
+    ``dsyevd``'s three stages instead, called as dsyevd calls them, so with
+    eigh's bits, on ``d`` itself, a writable C-ordered float array that
+    dsyevd would not scale: they leave the eigenvalues in ``ws.w[i]`` and
+    the eigenvectors in ``ws.z[i]``, and overwrite ``d`` but for its
+    strict lower triangle, from which ``eigendecompose`` restores it.
+    Fault tests patch this: it is called once for each matrix solved."""
+    if ws is None:
         return np.linalg.eigh(d)
     ws.a.value = d.ctypes.data
-    diagonal = d.reshape(-1)[::len(d) + 1]
-    ws.diag[...] = diagonal
-    try:
-        for name, stage, args in zip(_blas.STAGES, lapack, ws.stages):
-            stage(*args)
-            if ws.info.value:
-                raise np.linalg.LinAlgError(f"LAPACK d{name} gave info {ws.info.value}")
-    finally:
-        _restore(d, ws.block, ws.upper)
-        diagonal[...] = ws.diag
-    return ws.w, ws.z.T
+    for name, stage, args in zip(_blas.STAGES, _blas.lapack(), ws.stages[i]):
+        stage(*args)
+        if ws.info.value:
+            raise np.linalg.LinAlgError(f"LAPACK d{name} gave info {ws.info.value}")
+    return ws.w[i], ws.z[i].T
 
 
-def _restore(d: np.ndarray, block: np.ndarray, upper: np.ndarray) -> None:
-    """Rebuild the strict upper triangle of ``d`` from its strict lower
-    one, which LAPACK never writes, a block of rows at a time through
-    ``block``: no N x N temporary."""
-    n = len(d)
-    rows = len(block)
+def _restore(stack: np.ndarray, block: np.ndarray, upper: np.ndarray) -> None:
+    """Rebuild the strict upper triangles of the (b, N, N) ``stack`` from
+    their strict lower ones, which LAPACK never writes, a block of rows of
+    each at a time through ``block``, flat: no N x N temporary."""
+    b, n = stack.shape[:2]
+    rows = len(upper)
     for r in range(0, n, rows):
         c = min(rows, n - r)
-        mirror = block[:c, :n - r]
-        np.copyto(mirror, d[r:, r:r + c].T)
-        np.copyto(d[r:r + c, r:], mirror, where=upper[:c, :n - r])
+        mirror = block[:b * c * (n - r)].reshape(b, c, n - r)
+        np.copyto(mirror, stack[:, r:, r:r + c].transpose(0, 2, 1))
+        np.copyto(stack[:, r:r + c, r:], mirror, where=upper[:c, :n - r])
 
 
-def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSystem:
-    """Solve the symmetric eigenproblem for one lagged correlation matrix.
+def _stacked(values: list[np.ndarray]) -> np.ndarray:
+    """Same-size matrices as one (b, N, N) array: a view of the one, or of
+    consecutive planes of one writable C-ordered float array, each right
+    after the one before, as the sweep's are; a copy otherwise."""
+    first = values[0]
+    if len(values) == 1:
+        return first[None]
+    if any(v.shape != first.shape for v in values):
+        raise ValueError("the matrices of a batch must have one size")
+    base = first.base
+    if (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and base.flags.writeable and base.dtype == np.float64):
+        start, step = first.ctypes.data, first.nbytes
+        if all(v.base is base and v.flags.c_contiguous and v.flags.writeable
+               and v.ctypes.data == start + i * step for i, v in enumerate(values)):
+            return np.ndarray((len(values), *first.shape), buffer=base,
+                              offset=start - base.ctypes.data)
+    return np.stack(values)
+
+
+def _solve(stack: np.ndarray, lags: list[int], ws: Workspace) -> None:
+    """Solve each matrix of ``stack`` into its plane of ``ws``.  dsyevd's
+    stages (``_eigh``) solve in the matrix itself where LAPACK is found,
+    the stack is a writable C-ordered float array, and dsyevd would not
+    scale that matrix first; eigh solves the others, which are not
+    written.  The scaling test, the saving of the diagonals and the
+    restore of what the stages overwrite run once over the stack, the
+    restore also when a solve fails, so that every matrix holds its bytes
+    again on return."""
+    b, n = stack.shape[:2]
+    staged = np.zeros(b, dtype=bool)
+    if (_blas.lapack() is not None and stack.flags.c_contiguous
+            and stack.flags.writeable and stack.dtype == np.float64):
+        # dsyevd's dlansy('M'), NaN where one is, which is not scaled
+        top = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+        staged = ~(((0.0 < top) & (top < _SCALE_MIN)) | (top > _SCALE_MAX))
+    if staged.any():
+        diagonals = stack.reshape(b, -1)[:, ::n + 1]
+        ws.diag[:b] = diagonals
+    i = 0
+    try:
+        for i, d in enumerate(stack):
+            vals, vecs = _eigh(d, ws if staged[i] else None, i)
+            if vecs.base is not ws.work:  # eigh's: into the plane
+                ws.w[i], ws.z[i] = vals, vecs.T
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed at lag {lags[i]}: {exc}") from exc
+    finally:
+        if staged.any():
+            _restore(stack, ws.block, ws.upper)
+            diagonals[...] = ws.diag[:b]
+
+
+@overload
+def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSystem: ...
+
+
+@overload
+def eigendecompose(
+    d: Sequence[LagCorrMatrix], out: Workspace | None = None
+) -> list[EigenSystem]: ...
+
+
+def eigendecompose(d, out=None):
+    """Solve the symmetric eigenproblem for one lagged correlation matrix,
+    or for each of a sequence of same-size ones, giving a list.
 
     Ascending eigenvalues whose consecutive gaps are at most 1e-8 times the
     Frobenius norm chain into a degenerate cluster.  Rounding picks the
@@ -216,68 +325,98 @@ def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSyste
     ``3 * sum_i P_ii**2 / (m * (m + 2))`` with ``P`` the projector onto it.
     A singleton's IPR is that of its vector, ``sum_i u_i**4``.
 
-    With ``out``, a ``Workspace(N)``, the solve and its checks run in its
-    buffers and, where numpy's LAPACK is found, in ``d.values`` itself,
-    which holds its bytes again on return (see ``_eigh``): no N x N
-    temporary is made, and the result's eigenvalues and eigenvectors are
-    views into ``out``.  Without ``out``, ``np.linalg.eigh`` solves D.
+    With ``out``, a ``Workspace(N, b)``, a batch of up to b matrices is
+    solved in its buffers and, where numpy's LAPACK is found, in the
+    matrices themselves, which hold their bytes again on return (see
+    ``_solve``): each matrix takes dsyevd's three stage calls, and every
+    other step, the checks included, runs once over the batch.  Where the
+    matrices are consecutive planes of one array, as the sweep's are, no
+    N x N temporary is made; the results' eigenvalues and eigenvectors
+    are views into ``out``, valid until its next use.  Without ``out``,
+    ``np.linalg.eigh`` solves each matrix on its own.
 
     Raises ConvergenceFailure, naming the lag, if the solver fails, the
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
     norm, the eigenvalues miss the trace, or the result fails EigenSystem's
-    sort, unit-norm or orthogonality checks.
+    sort, unit-norm or orthogonality checks, which are not run again on
+    the systems returned.  Of a batch, the lag named is the first to fail
+    the first of those that any fails; solving the matrices one at a time
+    finds the first failing one.
     """
-    try:
-        vals, vecs = _eigh(d.values, out)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed at lag {d.lag}: {exc}") from exc
-    n = vals.shape[0]
-    rows = min(n, max(1, _BLOCK_FLOATS // n))
+    if isinstance(d, LagCorrMatrix):
+        return _decompose([d], out)[0]
     if out is None:
-        square, block = np.empty((n, n)), np.empty((rows, n))
-    else:
-        square, block = out.scratch, out.block
+        return [_decompose([m], None)[0] for m in d]
+    return _decompose(list(d), out) if len(d) else []
 
-    # row k of ``each`` is eigenvector k, with unit stride where the solve
-    # left it in ``out``
-    each = vecs.T
+
+def _decompose(ds: list[LagCorrMatrix], ws: Workspace | None) -> list[EigenSystem]:
+    """``eigendecompose`` of the matrices ``ds``, one of them if ``ws`` is
+    None."""
+    b, n = len(ds), ds[0].n
+    lags = [m.lag for m in ds]
+    if ws is not None and (b > len(ws.z) or (n, n) != ws.z.shape[1:]):
+        raise ValueError(f"a workspace for {len(ws.z)} x {ws.z.shape[1:]} cannot solve "
+                         f"{b} x {ds[0].values.shape}")
+    stack = _stacked([m.values for m in ds])
+    if ws is None:
+        vals, vecs = _eigh(stack[0], None)
+        vals, vecs = vals[None], vecs[None]
+        square, block = np.empty((1, n, n)), np.empty(_rows(n, 1) * n)
+    else:
+        _solve(stack, lags, ws)
+        vals, vecs = ws.w[:b], ws.z[:b].transpose(0, 2, 1)
+        square, block = ws.scratch[:b], ws.block
+
+    # row k of ``each[i]`` is matrix i's eigenvector k, with unit stride
+    # where the solve left it in ``ws``
+    each = vecs.transpose(0, 2, 1)
     # deterministic sign: largest-magnitude component positive
-    lead = np.argmax(np.abs(each, out=square), axis=1)
-    each *= np.copysign(1.0, each[np.arange(n), lead])[:, None]
+    lead = np.argmax(np.abs(each, out=square), axis=2)
+    each *= np.copysign(1.0, each[np.arange(b)[:, None], np.arange(n), lead])[:, :, None]
 
     # row norms of U^T D - diag(vals) U^T, the residuals D u - lambda u
     # transposed, as D is symmetric, built in place in U^T D
-    residual = np.matmul(each, d.values, out=square)
+    residual = np.matmul(each, stack, out=square)
+    rows = _rows(n, b if ws is None else len(ws.z))  # the blocks ``block`` holds
     for r in range(0, n, rows):
-        residual[r:r + rows] -= np.multiply(each[r:r + rows], vals[r:r + rows, None],
-                                            out=block[:n - r])
-    worst = math.sqrt(np.einsum("ij,ij->i", residual, residual).max())
-    flat = d.values.ravel(order="K")
-    frob = math.sqrt(flat.dot(flat))  # np.linalg.norm(d.values), bit for bit
-    if not worst <= _RESIDUAL_FACTOR * frob:  # NaN fails too
+        c = min(rows, n - r)
+        residual[:, r:r + c] -= np.multiply(each[:, r:r + c], vals[:, r:r + c, None],
+                                            out=block[:b * c * n].reshape(b, c, n))
+    worst = np.sqrt(np.einsum("bij,bij->bi", residual, residual).max(axis=1))
+    # np.linalg.norm of each matrix, bit for bit
+    frob = np.array([math.sqrt(f.dot(f)) for f in (m.ravel(order="K") for m in stack)])
+    failed = ~(worst <= _RESIDUAL_FACTOR * frob)  # NaN fails too
+    if failed.any():
+        i = int(failed.argmax())
         raise ConvergenceFailure(
-            f"eigen residual {worst:.3e} exceeds {_RESIDUAL_FACTOR:.0e} * ||D||_F "
-            f"at lag {d.lag}"
+            f"eigen residual {worst[i]:.3e} exceeds {_RESIDUAL_FACTOR:.0e} * ||D||_F "
+            f"at lag {lags[i]}"
         )
-    if abs(float(vals.sum()) - d.trace) > 1e-8 * n:
+    failed = np.abs(vals.sum(axis=1) - stack.trace(axis1=1, axis2=2)) > 1e-8 * n
+    if failed.any():
         raise ConvergenceFailure(
-            f"eigenvalue sum deviates from trace at lag {d.lag}"
+            f"eigenvalue sum deviates from trace at lag {lags[int(failed.argmax())]}"
         )
 
     iprs = _column_iprs(vecs, out=square)
-    _cluster_iprs(vals, vecs, iprs, _CLUSTER_GAP * frob)
-    try:
-        return EigenSystem(eigenvalues=vals, eigenvectors=vecs, iprs=iprs)
-    except ValueError as exc:
-        raise ConvergenceFailure(f"bad eigen system at lag {d.lag}: {exc}") from exc
+    gaps = _CLUSTER_GAP * frob
+    for i in np.flatnonzero((vals[:, 1:] - vals[:, :-1] <= gaps[:, None]).any(axis=1)):
+        _cluster_iprs(vals[i], vecs[i], iprs[i], gaps[i])
+    fault = _system_fault(vals, vecs, square.reshape(-1))
+    if fault is not None:
+        i, message = fault
+        raise ConvergenceFailure(f"bad eigen system at lag {lags[i]}: {message}")
+    return [EigenSystem._checked(*system) for system in zip(vals, vecs, iprs)]
 
 
 def _column_iprs(vecs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum of fourth powers down each column, from squares made in C order
-    (in ``out`` if given): the sums then run as for ``np.linalg.eigh``'s
-    C-order eigenvectors, whatever the layout of ``vecs``."""
+    """Sum of fourth powers down each column of each matrix of a stack,
+    from squares made in C order (in ``out`` if given): the sums then run
+    as for ``np.linalg.eigh``'s C-order eigenvectors, whatever the layout
+    of ``vecs``."""
     sq = np.multiply(vecs, vecs, out=out, order="C")
-    return np.einsum("ij,ij->j", sq, sq)
+    return np.einsum("...ij,...ij->...j", sq, sq)
 
 
 def _cluster_iprs(vals: np.ndarray, vecs: np.ndarray, iprs: np.ndarray,

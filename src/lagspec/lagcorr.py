@@ -52,6 +52,8 @@ class LagCorrMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ParseError(f"values must be square, got shape {values.shape}")
+        if not values.size:
+            raise ParseError(f"values must hold at least one entry, got shape {values.shape}")
         if self.lag < 0:
             raise ValueError("lag must be non-negative")
         # row blocks against column blocks, and reductions, so that no N x N
@@ -60,7 +62,7 @@ class LagCorrMatrix:
         for r in range(0, n, _ROWS):
             if not np.array_equal(values[r:r + _ROWS], values[:, r:r + _ROWS].T):
                 raise ValueError("lagged correlation matrix must be exactly symmetric")
-        if n and (values.max() > 1.0 + _ENTRY_TOL or values.min() < -(1.0 + _ENTRY_TOL)):
+        if values.max() > 1.0 + _ENTRY_TOL or values.min() < -(1.0 + _ENTRY_TOL):
             raise CorrelationOutOfRange(
                 f"correlation entries outside [-1, 1] at lag {self.lag}"
             )
@@ -118,7 +120,8 @@ def patch_rows(
 ) -> LagCorrMatrix:
     """``lag_corr(g, base.lag)`` where ``base`` is the same lag's matrix of
     a record that differs from ``g`` only in the series ``rows``: a copy of
-    ``base`` (into ``out`` if given) with those rows and columns rebuilt.
+    ``base`` (into ``out`` if given, which may be ``base.values`` itself)
+    with those rows and columns rebuilt.
 
     The k changed rows cost two k x N products, 4kLN flops against the
     full build's 2N^2 L.  Rebuilt entries differ from ``lag_corr``'s by

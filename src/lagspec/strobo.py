@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Literal, Sequence, Union, overload
 import numpy as np
 
 from . import _blas, _threads
-from .eigensys import Workspace, eigendecompose
+from .eigensys import Workspace, batch_size, eigendecompose
 from .errors import (
     IndexOutOfRange,
     LagTooLarge,
@@ -175,7 +175,8 @@ def sweep(
 
     The lags are spread over the OpenBLAS threads counted at entry, and
     the count is restored on exit: ``_split`` chooses the workers, solvers
-    and threads per lag, ``_solve_rows`` the order of builds and solves.
+    and threads per lag, ``_batch`` the lags per batch, and
+    ``_solve_rows`` the order of builds and solves.
     On the block path the kernel splits its work over the same W threads,
     and each worker gets its own lag's matrix from it (``_in_lag_order``).
     Each lag's arithmetic depends on its thread count only, never on which
@@ -206,52 +207,65 @@ def sweep(
         if 2 * len(changed) < n:
             rows = changed
     records = 1 if after is None else 2
-    workers, solvers, blas_threads = _split(g, tau_max, records)
+    workers, solvers, blas_threads = _split(g, tau_max)
+    batch = _batch(g, tau_max, workers, solvers)
     eigenvalues = np.empty((records, tau_max + 1, n))
     iprs = np.empty_like(eigenvalues)
     block = _in_lag_order(block_lag_corrs(g, tau_max, workers)) if block_path else None
 
     def matrices(k: int, out: np.ndarray) -> Iterator[LagCorrMatrix]:
-        """Lag k's matrix of each record, in record order, each made when
-        it is asked for, into ``out``, one N x N slot per record; the
-        block path's matrices of g come from the kernel instead."""
-        first = block(k) if k and block is not None else lag_corr(g, k, out=out[0])
+        """Lag k's matrix of each record, in record order, each made into
+        ``out``, one N x N plane, when it is asked for, so over the one
+        before, which is solved by then; the block path's matrices of g
+        come from the kernel instead."""
+        first = block(k) if k and block is not None else lag_corr(g, k, out=out)
         yield first
         if after is not None and rows is None:
-            yield lag_corr(after, k, out=out[1])
+            yield lag_corr(after, k, out=out)
         elif after is not None:
-            yield patch_rows(first, after, rows, out=out[1])
+            yield patch_rows(first, after, rows, out=out)
 
     with _blas.threads(blas_threads) if workers > 1 else nullcontext():
-        _solve_rows(matrices, eigenvalues, iprs, workers, solvers)
+        _solve_rows(matrices, eigenvalues, iprs, workers, solvers, batch)
     sequences = tuple(map(StroboscopicSequence, eigenvalues, iprs))
     return sequences[0] if after is None else sequences
 
 
-def _split(
-    g: ReturnMatrix, tau_max: int, records: int = 1
-) -> tuple[int, int, int | None]:
+def _split(g: ReturnMatrix, tau_max: int) -> tuple[int, int, int | None]:
     """How ``sweep`` spreads lags 0..tau_max over the thread budget T, the
     OpenBLAS thread count: (W workers, S solvers, BLAS threads per lag),
     the threads per lag being None where T cannot be read.  README §Thread
     budget gives the rules: S is at most T and tau_max + 1, and its lags in
     flight beyond the first may hold at most half the bytes of g's returns.
-    Each holds 3 N^2 floats, a worker's slot and a solver's two N x N
-    buffers (``Workspace``), and one N^2 more per further record.  So a
-    lone record takes a second solver where L >= 6 N.  W = S, but where
-    memory leaves one solver, T >= 2 and tau_max >= 1, W = 2.  A second
-    record never changes the threads per lag of a lone sweep of g, so that
-    g's arithmetic stays the same."""
+    Each holds 3 N^2 floats, a worker's plane and a solver's two N x N
+    buffers (``Workspace``).  So a record takes a second solver where
+    L >= 6 N.  W = S, but where memory leaves one solver, T >= 2 and
+    tau_max >= 1, W = 2.  The records swept do not change the split, as
+    an injected record's matrices are made over g's, so an injected record
+    never changes the arithmetic of g's lags.  The lags per batch are then
+    fitted to the split (``_batch``)."""
     total = _blas.thread_count()
     if total is None:
         return 1, 1, total
     n = g.returns.shape[0]
-    budget = g.returns.nbytes // 2
-    lone = min(total, tau_max + 1, 1 + budget // (24 * n * n))
-    solvers = min(lone, 1 + budget // (8 * (2 + records) * n * n))
-    # only a lone S of 2 can fall to 1, whose threads are T // 2 as well
+    solvers = min(total, tau_max + 1, 1 + g.returns.nbytes // 2 // (24 * n * n))
     workers = 2 if solvers == 1 and total >= 2 and tau_max >= 1 else solvers
-    return workers, solvers, total // max(lone, workers)
+    return workers, solvers, total // workers
+
+
+def _batch(g: ReturnMatrix, tau_max: int, workers: int, solvers: int) -> int:
+    """Lags per batch of a sweep split as ``_split`` gives: ``batch_size``,
+    but no more than leaves each of the W workers a batch of lags
+    0..tau_max, and no more than lets the S - 1 batches in flight beyond
+    the first hold half the bytes of g's returns, at 4 b N^2 floats each,
+    the worker's b planes and the solver's three (``Workspace``).  Where
+    that leaves b = 1, a batch is a lag of 3 N^2 floats, as ``_split``
+    counts, so batching never lowers the workers."""
+    n = g.returns.shape[0]
+    batch = min(batch_size(n), -(-(tau_max + 1) // workers))
+    if solvers > 1:
+        batch = min(batch, g.returns.nbytes // 2 // (32 * (solvers - 1) * n * n))
+    return max(1, batch)
 
 
 def _in_lag_order(lags: Iterator[LagCorrMatrix]) -> Callable[[int], LagCorrMatrix]:
@@ -290,27 +304,34 @@ def _solve_rows(
     iprs: np.ndarray,
     workers: int,
     solvers: int,
+    batch: int,
 ) -> None:
-    """Solve the matrices of ``matrices(k, slot)``, one per record, into
+    """Solve the matrices of ``matrices(k, plane)``, one per record, into
     row k of that record's tables, for every row k: ``eigenvalues[r]``
-    and ``iprs[r]`` are record r's, and ``matrices(k, slot)`` makes lag
-    k's matrices in record order, into ``slot``, as they are asked for.
+    and ``iprs[r]`` are record r's, and ``matrices(k, plane)`` makes lag
+    k's matrices in record order, into ``plane``, as they are asked for.
 
-    ``workers`` threads, the calling one included, take lags from a
-    counter under a lock, in order, and build each into a slot of their
-    own.  Worker i solves in workspace i % ``solvers``, holding its lock
-    for the solve; ``with`` releases it also on an interrupt.
-    Slots and workspaces are made once, here on the calling thread, so no
-    worker leaves freed memory in a malloc arena of its own.
+    ``workers`` threads, the calling one included, take batches of
+    ``batch`` consecutive lags, or fewer at the last, from a counter under
+    a lock, in order, and build each lag into a plane of a stack of their
+    own, one record at a time: every lag's matrix of the first record,
+    then of the second, over the first's.  Worker i solves each record's
+    batch with one ``eigendecompose`` call, in workspace i % ``solvers``,
+    holding its lock for the solve; ``with`` releases it also on an
+    interrupt.  At ``batch`` 1 a batch is a lag.  Stacks and workspaces
+    are made once, here on the calling thread, so no worker leaves freed
+    memory in a malloc arena of its own.
 
     A failure, in building or solving, ends that record's work at higher
-    lags, and a failure in the first record ends all taking.  Once the
-    lags in flight are done, the failure of the lowest record, at its
-    lowest lag, is raised.  Every lag below it was solved for that record
-    and those before it, so that is the failure that sweeping the records
-    one after the other in serial loops meets first.  An interrupt (any
-    BaseException) on any worker, or on the calling thread while it waits
-    for the others, ends all taking, and is raised instead.
+    lags, and a failure in the first record ends all taking.  A batch
+    whose solve fails is solved again one lag at a time, so that its
+    lowest failing lag is found.  Once the lags in flight are done, the
+    failure of the lowest record, at its lowest lag, is raised.  Every lag
+    below it was solved for that record and those before it, so that is
+    the failure that sweeping the records one after the other in serial
+    loops meets first.  An interrupt (any BaseException) on any worker, or
+    on the calling thread while it waits for the others, ends all taking,
+    and is raised instead.
     """
     records, lags, n = eigenvalues.shape
     lock = threading.Lock()
@@ -318,37 +339,62 @@ def _solve_rows(
     # every lag, so that it ends all taking and is the one raised
     failures: dict[tuple[int, int], BaseException] = {}
     taken = 0
-    spaces = [(threading.Lock(), Workspace(n)) for _ in range(solvers)]
+    spaces = [(threading.Lock(), Workspace(n, batch)) for _ in range(solvers)]
 
     def needed(k: int) -> int:
         """How many records, from the first, lag k is still to be solved
         for: none from one that failed at lag k or below.  Under the lock."""
         return min([records, *(r for r, lag in failures if lag <= k)])
 
-    def solve(k: int, slot: np.ndarray, held: threading.Lock, ws: Workspace) -> None:
-        """Build and solve lag k's matrices into row k of their records'
-        tables, in record order, until one fails or lag k is no longer
-        needed."""
-        made = matrices(k, slot)
+    def solved(r: int, k: int, built: list[LagCorrMatrix],
+               ws: Workspace) -> tuple[int, Exception] | None:
+        """Solve ``built``, record r's lags from k, into their rows, or
+        give the lowest failing lag and its error.  Under the solver's
+        lock."""
+        try:
+            systems = eigendecompose(built, out=ws)
+        except Exception:  # solved again below
+            systems = None
+        if systems is not None:
+            for lag, system in enumerate(systems, k):
+                eigenvalues[r, lag], iprs[r, lag] = system.eigenvalues, system.iprs
+            return None
+        for lag, matrix in enumerate(built, k):
+            try:
+                [system] = eigendecompose([matrix], out=ws)
+            except Exception as exc:  # raised in the caller below
+                return lag, exc
+            eigenvalues[r, lag], iprs[r, lag] = system.eigenvalues, system.iprs
+        return None
+
+    def solve(k: int, stack: np.ndarray, held: threading.Lock, ws: Workspace) -> None:
+        """Build and solve the batch of lags from k into their rows of each
+        record's tables, in record order, until one fails or its lags are
+        no longer needed."""
+        made = [matrices(lag, plane) for lag, plane in zip(range(k, lags), stack)]
         for r in range(records):
             with lock:
-                if r >= needed(k):
-                    return
+                made = [m for lag, m in enumerate(made, k) if r < needed(lag)]
+            if not made:
+                return
+            built, failure = [], None
             try:
-                matrix = next(made)
-                with held:
-                    system = eigendecompose(matrix, out=ws)
-                    eigenvalues[r, k], iprs[r, k] = system.eigenvalues, system.iprs
-            except Exception as exc:  # raised in the caller below
+                for m in made:
+                    built.append(next(m))
+            except Exception as exc:  # the lags below it are solved first
+                failure = k + len(built), exc
+            with held:
+                failure = solved(r, k, built, ws) or failure
+            if failure is not None:
                 with lock:
-                    failures[r, k] = exc
+                    failures[r, failure[0]] = failure[1]
                 return
 
     def stop(exc: BaseException) -> None:
         with lock:
             failures[0, -1] = exc
 
-    def work(slot: np.ndarray, held: threading.Lock, ws: Workspace) -> None:
+    def work(stack: np.ndarray, held: threading.Lock, ws: Workspace) -> None:
         nonlocal taken
         try:
             while True:
@@ -356,12 +402,12 @@ def _solve_rows(
                     k = taken
                     if k == lags or not needed(k):
                         return
-                    taken += 1
-                solve(k, slot, held, ws)
+                    taken = min(k + batch, lags)
+                solve(k, stack, held, ws)
         except BaseException as exc:  # raised in the caller below
             stop(exc)
 
-    _threads.run([partial(work, np.empty((records, n, n)), *spaces[i % solvers])
+    _threads.run([partial(work, np.empty((batch, n, n)), *spaces[i % solvers])
                   for i in range(workers)], stop)
     if failures:
         raise failures[min(failures)]
@@ -550,19 +596,21 @@ def compare_spectra(
 
 
 def write_trajectory_csv(values: np.ndarray, path: Union[str, Path]) -> None:
-    """CSV export: header ``tau,value``, one row per lag 1..tau_max."""
+    """CSV export: header ``tau,value``, one row per lag 1..tau_max, the
+    values with 17 significant digits; the rows are formatted by one ``%``
+    each over Python floats and written at once."""
+    rows = ["%d,%.17g\n" % row for row in enumerate(np.asarray(values).tolist(), start=1)]
     with open(path, "w") as handle:
-        handle.write("tau,value\n")
-        for tau, value in enumerate(values, start=1):
-            handle.write(f"{tau},{value:.17g}\n")
+        handle.write("".join(["tau,value\n", *rows]))
 
 
 def write_spectrum_csv(spec: PowerSpectrum, path: Union[str, Path]) -> None:
-    """CSV export: header ``frequency,power``."""
+    """CSV export: header ``frequency,power``, one row per bin, formatted
+    as ``write_trajectory_csv``'s are."""
+    rows = ["%.17g,%.17g\n" % row
+            for row in zip(spec.frequencies.tolist(), spec.power.tolist())]
     with open(path, "w") as handle:
-        handle.write("frequency,power\n")
-        for f, p in zip(spec.frequencies, spec.power):
-            handle.write(f"{f:.17g},{p:.17g}\n")
+        handle.write("".join(["frequency,power\n", *rows]))
 
 
 def peak_report(

@@ -32,10 +32,10 @@ needs_openblas = pytest.mark.skipif(
 
 def sweep_blas(g: ReturnMatrix, tau_max: int):
     """A context that runs BLAS at the threads per lag that ``sweep(g,
-    tau_max)`` uses, T // W, or T // 2 where two workers share one solver
-    (L < 6 N), so that solves made in it match the sweep's bit for bit:
-    the sweep solves each matrix in its slot with dsyevd's own stages,
-    which give ``np.linalg.eigh``'s bits at the same thread count."""
+    tau_max)`` uses, T // W, or T // 2 where two workers share one solver,
+    so that solves made in it match the sweep's bit for bit: the sweep
+    solves each matrix in its plane with dsyevd's own stages, which give
+    ``np.linalg.eigh``'s bits at the same thread count."""
     _workers, _solvers, blas_threads = _split(g, tau_max)
     return nullcontext() if blas_threads is None else _blas.threads(blas_threads)
 
@@ -101,11 +101,12 @@ def gaussian_returns_64():
 def doubled_eigh(monkeypatch):
     """Make every eigensolve return 2x its eigenvectors: residual and trace
     checks still pass, but the vectors are no longer unit norm.  It patches
-    ``eigensys._eigh``, the one solve that ``eigendecompose`` calls."""
+    ``eigensys._eigh``, the solve that ``eigendecompose`` calls for each
+    matrix."""
     eigh = lagspec.eigensys._eigh
 
-    def doubled(d, ws):
-        vals, vecs = eigh(d, ws)
+    def doubled(d, ws, i=0):
+        vals, vecs = eigh(d, ws, i)
         vecs *= 2.0
         return vals, vecs
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagspec.eigensys
 from lagspec import (
     ConvergenceFailure,
     DegenerateAspect,
@@ -19,7 +20,7 @@ from lagspec import (
     _blas,
 )
 
-from lagspec.eigensys import Workspace, _column_iprs, _eigh
+from lagspec.eigensys import EigenSystem, Workspace, _column_iprs, _solve, batch_size
 
 from conftest import iid_returns
 
@@ -95,16 +96,17 @@ needs_lapack = pytest.mark.skipif(
 )
 
 
-def lapack_spies(monkeypatch, failing=None, ws=None):
+def lapack_spies(monkeypatch, failing=None, ws=None, after=0):
     """Record the LAPACK routines that solves call, by name; the stage
-    named ``failing`` runs and then reports INFO = 3 in ``ws``."""
+    named ``failing``, from its call ``after`` + 1 on, runs and then
+    reports INFO = 3 in ``ws``."""
     called = []
 
     def spy(name, stage):
         def call(*args):
             called.append(name)
             stage(*args)
-            if name == failing:
+            if name == failing and called.count(name) > after:
                 ws.info.value = 3
         return call
 
@@ -138,6 +140,85 @@ class TestWorkspace:
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
         assert np.array_equal(got.iprs, want.iprs)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [2, 8, 33, 64, 90])
+    def test_a_batch_equals_single_solves(self, n, threads):
+        """A batch of b = ``batch_size(N)`` planes of one stack, or fewer,
+        solved in one call, gives each matrix's single solve bit for bit
+        and leaves the stack's bytes; matrices that are not planes of one
+        stack are solved in a copy, with the same results."""
+        b = min(batch_size(n), 5)
+        stack = np.empty((b, n, n))
+        batch = []
+        for i in range(b):
+            stack[i] = symmetric_matrix(n, seed=10 * n + i).values
+            batch.append(LagCorrMatrix(lag=i + 1, values=stack[i]))
+        before = stack.copy()
+        ws = Workspace(n, batch_size(n))
+        with _blas.threads(threads):
+            got = eigendecompose(batch, out=ws)
+            assert np.array_equal(stack, before)
+            loose = [LagCorrMatrix(lag=i + 1, values=v.copy()) for i, v in enumerate(before)]
+            want = [eigendecompose(d) for d in loose]
+            for system, single in zip(got, want, strict=True):
+                assert np.shares_memory(system.eigenvectors, ws.z)
+                assert np.array_equal(system.eigenvalues, single.eigenvalues)
+                assert np.array_equal(system.eigenvectors, single.eigenvectors)
+                assert np.array_equal(system.iprs, single.iprs)
+            copied = eigendecompose(loose, out=ws)
+        for system, single in zip(copied, want, strict=True):
+            assert np.array_equal(system.iprs, single.iprs)
+        assert eigendecompose([], out=ws) == []
+        if b > 1:
+            with pytest.raises(ValueError, match="workspace for"):
+                eigendecompose(batch, out=Workspace(n, b - 1))
+
+    @pytest.mark.parametrize("n, count", [(128, 1), (128, 2), (7, 3)])
+    def test_a_workspace_for_more_matrices_than_given(self, n, count):
+        """A workspace made for 3 matrices solves fewer, in the blocks it
+        holds: at N = 128 those have fewer rows than one matrix's own."""
+        ws = Workspace(n, 3)
+        batch = [symmetric_matrix(n, seed=s, lag=s) for s in range(1, count + 1)]
+        got = eigendecompose(batch, out=ws)
+        for system, d in zip(got, batch, strict=True):
+            want = eigendecompose(d)
+            assert np.array_equal(system.eigenvalues, want.eigenvalues)
+            assert np.array_equal(system.iprs, want.iprs)
+
+    def test_a_checked_batch_is_not_checked_again(self, monkeypatch):
+        """The systems of a batch passed EigenSystem's checks in the batch;
+        one built directly still runs them."""
+        stack = np.stack([symmetric_matrix(6, seed=s).values for s in (1, 2)])
+        batch = [LagCorrMatrix(lag=k, values=v) for k, v in enumerate(stack, 1)]
+
+        def refused(self):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(EigenSystem, "__post_init__", refused)
+        got = eigendecompose(batch, out=Workspace(6, 2))
+        with pytest.raises(AssertionError, match="checked again"):
+            EigenSystem(got[0].eigenvalues, got[0].eigenvectors, got[0].iprs)
+
+    def test_a_batch_names_the_failing_lag(self, monkeypatch):
+        """The batch's check names the lag that fails it, and the other
+        matrices keep their bytes."""
+        stack = np.stack([symmetric_matrix(7, seed=s).values for s in (1, 2, 3)])
+        batch = [LagCorrMatrix(lag=k, values=v) for k, v in zip((4, 5, 6), stack)]
+        before = stack.copy()
+        eigh, faulty = lagspec.eigensys._eigh, stack[1].tobytes()
+
+        def doubled(d, ws, i=0):
+            fault = d.tobytes() == faulty  # before the stages overwrite d
+            vals, vecs = eigh(d, ws, i)
+            if fault:
+                vecs *= 2.0
+            return vals, vecs
+
+        monkeypatch.setattr(lagspec.eigensys, "_eigh", doubled)
+        with pytest.raises(ConvergenceFailure, match="at lag 5: eigenvectors must be unit norm"):
+            eigendecompose(batch, out=Workspace(7, 3))
+        assert np.array_equal(stack, before)
+
     @pytest.mark.parametrize("failing", ["sytrd", "stedc", "ormtr"])
     def test_lapack_failure_names_the_lag_and_restores_d(self, monkeypatch, failing):
         """A nonzero INFO from any stage is a ConvergenceFailure at d's lag,
@@ -152,23 +233,45 @@ class TestWorkspace:
         assert called == list(_blas.STAGES[:_blas.STAGES.index(failing) + 1])
         assert np.array_equal(d.values, before)
 
+    def test_lapack_failure_in_a_batch_restores_every_matrix(self, monkeypatch):
+        """The second matrix's dstedc fails: the error names its lag, and
+        both matrices, the first solved and the second half solved, keep
+        their bytes."""
+        ws = Workspace(5, 2)
+        stack = np.stack([symmetric_matrix(5, seed=s).values for s in (4, 5)])
+        batch = [LagCorrMatrix(lag=k, values=v) for k, v in zip((7, 8), stack)]
+        before = stack.copy()
+        called = lapack_spies(monkeypatch, "stedc", ws, after=1)
+        with pytest.raises(ConvergenceFailure, match="failed at lag 8: LAPACK dstedc gave info 3"):
+            eigendecompose(batch, out=ws)
+        assert called == [*_blas.STAGES, "sytrd", "stedc"]
+        assert np.array_equal(stack, before)
+
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_matrices_dsyevd_would_scale_go_to_eigh(self, monkeypatch, scale):
         """dsyevd scales D first where its largest entry is below 2^-485
         or above 2^485, which its stages alone do not: such a D goes to
-        np.linalg.eigh untouched."""
-        values = symmetric_matrix(9, seed=3).values * scale
-        before = values.copy()
-        vals, vecs = np.linalg.eigh(values)
-        ws = Workspace(9)
+        np.linalg.eigh untouched, also in a batch, whose other matrices the
+        stages solve.  A correlation matrix cannot exceed 1, so the values
+        are scaled after LagCorrMatrix's checks."""
+        stack = np.empty((2, 9, 9))
+        stack[0] = symmetric_matrix(9, seed=3).values
+        stack[1] = symmetric_matrix(9, seed=4).values
+        batch = [LagCorrMatrix(lag=1, values=stack[0]), LagCorrMatrix(lag=2, values=stack[1])]
+        stack[0] *= scale
+        before = stack.copy()
+        ws = Workspace(9, 2)
         called = lapack_spies(monkeypatch)
-        got_vals, got_vecs = _eigh(values, ws)
-        assert called == []
-        assert np.array_equal(values, before)
-        assert np.array_equal(got_vals, vals) and np.array_equal(got_vecs, vecs)
+        _solve(stack, [1, 2], ws)
+        assert called == list(_blas.STAGES)
+        assert np.array_equal(stack, before)
+        for vals, vecs, values in zip(ws.w, ws.z, before):
+            want_vals, want_vecs = np.linalg.eigh(values)
+            assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs.T)
         if scale < 1:  # a correlation matrix cannot exceed 1
-            system = eigendecompose(LagCorrMatrix(lag=1, values=values), out=ws)
-            assert np.array_equal(system.eigenvalues, vals)
+            got = eigendecompose(batch, out=ws)
+            assert np.array_equal(stack, before)
+            assert np.array_equal(got[0].eigenvalues, ws.w[0])
 
     @pytest.mark.parametrize("layout", ["read-only", "fortran", "strided"])
     def test_values_lapack_cannot_write_go_to_eigh(self, monkeypatch, layout):

@@ -161,6 +161,12 @@ class TestLagCorr:
         with pytest.raises(ParseError, match="values must be square"):
             LagCorrMatrix(lag=1, values=np.zeros(shape))
 
+    def test_values_must_not_be_empty(self):
+        """A 0 x 0 matrix is refused where it is made, naming its shape,
+        not by a division by N in the solve."""
+        with pytest.raises(ParseError, match=r"got shape \(0, 0\)"):
+            LagCorrMatrix(lag=0, values=np.empty((0, 0)))
+
 
 class TestBlockPath:
     @pytest.mark.parametrize(

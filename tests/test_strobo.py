@@ -3,7 +3,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +18,7 @@ from lagspec import (
     ConvergenceFailure,
     CorrelationOutOfRange,
     IndexOutOfRange,
+    LagspecError,
     LagTooLarge,
     LengthMismatch,
     PowerSpectrum,
@@ -39,7 +40,8 @@ from lagspec import (
 
 from lagspec import _blas, _threads
 from lagspec.lagcorr import block_lag_corrs, patch_rows, uses_block_path
-from lagspec.strobo import _local_maxima, _solve_rows, _split
+from lagspec.eigensys import batch_size
+from lagspec.strobo import _batch, _local_maxima, _solve_rows, _split
 
 from conftest import (
     dft_power_oracle,
@@ -61,11 +63,11 @@ def faulty_eigh(monkeypatch, matrices, lags, slow=()):
     faulty = {m.values.tobytes() for m in matrices if m.lag in lags}
     sleepy = {m.values.tobytes() for m in matrices if m.lag in slow}
 
-    def doubled_at_lags(d, ws):
+    def doubled_at_lags(d, ws, i=0):
         key = d.tobytes()
         if key in sleepy:
             time.sleep(0.2)
-        vals, vecs = eigh(d, ws)
+        vals, vecs = eigh(d, ws, i)
         if key in faulty:
             vecs *= 2.0
         return vals, vecs
@@ -161,9 +163,9 @@ class TestSweep:
             lags.append(lag)
             return LagCorrMatrix(lag=lag, values=np.eye(n))
 
-        def solve(d, out=None):
-            solved.append(d.lag)
-            return system
+        def solve(ds, out=None):
+            solved.extend(d.lag for d in ds)
+            return [system] * len(ds)
 
         monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
@@ -228,10 +230,21 @@ class TestSweep:
         assert 1.0 / 3.0 < ratio < 3.0
 
 
-# (n, length, tau_max): the direct path, the block path over two batches,
-# and a direct-path record wide enough (L < 6 N) that two workers share
-# one solver at T = 2
+# (n, length, tau_max): the direct path, the block path over two batches
+# of the kernel, and a direct-path record wide enough (L < 6 N) that two
+# workers share one solver at T = 2.  At their own batch sizes, 256 lags
+# at N = 8 and 16 at N = 32, all or most of their lags are one batch; the
+# tests of per-lag order run them one lag per batch (``one_lag_batches``)
 DIRECT, BLOCK, POOLED = (8, 256, 20), (8, 6000, 100), (32, 128, 20)
+
+
+@pytest.fixture
+def one_lag_batches(monkeypatch):
+    """Sweep batches of one lag at every N, as at N >= 91: blocks of one
+    float (``eigensys.batch_size``), and so of one row.  The workers take
+    and solve one lag at a time, as the tests of their order and failures
+    at small shapes expect."""
+    monkeypatch.setattr(lagspec.eigensys, "_BLOCK_FLOATS", 1)
 
 
 def lagged(g, tau_max):
@@ -254,15 +267,15 @@ class TestSweepWorkers:
     def test_tables_bit_equal_for_one_and_two_workers(self, shape):
         """The worker loop itself, on either path's matrices: at one BLAS
         thread, one worker, two with a solver each and two sharing one
-        give the same bytes."""
+        give the same bytes, a lag at a time or in batches of 7."""
         n, length, tau_max = shape
         g = iid_returns(n, length, seed=12)
         tables = []
-        for workers, solvers in ((1, 1), (2, 2), (2, 1)):
+        for (workers, solvers), batch in product(((1, 1), (2, 2), (2, 1)), (1, 7)):
             eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
             matrices = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
             with _blas.threads(1):
-                _solve_rows(matrices, eigenvalues, iprs, workers, solvers)
+                _solve_rows(matrices, eigenvalues, iprs, workers, solvers, batch)
             tables.append((eigenvalues, iprs))
         for eigenvalues, iprs in tables[1:]:
             assert np.array_equal(tables[0][0], eigenvalues)
@@ -287,6 +300,7 @@ class TestSweepWorkers:
             # the sweep, holds the matrix the sweep solved
             assert np.array_equal(lag0.values, equal_time_corr(g).values)
 
+    @pytest.mark.usefixtures("one_lag_batches")
     def test_sweep_spreads_a_direct_path_record(self):
         n, length, tau_max = DIRECT
         g = iid_returns(n, length, seed=12)
@@ -299,6 +313,7 @@ class TestSweepWorkers:
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
         assert np.array_equal(serial.iprs, spread.iprs)
 
+    @pytest.mark.usefixtures("one_lag_batches")
     def test_sweep_spreads_a_block_path_record(self):
         """Two solvers, the kernel split over both threads: the tables of
         one thread, bit for bit."""
@@ -340,15 +355,45 @@ class TestSweepWorkers:
 
     @pytest.mark.parametrize("n", [8, 64, 512])
     def test_a_lag_in_flight_holds_three_matrices(self, n):
-        """Each lag in flight beyond the first holds 3 N^2 floats, and 4 N^2
-        with a second record, within half the bytes of the returns: a
-        second solver from L = 6 N, or 8 N for a pair."""
-        def split(length, records=1):
+        """Each lag in flight beyond the first holds 3 N^2 floats, for one
+        record or two, within half the bytes of the returns: a second
+        solver from L = 6 N."""
+        def split(length):
             with _blas.threads(2):
-                return _split(SimpleNamespace(returns=np.empty((n, length))), 30, records)
+                return _split(SimpleNamespace(returns=np.empty((n, length))), 30)
 
         assert split(6 * n - 1) == (2, 1, 1) and split(6 * n) == (2, 2, 1)
-        assert split(8 * n - 1, 2) == (2, 1, 1) and split(8 * n, 2) == (2, 2, 1)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_a_batch_in_flight_holds_four_planes_per_lag(self, n):
+        """At b >= 2 each batch in flight beyond the first holds 4 b N^2
+        floats within half the bytes of the returns, so batches shrink to
+        fit the solvers that ``_split`` gives, down to one lag: b lags on
+        two solvers from L = 8 b N, one from L = 6 N at T = 3.  One
+        solver takes b, and no worker is left without a batch."""
+        b = batch_size(n)
+
+        def fitted(length, total=2, tau_max=1000):
+            g = SimpleNamespace(returns=np.empty((n, length)))
+            with _blas.threads(total):
+                return _batch(g, tau_max, *_split(g, tau_max)[:2])
+
+        assert b >= 2
+        assert fitted(8 * b * n) == b and fitted(8 * b * n - 1) == b - 1
+        assert fitted(6 * n, 3) == 1
+        assert fitted(6 * n - 1) == b and fitted(6 * n, 1) == b
+        assert fitted(8 * b * n, tau_max=2 * b - 3) == b - 1
+
+    def test_preset_batches_never_lower_the_workers(self):
+        """The default experiment preset's shape keeps the solvers of one
+        lag at a time, 3 N^2 floats each, at any T: batches of 4 at T = 2,
+        of 2 at T = 3, and of one lag from T = 4."""
+        g = SimpleNamespace(returns=np.empty((64, 2048)))
+        for total, split, batch in ((2, (2, 2, 1), 4), (3, (3, 3, 1), 2),
+                                    (4, (4, 4, 1), 1), (6, (6, 6, 1), 1)):
+            with _blas.threads(total):
+                assert _split(g, 400) == split
+                assert _batch(g, 400, *split[:2]) == batch
 
     def test_one_worker_without_lags_to_build(self):
         g = iid_returns(*POOLED[:2], seed=0)
@@ -367,6 +412,48 @@ class TestSweepWorkers:
             with pytest.raises(ConvergenceFailure, match="at lag 6.*unit norm"):
                 sweep(g, tau_max)
 
+    def test_lowest_failing_lag_across_batches(self, monkeypatch):
+        """Batches of 4 lags at N = 64 on two workers: lag 5, in the second
+        batch, is slow, so the third batch's fault at lag 9 is met first.
+        The second batch fails and is solved again one lag at a time, which
+        finds lag 6, and lag 6's error is raised."""
+        g = iid_returns(64, 2048, seed=14)
+        assert batch_size(64) == 4
+        with _blas.threads(2):
+            assert _split(g, 20) == (2, 2, 1)
+            with sweep_blas(g, 20):
+                faulty_eigh(monkeypatch, lagged(g, 20), {6, 7, 9}, slow={5})
+            with pytest.raises(ConvergenceFailure, match="at lag 6.*unit norm"):
+                sweep(g, 20)
+
+    @pytest.mark.parametrize("later", ["residual", "solver"])
+    def test_the_lowest_lag_of_a_batch_wins_over_an_earlier_check(self, monkeypatch, later):
+        """In the batch of lags 4..7 at N = 64, lag 5 fails the unit-norm
+        check and lag 6 the residual check, which the batch runs first, or
+        its solver: the batch's own error names lag 6, and solving it
+        again one lag at a time raises lag 5's, as a serial loop would."""
+        g = iid_returns(64, 2048, seed=15)
+        with _blas.threads(1):
+            faults = {m.lag: m.values.tobytes() for m in lagged(g, 6) if m.lag in (5, 6)}
+        eigh = lagspec.eigensys._eigh
+
+        def faulty(d, ws, i=0):
+            key = d.tobytes()
+            if key == faults[6] and later == "solver":
+                raise np.linalg.LinAlgError("LAPACK dstedc gave info 3")
+            vals, vecs = eigh(d, ws, i)
+            if key == faults[5]:
+                vecs *= 2.0
+            elif key == faults[6]:
+                vals += 1.0
+            return vals, vecs
+
+        monkeypatch.setattr(lagspec.eigensys, "_eigh", faulty)
+        with _blas.threads(1):
+            assert _split(g, 20) == (1, 1, 1) and batch_size(64) == 4
+            with pytest.raises(ConvergenceFailure, match="at lag 5: .* unit norm"):
+                sweep(g, 20)
+
     def test_failure_in_building_names_its_lag(self, monkeypatch):
         """A lag whose build raises, as the block kernel can: its error is
         raised unless a lower lag's solve fails too."""
@@ -382,11 +469,12 @@ class TestSweepWorkers:
         eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
         with _blas.threads(1):
             with pytest.raises(CorrelationOutOfRange, match="at lag 8$"):
-                _solve_rows(matrices, eigenvalues, iprs, 2, 2)
+                _solve_rows(matrices, eigenvalues, iprs, 2, 2, 4)
             faulty_eigh(monkeypatch, lagged(g, tau_max), {7}, slow={7})
             with pytest.raises(ConvergenceFailure, match="at lag 7.*unit norm"):
-                _solve_rows(matrices, eigenvalues, iprs, 2, 2)
+                _solve_rows(matrices, eigenvalues, iprs, 2, 2, 4)
 
+    @pytest.mark.usefixtures("one_lag_batches")
     @pytest.mark.parametrize("case", ["out-of-range", "solver-fault"])
     def test_block_path_failure_met_first_by_the_next_lag(self, monkeypatch, case):
         """Lag k's take is held back, so the solver holding lag k + 1 runs
@@ -449,9 +537,9 @@ class TestSweepWorkers:
         the calling thread solves lags 0..tau_max in order."""
         solves = []
 
-        def solve(d, out=None):
-            solves.append((threading.get_ident(), d.lag))
-            return eigendecompose(d, out=out)
+        def solve(ds, out=None):
+            solves.extend((threading.get_ident(), d.lag) for d in ds)
+            return eigendecompose(ds, out=out)
 
         n, length, tau_max = shape
         g = iid_returns(n, length, seed=22)
@@ -464,9 +552,9 @@ class TestSweepWorkers:
     def test_serial_without_openblas(self, monkeypatch):
         threads = set()
 
-        def solve(d, out=None):
+        def solve(ds, out=None):
             threads.add(threading.get_ident())
-            return eigendecompose(d, out=out)
+            return eigendecompose(ds, out=out)
 
         g = iid_returns(*DIRECT[:2], seed=15)
         with _blas.threads(2):
@@ -479,15 +567,16 @@ class TestSweepWorkers:
         assert threads == {threading.get_ident()}
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
 
+    @pytest.mark.usefixtures("one_lag_batches")
     def test_many_workers_solve_each_lag_once(self, monkeypatch):
         """More workers than cores and a short switch interval: a lost
         update to the shared lag counter would solve a lag twice or leave
         a row unwritten."""
         solved = []
 
-        def solve(d, out=None):
-            solved.append(d.lag)
-            return eigendecompose(d, out=out)
+        def solve(ds, out=None):
+            solved.extend(d.lag for d in ds)
+            return eigendecompose(ds, out=out)
 
         g = iid_returns(8, 4096, seed=16)
         with _blas.threads(1):
@@ -509,15 +598,16 @@ class TestSweepWorkers:
         assert np.array_equal(results[0].eigenvalues, serial.eigenvalues)
         assert np.array_equal(results[0].iprs, serial.iprs)
 
+    @pytest.mark.usefixtures("one_lag_batches")
     def test_many_workers_take_each_block_path_lag_once(self, monkeypatch):
         """Eight solvers and a kernel split eight ways, with a short switch
         interval: every lag reaches its own solver once, and the tables are
         those of one thread."""
         solved = []
 
-        def solve(d, out=None):
-            solved.append(d.lag)
-            return eigendecompose(d, out=out)
+        def solve(ds, out=None):
+            solved.extend(d.lag for d in ds)
+            return eigendecompose(ds, out=out)
 
         n, length, tau_max = BLOCK
         g = iid_returns(n, length, seed=16)
@@ -768,6 +858,24 @@ def test_csv_exports(tmp_path):
     assert np.array_equal(sdata[:, 1], spec.power)
 
 
+@pytest.mark.parametrize(
+    "values", [[-0.0, 5e-324, 1e308, 0.1, -2.0 / 3.0, 1e-7, 123456789.0], [0.1]],
+    ids=["awkward", "one-sample"],
+)
+def test_csv_bytes_are_those_of_line_by_line_writes(tmp_path, values):
+    """Both files hold the bytes of a write per row, each formatted by an
+    f-string over numpy floats."""
+    values = np.array(values)
+    spec = PowerSpectrum(frequencies=values, power=np.abs(values), peaks=())
+    write_trajectory_csv(values, tmp_path / "traj.csv")
+    write_spectrum_csv(spec, tmp_path / "spec.csv")
+    traj = "tau,value\n" + "".join(f"{tau},{v:.17g}\n" for tau, v in enumerate(values, start=1))
+    power = "frequency,power\n" + "".join(
+        f"{f:.17g},{p:.17g}\n" for f, p in zip(spec.frequencies, spec.power))
+    assert (tmp_path / "traj.csv").read_bytes() == traj.encode()
+    assert (tmp_path / "spec.csv").read_bytes() == power.encode()
+
+
 def replaced(g, rows, seed):
     """g with the series ``rows`` replaced by fresh normalized ones, as an
     injection leaves a record."""
@@ -795,7 +903,7 @@ class TestPooledSweep:
             slots[lag] = (threading.get_ident(), out.__array_interface__["data"][0])
             return lag_corr(g, lag, out=out)
 
-        def solve(d, out=None):
+        def solve(ds, out=None):
             with lock:
                 active[0] += 1
                 active[1] = max(active)
@@ -803,7 +911,7 @@ class TestPooledSweep:
                 spaces.add(id(out))
             time.sleep(0.002)
             try:
-                return eigendecompose(d, out=out)
+                return eigendecompose(ds, out=out)
             finally:
                 with lock:
                     active[0] -= 1
@@ -866,11 +974,11 @@ class TestPooledSweep:
         every chance to run ahead: a lag whose slot or workspace were
         overwritten before or during its solve would leave another lag's
         row."""
-        def slow_solve(d, out=None):
+        def slow_solve(ds, out=None):
             time.sleep(0.002)
-            system = eigendecompose(d, out=out)
+            systems = eigendecompose(ds, out=out)
             time.sleep(0.002)
-            return system
+            return systems
 
         g = iid_returns(32, 128, seed=21)
         with _blas.threads(1):
@@ -893,6 +1001,7 @@ class TestPooledSweep:
 
 
 @needs_openblas
+@pytest.mark.usefixtures("one_lag_batches")
 class TestInterrupt:
     """A KeyboardInterrupt raised by the solve of lag k, on whichever
     worker holds it: all taking stops, the workers end after the lags in
@@ -911,17 +1020,17 @@ class TestInterrupt:
         after = replaced(g, [1], seed=24) if paired else None
         solved = []
 
-        def interrupted(d, out=None):
-            solved.append(d.lag)
-            if d.lag == k:
+        def interrupted(ds, out=None):
+            solved.extend(d.lag for d in ds)
+            if k in solved[-len(ds):]:
                 raise KeyboardInterrupt
             time.sleep(0.001)
-            return eigendecompose(d, out=out)
+            return eigendecompose(ds, out=out)
 
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", interrupted)
         threads = threading.active_count()
         with _blas.threads(2):
-            assert _split(g, tau_max, records=2 if paired else 1) == split
+            assert _split(g, tau_max) == split
             with pytest.raises(KeyboardInterrupt):
                 sweep(g, tau_max, after=after)
             assert _blas.thread_count() == 2
@@ -942,8 +1051,8 @@ class TestInterrupt:
         solves = []  # (lag, whether the join had raised) of every solve
         other = []
 
-        def solve(d, out=None):
-            solves.append((d.lag, interrupted.is_set()))
+        def solve(ds, out=None):
+            solves.extend((d.lag, interrupted.is_set()) for d in ds)
             if threading.current_thread() is caller:
                 assert holding.wait(timeout=30)
             elif not holding.is_set():
@@ -951,7 +1060,7 @@ class TestInterrupt:
                 holding.set()
                 assert interrupted.wait(timeout=30)
                 time.sleep(0.05)  # still solving while the caller joins
-            return eigendecompose(d, out=out)
+            return eigendecompose(ds, out=out)
 
         join = threading.Thread.join
 
@@ -975,7 +1084,7 @@ class TestInterrupt:
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
         threads = threading.active_count()
         with _blas.threads(2):
-            assert _split(g, tau_max, records=2) == (2, 2, 1)
+            assert _split(g, tau_max) == (2, 2, 1)
             monkeypatch.setattr(_blas, "threads", watched_threads)
             monkeypatch.setattr(threading.Thread, "join", join_once_interrupted)
             with pytest.raises(KeyboardInterrupt):
@@ -1106,18 +1215,15 @@ class TestPairedSweep:
         assert np.allclose(after.eigenvalues, lone_after.eigenvalues, rtol=0, atol=1e-13)
         assert np.allclose(after.iprs, lone_after.iprs, rtol=0, atol=1e-9)
 
-    def test_after_lowers_workers_never_threads_per_lag(self):
+    def test_after_never_changes_the_split(self):
         """On the default experiment preset's shape at T = 6 and 12, a's
-        extra matrix per lag leaves room for fewer lags at once than a lone
-        sweep of g, but each still runs at the lone sweep's BLAS threads,
-        so g's tables keep their bytes."""
+        matrices are made over g's, so a pair runs the lone sweep's workers
+        at its BLAS threads, and g's tables keep their bytes."""
         g = iid_returns(64, 2048, seed=41)
         a = replaced(g, [3, 9, 20, 40], seed=42)
-        for total, lone, paired in ((6, (6, 6, 1), (5, 5, 1)),
-                                    (12, (6, 6, 2), (5, 5, 2))):
+        for total, split in ((6, (6, 6, 1)), (12, (6, 6, 2))):
             with _blas.threads(total):
-                assert _split(g, 400) == lone
-                assert _split(g, 400, records=2) == paired
+                assert _split(g, 400) == split
         with _blas.threads(6):
             before, after = sweep(g, 40, after=a)
             lone_before, lone_after = sweep(g, 40), sweep(a, 40)
@@ -1159,8 +1265,8 @@ class TestPairedSweep:
             with pytest.raises(ValueError, match="differ in shape"):
                 sweep(g, 20, after=other)
 
-    # below L = 8 N a pair of records has one solver
-    @pytest.mark.parametrize("shape", [(8, 1024, 300), (64, 500, 240)], ids=["workers", "pooled"])
+    # below L = 6 N a record has one solver; batches of 16 and 4 lags
+    @pytest.mark.parametrize("shape", [(8, 1024, 300), (64, 380, 180)], ids=["workers", "pooled"])
     def test_a_fault_in_g_at_any_lag_is_raised_first(self, monkeypatch, shape):
         """a's solve fails at lag 3 and g's at tau_max: g's error is raised,
         as if g were swept first; without g's fault a's is.  Workers are
@@ -1171,7 +1277,7 @@ class TestPairedSweep:
         a = replaced(g, rows, seed=36)
         with _blas.threads(2):
             expected = (2, 2, 1) if n == 8 else (2, 1, 1)
-            assert _split(g, tau_max, records=2) == expected
+            assert _split(g, tau_max) == expected
             with sweep_blas(g, tau_max):
                 a_at_3 = patch_rows(lag_corr(g, 3), a, rows)
                 g_at_last = lag_corr(g, tau_max)
@@ -1184,15 +1290,16 @@ class TestPairedSweep:
                 assert threading.active_count() == threads
                 monkeypatch.undo()
 
+    @pytest.mark.usefixtures("one_lag_batches")
     def test_many_workers_solve_each_lag_of_each_record_once(self, monkeypatch):
         """More workers than cores and a short switch interval: a lost
         update would solve a lag of a record twice or leave a row
         unwritten."""
         solved = Counter()
 
-        def solve(d, out=None):
-            solved[d.lag] += 1
-            return eigendecompose(d, out=out)
+        def solve(ds, out=None):
+            solved.update(d.lag for d in ds)
+            return eigendecompose(ds, out=out)
 
         g = iid_returns(8, 4096, seed=39)
         a = replaced(g, [5], seed=40)
@@ -1204,7 +1311,7 @@ class TestPairedSweep:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(8):
-                assert _split(g, 200, records=2) == (8, 8, 1)
+                assert _split(g, 200) == (8, 8, 1)
                 runner = threading.Thread(
                     target=lambda: results.append(sweep(g, 200, after=a)))
                 runner.start()
@@ -1265,3 +1372,89 @@ def test_patched_rows_match_a_full_build(data):
     assert np.max(np.abs(patched - full), initial=0.0) <= 4e-15
     keep = np.setdiff1d(np.arange(n), rows)
     assert np.array_equal(patched[np.ix_(keep, keep)], base.values[np.ix_(keep, keep)])
+
+
+def _first_block_length(n: int) -> int:
+    """The shortest record of n series that takes the block path."""
+    lo, hi = n + 2, 64 * n * n + 20000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if uses_block_path(n, mid) else (mid + 1, hi)
+    return lo
+
+
+def serial_matrices(g, tau_max, after=None):
+    """(record, lag, matrix) for every lag of each record in turn, each
+    matrix built as the sweep builds it: from the block kernel on the
+    block path, and a's from g's by ``patch_rows`` where fewer than half
+    its series changed on the direct path."""
+    n, length = g.returns.shape
+    records = [g] if after is None else [g, after]
+    changed = [] if after is None else np.flatnonzero(
+        (g.returns != after.returns).any(axis=1))
+    for r, record in enumerate(records):
+        if uses_block_path(n, length):
+            lags = chain([lag_corr(record, 0)], block_lag_corrs(record, tau_max))
+        elif r and 2 * len(changed) < n:
+            lags = (patch_rows(lag_corr(g, k), record, changed) for k in range(tau_max + 1))
+        else:
+            lags = (lag_corr(record, k) for k in range(tau_max + 1))
+        for k, matrix in enumerate(lags):
+            yield r, k, matrix
+
+
+@needs_openblas
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sweep_equals_a_serial_loop(data):
+    """The scheduler property.  On either path, for any thread budget T in
+    1..4, with or without an injected record and a solver fault at one
+    (record, lag), the sweep's tables are those of a plain serial loop of
+    ``eigendecompose`` over ``serial_matrices`` at the sweep's BLAS
+    threads per call, bit for bit, and its error is the loop's: the
+    lowest record's, at its lowest lag.  Lags run past several batches
+    where the record is long enough."""
+    n = data.draw(st.sampled_from([3, 16, 24, 40]), label="n")
+    b = batch_size(n)
+    first_block = _first_block_length(n)
+    if data.draw(st.booleans(), label="block path"):
+        length = data.draw(st.integers(first_block, first_block + 200), label="length")
+    else:
+        length = data.draw(st.integers(2 * n + 8, min(first_block - 1, 6 * b + 40)), label="length")
+    tau_max = data.draw(st.integers(0, min(length // 2, 3 * b + 3)), label="tau_max")
+    total = data.draw(st.integers(1, 4), label="T")
+    g = iid_returns(n, length, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    after = None
+    if data.draw(st.booleans(), label="paired"):
+        rows = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n), label="changed"))
+        after = replaced(g, rows, seed=length)
+    fault = data.draw(st.none() | st.tuples(
+        st.integers(0, 0 if after is None else 1), st.integers(0, tau_max)), label="fault")
+
+    with _blas.threads(total), pytest.MonkeyPatch.context() as mp:
+        blas_threads = _split(g, tau_max)[2]
+        with _blas.threads(blas_threads):
+            if fault is not None:
+                try:
+                    faulted = next(m for r, k, m in serial_matrices(g, tau_max, after)
+                                   if (r, k) == fault)
+                    faulty_eigh(mp, [faulted], {fault[1]})
+                except CorrelationOutOfRange:
+                    pass  # a build fails first
+            want = np.empty((1 if after is None else 2, 2, tau_max + 1, n))
+            try:
+                for r, k, matrix in serial_matrices(g, tau_max, after):
+                    system = eigendecompose(matrix)
+                    want[r, :, k] = system.eigenvalues, system.iprs
+            except LagspecError as exc:
+                want = exc
+        try:
+            got = sweep(g, tau_max, after=after)
+        except LagspecError as exc:
+            assert isinstance(want, LagspecError), exc
+            assert (type(exc), str(exc)) == (type(want), str(want))
+            return
+    assert not isinstance(want, LagspecError), want
+    for seq, table in zip([got] if after is None else got, want, strict=True):
+        assert np.array_equal(seq.eigenvalues, table[0])
+        assert np.array_equal(seq.iprs, table[1])

@@ -22,7 +22,7 @@ from lagspec import (
     sweep,
     synth_generate,
 )
-from lagspec.eigensys import _BLOCK_FLOATS, Workspace
+from lagspec.eigensys import _BLOCK_FLOATS, Workspace, batch_size
 from lagspec.experiment import _BACKGROUND_PHI, _BACKGROUND_SIGMA
 from lagspec.lagcorr import uses_block_path
 
@@ -218,13 +218,28 @@ def test_solve_into_a_workspace_allocates_no_n_by_n_array():
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_workspace_holds_two_matrices(n):
-    """A solver holds z and LAPACK's scratch, 2 N^2 floats, a few vectors
-    of N, and one check block with its mask; with the worker's slot that
-    is the 3 N^2 per lag in flight of ``strobo._split``."""
+    """A solver of one lag at a time holds z and LAPACK's scratch, 2 N^2
+    floats, a few vectors of N, and one check block with its mask; with
+    the worker's plane that is the 3 N^2 per lag in flight of
+    ``strobo._split``."""
     ws = Workspace(n)
     held = sum(x.nbytes for x in vars(ws).values()
                if isinstance(x, np.ndarray) and x.base is None)
     assert held <= 8 * (2 * n * n + 16 * n) + 9 * _BLOCK_FLOATS
+
+
+@pytest.mark.parametrize("n", [8, 64, 90])
+def test_batch_workspace_holds_three_planes_per_lag(n):
+    """At b = ``batch_size(N)`` >= 2 a solver holds the planes of z, the
+    checks' scratch and their block, b N^2 floats each, and vectors of
+    b N; with the worker's stack that is the 4 b N^2 per batch in flight
+    of ``strobo._batch``."""
+    b = batch_size(n)
+    ws = Workspace(n, b)
+    held = sum(x.nbytes for x in vars(ws).values()
+               if isinstance(x, np.ndarray) and x.base is None)
+    assert b >= 2
+    assert held <= 8 * (3 * b * n * n + (2 * b + 16) * n) + n * n
 
 
 def test_experiment_peak_is_within_2_5_counts():
