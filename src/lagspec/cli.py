@@ -372,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except LagspecError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the shape and the bytes
+        print(f"MemoryError: {' '.join(str(exc).split()) or 'out of memory'}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("KeyboardInterrupt: stopped", file=sys.stderr)
         return 130

@@ -145,9 +145,10 @@ def _rows(n: int, batch: int) -> int:
 
 class Workspace:
     """The buffers of ``eigendecompose(ds, out=ws)`` for up to ``batch``
-    N x N matrices, for one call at a time.  ``work`` is laid out as
-    LAPACK's ``dsyevd`` lays out its own, at the size of dsyevd's workspace
-    query: the tridiagonal's off-diagonal and the reflectors' scalars, N
+    N x N matrices, for one call at a time; ``eigendecompose`` without
+    ``out`` makes one for its call.  ``work`` is laid out as LAPACK's
+    ``dsyevd`` lays out its own, at the size of dsyevd's workspace query:
+    the tridiagonal's off-diagonal and the reflectors' scalars, N
     floats each, then ``z``, where each matrix's eigenvectors are left in
     a plane of its own, one per row, then the later stages' scratch, which
     the checks take as ``scratch``, ``batch`` planes, after the solves.
@@ -220,13 +221,15 @@ _SCALE_MIN, _SCALE_MAX = 2.0 ** -485, 2.0 ** 485
 
 
 def _eigh(d: np.ndarray, ws: Workspace | None, i: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(d)`` for an exactly symmetric ``d``.  With ``ws``,
-    ``dsyevd``'s three stages instead, called as dsyevd calls them, so with
-    eigh's bits, on ``d`` itself, a writable C-ordered float array that
-    dsyevd would not scale: they leave the eigenvalues in ``ws.w[i]`` and
-    the eigenvectors in ``ws.z[i]``, and overwrite ``d`` but for its
-    strict lower triangle, from which ``eigendecompose`` restores it.
-    Fault tests patch this: it is called once for each matrix solved."""
+    """The eigensystem of an exactly symmetric ``d``: with ``ws``,
+    ``dsyevd``'s three stages, called as dsyevd calls them, so with
+    ``np.linalg.eigh``'s bits, on ``d`` itself, a writable C-ordered float
+    array that dsyevd would not scale.  They leave the eigenvalues in
+    ``ws.w[i]`` and the eigenvectors in ``ws.z[i]``, and overwrite ``d``
+    but for its strict lower triangle, from which ``_solve`` restores it.
+    Without ``ws``, the fallback, ``np.linalg.eigh(d)``: no LAPACK was
+    found, or ``d`` is one that the stages may not solve.  Fault tests
+    patch this: it is called once for each matrix solved."""
     if ws is None:
         return np.linalg.eigh(d)
     ws.a.value = d.ctypes.data
@@ -274,8 +277,8 @@ def _solve(stack: np.ndarray, lags: list[int], ws: Workspace) -> None:
     """Solve each matrix of ``stack`` into its plane of ``ws``.  dsyevd's
     stages (``_eigh``) solve in the matrix itself where LAPACK is found,
     the stack is a writable C-ordered float array, and dsyevd would not
-    scale that matrix first; eigh solves the others, which are not
-    written.  The scaling test, the saving of the diagonals and the
+    scale that matrix first; ``_eigh``'s fallback solves the others, which
+    are not written.  The scaling test, the saving of the diagonals and the
     restore of what the stages overwrite run once over the stack, the
     restore also when a solve fails, so that every matrix holds its bytes
     again on return."""
@@ -325,15 +328,17 @@ def eigendecompose(d, out=None):
     ``3 * sum_i P_ii**2 / (m * (m + 2))`` with ``P`` the projector onto it.
     A singleton's IPR is that of its vector, ``sum_i u_i**4``.
 
-    With ``out``, a ``Workspace(N, b)``, a batch of up to b matrices is
-    solved in its buffers and, where numpy's LAPACK is found, in the
-    matrices themselves, which hold their bytes again on return (see
-    ``_solve``): each matrix takes dsyevd's three stage calls, and every
-    other step, the checks included, runs once over the batch.  Where the
-    matrices are consecutive planes of one array, as the sweep's are, no
-    N x N temporary is made; the results' eigenvalues and eigenvectors
-    are views into ``out``, valid until its next use.  Without ``out``,
-    ``np.linalg.eigh`` solves each matrix on its own.
+    The b matrices are solved in ``out``, a ``Workspace(N, b' >= b)``, or
+    in a ``Workspace(N, b)`` made for the call.  Each takes dsyevd's three
+    stage calls in the matrix itself, which is written during the call and
+    restored (see ``_solve``), and every other step, the checks included,
+    runs once over the batch.  ``np.linalg.eigh`` solves instead, with the
+    same bits and not writing the matrix, where LAPACK is not found or the
+    matrix is read-only, not C-ordered, or one dsyevd would scale first.
+    Matrices that are not consecutive planes of one array, as the sweep's
+    are, are solved in a copy.  The results' eigenvalues and eigenvectors
+    are views into the workspace, valid until its next use: without
+    ``out``, each system holds 2 N^2 floats of it, not N^2.
 
     Raises ConvergenceFailure, naming the lag, if the solver fails, the
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
@@ -343,33 +348,26 @@ def eigendecompose(d, out=None):
     the first of those that any fails; solving the matrices one at a time
     finds the first failing one.
     """
-    if isinstance(d, LagCorrMatrix):
-        return _decompose([d], out)[0]
-    if out is None:
-        return [_decompose([m], None)[0] for m in d]
-    return _decompose(list(d), out) if len(d) else []
+    ds = [d] if isinstance(d, LagCorrMatrix) else list(d)
+    if not ds:
+        return []
+    systems = _decompose(ds, Workspace(ds[0].n, len(ds)) if out is None else out)
+    return systems[0] if isinstance(d, LagCorrMatrix) else systems
 
 
-def _decompose(ds: list[LagCorrMatrix], ws: Workspace | None) -> list[EigenSystem]:
-    """``eigendecompose`` of the matrices ``ds``, one of them if ``ws`` is
-    None."""
+def _decompose(ds: list[LagCorrMatrix], ws: Workspace) -> list[EigenSystem]:
+    """``eigendecompose`` of the matrices ``ds`` in ``ws``."""
     b, n = len(ds), ds[0].n
     lags = [m.lag for m in ds]
-    if ws is not None and (b > len(ws.z) or (n, n) != ws.z.shape[1:]):
+    if b > len(ws.z) or (n, n) != ws.z.shape[1:]:
         raise ValueError(f"a workspace for {len(ws.z)} x {ws.z.shape[1:]} cannot solve "
                          f"{b} x {ds[0].values.shape}")
     stack = _stacked([m.values for m in ds])
-    if ws is None:
-        vals, vecs = _eigh(stack[0], None)
-        vals, vecs = vals[None], vecs[None]
-        square, block = np.empty((1, n, n)), np.empty(_rows(n, 1) * n)
-    else:
-        _solve(stack, lags, ws)
-        vals, vecs = ws.w[:b], ws.z[:b].transpose(0, 2, 1)
-        square, block = ws.scratch[:b], ws.block
+    _solve(stack, lags, ws)
+    vals, vecs = ws.w[:b], ws.z[:b].transpose(0, 2, 1)
+    square, block = ws.scratch[:b], ws.block
 
     # row k of ``each[i]`` is matrix i's eigenvector k, with unit stride
-    # where the solve left it in ``ws``
     each = vecs.transpose(0, 2, 1)
     # deterministic sign: largest-magnitude component positive
     lead = np.argmax(np.abs(each, out=square), axis=2)
@@ -378,7 +376,7 @@ def _decompose(ds: list[LagCorrMatrix], ws: Workspace | None) -> list[EigenSyste
     # row norms of U^T D - diag(vals) U^T, the residuals D u - lambda u
     # transposed, as D is symmetric, built in place in U^T D
     residual = np.matmul(each, stack, out=square)
-    rows = _rows(n, b if ws is None else len(ws.z))  # the blocks ``block`` holds
+    rows = _rows(n, len(ws.z))  # the blocks ``block`` holds
     for r in range(0, n, rows):
         c = min(rows, n - r)
         residual[:, r:r + c] -= np.multiply(each[:, r:r + c], vals[:, r:r + c, None],

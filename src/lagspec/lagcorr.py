@@ -8,13 +8,14 @@ unbiased at every lag; the distinction from dividing by the full record is
 O(tau/L).  Symmetrization restricts eigenvalues and eigenvectors to real
 values.
 
-``lag_corr`` builds one lag with one GEMM.  ``block_lag_corrs`` builds lags
-1..tau_max of a long record (``uses_block_path``: L >= 14124 at N = 64, the
-bound falling from 268 N at N = 32 to 153 N at N = 512) from block FFTs,
-about four GEMMs' worth of flops per 32 lags, on one thread or several; its
-entries differ from ``lag_corr``'s by rounding only.  ``patch_rows`` builds a lag
-of a record from the same lag of another that differs only in a few series,
-rebuilding those rows and columns alone.
+``lag_corr`` builds one lag with one GEMM.  ``block_lag_corrs`` gives a
+builder of lags 1..tau_max of a long record (``uses_block_path``: L >= 14124
+at N = 64, the bound falling from 268 N at N = 32 to 153 N at N = 512), in
+increasing order, from block FFTs, about four GEMMs' worth of flops per 32
+lags, on one thread or several; like ``lag_corr`` it writes into an array it
+is given, and its entries differ from ``lag_corr``'s by rounding only.
+``patch_rows`` builds a lag of a record from the same lag of another that
+differs only in a few series, rebuilding those rows and columns alone.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import functools
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -277,17 +278,22 @@ def _block_cross(
 
 def block_lag_corrs(
     g: ReturnMatrix, tau_max: int, threads: int = 1
-) -> Iterator[LagCorrMatrix]:
-    """The matrices of lags 1..tau_max in order, by block FFT.
+) -> Callable[..., LagCorrMatrix]:
+    """A builder, ``build(lag, out=None)``, of the matrices of lags
+    1..tau_max by block FFT, to be asked for lags in increasing order: a
+    lag outside 1..tau_max, or at or below the last built, is a ValueError.
 
     Each series is cut into blocks of 32 samples and each block is
     transformed once.  The 32 lags j*32 .. j*32+31 then cost one complex
     N x N product per frequency bin (33 bins) summed over the L/32 blocks,
-    about 8 N^2 L flops, where 32 direct GEMMs cost 64 N^2 L.
-    Entries differ from ``lag_corr``'s by rounding (observed within
-    1e-15); symmetry is exact as there.  Block lags are built in batches
+    about 8 N^2 L flops, where 32 direct GEMMs cost 64 N^2 L.  Block lags
+    are summed in batches, each when the first of its lags is asked for,
     whose working set stays within ``g.returns.nbytes``; a shape for which
-    that is impossible (``uses_block_path`` false) raises ValueError.
+    that is impossible (``uses_block_path`` false) raises ValueError.  Lag
+    k is ``cross[d] + cross[d].T`` over ``2 (L - k)``, made in ``out``, a
+    C-contiguous N x N float array, or a new array.  Entries differ from
+    ``lag_corr``'s by rounding (observed within 1e-15); symmetry is exact
+    as there.
 
     The arguments are checked and the working set is made by this call,
     on the calling thread, and every batch reuses it: a batch that another
@@ -296,7 +302,7 @@ def block_lag_corrs(
     batch is split over ``threads`` threads, the one that runs it
     included, each making its BLAS calls at the current thread count.  At
     the same BLAS thread count the matrices are the same bit for bit for
-    every ``threads``.
+    every ``threads``.  The builder is for one thread at a time.
     """
     tau_max = int(tau_max)
     threads = int(threads)
@@ -313,38 +319,46 @@ def block_lag_corrs(
     plan = _block_plan(n, length)
     if plan is None:
         raise ValueError(f"a {n} x {length} record takes the direct path")
-    if tau_max == 0:
-        return iter(())
     chunk, batch = plan
-    batch = min(batch, tau_max // _BLOCK + 1)
-    width = min(chunk + batch, -(-length // _BLOCK) + 1)
-    acc = np.empty((batch, _BLOCK + 1, n, n), dtype=complex)
-    scratch = np.empty((_BLOCK + 1, n, n), dtype=complex)
-    stores = np.empty((2, n * (_BLOCK + 1) * width), dtype=complex)
-    return _block_lags(returns, tau_max, chunk, threads, acc, scratch, stores)
+    last = tau_max // _BLOCK  # the last block lag
+    if tau_max:  # no working set where there is no lag to build
+        batch = min(batch, last + 1)
+        width = min(chunk + batch, -(-length // _BLOCK) + 1)
+        acc = np.empty((batch, _BLOCK + 1, n, n), dtype=complex)
+        scratch = np.empty((_BLOCK + 1, n, n), dtype=complex)
+        stores = np.empty((2, n * (_BLOCK + 1) * width), dtype=complex)
+        # a block lag's inverse transform, in the bytes of the scratch
+        # product, which its batch no longer needs
+        cross = scratch.reshape(-1).view(float)[:2 * _BLOCK * n * n]
+        cross = cross.reshape(2 * _BLOCK, n, n)
+    # the last lag built, the first block lag summed in ``acc`` and the
+    # block lag transformed in ``cross``, all of which only grow
+    built, summed, inverse = 0, None, None
 
+    def build(lag: int, out: np.ndarray | None = None) -> LagCorrMatrix:
+        nonlocal built, summed, inverse
+        lag = int(lag)
+        if not 1 <= lag <= tau_max:
+            raise ValueError(f"lag {lag} is outside the block path's lags 1..{tau_max}")
+        if lag <= built:
+            raise ValueError(f"lag {lag} asked for after lag {built}: the block path "
+                             "builds lags in increasing order")
+        j = lag // _BLOCK
+        if inverse != j:
+            j0 = j - j % batch
+            if summed != j0:
+                _block_cross(returns, j0, chunk, threads, acc[:last + 1 - j0],
+                             scratch, stores)
+                summed = j0
+            np.fft.irfft(acc[j - j0], 2 * _BLOCK, axis=0, out=cross)
+            inverse = j
+        d = lag - j * _BLOCK
+        values = np.add(cross[d], cross[d].T, out=out)
+        values /= 2.0 * (length - lag)
+        built = lag
+        return LagCorrMatrix(lag=lag, values=values)
 
-def _block_lags(
-    returns: np.ndarray, tau_max: int, chunk: int, threads: int,
-    acc: np.ndarray, scratch: np.ndarray, stores: np.ndarray,
-) -> Iterator[LagCorrMatrix]:
-    """``block_lag_corrs``'s lags, batch by batch, in its working set."""
-    n, length = returns.shape
-    last = tau_max // _BLOCK
-    # a block lag's inverse transform, in the bytes of the scratch product,
-    # which its batch no longer needs
-    cross = scratch.reshape(-1).view(float)[:2 * _BLOCK * n * n]
-    cross = cross.reshape(2 * _BLOCK, n, n)
-    for j0 in range(0, last + 1, len(acc)):
-        sums = acc[:last + 1 - j0]
-        _block_cross(returns, j0, chunk, threads, sums, scratch, stores)
-        for j, z in enumerate(sums, start=j0):
-            np.fft.irfft(z, 2 * _BLOCK, axis=0, out=cross)
-            for lag in range(max(j * _BLOCK, 1), min((j + 1) * _BLOCK, tau_max + 1)):
-                d = lag - j * _BLOCK
-                values = cross[d] + cross[d].T
-                values /= 2.0 * (length - lag)
-                yield LagCorrMatrix(lag=lag, values=values)
+    return build
 
 
 def equal_time_corr(g: ReturnMatrix) -> LagCorrMatrix:

@@ -178,7 +178,8 @@ def sweep(
     and threads per lag, ``_batch`` the lags per batch, and
     ``_solve_rows`` the order of builds and solves.
     On the block path the kernel splits its work over the same W threads,
-    and each worker gets its own lag's matrix from it (``_in_lag_order``).
+    and is asked for g's lags in increasing order: each worker has it
+    build its batch's lags into its own planes as it takes the batch.
     Each lag's arithmetic depends on its thread count only, never on which
     thread builds or solves it.  The error raised is that of the lowest
     failing lag, as in a serial sweep; a failure in g, at any lag, is
@@ -211,14 +212,14 @@ def sweep(
     batch = _batch(g, tau_max, workers, solvers)
     eigenvalues = np.empty((records, tau_max + 1, n))
     iprs = np.empty_like(eigenvalues)
-    block = _in_lag_order(block_lag_corrs(g, tau_max, workers)) if block_path else None
+    kernel = block_lag_corrs(g, tau_max, workers) if block_path else None
 
     def matrices(k: int, out: np.ndarray) -> Iterator[LagCorrMatrix]:
         """Lag k's matrix of each record, in record order, each made into
         ``out``, one N x N plane, when it is asked for, so over the one
-        before, which is solved by then; the block path's matrices of g
-        come from the kernel instead."""
-        first = block(k) if k and block is not None else lag_corr(g, k, out=out)
+        before, which is solved by then; on the block path the kernel
+        makes g's lags from 1 on."""
+        first = kernel(k, out) if k and kernel is not None else lag_corr(g, k, out=out)
         yield first
         if after is not None and rows is None:
             yield lag_corr(after, k, out=out)
@@ -226,7 +227,7 @@ def sweep(
             yield patch_rows(first, after, rows, out=out)
 
     with _blas.threads(blas_threads) if workers > 1 else nullcontext():
-        _solve_rows(matrices, eigenvalues, iprs, workers, solvers, batch)
+        _solve_rows(matrices, block_path, eigenvalues, iprs, workers, solvers, batch)
     sequences = tuple(map(StroboscopicSequence, eigenvalues, iprs))
     return sequences[0] if after is None else sequences
 
@@ -268,38 +269,9 @@ def _batch(g: ReturnMatrix, tau_max: int, workers: int, solvers: int) -> int:
     return max(1, batch)
 
 
-def _in_lag_order(lags: Iterator[LagCorrMatrix]) -> Callable[[int], LagCorrMatrix]:
-    """A function that gives lag k's matrix from ``lags``, which yields
-    the lags in order from the lowest, to whichever thread asks for lag k,
-    in whatever order the threads come.  Each lag may be asked for once.
-    The thread that comes first advances ``lags`` up to its lag under a
-    lock, and keeps the lags it passes for their own threads.  Once
-    ``lags`` raises, at the lowest lag not yet yielded, every lag not yet
-    yielded raises that error: the failing lag's own thread raises it too,
-    whichever thread met it first.  An interrupt counts as such an error."""
-    lock = threading.Lock()
-    kept: dict[int, LagCorrMatrix] = {}
-    failure: BaseException | None = None
-
-    def take(k: int) -> LagCorrMatrix:
-        nonlocal failure
-        with lock:
-            while k not in kept:
-                if failure is not None:
-                    raise failure
-                try:
-                    matrix = next(lags)
-                except BaseException as exc:
-                    failure = exc
-                    raise
-                kept[matrix.lag] = matrix
-            return kept.pop(k)
-
-    return take
-
-
 def _solve_rows(
     matrices: Callable[[int, np.ndarray], Iterator[LagCorrMatrix]],
+    in_order: bool,
     eigenvalues: np.ndarray,
     iprs: np.ndarray,
     workers: int,
@@ -315,12 +287,15 @@ def _solve_rows(
     ``batch`` consecutive lags, or fewer at the last, from a counter under
     a lock, in order, and build each lag into a plane of a stack of their
     own, one record at a time: every lag's matrix of the first record,
-    then of the second, over the first's.  Worker i solves each record's
-    batch with one ``eigendecompose`` call, in workspace i % ``solvers``,
-    holding its lock for the solve; ``with`` releases it also on an
-    interrupt.  At ``batch`` 1 a batch is a lag.  Stacks and workspaces
-    are made once, here on the calling thread, so no worker leaves freed
-    memory in a malloc arena of its own.
+    then of the second, over the first's.  With ``in_order``, as on the
+    block path, where the first record's lags must be made in increasing
+    order, a worker builds them in the critical section that hands it the
+    batch; otherwise after it.  Worker i solves each record's batch with
+    one ``eigendecompose`` call, in workspace i % ``solvers``, holding its
+    lock for the solve; ``with`` releases it also on an interrupt.  At
+    ``batch`` 1 a batch is a lag.  Stacks and workspaces are made once,
+    here on the calling thread, so no worker leaves freed memory in a
+    malloc arena of its own.
 
     A failure, in building or solving, ends that record's work at higher
     lags, and a failure in the first record ends all taking.  A batch
@@ -346,6 +321,17 @@ def _solve_rows(
         for: none from one that failed at lag k or below.  Under the lock."""
         return min([records, *(r for r, lag in failures if lag <= k)])
 
+    def build(k: int, made: list[Iterator[LagCorrMatrix]]) -> tuple[list, tuple | None]:
+        """The next matrix of each of ``made``, lags from k, up to the
+        first that fails to build, and that lag and its error, or None."""
+        built: list[LagCorrMatrix] = []
+        try:
+            for m in made:
+                built.append(next(m))
+        except Exception as exc:  # the lags below it are solved first
+            return built, (k + len(built), exc)
+        return built, None
+
     def solved(r: int, k: int, built: list[LagCorrMatrix],
                ws: Workspace) -> tuple[int, Exception] | None:
         """Solve ``built``, record r's lags from k, into their rows, or
@@ -367,22 +353,20 @@ def _solve_rows(
             eigenvalues[r, lag], iprs[r, lag] = system.eigenvalues, system.iprs
         return None
 
-    def solve(k: int, stack: np.ndarray, held: threading.Lock, ws: Workspace) -> None:
-        """Build and solve the batch of lags from k into their rows of each
-        record's tables, in record order, until one fails or its lags are
-        no longer needed."""
-        made = [matrices(lag, plane) for lag, plane in zip(range(k, lags), stack)]
+    def solve(k: int, made: list[Iterator[LagCorrMatrix]], first: tuple | None,
+              held: threading.Lock, ws: Workspace) -> None:
+        """Build and solve the batch of lags from k, whose matrices
+        ``made`` makes, into their rows of each record's tables, in record
+        order, until one fails or its lags are no longer needed.
+        ``first`` is the first record's ``build``, where the take made it."""
         for r in range(records):
-            with lock:
-                made = [m for lag, m in enumerate(made, k) if r < needed(lag)]
-            if not made:
-                return
-            built, failure = [], None
-            try:
-                for m in made:
-                    built.append(next(m))
-            except Exception as exc:  # the lags below it are solved first
-                failure = k + len(built), exc
+            if r or first is None:
+                with lock:
+                    made = [m for lag, m in enumerate(made, k) if r < needed(lag)]
+                if not made:
+                    return
+                first = build(k, made)
+            built, failure = first
             with held:
                 failure = solved(r, k, built, ws) or failure
             if failure is not None:
@@ -403,7 +387,10 @@ def _solve_rows(
                     if k == lags or not needed(k):
                         return
                     taken = min(k + batch, lags)
-                solve(k, stack, held, ws)
+                    made = [matrices(lag, plane) for lag, plane in zip(range(k, taken), stack)]
+                    # every lag below k is built already, and none above
+                    first = build(k, made) if in_order else None
+                solve(k, made, first, held, ws)
         except BaseException as exc:  # raised in the caller below
             stop(exc)
 

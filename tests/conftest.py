@@ -16,6 +16,8 @@ import pytest
 
 import lagspec.eigensys
 from lagspec import ReturnMatrix, _blas, normalize
+from lagspec.eigensys import _column_iprs
+from lagspec.lagcorr import block_lag_corrs
 from lagspec.strobo import _split
 
 
@@ -38,6 +40,25 @@ def sweep_blas(g: ReturnMatrix, tau_max: int):
     ``np.linalg.eigh``'s bits at the same thread count."""
     _workers, _solvers, blas_threads = _split(g, tau_max)
     return nullcontext() if blas_threads is None else _blas.threads(blas_threads)
+
+
+def block_lags(g: ReturnMatrix, tau_max: int, threads: int = 1):
+    """``block_lag_corrs``'s matrices of lags 1..tau_max, in order, each
+    built into an array of its own when it is asked for."""
+    build = block_lag_corrs(g, tau_max, threads)
+    return (build(k) for k in range(1, tau_max + 1))
+
+
+def eigh_reference(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and IPRs of a symmetric matrix, by
+    ``np.linalg.eigh`` at the current BLAS threads, with each vector's
+    sign fixed as ``eigendecompose`` fixes it, its largest-magnitude
+    component positive, and the IPRs of ``_column_iprs``; for matrices
+    without degenerate clusters."""
+    vals, vecs = np.linalg.eigh(values)
+    lead = np.abs(vecs).argmax(axis=0)
+    vecs *= np.copysign(1.0, vecs[lead, np.arange(len(vals))])
+    return vals, vecs, _column_iprs(vecs)
 
 
 def lag_corr_oracle(returns: np.ndarray, lag: int) -> np.ndarray:

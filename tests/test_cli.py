@@ -30,7 +30,7 @@ from lagspec import (
 )
 from lagspec.cli import main
 
-from conftest import digest_run_dir
+from conftest import digest_run_dir, needs_openblas
 
 
 def run_cli(*argv) -> int:
@@ -226,6 +226,40 @@ class TestAnalyze:
         assert err.count("\n") == 1 and "KeyboardInterrupt" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inj.json"]
+
+    @needs_openblas
+    @pytest.mark.parametrize("where", ["solve", "workspace"])
+    def test_out_of_memory_exits_1_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        """A MemoryError, at lag 5's solve on a sweep worker or from the
+        sweep's workspaces, gives exit 1 and one line on stderr, with
+        numpy's message; no --out, no .partial sibling, and the BLAS
+        thread count of before the run, which the sweep's two workers
+        lower to one each."""
+        message = ("Unable to allocate 128. MiB for an array with shape (1024, 128, 128) "
+                   "and data type float64")  # numpy's
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        if where == "solve":
+            solve = lagspec.strobo.eigendecompose
+            monkeypatch.setattr(
+                lagspec.strobo, "eigendecompose",
+                lambda ds, out=None: (exhausted() if any(d.lag == 5 for d in ds)
+                                      else solve(ds, out=out)),
+            )
+        else:
+            monkeypatch.setattr(lagspec.strobo, "Workspace", exhausted)
+        out = tmp_path / "run"
+        with lagspec._blas.threads(2):
+            assert run_cli("analyze", "--synth", "small", "--tau-max", "12",
+                           "--out", str(out)) == 1
+            assert lagspec._blas.thread_count() == 2
+        err = capsys.readouterr().err
+        assert err == f"MemoryError: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"

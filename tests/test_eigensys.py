@@ -22,7 +22,7 @@ from lagspec import (
 
 from lagspec.eigensys import EigenSystem, Workspace, _column_iprs, _solve, batch_size
 
-from conftest import iid_returns
+from conftest import eigh_reference, iid_returns
 
 
 def symmetric_matrix(n: int, seed: int, lag: int = 1) -> LagCorrMatrix:
@@ -124,18 +124,32 @@ class TestWorkspace:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 7, 13, 64, 512])
     def test_equals_eigh_bit_for_bit(self, n, threads):
+        """The stages give np.linalg.eigh's eigenvalues and, with the sign
+        rule, its eigenvectors, and the IPRs of those, bit for bit."""
         ws = Workspace(n)
         with _blas.threads(threads):
             for seed in (n + 1, n):  # a used workspace gives the same bytes
                 d = symmetric_matrix(n, seed=seed)
                 before = d.values.copy()
                 got = eigendecompose(d, out=ws)
-            want = eigendecompose(symmetric_matrix(n, seed=n))
-            vals, vecs = np.linalg.eigh(before)
+            vals, vecs, iprs = eigh_reference(before)
         assert np.array_equal(d.values, before)
         assert np.shares_memory(got.eigenvectors, ws.z)
         assert np.array_equal(got.eigenvalues, vals)
-        assert np.array_equal(np.abs(got.eigenvectors), np.abs(vecs))
+        assert np.array_equal(got.eigenvectors, vecs)
+        assert np.array_equal(got.iprs, iprs)
+
+    def test_a_call_without_a_workspace_solves_in_the_stages(self, monkeypatch):
+        """``eigendecompose(d)`` solves in a workspace of its own, with
+        dsyevd's stages on D, which it writes and then restores byte for
+        byte, and gives the results of a solve in a workspace given."""
+        d = symmetric_matrix(33, seed=8)
+        before = d.values.copy()
+        want = eigendecompose(d, out=Workspace(33))
+        called = lapack_spies(monkeypatch)
+        got = eigendecompose(d)
+        assert called == ["sytrd", *_blas.STAGES]  # the workspace's size query first
+        assert d.values.tobytes() == before.tobytes()
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
         assert np.array_equal(got.iprs, want.iprs)
@@ -273,8 +287,9 @@ class TestWorkspace:
             assert np.array_equal(stack, before)
             assert np.array_equal(got[0].eigenvalues, ws.w[0])
 
+    @pytest.mark.parametrize("given", [True, False], ids=["out=ws", "out=None"])
     @pytest.mark.parametrize("layout", ["read-only", "fortran", "strided"])
-    def test_values_lapack_cannot_write_go_to_eigh(self, monkeypatch, layout):
+    def test_values_lapack_cannot_write_go_to_eigh(self, monkeypatch, layout, given):
         d = symmetric_matrix(6, seed=5)
         want = eigendecompose(d)
         values = d.values
@@ -286,10 +301,11 @@ class TestWorkspace:
         else:
             values = np.zeros((12, 12))[::2, ::2]
             values[...] = d.values
-        ws = Workspace(6)
+        ws = Workspace(6) if given else None
         called = lapack_spies(monkeypatch)
         got = eigendecompose(LagCorrMatrix(lag=1, values=values), out=ws)
-        assert called == []
+        # no stage; without ``out``, the size query of the call's workspace
+        assert called == ([] if given else ["sytrd"])
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.iprs, want.iprs)
 

@@ -20,7 +20,7 @@ from lagspec import (
 from lagspec import _blas
 from lagspec.lagcorr import block_lag_corrs, uses_block_path
 
-from conftest import iid_returns, lag_corr_oracle, needs_openblas
+from conftest import block_lags, iid_returns, lag_corr_oracle, needs_openblas
 
 
 class TestEqualTime:
@@ -182,7 +182,7 @@ class TestBlockPath:
         g = iid_returns(n, length, seed=n)
         assert uses_block_path(n, length)
         lags = []
-        for d in block_lag_corrs(g, tau_max):
+        for d in block_lags(g, tau_max):
             lags.append(d.lag)
             direct = lag_corr(g, d.lag).values
             assert np.max(np.abs(d.values - direct)) <= 1e-14, d.lag
@@ -195,7 +195,7 @@ class TestBlockPath:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(8192 + 37)
         g = normalize(np.vstack([x[37:], x[:-37], rng.standard_normal((2, 8192))]))
-        peaks = {d.lag: d.values[0, 1] for d in block_lag_corrs(g, 70)}
+        peaks = {d.lag: d.values[0, 1] for d in block_lags(g, 70)}
         assert max(peaks, key=peaks.get) == 37
         assert peaks[37] == pytest.approx(0.5, abs=0.03)
 
@@ -209,11 +209,12 @@ class TestBlockPath:
 
     def test_direct_path_shape_and_lag_limit_rejected(self):
         with pytest.raises(ValueError, match="direct path"):
-            next(block_lag_corrs(iid_returns(8, 256, seed=0), 10))
+            block_lag_corrs(iid_returns(8, 256, seed=0), 10)
         g = iid_returns(16, 8192, seed=0)
         with pytest.raises(LagTooLarge):
-            next(block_lag_corrs(g, 4097))
-        assert list(block_lag_corrs(g, 0)) == []
+            block_lag_corrs(g, 4097)
+        with pytest.raises(ValueError, match="lag 1 is outside the block path's lags 1..0"):
+            block_lag_corrs(g, 0)(1)
 
     @needs_openblas
     @pytest.mark.parametrize(
@@ -226,27 +227,54 @@ class TestBlockPath:
     def test_split_kernel_bit_equal_to_one_thread(self, n, length, tau_max):
         g = iid_returns(n, length, seed=n)
         with _blas.threads(1):
-            want = [d.values for d in block_lag_corrs(g, tau_max)]
+            want = [d.values for d in block_lags(g, tau_max)]
             for threads in (2, 3):
-                got = [d.values for d in block_lag_corrs(g, tau_max, threads)]
+                got = [d.values for d in block_lags(g, tau_max, threads)]
                 assert len(got) == len(want) == tau_max
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), threads
 
+    def test_lags_must_be_asked_for_in_increasing_order(self):
+        """A lag at or below the last one built is refused, naming both,
+        and leaves the builder as it was: the next lags equal a fresh
+        builder's, also after a skip past a batch of block lags."""
+        g = iid_returns(8, 6000, seed=5)
+        build = block_lag_corrs(g, 333)
+        fresh = list(block_lags(g, 333))
+        assert np.array_equal(build(40).values, fresh[39].values)
+        for lag in (40, 39, 1):
+            with pytest.raises(ValueError, match=f"lag {lag} asked for after lag 40"):
+                build(lag)
+        for lag in (0, 334):
+            with pytest.raises(ValueError, match=f"lag {lag} is outside"):
+                build(lag)
+        for lag in (41, 300, 333):
+            assert np.array_equal(build(lag).values, fresh[lag - 1].values), lag
+
+    def test_lags_are_built_into_out(self):
+        """Each lag is written into the array given, with the bytes of a
+        lag built into one of its own."""
+        g = iid_returns(8, 6000, seed=6)
+        build, out = block_lag_corrs(g, 70), np.empty((8, 8))
+        for d in block_lags(g, 70):
+            got = build(d.lag, out)
+            assert got.values is out
+            assert np.array_equal(out, d.values), d.lag
+
     def test_threads_must_be_positive(self):
         with pytest.raises(ValueError, match="threads must be at least 1"):
-            next(block_lag_corrs(iid_returns(8, 6000, seed=0), 10, 0))
+            block_lag_corrs(iid_returns(8, 6000, seed=0), 10, 0)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("tau_max", [100, 1000])
     def test_working_set_within_returns_bytes(self, tau_max, threads):
         """The peak of every thread's allocations together."""
         g = iid_returns(16, 8192, seed=3)
-        for _ in block_lag_corrs(g, 40, threads):  # warm FFT and import caches
+        for _ in block_lags(g, 40, threads):  # warm FFT and import caches
             pass
         gc.collect()
         tracemalloc.start()
         try:
-            for _ in block_lag_corrs(g, tau_max, threads):
+            for _ in block_lags(g, tau_max, threads):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -39,11 +39,12 @@ from lagspec import (
 )
 
 from lagspec import _blas, _threads
-from lagspec.lagcorr import block_lag_corrs, patch_rows, uses_block_path
+from lagspec.lagcorr import patch_rows, uses_block_path
 from lagspec.eigensys import batch_size
 from lagspec.strobo import _batch, _local_maxima, _solve_rows, _split
 
 from conftest import (
+    block_lags,
     dft_power_oracle,
     iid_returns,
     needs_openblas,
@@ -186,7 +187,7 @@ class TestSweep:
     def test_solver_fault_at_a_block_path_lag(self, monkeypatch):
         g = iid_returns(8, 6000, seed=4)
         with sweep_blas(g, 40):
-            faulty_eigh(monkeypatch, block_lag_corrs(g, 40), range(34, 41))
+            faulty_eigh(monkeypatch, block_lags(g, 40), range(34, 41))
         with pytest.raises(ConvergenceFailure, match="at lag 34.*unit norm"):
             sweep(g, 40)
 
@@ -250,7 +251,7 @@ def one_lag_batches(monkeypatch):
 def lagged(g, tau_max):
     """The sweep's matrices of lags 1..tau_max, by either path."""
     if uses_block_path(*g.returns.shape):
-        return block_lag_corrs(g, tau_max)
+        return block_lags(g, tau_max)
     return (lag_corr(g, k) for k in range(1, tau_max + 1))
 
 
@@ -275,7 +276,7 @@ class TestSweepWorkers:
             eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
             matrices = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
             with _blas.threads(1):
-                _solve_rows(matrices, eigenvalues, iprs, workers, solvers, batch)
+                _solve_rows(matrices, False, eigenvalues, iprs, workers, solvers, batch)
             tables.append((eigenvalues, iprs))
         for eigenvalues, iprs in tables[1:]:
             assert np.array_equal(tables[0][0], eigenvalues)
@@ -454,9 +455,11 @@ class TestSweepWorkers:
             with pytest.raises(ConvergenceFailure, match="at lag 5: .* unit norm"):
                 sweep(g, 20)
 
-    def test_failure_in_building_names_its_lag(self, monkeypatch):
+    @pytest.mark.parametrize("in_order", [False, True])
+    def test_failure_in_building_names_its_lag(self, monkeypatch, in_order):
         """A lag whose build raises, as the block kernel can: its error is
-        raised unless a lower lag's solve fails too."""
+        raised unless a lower lag's solve fails too, whether the first
+        record's lags are built as a batch is taken or after."""
         n, length, tau_max = BLOCK
         g = iid_returns(n, length, seed=14)
         made = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
@@ -469,50 +472,68 @@ class TestSweepWorkers:
         eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
         with _blas.threads(1):
             with pytest.raises(CorrelationOutOfRange, match="at lag 8$"):
-                _solve_rows(matrices, eigenvalues, iprs, 2, 2, 4)
+                _solve_rows(matrices, in_order, eigenvalues, iprs, 2, 2, 4)
             faulty_eigh(monkeypatch, lagged(g, tau_max), {7}, slow={7})
             with pytest.raises(ConvergenceFailure, match="at lag 7.*unit norm"):
-                _solve_rows(matrices, eigenvalues, iprs, 2, 2, 4)
+                _solve_rows(matrices, in_order, eigenvalues, iprs, 2, 2, 4)
 
-    @pytest.mark.usefixtures("one_lag_batches")
+    @pytest.mark.parametrize("per_lag", [True, False], ids=["one-lag-batches", "batches"])
     @pytest.mark.parametrize("case", ["out-of-range", "solver-fault"])
-    def test_block_path_failure_met_first_by_the_next_lag(self, monkeypatch, case):
-        """Lag k's take is held back, so the solver holding lag k + 1 runs
-        the kernel past lag k first.  Lag k still reaches its own solver,
-        and the sweep raises lag k's error: neither the kernel's failure
-        nor lag k's matrix goes to the solver of lag k + 1 instead."""
+    def test_block_path_failure_names_its_lag_on_two_workers(
+        self, request, monkeypatch, case, per_lag
+    ):
+        """Two workers share the kernel, which builds each batch's lags in
+        order as a worker takes it: the sweep raises the error of the
+        lowest failing lag, whichever worker holds it."""
+        if per_lag:
+            request.getfixturevalue("one_lag_batches")
         if case == "out-of-range":
             # series 0 moves only at t = 0, 2000 and 4000
             raw = np.zeros((2, 5000))
             raw[0, [0, 2000, 4000]] = 1.0
             raw[1] = np.random.default_rng(0).standard_normal(5000)
-            g, tau_max, k = normalize(raw), 2100, 2000
+            g, tau_max = normalize(raw), 2100
             error, match = CorrelationOutOfRange, "at lag 2000$"
         else:
-            g, tau_max, k = iid_returns(8, 6000, seed=4), 40, 34
+            g, tau_max = iid_returns(8, 6000, seed=4), 40
             error, match = ConvergenceFailure, "at lag 34.*unit norm"
             with _blas.threads(1):
-                faulty_eigh(monkeypatch, block_lag_corrs(g, tau_max), range(34, 41))
-        in_lag_order = lagspec.strobo._in_lag_order
-        asked = []
-
-        def held_back(lags):
-            take = in_lag_order(lags)
-
-            def slow_take(lag):
-                if lag == k:
-                    time.sleep(0.3)
-                asked.append(lag)
-                return take(lag)
-
-            return slow_take
-
-        monkeypatch.setattr(lagspec.strobo, "_in_lag_order", held_back)
+                faulty_eigh(monkeypatch, block_lags(g, tau_max), range(34, 41))
         with _blas.threads(2):
             assert _split(g, tau_max) == (2, 2, 1)
             with pytest.raises(error, match=match):
                 sweep(g, tau_max)
-        assert asked.index(k + 1) < asked.index(k)
+
+    @pytest.mark.parametrize("shape", [DIRECT, POOLED, BLOCK], ids=["direct", "pooled", "block"])
+    @pytest.mark.parametrize("per_lag", [True, False], ids=["one-lag-batches", "batches"])
+    def test_batches_reach_the_solve_as_views_of_the_workers_stack(
+        self, request, monkeypatch, shape, per_lag
+    ):
+        """Every lag of every sweep batch is built into a plane of its
+        worker's stack, so the batch reaches ``_solve`` as a view of it,
+        never a copy, with or without an injected record."""
+        if per_lag:
+            request.getfixturevalue("one_lag_batches")
+        stacked, seen = lagspec.eigensys._stacked, []
+
+        def viewed(values):
+            stack = stacked(values)
+            seen.append(all(v.base is not None and v.base.shape == (batch, n, n)
+                            and np.shares_memory(stack, v) for v in values))
+            return stack
+
+        monkeypatch.setattr(lagspec.eigensys, "_stacked", viewed)
+        n, length, tau_max = shape
+        g = iid_returns(n, length, seed=19)
+        with _blas.threads(2):
+            workers, solvers, _ = _split(g, tau_max)
+            batch = _batch(g, tau_max, workers, solvers)
+            sweep(g, tau_max)
+            # one series changed, so after's lags are patched from g's,
+            # and all of them
+            for rows in [0], range(n):
+                sweep(g, tau_max, after=replaced(g, list(rows), seed=3))
+        assert len(seen) >= 3 and all(seen)
 
     def test_direct_path_build_failure_names_its_lag(self, monkeypatch):
         def failing(g, lag, out=None):
@@ -1394,7 +1415,7 @@ def serial_matrices(g, tau_max, after=None):
         (g.returns != after.returns).any(axis=1))
     for r, record in enumerate(records):
         if uses_block_path(n, length):
-            lags = chain([lag_corr(record, 0)], block_lag_corrs(record, tau_max))
+            lags = chain([lag_corr(record, 0)], block_lags(record, tau_max))
         elif r and 2 * len(changed) < n:
             lags = (patch_rows(lag_corr(g, k), record, changed) for k in range(tau_max + 1))
         else:

@@ -26,6 +26,8 @@ from lagspec.eigensys import _BLOCK_FLOATS, Workspace, batch_size
 from lagspec.experiment import _BACKGROUND_PHI, _BACKGROUND_SIGMA
 from lagspec.lagcorr import uses_block_path
 
+from conftest import eigh_reference
+
 # the benchmark's `wide` shape: 512 series, 4096 returns
 WIDE = SynthConfig(n_series=512, length=4097, n_drivers=8, driver_periods=(3, 6), seed=1)
 
@@ -210,10 +212,10 @@ def test_solve_into_a_workspace_allocates_no_n_by_n_array():
     assert peak < n * n  # the bytes of an N x N boolean array
     assert np.shares_memory(system.eigenvectors, ws.z)
     assert np.array_equal(d.values, before)
-    fresh = eigendecompose(d)
-    assert np.array_equal(system.eigenvalues, fresh.eigenvalues)
-    assert np.array_equal(system.eigenvectors, fresh.eigenvectors)
-    assert np.array_equal(system.iprs, fresh.iprs)
+    vals, vecs, iprs = eigh_reference(before)
+    assert np.array_equal(system.eigenvalues, vals)
+    assert np.array_equal(system.eigenvectors, vecs)
+    assert np.array_equal(system.iprs, iprs)
 
 
 @pytest.mark.parametrize("n", [64, 512])
