@@ -70,21 +70,18 @@ class EigenSystem:
 
 def _system_fault(vals: np.ndarray, vecs: np.ndarray,
                   block: np.ndarray) -> tuple[int, str] | None:
-    """EigenSystem's checks over a stack of b systems, eigenvalues (b, N)
-    and eigenvectors (b, N, N) as columns: the first of them that any
-    system fails, as (the first system failing it, its message), or None.
-    The upper triangles of the products VᵀV are made a block of rows at a
-    time, less their diagonals, in ``block``, flat, which holds b blocks
-    of ``_rows(N, b)`` rows: no N x N temporary at b = 1, and half the
-    flops of the full products."""
+    """EigenSystem's checks, sort, unit norm and orthogonality, each over a
+    stack of b >= 1 systems, eigenvalues (b, N) and eigenvectors (b, N, N)
+    as columns: the lowest failing system and its first failed check, as
+    (that system, the check's message), or None.  The upper triangles of
+    the products VᵀV are made a block of rows at a time, less their
+    diagonals, in ``block``, flat, which holds b blocks of ``_rows(N, b)``
+    rows: no N x N temporary at b = 1, and half the flops of the full
+    products."""
     b, n = vals.shape
     unsorted = (vals[:, 1:] < vals[:, :-1]).any(axis=1)
-    if unsorted.any():
-        return int(unsorted.argmax()), "eigenvalues must be sorted ascending"
     norms = np.einsum("bij,bij->bj", vecs, vecs)
     unnormed = np.abs(norms - 1.0, out=norms).max(axis=1) > 2 * _NORM_TOL
-    if unnormed.any():
-        return int(unnormed.argmax()), "eigenvectors must be unit norm"
     rows = _rows(n, b)
     skewed = np.zeros(b, dtype=bool)
     for r in range(0, n, rows):
@@ -94,9 +91,12 @@ def _system_fault(vals: np.ndarray, vecs: np.ndarray,
                          out=block[:b * c * (n - r)].reshape(b, c, n - r))
         gram.reshape(b, -1)[:, ::n - r + 1] = 0.0  # the diagonals
         skewed |= np.abs(gram, out=gram).max(axis=(1, 2)) > _ORTHO_TOL
-    if skewed.any():
-        return int(skewed.argmax()), "eigenvectors must be pairwise orthogonal"
-    return None
+    faults = [(int(failed.argmax()), message) for failed, message in (
+        (unsorted, "eigenvalues must be sorted ascending"),
+        (unnormed, "eigenvectors must be unit norm"),
+        (skewed, "eigenvectors must be pairwise orthogonal")) if failed.any()]
+    # the lowest system, and of the checks that it fails the first
+    return min(faults, key=lambda fault: fault[0], default=None)
 
 
 @dataclass(frozen=True)
@@ -273,14 +273,17 @@ def _stacked(values: list[np.ndarray]) -> np.ndarray:
     return np.stack(values)
 
 
-def _solve(stack: np.ndarray, lags: list[int], ws: Workspace) -> None:
-    """Solve each matrix of ``stack`` into its plane of ``ws``.  dsyevd's
-    stages (``_eigh``) solve in the matrix itself where LAPACK is found,
-    the stack is a writable C-ordered float array, and dsyevd would not
-    scale that matrix first; ``_eigh``'s fallback solves the others, which
-    are not written.  The scaling test, the saving of the diagonals and the
-    restore of what the stages overwrite run once over the stack, the
-    restore also when a solve fails, so that every matrix holds its bytes
+def _solve(stack: np.ndarray, lags: list[int],
+           ws: Workspace) -> tuple[int, ConvergenceFailure | None]:
+    """Solve the matrices of ``stack`` in order, each into its plane of
+    ``ws``, up to the first whose solver fails: how many were solved, and
+    that failure at its lag, caused by the solver's LinAlgError, or None.
+    dsyevd's stages (``_eigh``) solve in the matrix itself where LAPACK is
+    found, the stack is a writable C-ordered float array, and dsyevd would
+    not scale that matrix first; ``_eigh``'s fallback solves the others,
+    which are not written.  The scaling test, the saving of the diagonals
+    and the restore of what the stages overwrite run once over the stack,
+    the restore also after a failure, so every matrix holds its bytes
     again on return."""
     b, n = stack.shape[:2]
     staged = np.zeros(b, dtype=bool)
@@ -299,11 +302,14 @@ def _solve(stack: np.ndarray, lags: list[int], ws: Workspace) -> None:
             if vecs.base is not ws.work:  # eigh's: into the plane
                 ws.w[i], ws.z[i] = vals, vecs.T
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed at lag {lags[i]}: {exc}") from exc
+        failure = ConvergenceFailure(f"eigensolver failed at lag {lags[i]}: {exc}")
+        failure.__cause__ = exc
+        return i, failure
     finally:
         if staged.any():
             _restore(stack, ws.block, ws.upper)
             diagonals[...] = ws.diag[:b]
+    return b, None
 
 
 @overload
@@ -344,9 +350,10 @@ def eigendecompose(d, out=None):
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
     norm, the eigenvalues miss the trace, or the result fails EigenSystem's
     sort, unit-norm or orthogonality checks, which are not run again on
-    the systems returned.  Of a batch, the lag named is the first to fail
-    the first of those that any fails; solving the matrices one at a time
-    finds the first failing one.
+    the systems returned.  Of a batch, the error is the one that solving
+    its matrices one at a time, in order, meets first: that of the lowest
+    failing matrix, at the first of those checks that it fails.  A matrix
+    is solved once, also where a later one fails.
     """
     ds = [d] if isinstance(d, LagCorrMatrix) else list(d)
     if not ds:
@@ -356,14 +363,19 @@ def eigendecompose(d, out=None):
 
 
 def _decompose(ds: list[LagCorrMatrix], ws: Workspace) -> list[EigenSystem]:
-    """``eigendecompose`` of the matrices ``ds`` in ``ws``."""
+    """``eigendecompose`` of the matrices ``ds`` in ``ws``.  The matrices
+    solved before a solver failure (``_solve``) take every check, each a
+    mask over them; the solver's failure is raised where none fails one."""
     b, n = len(ds), ds[0].n
     lags = [m.lag for m in ds]
     if b > len(ws.z) or (n, n) != ws.z.shape[1:]:
         raise ValueError(f"a workspace for {len(ws.z)} x {ws.z.shape[1:]} cannot solve "
                          f"{b} x {ds[0].values.shape}")
     stack = _stacked([m.values for m in ds])
-    _solve(stack, lags, ws)
+    b, failure = _solve(stack, lags, ws)
+    if not b:  # nothing solved to check
+        raise failure
+    stack = stack[:b]
     vals, vecs = ws.w[:b], ws.z[:b].transpose(0, 2, 1)
     square, block = ws.scratch[:b], ws.block
 
@@ -384,27 +396,28 @@ def _decompose(ds: list[LagCorrMatrix], ws: Workspace) -> list[EigenSystem]:
     worst = np.sqrt(np.einsum("bij,bij->bi", residual, residual).max(axis=1))
     # np.linalg.norm of each matrix, bit for bit
     frob = np.array([math.sqrt(f.dot(f)) for f in (m.ravel(order="K") for m in stack)])
-    failed = ~(worst <= _RESIDUAL_FACTOR * frob)  # NaN fails too
-    if failed.any():
-        i = int(failed.argmax())
+    strayed = ~(worst <= _RESIDUAL_FACTOR * frob)  # NaN fails too
+    missed = np.abs(vals.sum(axis=1) - stack.trace(axis1=1, axis2=2)) > 1e-8 * n
+    fault = _system_fault(vals, vecs, square.reshape(-1))
+    if failure is not None or fault is not None or strayed.any() or missed.any():
+        # the lowest failing matrix, at the first check that it fails, of
+        # residual, trace and EigenSystem's; a solver's failure, at b, is
+        # met after every matrix solved
+        i = min([b, *np.flatnonzero(strayed | missed)[:1].tolist()])
+        if fault is not None and fault[0] < i:
+            raise ConvergenceFailure(f"bad eigen system at lag {lags[fault[0]]}: {fault[1]}")
+        if i == b:
+            raise failure
         raise ConvergenceFailure(
             f"eigen residual {worst[i]:.3e} exceeds {_RESIDUAL_FACTOR:.0e} * ||D||_F "
-            f"at lag {lags[i]}"
-        )
-    failed = np.abs(vals.sum(axis=1) - stack.trace(axis1=1, axis2=2)) > 1e-8 * n
-    if failed.any():
-        raise ConvergenceFailure(
-            f"eigenvalue sum deviates from trace at lag {lags[int(failed.argmax())]}"
+            f"at lag {lags[i]}" if strayed[i] else
+            f"eigenvalue sum deviates from trace at lag {lags[i]}"
         )
 
     iprs = _column_iprs(vecs, out=square)
     gaps = _CLUSTER_GAP * frob
     for i in np.flatnonzero((vals[:, 1:] - vals[:, :-1] <= gaps[:, None]).any(axis=1)):
         _cluster_iprs(vals[i], vecs[i], iprs[i], gaps[i])
-    fault = _system_fault(vals, vecs, square.reshape(-1))
-    if fault is not None:
-        i, message = fault
-        raise ConvergenceFailure(f"bad eigen system at lag {lags[i]}: {message}")
     return [EigenSystem._checked(*system) for system in zip(vals, vecs, iprs)]
 
 
@@ -420,11 +433,10 @@ def _column_iprs(vecs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _cluster_iprs(vals: np.ndarray, vecs: np.ndarray, iprs: np.ndarray,
                   gap: float) -> None:
     """Overwrite, in ``iprs``, each member of a run of ascending eigenvalues
-    with consecutive gaps at most ``gap`` by the IPR of the run's span.
-    ``P_ii = sum_{k in run} U_ik**2`` depends on the span only."""
+    with consecutive gaps at most ``gap``, of which ``vals`` has one at
+    least, by the IPR of the run's span.  ``P_ii = sum_{k in run} U_ik**2``
+    depends on the span only."""
     close = (vals[1:] - vals[:-1] <= gap).nonzero()[0]
-    if not close.size:
-        return
     # a run of close gaps i..j joins positions i..j+1
     breaks = close[1:] - close[:-1] > 1
     starts = close[np.concatenate(([True], breaks))]

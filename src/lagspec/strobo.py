@@ -181,9 +181,10 @@ def sweep(
     and is asked for g's lags in increasing order: each worker has it
     build its batch's lags into its own planes as it takes the batch.
     Each lag's arithmetic depends on its thread count only, never on which
-    thread builds or solves it.  The error raised is that of the lowest
-    failing lag, as in a serial sweep; a failure in g, at any lag, is
-    raised ahead of one in after, as if g were swept first.
+    thread builds or solves it.  The error raised is a serial sweep's: the
+    lowest failing lag's, at the first check that it fails, with each lag
+    solved once; a failure in g, at any lag, is raised ahead of one in
+    after, as if g were swept first.
     """
     tau_max = int(tau_max)
     if tau_max < 0:
@@ -297,81 +298,67 @@ def _solve_rows(
     here on the calling thread, so no worker leaves freed memory in a
     malloc arena of its own.
 
-    A failure, in building or solving, ends that record's work at higher
-    lags, and a failure in the first record ends all taking.  A batch
-    whose solve fails is solved again one lag at a time, so that its
-    lowest failing lag is found.  Once the lags in flight are done, the
-    failure of the lowest record, at its lowest lag, is raised.  Every lag
-    below it was solved for that record and those before it, so that is
-    the failure that sweeping the records one after the other in serial
-    loops meets first.  An interrupt (any BaseException) on any worker, or
-    on the calling thread while it waits for the others, ends all taking,
+    A batch's failure is that of its solve, the one ``eigendecompose``
+    gives as a serial loop would, or else that of its build, above every
+    lag solved.  It is filed at the batch's first lag and ends that
+    record's work from there, and in the first record all taking.  Once
+    the lags in flight are done, the failure of the lowest record, at its
+    lowest batch, is raised.  Batches do not overlap, and every lag below
+    it was solved for that record and those before it, so that is the
+    failure that sweeping the records one after the other in serial loops
+    meets first.  An interrupt (any BaseException) on any worker, or on
+    the calling thread while it waits for the others, ends all taking,
     and is raised instead.
     """
     records, lags, n = eigenvalues.shape
     lock = threading.Lock()
-    # (record, lag): its failure; an interrupt is filed at (0, -1), below
-    # every lag, so that it ends all taking and is the one raised
+    # (record, a batch's first lag): its failure; an interrupt is filed at
+    # (0, -1), below every lag, so that it ends all taking and is raised
     failures: dict[tuple[int, int], BaseException] = {}
     taken = 0
     spaces = [(threading.Lock(), Workspace(n, batch)) for _ in range(solvers)]
 
     def needed(k: int) -> int:
-        """How many records, from the first, lag k is still to be solved
-        for: none from one that failed at lag k or below.  Under the lock."""
+        """How many records, from the first, the batch of lags from k is
+        still to be solved for: none from one that failed at or below it.
+        Under the lock."""
         return min([records, *(r for r, lag in failures if lag <= k)])
 
-    def build(k: int, made: list[Iterator[LagCorrMatrix]]) -> tuple[list, tuple | None]:
-        """The next matrix of each of ``made``, lags from k, up to the
-        first that fails to build, and that lag and its error, or None."""
+    def build(made: list[Iterator[LagCorrMatrix]]) -> tuple[list, Exception | None]:
+        """The next matrix of each of ``made``, up to the first that fails
+        to build, and its error, or None."""
         built: list[LagCorrMatrix] = []
         try:
             for m in made:
                 built.append(next(m))
         except Exception as exc:  # the lags below it are solved first
-            return built, (k + len(built), exc)
+            return built, exc
         return built, None
-
-    def solved(r: int, k: int, built: list[LagCorrMatrix],
-               ws: Workspace) -> tuple[int, Exception] | None:
-        """Solve ``built``, record r's lags from k, into their rows, or
-        give the lowest failing lag and its error.  Under the solver's
-        lock."""
-        try:
-            systems = eigendecompose(built, out=ws)
-        except Exception:  # solved again below
-            systems = None
-        if systems is not None:
-            for lag, system in enumerate(systems, k):
-                eigenvalues[r, lag], iprs[r, lag] = system.eigenvalues, system.iprs
-            return None
-        for lag, matrix in enumerate(built, k):
-            try:
-                [system] = eigendecompose([matrix], out=ws)
-            except Exception as exc:  # raised in the caller below
-                return lag, exc
-            eigenvalues[r, lag], iprs[r, lag] = system.eigenvalues, system.iprs
-        return None
 
     def solve(k: int, made: list[Iterator[LagCorrMatrix]], first: tuple | None,
               held: threading.Lock, ws: Workspace) -> None:
         """Build and solve the batch of lags from k, whose matrices
         ``made`` makes, into their rows of each record's tables, in record
-        order, until one fails or its lags are no longer needed.
-        ``first`` is the first record's ``build``, where the take made it."""
+        order, until one fails or the batch is no longer needed.  A
+        failure, of the batch's solve or else of its build, is filed at
+        lag k.  ``first`` is the first record's ``build``, where the take
+        made it."""
         for r in range(records):
             if r or first is None:
                 with lock:
-                    made = [m for lag, m in enumerate(made, k) if r < needed(lag)]
-                if not made:
-                    return
-                first = build(k, made)
-            built, failure = first
+                    if needed(k) <= r:
+                        return
+                first = build(made)
+            built, error = first
             with held:
-                failure = solved(r, k, built, ws) or failure
-            if failure is not None:
+                try:
+                    for lag, system in enumerate(eigendecompose(built, out=ws), k):
+                        eigenvalues[r, lag], iprs[r, lag] = system.eigenvalues, system.iprs
+                except Exception as exc:  # raised in the caller below
+                    error = exc
+            if error is not None:
                 with lock:
-                    failures[r, failure[0]] = failure[1]
+                    failures[r, k] = error
                 return
 
     def stop(exc: BaseException) -> None:
@@ -389,7 +376,7 @@ def _solve_rows(
                     taken = min(k + batch, lags)
                     made = [matrices(lag, plane) for lag, plane in zip(range(k, taken), stack)]
                     # every lag below k is built already, and none above
-                    first = build(k, made) if in_order else None
+                    first = build(made) if in_order else None
                 solve(k, made, first, held, ws)
         except BaseException as exc:  # raised in the caller below
             stop(exc)

@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import lagspec
 import lagspec.cli
+import lagspec.experiment
 import lagspec.lagcorr
 import lagspec.strobo
 from lagspec import (
@@ -29,6 +31,7 @@ from lagspec import (
     write_matrix_csv,
 )
 from lagspec.cli import main
+from lagspec.lagcorr import uses_block_path
 
 from conftest import digest_run_dir, needs_openblas
 
@@ -311,6 +314,17 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "ConfigInvalid: --watch names position 4 twice" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inj.json"]
+
+    @pytest.mark.parametrize("raw, message", [
+        ("a,b", "--watch must be a comma-separated list of ints: 'a,b'"),
+        (",", "--watch must name at least one position"),
+    ], ids=["a,b", ","])
+    def test_unparsable_watch_exits_2_and_writes_nothing(self, tmp_path, capsys, raw, message):
+        out = tmp_path / "run"
+        assert run_cli("analyze", "--synth", "small", "--tau-max", "10", "--watch", raw,
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"ConfigInvalid: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_more_series_than_returns_exits_1_before_the_sweep(
         self, tmp_path, capsys, monkeypatch
@@ -774,6 +788,101 @@ def test_main_gives_an_exit_code_on_fuzzed_argv(command, base, items):
             assert after == sorted({*before, out.name})
         else:
             assert after == before, (argv, err.getvalue())
+
+
+# where a run allocates, by name: the functions to patch, each where the
+# pipeline looks it up; "block builder" wraps the builders that
+# ``block_lag_corrs`` makes
+OOM_SEAMS = {
+    "load_counts": ((lagspec.cli, "load_counts"),),
+    "returns_from_counts": ((lagspec.cli, "returns_from_counts"),
+                            (lagspec.experiment, "returns_from_counts")),
+    "Workspace": ((lagspec.strobo, "Workspace"),),
+    "lag_corr": ((lagspec.strobo, "lag_corr"),),
+    "patch_rows": ((lagspec.strobo, "patch_rows"),),
+    "block builder": ((lagspec.strobo, "block_lag_corrs"),),
+    "eigendecompose": ((lagspec.strobo, "eigendecompose"),),
+    "write_matrix_csv": ((lagspec.cli, "write_matrix_csv"),),
+    "write_trajectory_csv": ((lagspec.cli, "write_trajectory_csv"),),
+    "write_spectrum_csv": ((lagspec.cli, "write_spectrum_csv"),),
+}
+OOM_MESSAGE = ("Unable to allocate 1.00 MiB for an array with shape (1, 362, 362) "
+               "and data type float64")  # numpy's
+
+
+def exhaust(monkeypatch, seam, k):
+    """Patch the functions of ``OOM_SEAMS[seam]`` to count their calls,
+    together, and to raise numpy's MemoryError at call k (never where k is
+    None).  Gives the counter: the sweep's workers call some seams, and
+    ``next`` on it is atomic."""
+    calls = itertools.count(1)
+
+    def counted(function):
+        def call(*args, **kwargs):
+            if next(calls) == k:
+                raise MemoryError(OOM_MESSAGE)
+            return function(*args, **kwargs)
+        return call
+
+    for module, name in OOM_SEAMS[seam]:
+        function = getattr(module, name)
+        if seam == "block builder":
+            monkeypatch.setattr(module, name, lambda *a, f=function, **kw: counted(f(*a, **kw)))
+        else:
+            monkeypatch.setattr(module, name, counted(function))
+    return calls
+
+
+def quiet_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        return main(argv), err.getvalue()
+
+
+@needs_openblas
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(["analyze", "experiment"]),
+       path=st.sampled_from(["direct", "block"]),
+       source=st.sampled_from(["--input", "--synth"]), data=st.data())
+def test_out_of_memory_at_any_seam_exits_1_and_keeps_the_earlier_run(command, path, source,
+                                                                      data):
+    """A MemoryError at the k-th call of any seam through which a run
+    allocates, on either sweep path, on the calling thread or a sweep
+    worker's, gives exit 1 and one stderr line with numpy's message.  The
+    earlier run in ``--out`` keeps its bytes, no ``.partial`` sibling is
+    left, and the BLAS thread count is that of before the run.  A first,
+    unpatched run makes the earlier run and counts each seam's calls.  A
+    CSV input is read by ``load_counts``; the synthetic one, whose
+    injected record differs from it in one series, has after's lags made
+    by ``patch_rows`` on the direct path."""
+    n, rows = (8, 200) if path == "direct" else (4, 3600)
+    assert uses_block_path(n, rows - 1) == (path == "block")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        if source == "--input":
+            rng = np.random.default_rng(rows)
+            write_counts_csv(tmp / "counts", CountMatrix(
+                tuple(f"s{i:03d}" for i in range(n)), 300.0,
+                1e3 * np.exp(np.cumsum(0.05 * rng.standard_normal((n, rows)), axis=1))))
+        else:
+            (tmp / "counts").write_text(json.dumps({"n_series": n, "length": rows}))
+        (tmp / "spec.json").write_text(json.dumps({"kind": "noise", "target_ids": ["s001"]}))
+        inject = ["--inject", str(tmp / "spec.json")] if command == "experiment" else []
+        argv = [command, source, str(tmp / "counts"), "--tau-max", "10", *inject,
+                "--out", str(tmp / "run")]
+        with lagspec._blas.threads(2):
+            counters = {seam: exhaust(mp, seam, None) for seam in OOM_SEAMS}
+            assert quiet_main(argv) == (0, "")
+            calls = {seam: next(counter) - 1 for seam, counter in counters.items()}
+            mp.undo()
+            seam = data.draw(st.sampled_from([s for s in OOM_SEAMS if calls[s]]), label="seam")
+            exhaust(mp, seam, data.draw(st.integers(1, calls[seam]), label="k"))
+            earlier = {p.name: p.read_bytes() for p in (tmp / "run").iterdir()}
+            names = sorted(os.listdir(tmp))
+            assert quiet_main(argv) == (1, f"MemoryError: {OOM_MESSAGE}\n")
+            assert lagspec._blas.thread_count() == 2
+        assert {p.name: p.read_bytes() for p in (tmp / "run").iterdir()} == earlier
+        assert sorted(os.listdir(tmp)) == names
 
 
 class TestRunDirectory:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -113,6 +114,46 @@ def lapack_spies(monkeypatch, failing=None, ws=None, after=0):
     spies = tuple(map(spy, _blas.STAGES, _blas.lapack()))
     monkeypatch.setattr(_blas, "lapack", lambda: spies)
     return called
+
+
+# ways to spoil one solve, each failing one check first: the residual
+# (which shifting the eigenvalues fails before the trace), the trace, the
+# sort, unit norm, orthogonality, or the solver itself
+TAMPERINGS = ("residual", "trace", "sort", "norm", "ortho", "solver")
+
+
+def tampered_eigh(monkeypatch, tamper):
+    """Patch ``eigensys._eigh``, the solve of each matrix, to spoil the
+    solve of each matrix whose bytes ``tamper`` maps to one of
+    ``TAMPERINGS``: eigenpair 0 copied into slot 1 fails the trace check,
+    eigenpairs 0 and 1 swapped the sort, and the last vector turned towards
+    the one before, where the two share an eigenvalue, orthogonality; the
+    solver's failure is raised before it runs.  Gives a Counter of the
+    solves of each matrix, by its bytes."""
+    eigh, solves = lagspec.eigensys._eigh, Counter()
+
+    def tampered(d, ws, i=0):
+        key = d.tobytes()  # before the stages overwrite d
+        solves[key] += 1
+        kind = tamper.get(key)
+        if kind == "solver":
+            raise np.linalg.LinAlgError("LAPACK dstedc gave info 3")
+        vals, vecs = eigh(d, ws, i)
+        if kind == "residual":
+            vals += 1.0
+        elif kind == "trace":
+            vals[1], vecs[:, 1] = vals[0], vecs[:, 0]
+        elif kind == "sort":
+            vals[[0, 1]], vecs[:, [0, 1]] = vals[[1, 0]], vecs[:, [1, 0]]
+        elif kind == "norm":
+            vecs *= 2.0
+        elif kind == "ortho":
+            vecs[:, -1] += 1e-3 * vecs[:, -2]
+            vecs[:, -1] /= np.linalg.norm(vecs[:, -1])
+        return vals, vecs
+
+    monkeypatch.setattr(lagspec.eigensys, "_eigh", tampered)
+    return solves
 
 
 @needs_lapack
@@ -233,6 +274,50 @@ class TestWorkspace:
             eigendecompose(batch, out=Workspace(7, 3))
         assert np.array_equal(stack, before)
 
+    @pytest.mark.parametrize("later", ["residual", "solver"])
+    def test_a_batch_raises_the_error_of_its_lowest_failing_lag(self, monkeypatch, later):
+        """In a batch of lags 4..7, lag 5 fails the unit-norm check and lag
+        6 the residual check, which runs first, or its solver: the batch
+        raises lag 5's error, as solving its matrices one at a time would,
+        and solves each matrix once at most."""
+        stack = np.stack([symmetric_matrix(8, seed=s).values for s in range(4)])
+        batch = [LagCorrMatrix(lag=k, values=v) for k, v in zip(range(4, 8), stack)]
+        tamper = {stack[1].tobytes(): "norm", stack[2].tobytes(): later}
+        solves = tampered_eigh(monkeypatch, tamper)
+        with pytest.raises(ConvergenceFailure,
+                           match="^bad eigen system at lag 5: eigenvectors must be unit norm$"):
+            eigendecompose(batch, out=Workspace(8, 4))
+        assert max(solves.values()) == 1
+        assert len(solves) == (3 if later == "solver" else 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds=st.lists(st.sampled_from([None, *TAMPERINGS]), min_size=1, max_size=4))
+    def test_a_batch_fails_as_a_serial_loop_would(self, kinds):
+        """Each matrix of a batch fails one check, or its solver, or none:
+        the batch raises the error that solving its matrices one at a time,
+        in order, meets first, or gives the systems of that loop."""
+        # positions 5 and 6 share an eigenvalue
+        stack = np.stack([planted_cluster(7, 2, 5, s)[0].values for s in range(len(kinds))])
+        batch = [LagCorrMatrix(lag=k, values=v) for k, v in enumerate(stack, 3)]
+        tamper = {v.tobytes(): kind for v, kind in zip(stack, kinds) if kind}
+        with pytest.MonkeyPatch.context() as mp:
+            tampered_eigh(mp, tamper)
+            try:
+                want = [eigendecompose(d) for d in batch]
+            except ConvergenceFailure as exc:
+                want = exc
+            try:
+                got = eigendecompose(batch, out=Workspace(7, 4))
+            except ConvergenceFailure as exc:
+                assert isinstance(want, ConvergenceFailure), exc
+                assert str(exc) == str(want)
+                assert isinstance(exc.__cause__, np.linalg.LinAlgError) == (
+                    "eigensolver failed" in str(want))
+                return
+        assert not isinstance(want, ConvergenceFailure), want
+        for system, single in zip(got, want, strict=True):
+            assert np.array_equal(system.iprs, single.iprs)
+
     @pytest.mark.parametrize("failing", ["sytrd", "stedc", "ormtr"])
     def test_lapack_failure_names_the_lag_and_restores_d(self, monkeypatch, failing):
         """A nonzero INFO from any stage is a ConvergenceFailure at d's lag,
@@ -312,6 +397,40 @@ class TestWorkspace:
     def test_workspace_of_another_size(self):
         with pytest.raises(ValueError, match="workspace for"):
             eigendecompose(symmetric_matrix(6, seed=5), out=Workspace(5))
+
+
+class TestChecks:
+    """Each of ``eigendecompose``'s checks refuses a spoiled solve, and an
+    EigenSystem built directly runs EigenSystem's."""
+
+    @pytest.mark.parametrize("kind, message", [
+        ("trace", "eigenvalue sum deviates from trace at lag 1"),
+        ("sort", "bad eigen system at lag 1: eigenvalues must be sorted ascending"),
+        ("ortho", "bad eigen system at lag 1: eigenvectors must be pairwise orthogonal"),
+    ], ids=["trace", "sort", "ortho"])
+    def test_a_spoiled_solve_fails_its_check(self, monkeypatch, kind, message):
+        d, _ = planted_cluster(7, 2, 5, seed=3)  # positions 5 and 6 share an eigenvalue
+        tampered_eigh(monkeypatch, {d.values.tobytes(): kind})
+        with pytest.raises(ConvergenceFailure, match=f"^{message}$"):
+            eigendecompose(d)
+
+    def test_an_eigen_system_built_directly_is_checked(self):
+        es = eigendecompose(planted_cluster(5, 2, 3, seed=4)[0])
+        vals, vecs, iprs = es.eigenvalues.copy(), es.eigenvectors.copy(), es.iprs
+        EigenSystem(vals, vecs, iprs)
+        turned = vecs.copy()
+        turned[:, 4] += 1e-3 * turned[:, 3]
+        turned[:, 4] /= np.linalg.norm(turned[:, 4])
+        for args, match in [
+            ((vals, vecs[:, :4], iprs), "disagree in shape"),
+            ((vals, vecs, iprs[:4]), "disagree in shape"),
+            ((np.empty(0), np.empty((0, 0)), np.empty(0)), "at least one eigenvalue"),
+            ((vals[::-1], vecs, iprs), "sorted ascending"),
+            ((vals, 2.0 * vecs, iprs), "unit norm"),
+            ((vals, turned, iprs), "pairwise orthogonal"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                EigenSystem(*args)
 
 
 def planted_cluster(n: int, m: int, lo: int, seed: int, rotation=None) -> tuple:

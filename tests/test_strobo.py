@@ -416,8 +416,8 @@ class TestSweepWorkers:
     def test_lowest_failing_lag_across_batches(self, monkeypatch):
         """Batches of 4 lags at N = 64 on two workers: lag 5, in the second
         batch, is slow, so the third batch's fault at lag 9 is met first.
-        The second batch fails and is solved again one lag at a time, which
-        finds lag 6, and lag 6's error is raised."""
+        The second batch fails at lag 6, its lowest failing lag, and lag
+        6's error is raised."""
         g = iid_returns(64, 2048, seed=14)
         assert batch_size(64) == 4
         with _blas.threads(2):
@@ -430,9 +430,8 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("later", ["residual", "solver"])
     def test_the_lowest_lag_of_a_batch_wins_over_an_earlier_check(self, monkeypatch, later):
         """In the batch of lags 4..7 at N = 64, lag 5 fails the unit-norm
-        check and lag 6 the residual check, which the batch runs first, or
-        its solver: the batch's own error names lag 6, and solving it
-        again one lag at a time raises lag 5's, as a serial loop would."""
+        check and lag 6 the residual check, which runs first, or its
+        solver: the sweep raises lag 5's error, as a serial loop would."""
         g = iid_returns(64, 2048, seed=15)
         with _blas.threads(1):
             faults = {m.lag: m.values.tobytes() for m in lagged(g, 6) if m.lag in (5, 6)}
@@ -454,6 +453,35 @@ class TestSweepWorkers:
             assert _split(g, 20) == (1, 1, 1) and batch_size(64) == 4
             with pytest.raises(ConvergenceFailure, match="at lag 5: .* unit norm"):
                 sweep(g, 20)
+
+    @pytest.mark.parametrize("fault", ["unit-norm", "solver"])
+    def test_a_failing_batch_solves_each_matrix_once(self, monkeypatch, fault):
+        """One worker, batches of 4 lags at N = 64, and lag 5 fails its
+        unit-norm check or its solver: every matrix the sweep solves
+        reaches the solver once, none after lag 5's batch, and with the
+        solver's failure none after lag 5."""
+        g = iid_returns(64, 2048, seed=15)
+        with _blas.threads(1):
+            faulty = next(m for m in lagged(g, 5) if m.lag == 5).values.tobytes()
+        eigh, solves = lagspec.eigensys._eigh, Counter()
+
+        def counted(d, ws, i=0):
+            key = d.tobytes()  # before the stages overwrite d
+            solves[key] += 1
+            if key == faulty and fault == "solver":
+                raise np.linalg.LinAlgError("LAPACK dstedc gave info 3")
+            vals, vecs = eigh(d, ws, i)
+            if key == faulty:
+                vecs *= 2.0
+            return vals, vecs
+
+        monkeypatch.setattr(lagspec.eigensys, "_eigh", counted)
+        with _blas.threads(1):
+            assert _split(g, 20) == (1, 1, 1) and batch_size(64) == 4
+            with pytest.raises(ConvergenceFailure, match="at lag 5"):
+                sweep(g, 20)
+        assert max(solves.values()) == 1
+        assert len(solves) == (8 if fault == "unit-norm" else 6)
 
     @pytest.mark.parametrize("in_order", [False, True])
     def test_failure_in_building_names_its_lag(self, monkeypatch, in_order):
