@@ -17,10 +17,11 @@ def run(
     own, and return once all have returned.  Once all have ended, the
     exception of the lowest target that raised one is raised.
 
-    An interrupt that reaches this thread while it waits for the others is
-    handed to ``stop``, which should make them end early, and is raised,
-    in place of theirs, once they have ended.  Further interrupts are
-    dropped; one that cuts ``stop`` short makes it be called again."""
+    An exception raised on this thread is handed to ``stop``, which should
+    make the others end early, and is raised, in place of theirs, once they
+    have ended: target 0's, an interrupt while it waits for the others, or
+    a thread that cannot start, raised as MemoryError.  Further interrupts
+    are dropped; one that cuts ``stop`` short makes it be called again."""
     errors: list[BaseException | None] = [None] * len(targets)
 
     def guarded(i: int) -> None:
@@ -29,28 +30,32 @@ def run(
         except BaseException as exc:  # raised by the calling thread below
             errors[i] = exc
 
-    started = [
-        threading.Thread(target=guarded, args=(i,)) for i in range(1, len(targets))
-    ]
-    for thread in started:
-        thread.start()
+    started: list[threading.Thread] = []
+    raised: BaseException | None = None
     try:
+        for i in range(1, len(targets)):
+            thread = threading.Thread(target=guarded, args=(i,))
+            try:
+                thread.start()
+            except RuntimeError as exc:  # "can't start new thread"
+                raise MemoryError(f"cannot start a thread: {exc}") from None
+            started.append(thread)
         targets[0]()
-    finally:
-        interrupt = None
-        stopped = stop is None
-        for thread in started:
-            while thread.is_alive():
-                try:
-                    if interrupt is not None and not stopped:
-                        stop(interrupt)
-                        stopped = True
-                    thread.join()
-                except BaseException as exc:  # raised below
-                    if interrupt is None:
-                        interrupt = exc
-        if interrupt is not None:
-            raise interrupt
+    except BaseException as exc:  # raised below, once the others have ended
+        raised = exc
+    stopped = stop is None
+    for thread in started:
+        while thread.is_alive():
+            try:
+                if raised is not None and not stopped:
+                    stop(raised)
+                    stopped = True
+                thread.join()
+            except BaseException as exc:  # raised below
+                if raised is None:
+                    raised = exc
+    if raised is not None:
+        raise raised
     for exc in errors:
         if exc is not None:
             raise exc

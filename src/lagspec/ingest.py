@@ -300,16 +300,17 @@ def _raise_bad_row(stream: IO[str], width: int) -> None:
 
 
 def _clamp_counts(counts: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-    clamped = counts.copy()
-    for i in range(counts.shape[0]):
-        row = counts[i]
+    """max(count, eps) for every count, eps being 1e-6 times the median of
+    the series' positive counts, as one new table."""
+    eps = np.empty(counts.shape[0])
+    for i, row in enumerate(counts):
         positive = row[row > 0.0]
         if positive.size == 0:
             raise NonPositiveCount(
                 f"series {ids[i]!r} has no positive counts to clamp against"
             )
-        clamped[i] = np.maximum(row, 1e-6 * float(np.median(positive)))
-    return clamped
+        eps[i] = 1e-6 * float(np.median(positive))
+    return np.maximum(counts, eps[:, None])
 
 
 def _blocks(count: int, width: int) -> Iterator[slice]:
@@ -321,44 +322,32 @@ def _blocks(count: int, width: int) -> Iterator[slice]:
 
 
 def _row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x.mean(axis=1)`` and ``x.var(axis=1)``, bit for bit, with
-    temporaries of one block rather than of the size of ``x``.
+    """``x.mean(axis=1)`` and ``x.var(axis=1)``, with temporaries of a
+    block of rows rather than of the size of ``x``.
 
-    numpy sums each row of a row-major table pairwise but the rows of a
-    column-major one term by term, left to right.  So a row-major table is
-    taken a block of rows at a time, and a column-major one a block of
-    columns at a time, each block's sums starting from the last block's.
+    numpy sums each row of a row-major table pairwise, so for one, such as
+    every table of rate changes or returns that lagspec makes, they are
+    equal bit for bit, and a row's moments depend on that row alone.
     """
     n, length = x.shape
     means = x.mean(axis=1)
-    if n < 2 or not 0 < x.strides[0] < x.strides[1]:
-        variances = np.empty_like(means)
-        for rows in _blocks(n, length):
-            variances[rows] = x[rows].var(axis=1)
-        return means, variances
-    sums = np.zeros(n)
-    for cols in _blocks(length, n):
-        # column 0 carries the running sums, the rest the block's squares
-        block = np.empty((n, 1 + cols.stop - cols.start), order="F")
-        block[:, 0] = sums
-        squares = block[:, 1:]
-        np.subtract(x[:, cols], means[:, None], out=squares)
-        squares *= squares
-        sums = block.sum(axis=1)
-        del block, squares  # before the next block is allocated
-    return means, sums / length
+    variances = np.empty_like(means)
+    for rows in _blocks(n, length):
+        variances[rows] = x[rows].var(axis=1)
+    return means, variances
 
 
 def rate_changes(counts: CountMatrix) -> np.ndarray:
     """Log ratio of successive counts for every series: shape (N, L).
 
-    Equal bit for bit to ``np.diff(np.log(counts), axis=1)`` and in the
-    same memory order as the counts (column-major for counts read from
-    CSV), but the logs are taken a block of columns at a time.
+    Equal bit for bit to ``np.diff(np.log(counts), axis=1)``, but the logs
+    are taken a block of columns at a time.  The table is row-major whatever
+    the counts' layout (column-major for counts read from CSV), so the rows
+    that ``normalize`` reduces are laid out alike from every source.
     """
     c = counts.counts
     n, length = c.shape[0], c.shape[1] - 1
-    out = np.empty_like(c[:, 1:], order="K")
+    out = np.empty((n, length))
     for cols in _blocks(length, n):
         logs = np.log(c[:, cols.start:cols.stop + 1])
         np.subtract(logs[:, 1:], logs[:, :-1], out=out[:, cols])
@@ -372,9 +361,11 @@ def normalize(
     """Shift and scale each row of raw rate changes to zero mean, unit variance.
 
     Uses the population variance (1/L).  A row with zero variance raises
-    ZeroVariance naming the series.  ``raw`` is left as it is.
+    ZeroVariance naming the series.  ``raw`` is left as it is.  The returns
+    are row-major, and each row depends on that row of ``raw`` alone, in
+    whatever layout ``raw`` comes: a column-major one is copied first.
     """
-    raw = np.asarray(raw, dtype=float)
+    raw = np.ascontiguousarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ParseError("rate changes must be a 2-D array")
     return _normalize(raw, series_ids, out=None)

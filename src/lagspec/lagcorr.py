@@ -272,7 +272,9 @@ def _block_cross(
             barrier.abort()
             raise
 
-    _threads.run([functools.partial(guarded, i) for i in range(threads)])
+    # a part that never starts would leave the others at the barrier
+    _threads.run([functools.partial(guarded, i) for i in range(threads)],
+                 lambda exc: barrier.abort())
     np.conjugate(acc, out=acc)
 
 

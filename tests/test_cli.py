@@ -158,6 +158,22 @@ class TestAnalyze:
             "--epsilon-clamp", "--out", str(out),
         ) == 0
 
+    def test_epsilon_clamp_leaves_positive_counts_alone(self, tmp_path):
+        """On counts that are all positive the clamp changes no count, so
+        every file but config.json, which records the flag, is the same."""
+        counts = synth_generate(SynthConfig(n_series=8, length=201, n_drivers=2, seed=4))
+        csv_path = tmp_path / "traffic.csv"
+        write_counts_csv(csv_path, counts)
+        digests = []
+        for name, extra in (("plain", ()), ("clamped", ("--epsilon-clamp",))):
+            out = tmp_path / name
+            assert run_cli("analyze", "--input", str(csv_path), "--tau-max", "10",
+                           *extra, "--out", str(out)) == 0
+            digests.append(digest_run_dir(out))
+        plain, clamped = digests
+        assert plain.pop("config.json") != clamped.pop("config.json")
+        assert plain == clamped
+
     def test_negative_tau_max_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "run"
         with pytest.raises(SystemExit) as exc:
@@ -519,6 +535,36 @@ class TestExperimentCommand:
             for e in eig["resonance"]
         }
         assert classes[3.0] == "enhanced"
+
+    def test_csv_experiment_rebuilds_only_the_injected_rows(self, tmp_path, monkeypatch):
+        """Returns from CSV counts depend on each series' own counts, so an
+        injection into one of 8 series changes one row of the returns, and
+        the sweep makes every lag of the injected record by patching that
+        row into the record's matrix."""
+        counts = synth_generate(SynthConfig(n_series=8, length=200, n_drivers=2, seed=5))
+        csv_path = tmp_path / "traffic.csv"
+        write_counts_csv(csv_path, counts)
+        spec_path = tmp_path / "inj.json"
+        spec_path.write_text(json.dumps({"kind": "noise", "target_ids": ["s001"]}))
+        calls = {"lag_corr": [], "patch_rows": []}  # append is atomic
+
+        def counted(name):
+            function = getattr(lagspec.strobo, name)
+
+            def call(*args, **kwargs):
+                calls[name].append(None)
+                return function(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(lagspec.strobo, name, counted(name))
+        assert not uses_block_path(8, 199)
+        assert run_cli(
+            "experiment", "--input", str(csv_path), "--tau-max", "10",
+            "--inject", str(spec_path), "--out", str(tmp_path / "run"),
+        ) == 0
+        assert {name: len(made) for name, made in calls.items()} == {
+            "lag_corr": 11, "patch_rows": 11}
 
     def test_unknown_series_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "inj.json"
@@ -883,6 +929,79 @@ def test_out_of_memory_at_any_seam_exits_1_and_keeps_the_earlier_run(command, pa
             assert lagspec._blas.thread_count() == 2
         assert {p.name: p.read_bytes() for p in (tmp / "run").iterdir()} == earlier
         assert sorted(os.listdir(tmp)) == names
+
+
+# analyze of 16 series at T = 4 on each sweep path, once as it is to count
+# the threads it starts, then once with each k-th Thread.start raising as
+# CPython does when no thread can be made; on the block path the kernel's
+# parts are started as well as the sweep's workers
+THREAD_START_CHILD = """
+import io, json, sys, tempfile, threading
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from lagspec import _blas
+from lagspec.cli import main
+from lagspec.lagcorr import uses_block_path
+
+start = threading.Thread.start
+state = {"calls": 0, "fail_at": 0}
+
+
+def failing_start(thread):
+    state["calls"] += 1
+    if state["calls"] == state["fail_at"]:
+        raise RuntimeError("can't start new thread")
+    return start(thread)
+
+
+threading.Thread.start = failing_start
+results = []
+with tempfile.TemporaryDirectory() as tmp, _blas.threads(4):
+    tmp = Path(tmp)
+    for path, points in (("direct", 513), ("block", 8193)):
+        assert uses_block_path(16, points - 1) == (path == "block")
+        (tmp / "synth.json").write_text(json.dumps({"n_series": 16, "length": points}))
+        argv = ["analyze", "--synth", str(tmp / "synth.json"), "--tau-max", "40",
+                "--out", str(tmp / path)]
+        state.update(calls=0, fail_at=0)
+        assert main(argv) == 0
+        for k in range(1, state["calls"] + 1):
+            state.update(calls=0, fail_at=k)
+            threads = threading.active_count()
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(argv)
+            results.append([path, k, code, err.getvalue(),
+                            threading.active_count() - threads, _blas.thread_count()])
+print(json.dumps(results))
+"""
+
+
+@needs_openblas
+def test_a_thread_that_cannot_start_exits_1():
+    """A thread start that fails, at any k-th start on either sweep path,
+    gives exit 1 and one MemoryError line: the threads already started
+    are stopped and joined, the block kernel's parts too, and the BLAS
+    count is restored.  Run in a subprocess with a timeout, as a part left
+    waiting for one that never started would hang the interpreter."""
+    src = str(Path(lagspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_START_CHILD],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    starts = {p: max(k for q, k, *_ in results if q == p) for p in ("direct", "block")}
+    # 3 workers beside the calling thread; on the block path, then the
+    # kernel's 3 parts beside the worker that builds lags 1..40
+    assert starts == {"direct": 3, "block": 6}
+    message = "MemoryError: cannot start a thread: can't start new thread\n"
+    assert all(rest == [1, message, 0, 4] for _, _, *rest in results), results
 
 
 class TestRunDirectory:

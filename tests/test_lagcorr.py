@@ -12,6 +12,7 @@ from lagspec import (
     LagCorrMatrix,
     LagTooLarge,
     ParseError,
+    ReturnMatrix,
     equal_time_corr,
     lag_corr,
     normalize,
@@ -123,9 +124,12 @@ class TestLagCorr:
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_in_place_sum_equals_the_plain_sum(self, n, layout):
         """Symmetrizing the product in blocks of rows, in a new array or in
-        ``out``, gives the bytes of ``(cross + cross.T) / 2w``."""
-        raw = np.random.default_rng(n).standard_normal((n, 300))
-        g = normalize(np.asfortranarray(raw) if layout == "F" else raw)
+        ``out``, gives the bytes of ``(cross + cross.T) / 2w``, also for
+        column-major returns, which ``normalize`` never gives."""
+        g = normalize(np.random.default_rng(n).standard_normal((n, 300)))
+        if layout == "F":
+            g = ReturnMatrix(g.series_ids, np.asfortranarray(g.returns))
+            assert g.returns.flags.f_contiguous
         for lag in (0, 1, 7, 150):
             window = 300 - lag
             cross = g.returns[:, :window] @ g.returns[:, lag:].T

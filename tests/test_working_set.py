@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lagspec.ingest
 from lagspec import (
@@ -116,28 +118,53 @@ class TestReturns:
     @pytest.mark.parametrize("layout", ["C", "csv"])
     def test_equal_the_whole_array_formula(self, shape, layout, block_bytes):
         counts = np.exp(np.random.default_rng(shape[0]).standard_normal(shape)) * 1e3
+        want = old_returns(counts)  # of C-ordered counts
         if layout == "csv":
             counts = csv_like(counts)
         cm = counts_matrix(counts)
         raw = np.diff(np.log(counts), axis=1)
-        want = old_returns(counts)
         got = returns_from_counts(cm).returns
         assert np.array_equal(rate_changes(cm), raw)
         assert np.array_equal(got, want)
         assert np.array_equal(normalize(raw).returns, want)
-        assert got.flags.c_contiguous == want.flags.c_contiguous
-        assert got.flags.f_contiguous == want.flags.f_contiguous
 
-    @pytest.mark.parametrize("layout", ["C", "csv"])
-    def test_keep_the_memory_order_of_the_counts(self, layout):
+    @pytest.mark.parametrize("layout", ["C", "F", "csv"])
+    def test_are_row_major(self, layout):
         counts = long_counts(8, 50)
-        if layout == "csv":
+        if layout == "F":
+            counts = np.asfortranarray(counts)
+        elif layout == "csv":
             counts = csv_like(counts)
-        returns = returns_from_counts(counts_matrix(counts)).returns
-        if layout == "csv":
-            assert returns.flags.f_contiguous and not returns.flags.c_contiguous
-        else:
-            assert returns.flags.c_contiguous
+        cm = counts_matrix(counts)
+        assert rate_changes(cm).flags.c_contiguous
+        assert returns_from_counts(cm).returns.flags.c_contiguous
+        assert normalize(np.diff(np.log(counts), axis=1)).returns.flags.c_contiguous
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 12), points=st.integers(3, 300), seed=st.integers(0, 2**32 - 1),
+           whole=st.booleans(), block=st.sampled_from([64, 4096, None]), data=st.data())
+    def test_of_a_series_depend_on_its_own_counts_alone(self, n, points, seed, whole, block,
+                                                        data):
+        """From a C array, a Fortran array or a CSV-style view the returns
+        are the same bytes, and changing one series' counts leaves every
+        other series' returns as they were, bit for bit."""
+        rng = np.random.default_rng(seed)
+        counts = 1e3 * np.exp(rng.standard_normal((n, points)))
+        if whole:
+            counts = np.rint(counts) + 1.0
+        changed = counts.copy()
+        row = data.draw(st.integers(0, n - 1), label="row")
+        changed[row] = 1e3 * np.exp(rng.standard_normal(points))
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(lagspec.ingest, "_BLOCK_BYTES", block)
+            want = returns_from_counts(counts_matrix(counts)).returns
+            for layout in (np.asfortranarray(counts), csv_like(counts)):
+                assert returns_from_counts(counts_matrix(layout)).returns.tobytes() == (
+                    want.tobytes())
+            got = returns_from_counts(counts_matrix(csv_like(changed))).returns
+        others = np.arange(n) != row
+        assert got[others].tobytes() == want[others].tobytes()
 
     def test_normalize_leaves_its_input_alone(self):
         raw = np.random.default_rng(0).standard_normal((4, 50))
