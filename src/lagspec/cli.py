@@ -62,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(shape=None)  # the run's shape, set once its input is loaded
 
     def common(p: argparse.ArgumentParser) -> None:
         src = p.add_mutually_exclusive_group(required=True)
@@ -184,7 +185,9 @@ def _check_out(raw: str) -> None:
 def _prepare(args) -> tuple[CountMatrix, tuple[int, ...], InjectionSpec | None, dict]:
     """Check every configuration item, then load the input and check the
     watch positions against it.  Returns the counts, the watch positions, the
-    injection (experiment only) and the record that becomes config.json."""
+    injection (experiment only) and the record that becomes config.json.
+    Once the input is loaded, ``args.shape`` names the run's N, L and
+    tau_max, for ``main``'s out-of-memory line."""
     _check_out(args.out)
     watch = _parse_watch(args.watch)
     spec = load_injection_spec(args.inject) if args.command == "experiment" else None
@@ -194,6 +197,7 @@ def _prepare(args) -> tuple[CountMatrix, tuple[int, ...], InjectionSpec | None, 
     else:
         counts = synth_generate(synth)
     n = counts.n_series
+    args.shape = f"N = {n}, L = {counts.n_returns}, tau_max = {args.tau_max}"
     if watch is None:
         watch = default_watch(n)
     for k in watch:
@@ -372,8 +376,10 @@ def main(argv: list[str] | None = None) -> int:
     except LagspecError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # numpy's message names the shape and the bytes
-        print(f"MemoryError: {' '.join(str(exc).split()) or 'out of memory'}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's message names the array and the bytes
+        message = " ".join(str(exc).split()) or "out of memory"
+        shape = "" if args.shape is None else f" ({args.shape})"
+        print(f"MemoryError: {message}{shape}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("KeyboardInterrupt: stopped", file=sys.stderr)

@@ -11,9 +11,11 @@ values.
 ``lag_corr`` builds one lag with one GEMM.  ``block_lag_corrs`` gives a
 builder of lags 1..tau_max of a long record (``uses_block_path``: L >= 14124
 at N = 64, the bound falling from 268 N at N = 32 to 153 N at N = 512), in
-increasing order, from block FFTs, about four GEMMs' worth of flops per 32
-lags, on one thread or several; like ``lag_corr`` it writes into an array it
-is given, and its entries differ from ``lag_corr``'s by rounding only.
+increasing order, from block FFTs, about four GEMMs' worth of flops per block
+of B lags, B being 32 or, where the returns' bytes allow, a larger power of
+two (128 for the 64 x 32767 benchmark record), on one thread or several; like
+``lag_corr`` it writes into an array it is given, and its entries differ from
+``lag_corr``'s by rounding only.
 ``patch_rows`` builds a lag of a record from the same lag of another that
 differs only in a few series, rebuilding those rows and columns alone.
 """
@@ -35,10 +37,14 @@ _ENTRY_TOL = 1e-9
 _DIAG_TOL = 1e-10
 # rows per block when a matrix is symmetrized or checked in place
 _ROWS = 64
-# block path: samples per block, most blocks per chunk, blocks per rfft call
+# block path: fewest samples per block, most blocks per chunk, samples per
+# rfft call, frequency bins per group of products and floats of output per
+# inverse-transform call
 _BLOCK = 32
 _MAX_CHUNK = 64
-_PIECE = 16
+_PIECE = 512
+_GROUP = 16
+_INVERSE = 2**14
 
 
 @dataclass(frozen=True)
@@ -148,120 +154,178 @@ def patch_rows(
     return LagCorrMatrix(lag=lag, values=values)
 
 
-def _block_plan(n: int, length: int) -> tuple[int, int] | None:
-    """Chunk width (in blocks) and block lags per batch of the block path,
-    or None when the record takes the direct path.
-
-    The working set is one accumulator per block lag of a batch plus a
-    scratch one, (_BLOCK + 1) * n * n complex each, and the spectra of one
-    chunk: at most 2 * chunk + 2 * batch + 2 * _PIECE blocks of
-    (_BLOCK + 1) * n complex, rfft temporaries included.  The spectra get
-    about a quarter of the bytes of the returns and the accumulators the
-    rest, so the path needs L >> N.  Split over threads, the kernel still
-    holds one such set: each thread transforms a share of the series into
-    the shared spectra and fills its share of the frequency bins of the
-    shared accumulators.
-    """
+def uses_block_path(n: int, length: int) -> bool:
+    """True when ``block_lag_corrs`` builds the lags of an n x length
+    return matrix.  The rule is that a plan at 32 samples per block fits
+    in the bytes of the returns, its spectra given about a quarter of them
+    and a whole accumulator held for its products: the kernel's working
+    set from before it summed its products a group of bins at a time,
+    kept so that the records that take the path stay the same.  Depends
+    on the shape only, as ``_block_plan`` does, so lag k's matrix is the
+    same at every tau_max."""
     budget = 8 * n * length
     block = (_BLOCK + 1) * n * 16
     slab = block * n
     chunk = min(_MAX_CHUNK, budget // (8 * block))
-    batch = (budget - slab - (2 * chunk + 2 * _PIECE) * block) // (slab + 2 * block)
+    batch = (budget - slab - (2 * chunk + 2 * _PIECE // _BLOCK) * block) // (slab + 2 * block)
+    return chunk >= 1 and batch >= 1
+
+
+def _inverse_room(n: int, size: int) -> tuple[int, int]:
+    """Matrix entries per inverse-transform call at ``size`` samples per
+    block, whose output is 2 * size floats for each, and the width, in
+    blocks, of spectra stores that hold a block lag's inverse transform,
+    size * n * n floats, and one call's output."""
+    entries = min(n * n, max(1, _INVERSE // (2 * size)))
+    return entries, -(-size * (n * n + 2 * entries) // (4 * n * (size + 1)))
+
+
+def _fit(n: int, length: int, size: int) -> tuple[int, int] | None:
+    """Chunk width (in blocks) and block lags per batch of the block path
+    at ``size`` samples per block, or None where its working set does not
+    fit in the bytes of an n x length return matrix.
+
+    The working set is one accumulator per block lag of a batch, (size +
+    1) * n * n complex each, a scratch of ``_GROUP`` bins of products, n *
+    n complex each, rfft's temporaries, 2 * piece blocks of (size + 1) * n
+    complex, and two stores of a chunk's spectra, (chunk + batch) such
+    blocks each, but at least as many as hold a block lag's inverse
+    transform, which is made in them (``_inverse_room``).  The spectra get
+    about a third of the bytes of the returns, or what one accumulator
+    leaves where that is less, and the accumulators the rest, so the path
+    needs L >> N.  Split over threads, the kernel still holds one such
+    set: each thread transforms a share of the series into the shared
+    spectra and sums its share of the frequency bins into the shared
+    accumulators.
+    """
+    budget = 8 * n * length
+    block = (size + 1) * n * 16
+    slab = block * n
+    held = _inverse_room(n, size)[1]
+    free = budget - 16 * _GROUP * n * n - 2 * max(1, _PIECE // size) * block
+    chunk = min(_MAX_CHUNK, budget // (6 * block), (free - slab) // (2 * block) - 1)
+    batch = min((free - 2 * chunk * block) // (slab + 2 * block),
+                (free - 2 * held * block) // slab)
     return (chunk, batch) if chunk >= 1 and batch >= 1 else None
 
 
-def uses_block_path(n: int, length: int) -> bool:
-    """True when ``block_lag_corrs`` can build the lags of an n x length
-    return matrix within the bytes of the returns.  Depends on the shape
-    only, so lag k's matrix is the same at every tau_max."""
-    return _block_plan(n, length) is not None
+def _block_plan(n: int, length: int) -> tuple[int, int, int] | None:
+    """Samples per block, chunk width (in blocks) and block lags per batch
+    of the block path, or None when the record takes the direct path.
+
+    The block is the largest power of two from 32 on whose working set
+    (``_fit``) fits in the returns' bytes: 128 samples for the 64 x 32767
+    benchmark record, where one block lag covers the lags up to 127.
+    Reads N and L only.
+    """
+    if not uses_block_path(n, length):
+        return None
+    size, plan = _BLOCK, None
+    while (fit := _fit(n, length, size)) is not None:
+        plan = (size, *fit)
+        size *= 2
+    return plan
 
 
 def _spectra(
     returns: np.ndarray, rows: slice, lo: int, hi: int, out: np.ndarray
 ) -> None:
-    """G_t for blocks t = lo..hi-1 of the series ``rows`` into
-    ``out[:, rows]``, of shape (_BLOCK + 1, n, hi - lo): the rfft of block t
-    of each series, zero-padded to 2 * _BLOCK samples; blocks past the
-    record are zero.  Each series is transformed on its own, so the spectra
-    do not depend on how the series are shared out."""
-    for a in range(lo, hi, _PIECE):
-        b = min(a + _PIECE, hi)
-        seg = returns[rows, a * _BLOCK:b * _BLOCK]
-        if seg.shape[1] < (b - a) * _BLOCK:
-            seg = np.pad(seg, ((0, 0), (0, (b - a) * _BLOCK - seg.shape[1])))
-        blocks = seg.reshape(seg.shape[0], b - a, _BLOCK)
-        out[:, rows, a - lo:b - lo] = np.fft.rfft(blocks, 2 * _BLOCK).transpose(2, 0, 1)
+    """G'_t = (-1)^(f t) G_t for blocks t = lo..hi-1 of the series ``rows``
+    into ``out[:, rows, :hi - lo]``, ``out`` being (size + 1, n, width):
+    the rfft of a frame of 2 * size samples that holds block t of each
+    series in its first half where t is even and in its second half where
+    t is odd, which multiplies G_t(f), the rfft of the block zero-padded,
+    by (-1)^f.  Blocks past the record are zero.  Each series is transformed
+    on its own, so the spectra do not depend on how the series are shared
+    out."""
+    size = len(out) - 1
+    piece = max(1, _PIECE // size)
+    for a in range(lo, hi, piece):
+        b = min(a + piece, hi)
+        seg = returns[rows, a * size:b * size]
+        whole, rest = divmod(seg.shape[1], size)  # the blocks in the record
+        blocks = seg[:, :whole * size].reshape(seg.shape[0], whole, size)
+        frames = np.zeros((seg.shape[0], b - a, 2, size))
+        even = a % 2  # the first block of the piece whose t is even
+        frames[:, even:whole:2, 0] = blocks[:, even::2]
+        frames[:, 1 - even:whole:2, 1] = blocks[:, 1 - even::2]
+        if rest:
+            frames[:, whole, (a + whole) % 2, :rest] = seg[:, whole * size:]
+        spectra = np.fft.rfft(frames.reshape(seg.shape[0], b - a, 2 * size))
+        out[:, rows, a - lo:b - lo] = spectra.transpose(2, 0, 1)
+        del frames, spectra  # freed before the next piece's are made
 
 
 def _block_cross(
     returns: np.ndarray, j0: int, chunk: int, threads: int,
     acc: np.ndarray, scratch: np.ndarray, stores: np.ndarray,
 ) -> None:
-    """Z_j(f) = sum_s conj(G_s(f)) V_{s+j}(f)^T for block lags j = j0,
-    j0 + 1, ..., into ``acc[j - j0]``, one (_BLOCK + 1, n, n) complex array
-    per block lag.
+    """P_j(f) = sum_s G'_s(f) conj(V'_{s+j}(f))^T for block lags j = j0,
+    j0 + 1, ..., into ``acc[j - j0]``, one (size + 1, n, n) complex array
+    per block lag, blocks being size samples long.
 
-    V_t = G_t + (-1)^f G_{t+1} is the spectrum of the 2 * _BLOCK samples
-    from block t on, so irfft(Z_j)[d] is sum_t g_i(t) g_k(t + j * _BLOCK + d)
-    for 0 <= d < _BLOCK.  The products are formed as G_s conj(V_{s+j})^T,
-    whose conjugate is Z_j, so that G itself is the left factor.  Blocks s
-    are summed in chunks that start at multiples of ``chunk``, whatever the
-    block lags are.  ``scratch`` holds one product and ``stores`` the G and
-    conj(V) of a chunk, two flat complex arrays.
+    G_t is the spectrum of block t zero-padded to 2 * size samples, V_t =
+    G_t + (-1)^f G_{t+1} that of the 2 * size samples from block t on, and
+    Z_j(f) = sum_s conj(G_s(f)) V_{s+j}(f)^T, so irfft(Z_j)[d] is sum_t
+    g_i(t) g_k(t + j * size + d) for 0 <= d < size.  With G'_t = (-1)^(f t)
+    G_t (``_spectra``), V'_t = G'_t + G'_{t+1} is (-1)^(f t) V_t, one sum
+    for every bin, and P_j is (-1)^(f j) conj(Z_j) (``_inverse``).  Blocks
+    s are summed in chunks that start at multiples
+    of ``chunk``, whatever the block lags are.  ``stores`` holds the G' and
+    conj(V') of a chunk, each a (n, size + 1, width) complex array, zero
+    where no spectrum has been made.  The first chunk's products are made
+    in the accumulators; each later chunk's a group of bins at a time in
+    ``scratch``, (group, n, n) complex, and added into them.
 
-    Each chunk's work is shared by ``threads`` parts, run on as many
-    threads: part i transforms its share of the series into the shared
-    spectra, then, once every part is done, forms V and the products of
-    its share of the frequency bins into its slice of the accumulators and
-    of ``scratch``.  Every bin's product is the same BLAS call whatever the
-    share, so Z_j does not depend on ``threads``.
+    Each chunk's work is shared by ``threads`` parts, at most one per bin
+    of ``scratch``, run on as many threads: part i transforms its share of
+    the series into the shared G' and makes their conj(V') there, each
+    step one pass over contiguous memory, then, once every part is done,
+    forms the products of its share of the frequency bins, a group of its
+    share of ``scratch``'s bins at a time.  Every bin's product is the
+    same BLAS call whatever the share, so P_j does not depend on
+    ``threads``.
     """
     n, length = returns.shape
-    nblocks = -(-length // _BLOCK)
-    bins = _BLOCK + 1
+    bins = acc.shape[1]
+    size = bins - 1
+    nblocks = -(-length // size)
     j1 = j0 + len(acc)
-    acc[...] = 0.0
-
-    def spectra(store: np.ndarray, blocks: int) -> np.ndarray:
-        """A chunk's spectra of ``blocks`` blocks, seen as (bins, n, blocks)
-        and stored (n, bins, blocks): copying rfft's (n, blocks, bins)
-        output into that layout is about twice as fast as into (bins, n,
-        blocks), and each bin's n x blocks matrix still has unit stride for
-        BLAS."""
-        return store[:n * bins * blocks].reshape(n, bins, blocks).transpose(1, 0, 2)
-
+    threads = min(threads, len(scratch))
+    # each bin's n x blocks matrix, with unit stride for BLAS
+    g, v = stores.transpose(0, 2, 1, 3)
     barrier = threading.Barrier(threads)
 
     def part(i: int) -> None:
         rows = slice(i * n // threads, (i + 1) * n // threads)
         f0, f1 = i * bins // threads, (i + 1) * bins // threads
-        even, odd = f0 + f0 % 2, f0 + 1 - f0 % 2
+        own = scratch[i * len(scratch) // threads:(i + 1) * len(scratch) // threads]
+        # this part's series, flat: V'_t of a series is its G'_t plus the
+        # next entry, G'_{t+1}; the last block of each bin is not read
+        g_rows, v_rows = stores[0, rows].reshape(-1), stores[1, rows].reshape(-1)
         for s0 in range(0, nblocks - j0, chunk):
             s1 = min(s0 + chunk, nblocks - j0)
-            # conj(V_t) for t = s0 + j0 .. s1 + j1 - 2, from G_t up to a block further
+            # conj(V'_t) for t = s0 + j0 .. s1 + j1 - 2, from G'_t up to a block further
             lo, hi = s0 + j0, min(s1 + j1, nblocks + 1)
-            g = spectra(stores[0], hi - lo)
             _spectra(returns, rows, lo, hi, g)
-            barrier.wait()
-            v = spectra(stores[1], hi - lo - 1)
-            np.add(g[even:f1:2, :, :-1], g[even:f1:2, :, 1:], out=v[even:f1:2])
-            np.subtract(g[odd:f1:2, :, :-1], g[odd:f1:2, :, 1:], out=v[odd:f1:2])
-            np.conjugate(v[f0:f1], out=v[f0:f1])
-            if j0 > 0:
-                barrier.wait()  # no part reads the wide G any more
-                g = spectra(stores[0], s1 - s0)
+            np.add(g_rows[:-1], g_rows[1:], out=v_rows[:-1])
+            np.conjugate(v_rows, out=v_rows)
+            if j0 > 0:  # G'_s over this part's rows, which only it has read
                 _spectra(returns, rows, s0, s1, g)
-                barrier.wait()
+            barrier.wait()
             for j, z in zip(range(j0, j1), acc):
                 k = min(s1, nblocks - j) - s0
                 if k <= 0:
                     break
-                np.matmul(g[f0:f1, :, :k],
-                          v[f0:f1, :, j - j0:j - j0 + k].transpose(0, 2, 1),
-                          out=scratch[f0:f1])
-                z[f0:f1] += scratch[f0:f1]
-            barrier.wait()  # the next chunk overwrites G and V
+                right = v[:, :, j - j0:j - j0 + k].transpose(0, 2, 1)
+                for f in range(f0, f1, len(own)):
+                    e = min(f + len(own), f1)
+                    # the first chunk's products start the sums
+                    products = z[f:e] if s0 == 0 else own[:e - f]
+                    np.matmul(g[f:e, :, :k], right[f:e], out=products)
+                    if s0:
+                        z[f:e] += products
+            barrier.wait()  # the next chunk overwrites G' and V'
 
     def guarded(i: int) -> None:
         try:
@@ -275,7 +339,30 @@ def _block_cross(
     # a part that never starts would leave the others at the barrier
     _threads.run([functools.partial(guarded, i) for i in range(threads)],
                  lambda exc: barrier.abort())
-    np.conjugate(acc, out=acc)
+
+
+def _inverse(p: np.ndarray, j: int, cross: np.ndarray, spare: np.ndarray) -> None:
+    """``cross[d] = irfft(Z_j, 2 * size)[d]`` for d < size, from block lag
+    j's P_j = (-1)^(f j) conj(Z_j) in ``p``, (size + 1, n, n), into cross,
+    (size, n, n).  Since conj turns the output round and (-1)^f shifts it
+    by size, that is irfft(P_j)[-d] for even j and irfft(P_j)[size - d]
+    for odd j, indices modulo 2 * size.  Made a block of matrix entries at
+    a time, each block's 2 * size outputs in ``spare``, (2 * size,
+    entries) floats, so that the outputs not kept are never written to
+    ``cross``."""
+    size = len(cross)
+    p = p.reshape(size + 1, -1)
+    cross = cross.reshape(size, -1)
+    step = spare.shape[1]
+    for c in range(0, cross.shape[1], step):
+        e = min(c + step, cross.shape[1])
+        out = spare[:, :e - c]
+        np.fft.irfft(p[:, c:e], 2 * size, axis=0, out=out)
+        if j % 2:
+            cross[:, c:e] = out[size:0:-1]
+        else:
+            cross[0, c:e] = out[0]
+            cross[1:, c:e] = out[:size:-1]
 
 
 def block_lag_corrs(
@@ -285,14 +372,19 @@ def block_lag_corrs(
     1..tau_max by block FFT, to be asked for lags in increasing order: a
     lag outside 1..tau_max, or at or below the last built, is a ValueError.
 
-    Each series is cut into blocks of 32 samples and each block is
-    transformed once.  The 32 lags j*32 .. j*32+31 then cost one complex
-    N x N product per frequency bin (33 bins) summed over the L/32 blocks,
-    about 8 N^2 L flops, where 32 direct GEMMs cost 64 N^2 L.  Block lags
-    are summed in batches, each when the first of its lags is asked for,
-    whose working set stays within ``g.returns.nbytes``; a shape for which
-    that is impossible (``uses_block_path`` false) raises ValueError.  Lag
-    k is ``cross[d] + cross[d].T`` over ``2 (L - k)``, made in ``out``, a
+    Each series is cut into blocks of B samples and each block is
+    transformed once, B a power of two from 32 on that ``_block_plan``
+    picks from N and L alone: 128 for the 64 x 32767 benchmark record.
+    The B lags j*B .. j*B+B-1 then cost one complex N x N product per
+    frequency bin (B + 1 bins) summed over the L/B blocks, about 8 N^2 L
+    flops, where B direct GEMMs cost 2 B N^2 L.  Block lags are summed in
+    batches, each when the first of its lags is asked for, whose working
+    set stays within ``g.returns.nbytes``; a shape for which that is
+    impossible (``uses_block_path`` false) raises ValueError.  A block
+    lag's B lags are transformed back together when the first of them is
+    asked for, into ``cross``, (B, N, N) floats in the bytes of the
+    spectra, which its batch no longer needs, and lag k = j*B + d is
+    ``cross[d] + cross[d].T`` over ``2 (L - k)``, made in ``out``, a
     C-contiguous N x N float array, or a new array.  Entries differ from
     ``lag_corr``'s by rounding (observed within 1e-15); symmetry is exact
     as there.
@@ -301,10 +393,11 @@ def block_lag_corrs(
     on the calling thread, and every batch reuses it: a batch that another
     thread runs allocates nothing large, which would stay in that thread's
     malloc arena (2 MB more peak RSS on the long benchmark record).  Each
-    batch is split over ``threads`` threads, the one that runs it
-    included, each making its BLAS calls at the current thread count.  At
-    the same BLAS thread count the matrices are the same bit for bit for
-    every ``threads``.  The builder is for one thread at a time.
+    batch is split over ``threads`` threads, at most ``_GROUP``, the one
+    that runs it included, each making its BLAS calls at the current
+    thread count.  At the same BLAS thread count the matrices are the same
+    bit for bit for every ``threads``.  The builder is for one thread at a
+    time.
     """
     tau_max = int(tau_max)
     threads = int(threads)
@@ -321,18 +414,20 @@ def block_lag_corrs(
     plan = _block_plan(n, length)
     if plan is None:
         raise ValueError(f"a {n} x {length} record takes the direct path")
-    chunk, batch = plan
-    last = tau_max // _BLOCK  # the last block lag
+    size, chunk, batch = plan
+    last = tau_max // size  # the last block lag
     if tau_max:  # no working set where there is no lag to build
         batch = min(batch, last + 1)
-        width = min(chunk + batch, -(-length // _BLOCK) + 1)
-        acc = np.empty((batch, _BLOCK + 1, n, n), dtype=complex)
-        scratch = np.empty((_BLOCK + 1, n, n), dtype=complex)
-        stores = np.empty((2, n * (_BLOCK + 1) * width), dtype=complex)
-        # a block lag's inverse transform, in the bytes of the scratch
-        # product, which its batch no longer needs
-        cross = scratch.reshape(-1).view(float)[:2 * _BLOCK * n * n]
-        cross = cross.reshape(2 * _BLOCK, n, n)
+        entries, held = _inverse_room(n, size)
+        width = max(min(chunk + batch, -(-length // size) + 1), held)
+        acc = np.empty((batch, size + 1, n, n), dtype=complex)
+        scratch = np.empty((_GROUP, n, n), dtype=complex)
+        stores = np.zeros((2, n, size + 1, width), dtype=complex)
+        # a block lag's inverse transform and one call's output, in the
+        # bytes of the spectra, which its batch no longer needs
+        floats = stores.reshape(-1).view(float)
+        cross = floats[:size * n * n].reshape(size, n, n)
+        spare = floats[size * n * n:size * (n * n + 2 * entries)].reshape(2 * size, entries)
     # the last lag built, the first block lag summed in ``acc`` and the
     # block lag transformed in ``cross``, all of which only grow
     built, summed, inverse = 0, None, None
@@ -345,16 +440,16 @@ def block_lag_corrs(
         if lag <= built:
             raise ValueError(f"lag {lag} asked for after lag {built}: the block path "
                              "builds lags in increasing order")
-        j = lag // _BLOCK
+        j = lag // size
         if inverse != j:
             j0 = j - j % batch
             if summed != j0:
                 _block_cross(returns, j0, chunk, threads, acc[:last + 1 - j0],
                              scratch, stores)
                 summed = j0
-            np.fft.irfft(acc[j - j0], 2 * _BLOCK, axis=0, out=cross)
+            _inverse(acc[j - j0], j, cross, spare)
             inverse = j
-        d = lag - j * _BLOCK
+        d = lag - j * size
         values = np.add(cross[d], cross[d].T, out=out)
         values /= 2.0 * (length - lag)
         built = lag

@@ -253,9 +253,9 @@ class TestAnalyze:
     ):
         """A MemoryError, at lag 5's solve on a sweep worker or from the
         sweep's workspaces, gives exit 1 and one line on stderr, with
-        numpy's message; no --out, no .partial sibling, and the BLAS
-        thread count of before the run, which the sweep's two workers
-        lower to one each."""
+        numpy's message and the run's shape; no --out, no .partial
+        sibling, and the BLAS thread count of before the run, which the
+        sweep's two workers lower to one each."""
         message = ("Unable to allocate 128. MiB for an array with shape (1024, 128, 128) "
                    "and data type float64")  # numpy's
 
@@ -277,7 +277,7 @@ class TestAnalyze:
                            "--out", str(out)) == 1
             assert lagspec._blas.thread_count() == 2
         err = capsys.readouterr().err
-        assert err == f"MemoryError: {message}\n"
+        assert err == f"MemoryError: {message} (N = 16, L = 512, tau_max = 12)\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
@@ -894,7 +894,9 @@ def test_out_of_memory_at_any_seam_exits_1_and_keeps_the_earlier_run(command, pa
                                                                       data):
     """A MemoryError at the k-th call of any seam through which a run
     allocates, on either sweep path, on the calling thread or a sweep
-    worker's, gives exit 1 and one stderr line with numpy's message.  The
+    worker's, gives exit 1 and one stderr line with numpy's message, and
+    the run's shape where the input was loaded, as it is past
+    ``load_counts``.  The
     earlier run in ``--out`` keeps its bytes, no ``.partial`` sibling is
     left, and the BLAS thread count is that of before the run.  A first,
     unpatched run makes the earlier run and counts each seam's calls.  A
@@ -925,7 +927,8 @@ def test_out_of_memory_at_any_seam_exits_1_and_keeps_the_earlier_run(command, pa
             exhaust(mp, seam, data.draw(st.integers(1, calls[seam]), label="k"))
             earlier = {p.name: p.read_bytes() for p in (tmp / "run").iterdir()}
             names = sorted(os.listdir(tmp))
-            assert quiet_main(argv) == (1, f"MemoryError: {OOM_MESSAGE}\n")
+            shape = "" if seam == "load_counts" else f" (N = {n}, L = {rows - 1}, tau_max = 10)"
+            assert quiet_main(argv) == (1, f"MemoryError: {OOM_MESSAGE}{shape}\n")
             assert lagspec._blas.thread_count() == 2
         assert {p.name: p.read_bytes() for p in (tmp / "run").iterdir()} == earlier
         assert sorted(os.listdir(tmp)) == names
@@ -1000,8 +1003,11 @@ def test_a_thread_that_cannot_start_exits_1():
     # 3 workers beside the calling thread; on the block path, then the
     # kernel's 3 parts beside the worker that builds lags 1..40
     assert starts == {"direct": 3, "block": 6}
-    message = "MemoryError: cannot start a thread: can't start new thread\n"
-    assert all(rest == [1, message, 0, 4] for _, _, *rest in results), results
+    returns = {"direct": 512, "block": 8192}
+    message = ("MemoryError: cannot start a thread: can't start new thread "
+               "(N = 16, L = {}, tau_max = 40)\n")
+    assert all(rest == [1, message.format(returns[path]), 0, 4]
+               for path, _, *rest in results), results
 
 
 class TestRunDirectory:

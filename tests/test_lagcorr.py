@@ -19,7 +19,7 @@ from lagspec import (
     write_matrix_csv,
 )
 from lagspec import _blas
-from lagspec.lagcorr import block_lag_corrs, uses_block_path
+from lagspec.lagcorr import _block_plan, block_lag_corrs, uses_block_path
 
 from conftest import block_lags, iid_returns, lag_corr_oracle, needs_openblas
 
@@ -177,9 +177,11 @@ class TestBlockPath:
         "n, length, tau_max",
         [
             (2, 5000, 2500),  # N = 2, L not a multiple of 32, tau_max = L/2
-            (8, 6000, 333),  # block lags in several batches of two
+            (8, 6000, 333),  # several block lags of 64 samples, one a batch
+            (8, 7300, 333),  # block lags of 64 samples in batches of two
             (16, 8192, 100),  # L a multiple of 32
             (64, 32768, 75),  # the shape of the long benchmark record
+            (64, 32768, 300),  # there three block lags of 128 samples
         ],
     )
     def test_matches_lag_corr(self, n, length, tau_max):
@@ -226,6 +228,7 @@ class TestBlockPath:
         [
             (8, 6000, 333),  # several batches, the last block padded
             (64, 32768, 100),  # the shape of the long benchmark record
+            (64, 32768, 300),  # there three block lags of 128 samples
         ],
     )
     def test_split_kernel_bit_equal_to_one_thread(self, n, length, tau_max):
@@ -268,11 +271,33 @@ class TestBlockPath:
         with pytest.raises(ValueError, match="threads must be at least 1"):
             block_lag_corrs(iid_returns(8, 6000, seed=0), 10, 0)
 
+    @pytest.mark.parametrize(
+        "n, length, size", [(8, 4900, 32), (16, 8192, 64), (64, 32768, 128)]
+    )
+    def test_block_length_is_the_largest_that_fits(self, n, length, size):
+        """Blocks of 32 samples where nothing larger fits in the returns'
+        bytes, 128 on the long benchmark record."""
+        assert _block_plan(n, length)[0] == size
+
+    @pytest.mark.parametrize("n, length", [(8, 4900), (64, 32768)])
+    def test_lags_do_not_depend_on_tau_max(self, n, length):
+        """Lags 1..40 are the same bit for bit at tau_max 40, 100 and 300,
+        which change the block lags summed in a batch and the batches, with
+        blocks of 32 samples and of 128."""
+        g = iid_returns(n, length, seed=8)
+        want = [d.values for d in block_lags(g, 40)]
+        for tau_max in (100, 300):
+            build = block_lag_corrs(g, tau_max)
+            assert all(np.array_equal(build(k).values, want[k - 1])
+                       for k in range(1, 41)), tau_max
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("tau_max", [100, 1000])
-    def test_working_set_within_returns_bytes(self, tau_max, threads):
-        """The peak of every thread's allocations together."""
-        g = iid_returns(16, 8192, seed=3)
+    @pytest.mark.parametrize("n, length", [(8, 4900), (16, 8192), (64, 32768)])
+    def test_working_set_within_returns_bytes(self, n, length, tau_max, threads):
+        """The peak of every thread's allocations together, with blocks of
+        32, 64 and 128 samples."""
+        g = iid_returns(n, length, seed=3)
         for _ in block_lags(g, 40, threads):  # warm FFT and import caches
             pass
         gc.collect()
