@@ -21,6 +21,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from . import serialize
 from .eigensys import rmt_bounds, segment
 from .errors import (
@@ -39,7 +41,7 @@ from .experiment import (
     synth_generate,
 )
 from .ingest import CountMatrix, load_counts, returns_from_counts
-from .lagcorr import equal_time_corr, write_matrix_csv
+from .lagcorr import LagCorrMatrix, write_matrix_csv
 from .strobo import (
     MIN_SPECTRUM_LEN,
     characteristic_periods,
@@ -62,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.set_defaults(shape=None)  # the run's shape, set once its input is loaded
+    # the run's shape, set once its input is loaded, and the stage running
+    parser.set_defaults(shape=None, stage=None)
 
     def common(p: argparse.ArgumentParser) -> None:
         src = p.add_mutually_exclusive_group(required=True)
@@ -187,7 +190,10 @@ def _prepare(args) -> tuple[CountMatrix, tuple[int, ...], InjectionSpec | None, 
     watch positions against it.  Returns the counts, the watch positions, the
     injection (experiment only) and the record that becomes config.json.
     Once the input is loaded, ``args.shape`` names the run's N, L and
-    tau_max, for ``main``'s out-of-memory line."""
+    tau_max for ``main``'s out-of-memory line, which also names
+    ``args.stage``, the stage running: "loading" here, then "returns",
+    "sweep" and "writing", as the ``cmd_*`` functions set it."""
+    args.stage = "loading"
     _check_out(args.out)
     watch = _parse_watch(args.watch)
     spec = load_injection_spec(args.inject) if args.command == "experiment" else None
@@ -269,13 +275,18 @@ def _timestamp() -> str:
 def cmd_analyze(args) -> int:
     counts, watch, _, config = _prepare(args)
     n, interval = counts.n_series, counts.interval
+    args.stage = "returns"
     g = returns_from_counts(counts)
     del counts  # free the count table before the sweep
     bounds = rmt_bounds(n, g.n_returns)  # N >= L fails here, before any solve
-    seq = sweep(g, args.tau_max)
+    args.stage = "sweep"
+    equal_time = np.empty((n, n))
+    seq = sweep(g, args.tau_max, equal_time=equal_time)
     parts = segment(seq.eigenvalues[0], bounds)
+    args.stage = "writing"
     with _run_dir(config) as out_dir:
-        write_matrix_csv(equal_time_corr(g), out_dir / "equal_time.csv")
+        # the sweep's own lag 0, built once
+        write_matrix_csv(LagCorrMatrix(0, equal_time), out_dir / "equal_time.csv")
 
         summary = {
             "timestamp": _timestamp(),
@@ -332,10 +343,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_experiment(args) -> int:
     counts, watch, spec, config = _prepare(args)
-    report = run_experiment(
-        counts, spec, args.tau_max, watch, detrend=args.detrend
-    )
-
+    report = run_experiment(counts, spec, args.tau_max, watch, detrend=args.detrend,
+                            on_stage=lambda stage: setattr(args, "stage", stage))
+    args.stage = "writing"
     with _run_dir(config) as out_dir:
         for item in report.watches:
             stem = f"{item.kind}_{item.position}"
@@ -378,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError as exc:  # numpy's message names the array and the bytes
         message = " ".join(str(exc).split()) or "out of memory"
-        shape = "" if args.shape is None else f" ({args.shape})"
+        shape = "" if args.shape is None else f" ({args.shape}, stage = {args.stage})"
         print(f"MemoryError: {message}{shape}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

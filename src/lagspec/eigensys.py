@@ -21,6 +21,8 @@ _ORTHO_TOL = 1e-8
 # floats per block of rows of U diag(vals) or of EigenSystem's Gram
 # product: half the bytes of an N x N boolean array at N = 512
 _BLOCK_FLOATS = 1 << 14
+# rows and columns per tile of ``_column_iprs``'s copy
+_TILE = 64
 # ascending eigenvalues at most this far apart, relative to ||D||_F, form one
 # degenerate cluster: 100 times the residual bound
 _CLUSTER_GAP = 1e-8
@@ -342,7 +344,8 @@ def eigendecompose(d, out=None):
     same bits and not writing the matrix, where LAPACK is not found or the
     matrix is read-only, not C-ordered, or one dsyevd would scale first.
     Matrices that are not consecutive planes of one array, as the sweep's
-    are, are solved in a copy.  The results' eigenvalues and eigenvectors
+    are but for a lag 0 built into its caller's array, are solved in a
+    copy.  The results' eigenvalues and eigenvectors
     are views into the workspace, valid until its next use: without
     ``out``, each system holds 2 N^2 floats of it, not N^2.
 
@@ -425,8 +428,15 @@ def _column_iprs(vecs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of fourth powers down each column of each matrix of a stack,
     from squares made in C order (in ``out`` if given): the sums then run
     as for ``np.linalg.eigh``'s C-order eigenvectors, whatever the layout
-    of ``vecs``."""
-    sq = np.multiply(vecs, vecs, out=out, order="C")
+    of ``vecs``.  ``vecs`` is copied into ``out`` a tile of ``_TILE`` x
+    ``_TILE`` entries at a time, so that the solver's transposed
+    eigenvectors are read and written within the cache, and squared there."""
+    sq = np.empty(vecs.shape) if out is None else out
+    rows, cols = vecs.shape[-2:]
+    for r in range(0, rows, _TILE):
+        for c in range(0, cols, _TILE):
+            sq[..., r:r + _TILE, c:c + _TILE] = vecs[..., r:r + _TILE, c:c + _TILE]
+    np.multiply(sq, sq, out=sq)
     return np.einsum("...ij,...ij->...j", sq, sq)
 
 

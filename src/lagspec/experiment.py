@@ -13,7 +13,7 @@ import numbers
 import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Literal, Sequence, Union
+from typing import Callable, Literal, Sequence, Union
 
 import numpy as np
 
@@ -445,6 +445,7 @@ def run_experiment(
     watch_positions: Sequence[int] | None = None,
     *,
     detrend: Literal["none", "mean"] = "mean",
+    on_stage: Callable[[str], object] | None = None,
 ) -> ExperimentReport:
     """Sweep before and after an injection, in one pass, and compare
     trajectory spectra.
@@ -453,6 +454,8 @@ def run_experiment(
     before the injection plus, for periodic injections, the injection period
     itself.  Bad watch positions (IndexOutOfRange, ConfigInvalid) and a
     ``tau_max`` below MIN_SPECTRUM_LEN (TooShort) fail before any work.
+    ``on_stage``, if given, is called with "returns" as the injected
+    record and both records' returns are made, then with "sweep".
     """
     if watch_positions is None:
         watch_positions = default_watch(counts.n_series)
@@ -463,9 +466,12 @@ def run_experiment(
     if int(tau_max) < MIN_SPECTRUM_LEN:
         raise TooShort(f"tau_max {tau_max} gives trajectories of {tau_max} samples, "
                        f"need at least {MIN_SPECTRUM_LEN}")
+    stage = on_stage or (lambda name: None)
+    stage("returns")
     # the injected counts are freed once their returns exist
     after_returns = returns_from_counts(inject(counts, spec))
     before_returns = returns_from_counts(counts)
+    stage("sweep")
     seq_before, seq_after = sweep(before_returns, tau_max, after=after_returns)
 
     watches = []

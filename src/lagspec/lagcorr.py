@@ -9,8 +9,8 @@ O(tau/L).  Symmetrization restricts eigenvalues and eigenvectors to real
 values.
 
 ``lag_corr`` builds one lag with one GEMM.  ``block_lag_corrs`` gives a
-builder of lags 1..tau_max of a long record (``uses_block_path``: L >= 14124
-at N = 64, the bound falling from 268 N at N = 32 to 153 N at N = 512), in
+builder of lags 1..tau_max of a long record (``uses_block_path``: L >= 10760
+at N = 64, the bound falling from 214 N at N = 32 to 134 N at N = 512), in
 increasing order, from block FFTs, about four GEMMs' worth of flops per block
 of B lags, B being 32 or, where the returns' bytes allow, a larger power of
 two (128 for the 64 x 32767 benchmark record), on one thread or several; like
@@ -63,11 +63,12 @@ class LagCorrMatrix:
             raise ParseError(f"values must hold at least one entry, got shape {values.shape}")
         if self.lag < 0:
             raise ValueError("lag must be non-negative")
-        # row blocks against column blocks, and reductions, so that no N x N
-        # temporary is made; NaN fails the symmetry test
+        # row blocks from the diagonal on against column blocks, each pair
+        # (i, j) compared once, and reductions, so that no N x N temporary
+        # is made; NaN fails the symmetry test
         n = values.shape[0]
         for r in range(0, n, _ROWS):
-            if not np.array_equal(values[r:r + _ROWS], values[:, r:r + _ROWS].T):
+            if not np.array_equal(values[r:r + _ROWS, r:], values[r:, r:r + _ROWS].T):
                 raise ValueError("lagged correlation matrix must be exactly symmetric")
         if values.max() > 1.0 + _ENTRY_TOL or values.min() < -(1.0 + _ENTRY_TOL):
             raise CorrelationOutOfRange(
@@ -156,19 +157,11 @@ def patch_rows(
 
 def uses_block_path(n: int, length: int) -> bool:
     """True when ``block_lag_corrs`` builds the lags of an n x length
-    return matrix.  The rule is that a plan at 32 samples per block fits
-    in the bytes of the returns, its spectra given about a quarter of them
-    and a whole accumulator held for its products: the kernel's working
-    set from before it summed its products a group of bins at a time,
-    kept so that the records that take the path stay the same.  Depends
-    on the shape only, as ``_block_plan`` does, so lag k's matrix is the
-    same at every tau_max."""
-    budget = 8 * n * length
-    block = (_BLOCK + 1) * n * 16
-    slab = block * n
-    chunk = min(_MAX_CHUNK, budget // (8 * block))
-    batch = (budget - slab - (2 * chunk + 2 * _PIECE // _BLOCK) * block) // (slab + 2 * block)
-    return chunk >= 1 and batch >= 1
+    return matrix: where the kernel's own working set at 32 samples per
+    block fits in the bytes of the returns (``_fit``).  Depends on the
+    shape only, as ``_block_plan`` does, so lag k's matrix is the same at
+    every tau_max."""
+    return _fit(n, length, _BLOCK) is not None
 
 
 def _inverse_room(n: int, size: int) -> tuple[int, int]:

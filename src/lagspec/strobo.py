@@ -142,7 +142,9 @@ class ResonanceReport:
 
 
 @overload
-def sweep(g: ReturnMatrix, tau_max: int) -> StroboscopicSequence: ...
+def sweep(
+    g: ReturnMatrix, tau_max: int, *, equal_time: np.ndarray | None = None
+) -> StroboscopicSequence: ...
 
 
 @overload
@@ -152,7 +154,8 @@ def sweep(
 
 
 def sweep(
-    g: ReturnMatrix, tau_max: int, *, after: ReturnMatrix | None = None
+    g: ReturnMatrix, tau_max: int, *, after: ReturnMatrix | None = None,
+    equal_time: np.ndarray | None = None,
 ) -> StroboscopicSequence | tuple[StroboscopicSequence, StroboscopicSequence]:
     """Eigen-decompose the lagged correlation matrix at every lag 0..tau_max.
 
@@ -160,7 +163,14 @@ def sweep(
     per lag, or, for a long record (``uses_block_path``, decided from N and
     L only), from ``block_lag_corrs``.  Every lag passes all of
     ``LagCorrMatrix``'s and ``eigendecompose``'s checks and leaves one row
-    of each table.  No matrix or eigenvector is kept.
+    of each table.  No matrix or eigenvector is kept, but where
+    ``equal_time``, a C-contiguous N x N float array, is given, g's lag 0
+    is built into it and it holds that matrix, bit for bit, on return: a
+    caller that writes lag 0 needs no second build.  At one lag per batch
+    lag 0 is solved in that array, which the solve restores; at b >= 2 its
+    batch is solved in a copy, as its planes are not consecutive
+    (``eigendecompose``).  The tables are the same with or without it.
+    It is not taken together with ``after`` (ValueError).
 
     With ``after``, a record of g's shape (ValueError otherwise), both are
     swept and the pair (g's sequence, after's) is returned; g's is the one
@@ -196,6 +206,10 @@ def sweep(
         )
     if tau_max > length // 2:
         raise LagTooLarge(f"tau_max {tau_max} exceeds half the record (L={length})")
+    if equal_time is not None and after is not None:
+        raise ValueError("equal_time is not taken together with after")
+    if equal_time is not None and equal_time.shape != (n, n):
+        raise ValueError(f"equal_time must be {n} x {n}, got {equal_time.shape}")
     block_path = uses_block_path(n, length)
     rows = None
     if after is not None:
@@ -219,8 +233,10 @@ def sweep(
         """Lag k's matrix of each record, in record order, each made into
         ``out``, one N x N plane, when it is asked for, so over the one
         before, which is solved by then; on the block path the kernel
-        makes g's lags from 1 on."""
-        first = kernel(k, out) if k and kernel is not None else lag_corr(g, k, out=out)
+        makes g's lags from 1 on, and g's lag 0 is made into
+        ``equal_time`` where that is given."""
+        plane = equal_time if k == 0 and equal_time is not None else out
+        first = kernel(k, plane) if k and kernel is not None else lag_corr(g, k, out=plane)
         yield first
         if after is not None and rows is None:
             yield lag_corr(after, k, out=out)

@@ -277,7 +277,7 @@ class TestAnalyze:
                            "--out", str(out)) == 1
             assert lagspec._blas.thread_count() == 2
         err = capsys.readouterr().err
-        assert err == f"MemoryError: {message} (N = 16, L = 512, tau_max = 12)\n"
+        assert err == f"MemoryError: {message} (N = 16, L = 512, tau_max = 12, stage = sweep)\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
@@ -433,8 +433,9 @@ class TestAnalyze:
         assert not list(out.glob("spectrum_*"))
 
     def test_equal_time_csv_is_the_sweeps_lag0_matrix(self, tmp_path, monkeypatch):
-        """The sweep builds each lag once; equal_time.csv is lag 0 built
-        again, after the sweep, which keeps no matrix."""
+        """The run builds each lag once, inside the sweep: equal_time.csv
+        is written from the sweep's own lag 0, with the bytes of a fresh
+        ``lag_corr(g, 0)``."""
         lags = []
 
         def counting(g, lag, out=None):
@@ -448,7 +449,7 @@ class TestAnalyze:
         assert run_cli(
             "analyze", "--synth", "small", "--tau-max", "12", "--out", str(out)
         ) == 0
-        assert sorted(lags[:-1]) == list(range(13)) and lags[-1] == 0
+        assert sorted(lags) == list(range(13))
         g = returns_from_counts(synth_generate(SYNTH_PRESETS["small"]))
         write_matrix_csv(lag_corr(g, 0), tmp_path / "expected.csv")
         assert (out / "equal_time.csv").read_bytes() == (
@@ -852,6 +853,15 @@ OOM_SEAMS = {
     "write_trajectory_csv": ((lagspec.cli, "write_trajectory_csv"),),
     "write_spectrum_csv": ((lagspec.cli, "write_spectrum_csv"),),
 }
+# the stage that ``main``'s out-of-memory line names for each seam; a
+# failure in ``load_counts`` gives no shape and so no stage
+OOM_STAGES = {
+    "returns_from_counts": "returns",
+    **dict.fromkeys(("Workspace", "lag_corr", "patch_rows", "block builder",
+                     "eigendecompose"), "sweep"),
+    **dict.fromkeys(("write_matrix_csv", "write_trajectory_csv", "write_spectrum_csv"),
+                    "writing"),
+}
 OOM_MESSAGE = ("Unable to allocate 1.00 MiB for an array with shape (1, 362, 362) "
                "and data type float64")  # numpy's
 
@@ -895,11 +905,12 @@ def test_out_of_memory_at_any_seam_exits_1_and_keeps_the_earlier_run(command, pa
     """A MemoryError at the k-th call of any seam through which a run
     allocates, on either sweep path, on the calling thread or a sweep
     worker's, gives exit 1 and one stderr line with numpy's message, and
-    the run's shape where the input was loaded, as it is past
-    ``load_counts``.  The
-    earlier run in ``--out`` keeps its bytes, no ``.partial`` sibling is
-    left, and the BLAS thread count is that of before the run.  A first,
-    unpatched run makes the earlier run and counts each seam's calls.  A
+    the run's shape and the stage that was running where the input was
+    loaded, as it is past ``load_counts``: "returns", "sweep" or
+    "writing", as ``OOM_STAGES`` names them.  The earlier run in
+    ``--out`` keeps its bytes, no ``.partial`` sibling is left, and the
+    BLAS thread count is that of before the run.  A first, unpatched run
+    makes the earlier run and counts each seam's calls.  A
     CSV input is read by ``load_counts``; the synthetic one, whose
     injected record differs from it in one series, has after's lags made
     by ``patch_rows`` on the direct path."""
@@ -927,7 +938,8 @@ def test_out_of_memory_at_any_seam_exits_1_and_keeps_the_earlier_run(command, pa
             exhaust(mp, seam, data.draw(st.integers(1, calls[seam]), label="k"))
             earlier = {p.name: p.read_bytes() for p in (tmp / "run").iterdir()}
             names = sorted(os.listdir(tmp))
-            shape = "" if seam == "load_counts" else f" (N = {n}, L = {rows - 1}, tau_max = 10)"
+            shape = ("" if seam == "load_counts" else
+                     f" (N = {n}, L = {rows - 1}, tau_max = 10, stage = {OOM_STAGES[seam]})")
             assert quiet_main(argv) == (1, f"MemoryError: {OOM_MESSAGE}{shape}\n")
             assert lagspec._blas.thread_count() == 2
         assert {p.name: p.read_bytes() for p in (tmp / "run").iterdir()} == earlier
@@ -1005,7 +1017,7 @@ def test_a_thread_that_cannot_start_exits_1():
     assert starts == {"direct": 3, "block": 6}
     returns = {"direct": 512, "block": 8192}
     message = ("MemoryError: cannot start a thread: can't start new thread "
-               "(N = 16, L = {}, tau_max = 40)\n")
+               "(N = 16, L = {}, tau_max = 40, stage = sweep)\n")
     assert all(rest == [1, message.format(returns[path]), 0, 4]
                for path, _, *rest in results), results
 
@@ -1087,9 +1099,9 @@ class TestRunDirectory:
         assert self.small(out, "--watch", "3") == 0
         real_sweep = lagspec.cli.sweep
 
-        def sweep_then_add(g, tau_max):
+        def sweep_then_add(g, tau_max, **kwargs):
             (out / "notes.txt").write_text("keep\n")
-            return real_sweep(g, tau_max)
+            return real_sweep(g, tau_max, **kwargs)
 
         monkeypatch.setattr(lagspec.cli, "sweep", sweep_then_add)
         assert self.small(out, "--watch", "5") == 2
@@ -1143,10 +1155,10 @@ class TestRunDirectory:
             made.append(weakref.ref(counts))
             return counts
 
-        def checked_sweep(g, tau_max):
+        def checked_sweep(g, tau_max, **kwargs):
             gc.collect()
             alive.extend(ref() is not None for ref in made)
-            return real_sweep(g, tau_max)
+            return real_sweep(g, tau_max, **kwargs)
 
         monkeypatch.setattr(lagspec.cli, "synth_generate", generate)
         monkeypatch.setattr(lagspec.cli, "sweep", checked_sweep)

@@ -534,6 +534,29 @@ class TestIpr:
             v /= np.linalg.norm(v)
             assert 1.0 / 64 <= ipr(v) <= 1.0
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 512])
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_tiled_squares_give_the_bits_of_one_c_order_multiply(self, n, b):
+        """``_column_iprs`` copies through tiles and squares in place; its
+        sums are those of squares made in one C-order multiply, for the
+        solver's transposed eigenvectors and for C-order ones, with or
+        without ``out``, and so are ``ipr``'s."""
+
+        def one_multiply(vecs):
+            sq = np.multiply(vecs, vecs, order="C")
+            return np.einsum("...ij,...ij->...j", sq, sq)
+
+        z = np.random.default_rng(n + b).standard_normal((b, n, n))
+        z /= np.linalg.norm(z, axis=2, keepdims=True)
+        for vecs in (z.transpose(0, 2, 1), z):
+            want = one_multiply(vecs)
+            out = np.full((b, n, n), np.nan)
+            assert np.array_equal(_column_iprs(vecs, out=out), want)
+            assert np.array_equal(_column_iprs(vecs), want)
+            assert np.array_equal(_column_iprs(vecs[0]), want[0])
+        for v in z[0]:  # unit rows
+            assert ipr(v) == one_multiply(v.reshape(-1, 1))[0]
+
 
 class TestRmtBounds:
     def test_narrow_band_limit(self):

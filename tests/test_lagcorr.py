@@ -151,6 +151,26 @@ class TestLagCorr:
         with pytest.raises(ValueError, match="exactly symmetric"):
             LagCorrMatrix(lag=1, values=values)
 
+    @given(data=st.data(), n=st.integers(2, 200), seed=st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_one_broken_pair_is_rejected_at_any_position(self, data, n, seed):
+        """The check compares each pair (i, j) once, from the diagonal on: a
+        symmetric matrix passes, and one entry nudged off its mirror, or
+        one off-diagonal NaN, alone or with its mirror, fails, in any block
+        of 64 rows, the last partial one included."""
+        i = data.draw(st.integers(0, n - 1), label="i")
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i), label="j")
+        a = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, n))
+        values = np.triu(a) + np.triu(a, 1).T
+        LagCorrMatrix(lag=1, values=values)
+        for broken in (np.nextafter(values[i, j], 1.0), np.nan):
+            values[i, j] = broken
+            with pytest.raises(ValueError, match="exactly symmetric"):
+                LagCorrMatrix(lag=1, values=values)
+        values[j, i] = np.nan
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            LagCorrMatrix(lag=1, values=values)
+
     @pytest.mark.parametrize("entry", [1.0 + 2e-9, -1.0 - 2e-9, np.inf, -np.inf])
     def test_entries_outside_unit_range_rejected(self, entry):
         values = np.eye(70)
@@ -207,8 +227,8 @@ class TestBlockPath:
 
     def test_shape_rule(self):
         assert uses_block_path(64, 32768)  # long: L/N = 512
-        assert not uses_block_path(64, 14123)
-        assert uses_block_path(64, 14124)  # the first block-path L at N = 64
+        assert not uses_block_path(64, 10759)
+        assert uses_block_path(64, 10760)  # the first block-path L at N = 64
         assert not uses_block_path(64, 2048)  # inject: L/N = 32
         assert not uses_block_path(512, 4096)  # wide: L/N = 8
         assert not uses_block_path(8, 256)

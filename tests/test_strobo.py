@@ -291,15 +291,41 @@ class TestSweepWorkers:
             assert _split(g, tau_max) == (2, 2, 1)
             seq = sweep(g, tau_max)
             with sweep_blas(g, tau_max):
-                lag0 = lag_corr(g, 0)
                 for k in range(tau_max + 1):
                     system = eigendecompose(lag_corr(g, k))
                     assert np.array_equal(seq.eigenvalues[k], system.eigenvalues), k
                     assert np.array_equal(seq.iprs[k], system.iprs), k
-            # lag 0, built at 1 thread, equals its build at 2: numpy forms
-            # returns @ returns.T with syrk, so equal_time.csv, built after
-            # the sweep, holds the matrix the sweep solved
-            assert np.array_equal(lag0.values, equal_time_corr(g).values)
+
+    @needs_openblas
+    @pytest.mark.parametrize("shape, one_lag", [
+        (DIRECT, True), (DIRECT, False), (BLOCK, False), ((16, 6000, 40), True)])
+    def test_equal_time_holds_the_solved_lag0(self, monkeypatch, shape, one_lag):
+        """``sweep(g, tau_max, equal_time=a)`` leaves g's lag-0 matrix in
+        ``a``, bit for bit that of ``lag_corr(g, 0)``, and gives the tables
+        of ``sweep(g, tau_max)``: on the direct path a lag or a batch at a
+        time, where lag 0 is solved in a copy, and on the block path, at 1
+        to 4 OpenBLAS threads.  It is refused with ``after``."""
+        n, length, tau_max = shape
+        if one_lag:
+            monkeypatch.setattr(lagspec.eigensys, "_BLOCK_FLOATS", 1)
+        g = iid_returns(n, length, seed=30)
+        assert uses_block_path(n, length) == (shape != DIRECT)
+        want = lag_corr(g, 0).values
+        batches = set()
+        for total in range(1, 5):
+            with _blas.threads(total):
+                batches.add(_batch(g, tau_max, *_split(g, tau_max)[:2]))
+                plain = sweep(g, tau_max)
+                a = np.full((n, n), np.nan)
+                made = sweep(g, tau_max, equal_time=a)
+            assert np.array_equal(a, want), total
+            assert np.array_equal(plain.eigenvalues, made.eigenvalues), total
+            assert np.array_equal(plain.iprs, made.iprs), total
+        assert (batches == {1}) == one_lag
+        with pytest.raises(ValueError, match=f"equal_time must be {n} x {n}"):
+            sweep(g, tau_max, equal_time=np.empty((n, n + 1)))
+        with pytest.raises(ValueError, match="not taken together with after"):
+            sweep(g, tau_max, after=g, equal_time=np.empty((n, n)))
 
     @pytest.mark.usefixtures("one_lag_batches")
     def test_sweep_spreads_a_direct_path_record(self):

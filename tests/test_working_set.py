@@ -283,7 +283,7 @@ def test_experiment_peak_is_within_2_5_counts():
 def test_paired_sweep_finds_the_changed_series_in_row_blocks():
     """The records are compared a block of rows at a time: no N x L
     boolean array, on the longest direct-path record at N = 64."""
-    n, length = 64, 14000
+    n, length = 64, 10700
     rng = np.random.default_rng(4)
     raw = rng.standard_normal((n, length))
     g = normalize(raw)
