@@ -49,20 +49,20 @@ class EigenSystem:
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
         object.__setattr__(self, "iprs", iprs)
-        n = vals.shape[0]
+        n = len(vals) if vals.ndim == 1 else -1
         if vecs.shape != (n, n) or iprs.shape != (n,):
             raise ValueError("eigenvalues, eigenvectors and iprs disagree in shape")
         if not n:
             raise ValueError("an eigen system needs at least one eigenvalue")
-        fault = _system_fault(vals[None], vecs[None], np.empty(_rows(n, 1) * n))
+        fault = _fault(vals[None], vecs[None], np.empty(_rows(n, 1) * n))
         if fault is not None:
-            raise ValueError(fault[1])
+            raise ValueError(_CHECKS[fault[1]].format(at=""))
 
     @classmethod
     def _checked(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray,
                  iprs: np.ndarray) -> EigenSystem:
-        """A system of float arrays that have passed ``_system_fault``
-        already: its checks are not run a second time."""
+        """A system of float arrays that have passed EigenSystem's checks
+        (``_fault``) already: they are not run a second time."""
         system = object.__new__(cls)
         object.__setattr__(system, "eigenvalues", eigenvalues)
         object.__setattr__(system, "eigenvectors", eigenvectors)
@@ -70,16 +70,28 @@ class EigenSystem:
         return system
 
 
-def _system_fault(vals: np.ndarray, vecs: np.ndarray,
-                  block: np.ndarray) -> tuple[int, str] | None:
-    """EigenSystem's checks, sort, unit norm and orthogonality, each over a
-    stack of b >= 1 systems, eigenvalues (b, N) and eigenvectors (b, N, N)
-    as columns: the lowest failing system and its first failed check, as
-    (that system, the check's message), or None.  The upper triangles of
-    the products VᵀV are made a block of rows at a time, less their
-    diagonals, in ``block``, flat, which holds b blocks of ``_rows(N, b)``
-    rows: no N x N temporary at b = 1, and half the flops of the full
-    products."""
+# a solve's checks, in the order in which each matrix takes them, by their
+# messages, which name the lag ``at``: the residual and the trace, which
+# need D, then EigenSystem's
+_CHECKS = (f"eigen residual {{worst:.3e}} exceeds {_RESIDUAL_FACTOR:.0e} * ||D||_F{{at}}",
+           "eigenvalue sum deviates from trace{at}",
+           "bad eigen system{at}: eigenvalues must be sorted ascending",
+           "bad eigen system{at}: eigenvectors must be unit norm",
+           "bad eigen system{at}: eigenvectors must be pairwise orthogonal")
+
+
+def _fault(vals: np.ndarray, vecs: np.ndarray, block: np.ndarray,
+           *before: np.ndarray) -> tuple[int, int] | None:
+    """The fault that taking a stack of b >= 1 systems, eigenvalues (b, N)
+    and eigenvectors (b, N, N) as columns, one at a time, each through the
+    checks of ``_CHECKS`` in order, meets first: the lowest failing system
+    and the first check that it fails, as (that system, the check's index),
+    or None.  ``before`` holds a (b,) mask of the failures of each check
+    before EigenSystem's that the caller ran; EigenSystem's, sort, unit
+    norm and orthogonality, run here.  The upper triangles of the products
+    VᵀV are made a block of rows at a time, less their diagonals, in
+    ``block``, flat, which holds b blocks of ``_rows(N, b)`` rows: no
+    N x N temporary at b = 1, and half the flops of the full products."""
     b, n = vals.shape
     unsorted = (vals[:, 1:] < vals[:, :-1]).any(axis=1)
     norms = np.einsum("bij,bij->bj", vecs, vecs)
@@ -93,12 +105,11 @@ def _system_fault(vals: np.ndarray, vecs: np.ndarray,
                          out=block[:b * c * (n - r)].reshape(b, c, n - r))
         gram.reshape(b, -1)[:, ::n - r + 1] = 0.0  # the diagonals
         skewed |= np.abs(gram, out=gram).max(axis=(1, 2)) > _ORTHO_TOL
-    faults = [(int(failed.argmax()), message) for failed, message in (
-        (unsorted, "eigenvalues must be sorted ascending"),
-        (unnormed, "eigenvectors must be unit norm"),
-        (skewed, "eigenvectors must be pairwise orthogonal")) if failed.any()]
-    # the lowest system, and of the checks that it fails the first
-    return min(faults, key=lambda fault: fault[0], default=None)
+    failed = [*before, unsorted, unnormed, skewed]
+    skipped = len(_CHECKS) - len(failed)
+    # (system, check) pairs order as the loop meets them
+    return min([(int(mask.argmax()), skipped + check)
+                for check, mask in enumerate(failed) if mask.any()], default=None)
 
 
 @dataclass(frozen=True)
@@ -258,7 +269,10 @@ def _restore(stack: np.ndarray, block: np.ndarray, upper: np.ndarray) -> None:
 def _stacked(values: list[np.ndarray]) -> np.ndarray:
     """Same-size matrices as one (b, N, N) array: a view of the one, or of
     consecutive planes of one writable C-ordered float array, each right
-    after the one before, as the sweep's are; a copy otherwise."""
+    after the one before, as every sweep batch's are, so that the solve
+    phase writes and restores them in place; a copy otherwise, as for a
+    list made by hand or a sweep batch whose lag 0 is built into the
+    caller's ``equal_time`` array."""
     first = values[0]
     if len(values) == 1:
         return first[None]
@@ -277,16 +291,18 @@ def _stacked(values: list[np.ndarray]) -> np.ndarray:
 
 def _solve(stack: np.ndarray, lags: list[int],
            ws: Workspace) -> tuple[int, ConvergenceFailure | None]:
-    """Solve the matrices of ``stack`` in order, each into its plane of
-    ``ws``, up to the first whose solver fails: how many were solved, and
-    that failure at its lag, caused by the solver's LinAlgError, or None.
-    dsyevd's stages (``_eigh``) solve in the matrix itself where LAPACK is
-    found, the stack is a writable C-ordered float array, and dsyevd would
-    not scale that matrix first; ``_eigh``'s fallback solves the others,
-    which are not written.  The scaling test, the saving of the diagonals
-    and the restore of what the stages overwrite run once over the stack,
-    the restore also after a failure, so every matrix holds its bytes
-    again on return."""
+    """``eigendecompose``'s solve phase.  Solve the matrices of ``stack``
+    in order, each into its plane of ``ws``, up to the first whose solver
+    fails, and fix the sign of each solved vector, its largest-magnitude
+    component positive: how many were solved, and that failure at its lag,
+    caused by the solver's LinAlgError, or None.  dsyevd's stages
+    (``_eigh``) solve in the matrix itself where LAPACK is found, the stack
+    is a writable C-ordered float array, and dsyevd would not scale that
+    matrix first; ``_eigh``'s fallback solves the others, which are not
+    written.  The scaling test, the saving of the diagonals and the
+    restore of what the stages overwrite run once over the stack, the
+    restore also after a failure, so every matrix holds its bytes again on
+    return."""
     b, n = stack.shape[:2]
     staged = np.zeros(b, dtype=bool)
     if (_blas.lapack() is not None and stack.flags.c_contiguous
@@ -297,21 +313,24 @@ def _solve(stack: np.ndarray, lags: list[int],
     if staged.any():
         diagonals = stack.reshape(b, -1)[:, ::n + 1]
         ws.diag[:b] = diagonals
-    i = 0
+    solved, failure = b, None
     try:
         for i, d in enumerate(stack):
             vals, vecs = _eigh(d, ws if staged[i] else None, i)
             if vecs.base is not ws.work:  # eigh's: into the plane
                 ws.w[i], ws.z[i] = vals, vecs.T
     except np.linalg.LinAlgError as exc:
-        failure = ConvergenceFailure(f"eigensolver failed at lag {lags[i]}: {exc}")
+        solved, failure = i, ConvergenceFailure(f"eigensolver failed at lag {lags[i]}: {exc}")
         failure.__cause__ = exc
-        return i, failure
     finally:
         if staged.any():
             _restore(stack, ws.block, ws.upper)
             diagonals[...] = ws.diag[:b]
-    return b, None
+    # row k of ``each[i]`` is matrix i's eigenvector k, with unit stride
+    each = ws.z[:solved]
+    lead = np.argmax(np.abs(each, out=ws.scratch[:solved]), axis=2)
+    each *= np.copysign(1.0, each[np.arange(solved)[:, None], np.arange(n), lead])[:, :, None]
+    return solved, failure
 
 
 @overload
@@ -324,7 +343,12 @@ def eigendecompose(
 ) -> list[EigenSystem]: ...
 
 
-def eigendecompose(d, out=None):
+@overload
+def eigendecompose(d: Sequence[LagCorrMatrix], out: Workspace | None = None, *,
+                   into: np.ndarray | tuple[np.ndarray, np.ndarray]) -> None: ...
+
+
+def eigendecompose(d, out=None, *, into=None):
     """Solve the symmetric eigenproblem for one lagged correlation matrix,
     or for each of a sequence of same-size ones, giving a list.
 
@@ -337,17 +361,27 @@ def eigendecompose(d, out=None):
     A singleton's IPR is that of its vector, ``sum_i u_i**4``.
 
     The b matrices are solved in ``out``, a ``Workspace(N, b' >= b)``, or
-    in a ``Workspace(N, b)`` made for the call.  Each takes dsyevd's three
-    stage calls in the matrix itself, which is written during the call and
-    restored (see ``_solve``), and every other step, the checks included,
-    runs once over the batch.  ``np.linalg.eigh`` solves instead, with the
-    same bits and not writing the matrix, where LAPACK is not found or the
-    matrix is read-only, not C-ordered, or one dsyevd would scale first.
-    Matrices that are not consecutive planes of one array, as the sweep's
-    are but for a lag 0 built into its caller's array, are solved in a
-    copy.  The results' eigenvalues and eigenvectors
-    are views into the workspace, valid until its next use: without
-    ``out``, each system holds 2 N^2 floats of it, not N^2.
+    in a ``Workspace(N, b)`` made for the call, in three phases, each run
+    once over the batch:
+
+    - the solve (``_solve``): dsyevd's three stage calls in each matrix
+      itself, which is written during the call and restored, then each
+      vector's sign fixed.  ``np.linalg.eigh`` solves instead, with the
+      same bits and not writing the matrix, where LAPACK is not found or
+      the matrix is read-only, not C-ordered, or one dsyevd would scale
+      first.  Matrices that are not consecutive planes of one array are
+      solved in a copy (``_stacked``);
+    - the checks (``_check``), which raise the first fault;
+    - the IPRs (``_iprs``), each vector's, then each cluster's.
+
+    Without ``into``, the results' eigenvalues and eigenvectors are views
+    into the workspace, valid until its next use: without ``out``, each
+    system holds 2 N^2 floats of it, not N^2.  With ``into``, two (b, N)
+    float arrays, as a pair or as one (2, b, N) array such as the sweep's
+    block of rows of its two tables, the eigenvalues are copied into
+    ``into[0]`` and the IPRs made in ``into[1]``, row i matrix i's, with
+    the bits of the systems' own; no EigenSystem is made, and None is
+    returned.
 
     Raises ConvergenceFailure, naming the lag, if the solver fails, the
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
@@ -355,39 +389,43 @@ def eigendecompose(d, out=None):
     sort, unit-norm or orthogonality checks, which are not run again on
     the systems returned.  Of a batch, the error is the one that solving
     its matrices one at a time, in order, meets first: that of the lowest
-    failing matrix, at the first of those checks that it fails.  A matrix
-    is solved once, also where a later one fails.
+    failing matrix, at the first of those checks that it fails, in that
+    order (``_CHECKS``), and a solver's failure only where no matrix before
+    it fails a check.  A matrix is solved once, also where a later one
+    fails, and ``into`` is written only where none fails.
     """
     ds = [d] if isinstance(d, LagCorrMatrix) else list(d)
     if not ds:
-        return []
-    systems = _decompose(ds, Workspace(ds[0].n, len(ds)) if out is None else out)
-    return systems[0] if isinstance(d, LagCorrMatrix) else systems
-
-
-def _decompose(ds: list[LagCorrMatrix], ws: Workspace) -> list[EigenSystem]:
-    """``eigendecompose`` of the matrices ``ds`` in ``ws``.  The matrices
-    solved before a solver failure (``_solve``) take every check, each a
-    mask over them; the solver's failure is raised where none fails one."""
-    b, n = len(ds), ds[0].n
-    lags = [m.lag for m in ds]
+        return [] if into is None else None
+    b, n, lags = len(ds), ds[0].n, [m.lag for m in ds]
+    ws = Workspace(n, b) if out is None else out
     if b > len(ws.z) or (n, n) != ws.z.shape[1:]:
         raise ValueError(f"a workspace for {len(ws.z)} x {ws.z.shape[1:]} cannot solve "
                          f"{b} x {ds[0].values.shape}")
     stack = _stacked([m.values for m in ds])
-    b, failure = _solve(stack, lags, ws)
+    solved, failure = _solve(stack, lags, ws)
+    frob = _check(stack[:solved], lags, ws, failure)
+    iprs = _iprs(ws, frob, None if into is None else into[1])
+    if into is None:
+        systems = [EigenSystem._checked(*system)
+                   for system in zip(ws.w, ws.z[:b].transpose(0, 2, 1), iprs)]
+        return systems[0] if isinstance(d, LagCorrMatrix) else systems
+    into[0][...] = ws.w[:b]
+
+
+def _check(stack: np.ndarray, lags: list[int], ws: Workspace,
+           failure: ConvergenceFailure | None) -> np.ndarray:
+    """``eigendecompose``'s check phase, over the b matrices of ``stack``
+    that the solve phase solved in ``ws``: the residual and the trace, each
+    a mask over them, then EigenSystem's checks, raising the fault that a
+    serial loop meets first (``_fault``), and else ``failure``, the
+    solver's at the matrix after them, if any.  It gives the matrices'
+    Frobenius norms, which scale the residual bound and, in the IPR phase,
+    the clusters' gaps."""
+    b, n = stack.shape[:2]
     if not b:  # nothing solved to check
         raise failure
-    stack = stack[:b]
-    vals, vecs = ws.w[:b], ws.z[:b].transpose(0, 2, 1)
-    square, block = ws.scratch[:b], ws.block
-
-    # row k of ``each[i]`` is matrix i's eigenvector k, with unit stride
-    each = vecs.transpose(0, 2, 1)
-    # deterministic sign: largest-magnitude component positive
-    lead = np.argmax(np.abs(each, out=square), axis=2)
-    each *= np.copysign(1.0, each[np.arange(b)[:, None], np.arange(n), lead])[:, :, None]
-
+    vals, each, square = ws.w[:b], ws.z[:b], ws.scratch[:b]
     # row norms of U^T D - diag(vals) U^T, the residuals D u - lambda u
     # transposed, as D is symmetric, built in place in U^T D
     residual = np.matmul(each, stack, out=square)
@@ -395,69 +433,62 @@ def _decompose(ds: list[LagCorrMatrix], ws: Workspace) -> list[EigenSystem]:
     for r in range(0, n, rows):
         c = min(rows, n - r)
         residual[:, r:r + c] -= np.multiply(each[:, r:r + c], vals[:, r:r + c, None],
-                                            out=block[:b * c * n].reshape(b, c, n))
+                                            out=ws.block[:b * c * n].reshape(b, c, n))
     worst = np.sqrt(np.einsum("bij,bij->bi", residual, residual).max(axis=1))
     # np.linalg.norm of each matrix, bit for bit
     frob = np.array([math.sqrt(f.dot(f)) for f in (m.ravel(order="K") for m in stack)])
-    strayed = ~(worst <= _RESIDUAL_FACTOR * frob)  # NaN fails too
-    missed = np.abs(vals.sum(axis=1) - stack.trace(axis1=1, axis2=2)) > 1e-8 * n
-    fault = _system_fault(vals, vecs, square.reshape(-1))
-    if failure is not None or fault is not None or strayed.any() or missed.any():
-        # the lowest failing matrix, at the first check that it fails, of
-        # residual, trace and EigenSystem's; a solver's failure, at b, is
-        # met after every matrix solved
-        i = min([b, *np.flatnonzero(strayed | missed)[:1].tolist()])
-        if fault is not None and fault[0] < i:
-            raise ConvergenceFailure(f"bad eigen system at lag {lags[fault[0]]}: {fault[1]}")
-        if i == b:
-            raise failure
-        raise ConvergenceFailure(
-            f"eigen residual {worst[i]:.3e} exceeds {_RESIDUAL_FACTOR:.0e} * ||D||_F "
-            f"at lag {lags[i]}" if strayed[i] else
-            f"eigenvalue sum deviates from trace at lag {lags[i]}"
-        )
-
-    iprs = _column_iprs(vecs, out=square)
-    gaps = _CLUSTER_GAP * frob
-    for i in np.flatnonzero((vals[:, 1:] - vals[:, :-1] <= gaps[:, None]).any(axis=1)):
-        _cluster_iprs(vals[i], vecs[i], iprs[i], gaps[i])
-    return [EigenSystem._checked(*system) for system in zip(vals, vecs, iprs)]
+    fault = _fault(vals, each.transpose(0, 2, 1), square.reshape(-1),
+                   ~(worst <= _RESIDUAL_FACTOR * frob),  # NaN fails too
+                   np.abs(vals.sum(axis=1) - stack.trace(axis1=1, axis2=2)) > 1e-8 * n)
+    if fault is not None:
+        i, check = fault
+        raise ConvergenceFailure(_CHECKS[check].format(worst=worst[i], at=f" at lag {lags[i]}"))
+    if failure is not None:
+        raise failure
+    return frob
 
 
-def _column_iprs(vecs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _iprs(ws: Workspace, frob: np.ndarray, into: np.ndarray | None) -> np.ndarray:
+    """``eigendecompose``'s IPR phase, over the b = len(``frob``) systems
+    solved and checked in ``ws``: their (b, N) IPRs, made in ``into``
+    where given, each vector's (``_column_iprs``), then the cluster pass:
+    each member of a run of ascending eigenvalues whose consecutive gaps
+    are at most ``_CLUSTER_GAP`` times ||D||_F gets the IPR of the run's
+    span.  ``P_ii = sum_{k in run} U_ik**2`` depends on the span only."""
+    b = len(frob)
+    vals, vecs = ws.w[:b], ws.z[:b].transpose(0, 2, 1)
+    iprs = _column_iprs(vecs, out=ws.scratch[:b], into=into)
+    close = vals[:, 1:] - vals[:, :-1] <= _CLUSTER_GAP * frob[:, None]
+    for i in np.flatnonzero(close.any(axis=1)):
+        # a run of close gaps lo..hi-2 joins positions lo..hi-1: its ends
+        # are where ``close[i]``, padded with False, changes
+        ends = np.flatnonzero(np.diff(close[i], prepend=False, append=False))
+        for lo, hi in zip(ends[::2].tolist(), (ends[1::2] + 1).tolist()):
+            # rows of unit stride, as in np.linalg.eigh's C-order
+            # eigenvectors: the sums run the same way for any layout
+            span = np.ascontiguousarray(vecs[i, :, lo:hi])
+            p = np.einsum("ik,ik->i", span, span)
+            m = hi - lo
+            iprs[i, lo:hi] = 3.0 * float(p @ p) / (m * (m + 2))
+    return iprs
+
+
+def _column_iprs(vecs: np.ndarray, out: np.ndarray | None = None,
+                 into: np.ndarray | None = None) -> np.ndarray:
     """Sum of fourth powers down each column of each matrix of a stack,
-    from squares made in C order (in ``out`` if given): the sums then run
-    as for ``np.linalg.eigh``'s C-order eigenvectors, whatever the layout
-    of ``vecs``.  ``vecs`` is copied into ``out`` a tile of ``_TILE`` x
-    ``_TILE`` entries at a time, so that the solver's transposed
-    eigenvectors are read and written within the cache, and squared there."""
+    in ``into`` if given, from squares made in C order (in ``out`` if
+    given): the sums then run as for ``np.linalg.eigh``'s C-order
+    eigenvectors, whatever the layout of ``vecs``.  ``vecs`` is copied
+    into ``out`` a tile of ``_TILE`` x ``_TILE`` entries at a time, so that
+    the solver's transposed eigenvectors are read and written within the
+    cache, and squared there."""
     sq = np.empty(vecs.shape) if out is None else out
     rows, cols = vecs.shape[-2:]
     for r in range(0, rows, _TILE):
         for c in range(0, cols, _TILE):
             sq[..., r:r + _TILE, c:c + _TILE] = vecs[..., r:r + _TILE, c:c + _TILE]
     np.multiply(sq, sq, out=sq)
-    return np.einsum("...ij,...ij->...j", sq, sq)
-
-
-def _cluster_iprs(vals: np.ndarray, vecs: np.ndarray, iprs: np.ndarray,
-                  gap: float) -> None:
-    """Overwrite, in ``iprs``, each member of a run of ascending eigenvalues
-    with consecutive gaps at most ``gap``, of which ``vals`` has one at
-    least, by the IPR of the run's span.  ``P_ii = sum_{k in run} U_ik**2``
-    depends on the span only."""
-    close = (vals[1:] - vals[:-1] <= gap).nonzero()[0]
-    # a run of close gaps i..j joins positions i..j+1
-    breaks = close[1:] - close[:-1] > 1
-    starts = close[np.concatenate(([True], breaks))]
-    ends = close[np.concatenate((breaks, [True]))] + 2
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        # rows of unit stride, as in np.linalg.eigh's C-order eigenvectors:
-        # the sums run the same way for any layout of ``vecs``
-        span = np.ascontiguousarray(vecs[:, lo:hi])
-        p = np.einsum("ik,ik->i", span, span)
-        m = hi - lo
-        iprs[lo:hi] = 3.0 * float(p @ p) / (m * (m + 2))
+    return np.einsum("...ij,...ij->...j", sq, sq, out=into)
 
 
 def ipr(vector: np.ndarray) -> float:

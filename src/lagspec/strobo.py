@@ -3,8 +3,11 @@ spectra.
 
 The sweep solves lags 0..tau_max, several at once where BLAS threads allow
 (see ``_split``), and keeps two tables, eigenvalues and IPRs with one row
-per lag.  It can sweep a record and an injected copy of it in one pass,
-building the copy's lags from the record's on the direct path.
+per lag.  Each batch of lags is solved by one ``eigendecompose`` call, in
+its phases (solve, checks, IPRs), which writes the batch's eigenvalues and
+IPRs straight into its rows of the tables: no per-lag object is made.  It
+can sweep a record and an injected copy of it in one pass, building the
+copy's lags from the record's on the direct path.
 A trajectory is one column of a table over lags 1..tau_max, a plain 1-D
 array: the equal-time row carries the trivial autocorrelation spike and is
 excluded from spectra, though it stays available in the tables.  Eigenvalues
@@ -163,7 +166,10 @@ def sweep(
     per lag, or, for a long record (``uses_block_path``, decided from N and
     L only), from ``block_lag_corrs``.  Every lag passes all of
     ``LagCorrMatrix``'s and ``eigendecompose``'s checks and leaves one row
-    of each table.  No matrix or eigenvector is kept, but where
+    of each table, written there by the ``eigendecompose`` call of its
+    batch (``into``), with the bits of ``eigendecompose(lag_corr(g, k))``
+    at the same threads per call.  No matrix, eigenvector or EigenSystem
+    is kept or made for the tables, but where
     ``equal_time``, a C-contiguous N x N float array, is given, g's lag 0
     is built into it and it holds that matrix, bit for bit, on return: a
     caller that writes lag 0 needs no second build.  At one lag per batch
@@ -225,8 +231,7 @@ def sweep(
     records = 1 if after is None else 2
     workers, solvers, blas_threads = _split(g, tau_max)
     batch = _batch(g, tau_max, workers, solvers)
-    eigenvalues = np.empty((records, tau_max + 1, n))
-    iprs = np.empty_like(eigenvalues)
+    tables = np.empty((2, records, tau_max + 1, n))  # eigenvalues, IPRs
     kernel = block_lag_corrs(g, tau_max, workers) if block_path else None
 
     def matrices(k: int, out: np.ndarray) -> Iterator[LagCorrMatrix]:
@@ -244,8 +249,8 @@ def sweep(
             yield patch_rows(first, after, rows, out=out)
 
     with _blas.threads(blas_threads) if workers > 1 else nullcontext():
-        _solve_rows(matrices, block_path, eigenvalues, iprs, workers, solvers, batch)
-    sequences = tuple(map(StroboscopicSequence, eigenvalues, iprs))
+        _solve_rows(matrices, block_path, tables, workers, solvers, batch)
+    sequences = tuple(map(StroboscopicSequence, *tables))
     return sequences[0] if after is None else sequences
 
 
@@ -289,15 +294,15 @@ def _batch(g: ReturnMatrix, tau_max: int, workers: int, solvers: int) -> int:
 def _solve_rows(
     matrices: Callable[[int, np.ndarray], Iterator[LagCorrMatrix]],
     in_order: bool,
-    eigenvalues: np.ndarray,
-    iprs: np.ndarray,
+    tables: np.ndarray,
     workers: int,
     solvers: int,
     batch: int,
 ) -> None:
     """Solve the matrices of ``matrices(k, plane)``, one per record, into
-    row k of that record's tables, for every row k: ``eigenvalues[r]``
-    and ``iprs[r]`` are record r's, and ``matrices(k, plane)`` makes lag
+    row k of that record's tables, for every row k: ``tables``, shaped
+    (2, records, lags, N), holds record r's eigenvalues in ``tables[0, r]``
+    and its IPRs in ``tables[1, r]``, and ``matrices(k, plane)`` makes lag
     k's matrices in record order, into ``plane``, as they are asked for.
 
     ``workers`` threads, the calling one included, take batches of
@@ -309,8 +314,11 @@ def _solve_rows(
     order, a worker builds them in the critical section that hands it the
     batch; otherwise after it.  Worker i solves each record's batch with
     one ``eigendecompose`` call, in workspace i % ``solvers``, holding its
-    lock for the solve; ``with`` releases it also on an interrupt.  At
-    ``batch`` 1 a batch is a lag.  Stacks and workspaces are made once,
+    lock for the solve; ``with`` releases it also on an interrupt.  The
+    call writes the batch's eigenvalues and IPRs into their rows of the
+    tables itself (``into``, the (2, b, N) block of rows k..k+b-1), and
+    only where no lag of the batch fails.  At ``batch`` 1 a batch is a
+    lag.  Stacks and workspaces are made once,
     here on the calling thread, so no worker leaves freed memory in a
     malloc arena of its own.
 
@@ -326,7 +334,7 @@ def _solve_rows(
     the calling thread while it waits for the others, ends all taking,
     and is raised instead.
     """
-    records, lags, n = eigenvalues.shape
+    records, lags, n = tables.shape[1:]
     lock = threading.Lock()
     # (record, a batch's first lag): its failure; an interrupt is filed at
     # (0, -1), below every lag, so that it ends all taking and is raised
@@ -368,8 +376,7 @@ def _solve_rows(
             built, error = first
             with held:
                 try:
-                    for lag, system in enumerate(eigendecompose(built, out=ws), k):
-                        eigenvalues[r, lag], iprs[r, lag] = system.eigenvalues, system.iprs
+                    eigendecompose(built, out=ws, into=tables[:, r, k:k + len(built)])
                 except Exception as exc:  # raised in the caller below
                     error = exc
             if error is not None:
@@ -464,8 +471,6 @@ def _detect_peaks(
     times the median nonzero-frequency power.  The zero-frequency bin is never a peak
     because endpoints are not local maxima."""
     indices, prominences = _local_maxima(power)
-    if indices.size == 0:
-        return ()
     floor = float(np.median(power[1:]))
     keep = prominences > _DEFAULT_PROMINENCE_FACTOR * floor
     peaks = [
@@ -559,8 +564,8 @@ def compare_spectra(
         )
     entries = []
     for period in probe_periods:
-        if period <= 0:
-            raise ValueError(f"probe period must be positive, got {period}")
+        if not 0 < period < np.inf:  # NaN too
+            raise ValueError(f"probe period must be positive and finite, got {period}")
         b = _power_near_period(before, period)
         a = _power_near_period(after, period)
         if b == 0.0:

@@ -229,8 +229,8 @@ class TestAnalyze:
             solve = lagspec.strobo.eigendecompose
             monkeypatch.setattr(
                 lagspec.strobo, "eigendecompose",
-                lambda ds, out=None: (interrupt() if any(d.lag == 5 for d in ds)
-                                      else solve(ds, out=out)),
+                lambda ds, out=None, into=None: (interrupt() if any(d.lag == 5 for d in ds)
+                                                 else solve(ds, out=out, into=into)),
             )
         else:
             monkeypatch.setattr(lagspec.cli, "write_matrix_csv", interrupt)
@@ -266,8 +266,8 @@ class TestAnalyze:
             solve = lagspec.strobo.eigendecompose
             monkeypatch.setattr(
                 lagspec.strobo, "eigendecompose",
-                lambda ds, out=None: (exhausted() if any(d.lag == 5 for d in ds)
-                                      else solve(ds, out=out)),
+                lambda ds, out=None, into=None: (exhausted() if any(d.lag == 5 for d in ds)
+                                                 else solve(ds, out=out, into=into)),
             )
         else:
             monkeypatch.setattr(lagspec.strobo, "Workspace", exhausted)

@@ -228,6 +228,42 @@ class TestWorkspace:
             with pytest.raises(ValueError, match="workspace for"):
                 eigendecompose(batch, out=Workspace(n, b - 1))
 
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_rows_written_into_equal_the_list_forms(self, b):
+        """With ``into``, a batch's eigenvalues and IPRs are written into
+        its rows of two (b, N) arrays, given as a pair or as one (2, b, N)
+        array, bit for bit those of the list form, a degenerate cluster's
+        included; no EigenSystem is returned, and no byte outside those
+        rows is written."""
+        n = 7
+        # the last matrix's positions 5 and 6 share one eigenvalue
+        values = [*(symmetric_matrix(n, seed=s).values for s in range(1, b)),
+                  planted_cluster(n, 2, 5, seed=b)[0].values]
+        batch = [LagCorrMatrix(lag=k, values=v) for k, v in enumerate(np.stack(values), 1)]
+        want = [(system.eigenvalues.copy(), system.iprs.copy())
+                for system in eigendecompose(batch, out=Workspace(n, b))]
+        assert want[-1][1][5] == want[-1][1][6]  # the span's IPR
+        for ws, pair in [(Workspace(n, b), True), (Workspace(n, 4), False)]:
+            tables = np.random.default_rng(b).standard_normal((2, b + 3, n))
+            before = tables.copy()
+            rows = tables[:, 1:b + 1]
+            assert eigendecompose(batch, out=ws, into=tuple(rows) if pair else rows) is None
+            for (vals, iprs), got_vals, got_iprs in zip(want, *rows, strict=True):
+                assert vals.tobytes() == got_vals.tobytes()
+                assert iprs.tobytes() == got_iprs.tobytes()
+            outside = [0, b + 1, b + 2]
+            assert tables[:, outside].tobytes() == before[:, outside].tobytes()
+
+    def test_a_failing_batch_writes_no_row(self, doubled_eigh):
+        """A batch that fails a check leaves the rows given in ``into``
+        as they were."""
+        batch = [symmetric_matrix(6, seed=s, lag=s) for s in (1, 2)]
+        tables = np.random.default_rng(0).standard_normal((2, 2, 6))
+        before = tables.copy()
+        with pytest.raises(ConvergenceFailure, match="at lag 1: eigenvectors must be unit norm"):
+            eigendecompose(batch, out=Workspace(6, 2), into=tables)
+        assert tables.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("n, count", [(128, 1), (128, 2), (7, 3)])
     def test_a_workspace_for_more_matrices_than_given(self, n, count):
         """A workspace made for 3 matrices solves fewer, in the blocks it
@@ -365,7 +401,7 @@ class TestWorkspace:
         assert called == list(_blas.STAGES)
         assert np.array_equal(stack, before)
         for vals, vecs, values in zip(ws.w, ws.z, before):
-            want_vals, want_vecs = np.linalg.eigh(values)
+            want_vals, want_vecs, _ = eigh_reference(values)  # signs fixed, as _solve fixes them
             assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs.T)
         if scale < 1:  # a correlation matrix cannot exceed 1
             got = eigendecompose(batch, out=ws)
@@ -425,6 +461,8 @@ class TestChecks:
             ((vals, vecs[:, :4], iprs), "disagree in shape"),
             ((vals, vecs, iprs[:4]), "disagree in shape"),
             ((np.empty(0), np.empty((0, 0)), np.empty(0)), "at least one eigenvalue"),
+            ((1.0, np.eye(1), np.ones(1)), "disagree in shape"),  # 0-d eigenvalues
+            ((np.ones((1, 1)), np.eye(1), np.ones(1)), "disagree in shape"),  # 2-d
             ((vals[::-1], vecs, iprs), "sorted ascending"),
             ((vals, 2.0 * vecs, iprs), "unit norm"),
             ((vals, turned, iprs), "pairwise orthogonal"),

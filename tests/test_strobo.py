@@ -154,19 +154,18 @@ class TestSweep:
         """Long records take lags >= 1 from the block kernel; other records
         call lag_corr once per lag.  The products and eigensolves are
         stubbed: only the lags asked for matter here."""
-        from lagspec import EigenSystem, LagCorrMatrix
+        from lagspec import LagCorrMatrix
 
         lags, solved = [], []
-        system = EigenSystem(eigenvalues=np.ones(n), eigenvectors=np.eye(n),
-                             iprs=np.ones(n))
 
         def counting(g, lag, out=None):
             lags.append(lag)
             return LagCorrMatrix(lag=lag, values=np.eye(n))
 
-        def solve(ds, out=None):
+        def solve(ds, out=None, into=None):
             solved.extend(d.lag for d in ds)
-            return [system] * len(ds)
+            for rows in into:  # the rows of the identity's eigen system
+                rows[...] = 1.0
 
         monkeypatch.setattr(lagspec.strobo, "lag_corr", counting)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
@@ -273,14 +272,34 @@ class TestSweepWorkers:
         g = iid_returns(n, length, seed=12)
         tables = []
         for (workers, solvers), batch in product(((1, 1), (2, 2), (2, 1)), (1, 7)):
-            eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
+            eigenvalues, iprs = table = np.empty((2, 1, tau_max + 1, n))
             matrices = one_record(chain([lag_corr(g, 0)], lagged(g, tau_max)))
             with _blas.threads(1):
-                _solve_rows(matrices, False, eigenvalues, iprs, workers, solvers, batch)
+                _solve_rows(matrices, False, table, workers, solvers, batch)
             tables.append((eigenvalues, iprs))
         for eigenvalues, iprs in tables[1:]:
             assert np.array_equal(tables[0][0], eigenvalues)
             assert np.array_equal(tables[0][1], iprs)
+
+    @pytest.mark.parametrize("shape", [DIRECT, POOLED, BLOCK], ids=["direct", "pooled", "block"])
+    def test_no_eigen_system_is_built(self, monkeypatch, shape):
+        """Each batch's eigenvalues and IPRs are written straight into the
+        rows of the sweep's tables: no EigenSystem is built, alone or with
+        an injected record, and the tables are the same."""
+        n, length, tau_max = shape
+        g = iid_returns(n, length, seed=23)
+        after = replaced(g, [0], seed=3)
+        with _blas.threads(2):
+            want = [sweep(g, tau_max), *sweep(g, tau_max, after=after)]
+
+            def refused(*args):
+                raise AssertionError("an EigenSystem was built")
+
+            monkeypatch.setattr(lagspec.eigensys.EigenSystem, "_checked", refused)
+            got = [sweep(g, tau_max), *sweep(g, tau_max, after=after)]
+        for seq, fresh in zip(want, got, strict=True):
+            assert np.array_equal(seq.eigenvalues, fresh.eigenvalues)
+            assert np.array_equal(seq.iprs, fresh.iprs)
 
     def test_wide_tables_bit_equal_to_fresh_solves(self):
         # the wide benchmark's shape, over fewer lags, on two solvers:
@@ -523,13 +542,13 @@ class TestSweepWorkers:
                 raise CorrelationOutOfRange("correlation entries outside [-1, 1] at lag 8")
             yield from made(k)
 
-        eigenvalues, iprs = np.empty((2, 1, tau_max + 1, n))
+        tables = np.empty((2, 1, tau_max + 1, n))
         with _blas.threads(1):
             with pytest.raises(CorrelationOutOfRange, match="at lag 8$"):
-                _solve_rows(matrices, in_order, eigenvalues, iprs, 2, 2, 4)
+                _solve_rows(matrices, in_order, tables, 2, 2, 4)
             faulty_eigh(monkeypatch, lagged(g, tau_max), {7}, slow={7})
             with pytest.raises(ConvergenceFailure, match="at lag 7.*unit norm"):
-                _solve_rows(matrices, in_order, eigenvalues, iprs, 2, 2, 4)
+                _solve_rows(matrices, in_order, tables, 2, 2, 4)
 
     @pytest.mark.parametrize("per_lag", [True, False], ids=["one-lag-batches", "batches"])
     @pytest.mark.parametrize("case", ["out-of-range", "solver-fault"])
@@ -612,9 +631,9 @@ class TestSweepWorkers:
         the calling thread solves lags 0..tau_max in order."""
         solves = []
 
-        def solve(ds, out=None):
+        def solve(ds, out=None, into=None):
             solves.extend((threading.get_ident(), d.lag) for d in ds)
-            return eigendecompose(ds, out=out)
+            return eigendecompose(ds, out=out, into=into)
 
         n, length, tau_max = shape
         g = iid_returns(n, length, seed=22)
@@ -627,9 +646,9 @@ class TestSweepWorkers:
     def test_serial_without_openblas(self, monkeypatch):
         threads = set()
 
-        def solve(ds, out=None):
+        def solve(ds, out=None, into=None):
             threads.add(threading.get_ident())
-            return eigendecompose(ds, out=out)
+            return eigendecompose(ds, out=out, into=into)
 
         g = iid_returns(*DIRECT[:2], seed=15)
         with _blas.threads(2):
@@ -649,9 +668,9 @@ class TestSweepWorkers:
         a row unwritten."""
         solved = []
 
-        def solve(ds, out=None):
+        def solve(ds, out=None, into=None):
             solved.extend(d.lag for d in ds)
-            return eigendecompose(ds, out=out)
+            return eigendecompose(ds, out=out, into=into)
 
         g = iid_returns(8, 4096, seed=16)
         with _blas.threads(1):
@@ -680,9 +699,9 @@ class TestSweepWorkers:
         those of one thread."""
         solved = []
 
-        def solve(ds, out=None):
+        def solve(ds, out=None, into=None):
             solved.extend(d.lag for d in ds)
-            return eigendecompose(ds, out=out)
+            return eigendecompose(ds, out=out, into=into)
 
         n, length, tau_max = BLOCK
         g = iid_returns(n, length, seed=16)
@@ -915,6 +934,18 @@ class TestCompareSpectra:
         with pytest.raises(LengthMismatch):
             compare_spectra(a, b, [3.0])
 
+    @pytest.mark.parametrize("period, named", [
+        (0, "got 0$"), (-1, "got -1$"), (float("nan"), "got nan$"), (float("inf"), "got inf$"),
+        (1.5, "^period 1.5 is below the resolvable range"),
+    ], ids=["zero", "negative", "nan", "inf", "under-two-steps"])
+    def test_bad_probe_period_is_refused_by_name(self, period, named):
+        """A probe period that is not positive and finite is a ValueError
+        that names it, as is one shorter than two lag steps, beyond the
+        Nyquist frequency."""
+        spec = power_spectrum(tone_trajectory([(3.0, 1.0)], 96), "mean")
+        with pytest.raises(ValueError, match=named):
+            compare_spectra(spec, spec, [3.0, period])
+
 
 
 def test_csv_exports(tmp_path):
@@ -978,7 +1009,7 @@ class TestPooledSweep:
             slots[lag] = (threading.get_ident(), out.__array_interface__["data"][0])
             return lag_corr(g, lag, out=out)
 
-        def solve(ds, out=None):
+        def solve(ds, out=None, into=None):
             with lock:
                 active[0] += 1
                 active[1] = max(active)
@@ -986,7 +1017,7 @@ class TestPooledSweep:
                 spaces.add(id(out))
             time.sleep(0.002)
             try:
-                return eigendecompose(ds, out=out)
+                return eigendecompose(ds, out=out, into=into)
             finally:
                 with lock:
                     active[0] -= 1
@@ -1049,9 +1080,9 @@ class TestPooledSweep:
         every chance to run ahead: a lag whose slot or workspace were
         overwritten before or during its solve would leave another lag's
         row."""
-        def slow_solve(ds, out=None):
+        def slow_solve(ds, out=None, into=None):
             time.sleep(0.002)
-            systems = eigendecompose(ds, out=out)
+            systems = eigendecompose(ds, out=out, into=into)
             time.sleep(0.002)
             return systems
 
@@ -1095,12 +1126,12 @@ class TestInterrupt:
         after = replaced(g, [1], seed=24) if paired else None
         solved = []
 
-        def interrupted(ds, out=None):
+        def interrupted(ds, out=None, into=None):
             solved.extend(d.lag for d in ds)
             if k in solved[-len(ds):]:
                 raise KeyboardInterrupt
             time.sleep(0.001)
-            return eigendecompose(ds, out=out)
+            return eigendecompose(ds, out=out, into=into)
 
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", interrupted)
         threads = threading.active_count()
@@ -1126,7 +1157,7 @@ class TestInterrupt:
         solves = []  # (lag, whether the join had raised) of every solve
         other = []
 
-        def solve(ds, out=None):
+        def solve(ds, out=None, into=None):
             solves.extend((d.lag, interrupted.is_set()) for d in ds)
             if threading.current_thread() is caller:
                 assert holding.wait(timeout=30)
@@ -1135,7 +1166,7 @@ class TestInterrupt:
                 holding.set()
                 assert interrupted.wait(timeout=30)
                 time.sleep(0.05)  # still solving while the caller joins
-            return eigendecompose(ds, out=out)
+            return eigendecompose(ds, out=out, into=into)
 
         join = threading.Thread.join
 
@@ -1372,9 +1403,9 @@ class TestPairedSweep:
         unwritten."""
         solved = Counter()
 
-        def solve(ds, out=None):
+        def solve(ds, out=None, into=None):
             solved.update(d.lag for d in ds)
-            return eigendecompose(ds, out=out)
+            return eigendecompose(ds, out=out, into=into)
 
         g = iid_returns(8, 4096, seed=39)
         a = replaced(g, [5], seed=40)
