@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 def run(
     targets: Sequence[Callable[[], object]],
-    stop: Callable[[BaseException], object] | None = None,
+    stop: Callable[[BaseException], object],
 ) -> None:
     """Run ``targets[0]`` here and every further target on a thread of its
     own, and return once all have returned.  Once all have ended, the
@@ -43,7 +43,7 @@ def run(
         targets[0]()
     except BaseException as exc:  # raised below, once the others have ended
         raised = exc
-    stopped = stop is None
+    stopped = False
     for thread in started:
         while thread.is_alive():
             try:

@@ -35,7 +35,9 @@ class EigenSystem:
     Eigenvector k is the k-th column of ``eigenvectors`` and pairs with
     ``eigenvalues[k]``; eigenvalues are ascending.  Each vector's sign is
     fixed so its largest-magnitude component is positive, which makes the
-    decomposition deterministic.
+    decomposition deterministic.  Every system is built through this
+    constructor, ``eigendecompose``'s too, and so passes its shape, sort,
+    unit-norm and orthogonality checks (ValueError otherwise).
     """
 
     eigenvalues: np.ndarray
@@ -57,17 +59,6 @@ class EigenSystem:
         fault = _fault(vals[None], vecs[None], np.empty(_rows(n, 1) * n))
         if fault is not None:
             raise ValueError(_CHECKS[fault[1]].format(at=""))
-
-    @classmethod
-    def _checked(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-                 iprs: np.ndarray) -> EigenSystem:
-        """A system of float arrays that have passed EigenSystem's checks
-        (``_fault``) already: they are not run a second time."""
-        system = object.__new__(cls)
-        object.__setattr__(system, "eigenvalues", eigenvalues)
-        object.__setattr__(system, "eigenvectors", eigenvectors)
-        object.__setattr__(system, "iprs", iprs)
-        return system
 
 
 # a solve's checks, in the order in which each matrix takes them, by their
@@ -157,9 +148,10 @@ def _rows(n: int, batch: int) -> int:
 
 
 class Workspace:
-    """The buffers of ``eigendecompose(ds, out=ws)`` for up to ``batch``
-    N x N matrices, for one call at a time; ``eigendecompose`` without
-    ``out`` makes one for its call.  ``work`` is laid out as LAPACK's
+    """The buffers of ``eigendecompose(d, out=ws)`` for one N x N matrix,
+    or of ``eigendecompose(ds, out=ws, into=rows)`` for up to ``batch``,
+    for one call at a time; ``eigendecompose`` without ``out`` makes one
+    for its call.  ``work`` is laid out as LAPACK's
     ``dsyevd`` lays out its own, at the size of dsyevd's workspace query:
     the tridiagonal's off-diagonal and the reflectors' scalars, N
     floats each, then ``z``, where each matrix's eigenvectors are left in
@@ -267,12 +259,11 @@ def _restore(stack: np.ndarray, block: np.ndarray, upper: np.ndarray) -> None:
 
 
 def _stacked(values: list[np.ndarray]) -> np.ndarray:
-    """Same-size matrices as one (b, N, N) array: a view of the one, or of
-    consecutive planes of one writable C-ordered float array, each right
-    after the one before, as every sweep batch's are, so that the solve
-    phase writes and restores them in place; a copy otherwise, as for a
-    list made by hand or a sweep batch whose lag 0 is built into the
-    caller's ``equal_time`` array."""
+    """Same-size matrices as one (b, N, N) array (ValueError otherwise): a
+    view of the one, or of consecutive planes of one writable C-ordered
+    float array, each right after the one before, as every sweep batch's
+    are, so that the solve phase writes and restores them in place; a copy
+    otherwise, as for a list made by hand."""
     first = values[0]
     if len(values) == 1:
         return first[None]
@@ -338,19 +329,16 @@ def eigendecompose(d: LagCorrMatrix, out: Workspace | None = None) -> EigenSyste
 
 
 @overload
-def eigendecompose(
-    d: Sequence[LagCorrMatrix], out: Workspace | None = None
-) -> list[EigenSystem]: ...
-
-
-@overload
 def eigendecompose(d: Sequence[LagCorrMatrix], out: Workspace | None = None, *,
                    into: np.ndarray | tuple[np.ndarray, np.ndarray]) -> None: ...
 
 
 def eigendecompose(d, out=None, *, into=None):
     """Solve the symmetric eigenproblem for one lagged correlation matrix,
-    or for each of a sequence of same-size ones, giving a list.
+    giving its EigenSystem, or for each of a sequence of same-size ones,
+    writing their eigenvalues and IPRs ``into`` rows of two tables.  Any
+    other pairing, a matrix with ``into`` or a sequence without it, is a
+    TypeError.
 
     Ascending eigenvalues whose consecutive gaps are at most 1e-8 times the
     Frobenius norm chain into a degenerate cluster.  Rounding picks the
@@ -369,34 +357,38 @@ def eigendecompose(d, out=None, *, into=None):
       vector's sign fixed.  ``np.linalg.eigh`` solves instead, with the
       same bits and not writing the matrix, where LAPACK is not found or
       the matrix is read-only, not C-ordered, or one dsyevd would scale
-      first.  Matrices that are not consecutive planes of one array are
-      solved in a copy (``_stacked``);
+      first.  Matrices that are not consecutive planes of one array, as a
+      sweep batch's are, are solved in a copy (``_stacked``);
     - the checks (``_check``), which raise the first fault;
     - the IPRs (``_iprs``), each vector's, then each cluster's.
 
-    Without ``into``, the results' eigenvalues and eigenvectors are views
-    into the workspace, valid until its next use: without ``out``, each
-    system holds 2 N^2 floats of it, not N^2.  With ``into``, two (b, N)
-    float arrays, as a pair or as one (2, b, N) array such as the sweep's
-    block of rows of its two tables, the eigenvalues are copied into
-    ``into[0]`` and the IPRs made in ``into[1]``, row i matrix i's, with
-    the bits of the systems' own; no EigenSystem is made, and None is
-    returned.
+    Each matrix's eigenvectors are left in its plane of ``ws.z``, one per
+    row.  The EigenSystem of one matrix is built by its constructor, which
+    runs its checks once more, over views into the workspace, valid until
+    its next use: without ``out``, it holds 2 N^2 floats of it, not N^2.
+    With ``into``, two (b, N) float arrays, as a pair or as one (2, b, N)
+    array such as the sweep's block of rows of its two tables, the
+    eigenvalues are copied into ``into[0]`` and the IPRs made in
+    ``into[1]``, row i matrix i's, with the bits of a single solve's; no
+    EigenSystem is made, and None is returned.
 
     Raises ConvergenceFailure, naming the lag, if the solver fails, the
     residual ``||D u_k - lambda_k u_k||`` exceeds 1e-10 times the Frobenius
     norm, the eigenvalues miss the trace, or the result fails EigenSystem's
-    sort, unit-norm or orthogonality checks, which are not run again on
-    the systems returned.  Of a batch, the error is the one that solving
-    its matrices one at a time, in order, meets first: that of the lowest
-    failing matrix, at the first of those checks that it fails, in that
-    order (``_CHECKS``), and a solver's failure only where no matrix before
-    it fails a check.  A matrix is solved once, also where a later one
-    fails, and ``into`` is written only where none fails.
+    sort, unit-norm or orthogonality checks.  Of a batch, the error is the
+    one that solving its matrices one at a time, in order, meets first:
+    that of the lowest failing matrix, at the first of those checks that
+    it fails, in that order (``_CHECKS``), and a solver's failure only
+    where no matrix before it fails a check.  A matrix is solved once,
+    also where a later one fails, and ``into`` is written only where none
+    fails.
     """
-    ds = [d] if isinstance(d, LagCorrMatrix) else list(d)
+    if isinstance(d, LagCorrMatrix) != (into is None):
+        raise TypeError("eigendecompose takes one LagCorrMatrix without into, "
+                        "or a sequence of them with into")
+    ds = [d] if into is None else list(d)
     if not ds:
-        return [] if into is None else None
+        return None
     b, n, lags = len(ds), ds[0].n, [m.lag for m in ds]
     ws = Workspace(n, b) if out is None else out
     if b > len(ws.z) or (n, n) != ws.z.shape[1:]:
@@ -407,9 +399,7 @@ def eigendecompose(d, out=None, *, into=None):
     frob = _check(stack[:solved], lags, ws, failure)
     iprs = _iprs(ws, frob, None if into is None else into[1])
     if into is None:
-        systems = [EigenSystem._checked(*system)
-                   for system in zip(ws.w, ws.z[:b].transpose(0, 2, 1), iprs)]
-        return systems[0] if isinstance(d, LagCorrMatrix) else systems
+        return EigenSystem(ws.w[0], ws.z[0].T, iprs[0])
     into[0][...] = ws.w[:b]
 
 

@@ -341,15 +341,14 @@ def default_targets(
     counts: CountMatrix,
     kind: Literal["noise", "periodic"],
     *,
-    count: int | None = None,
     seed: int = 0,
 ) -> tuple[str, ...]:
     """Pick injection targets from the equal-time correlation structure.
 
-    Noise injections go to the series loading most on the right-segment
-    eigenvectors (those carrying the correlation pattern); periodic
-    injections go to ``count`` series (default 4) drawn at random from the
-    rest.
+    Noise injections go to every series of the pattern: those whose
+    squared components on the right-segment eigenvectors (which carry the
+    correlation pattern) sum to more than 2/N.  Periodic injections go to
+    4 series drawn at random, with ``seed``, from the rest.
     """
     g = returns_from_counts(counts)
     system = eigendecompose(equal_time_corr(g))
@@ -366,14 +365,12 @@ def default_targets(
             raise ConfigInvalid(
                 "no series load on the right segment; pass explicit targets"
             )
-        chosen = pattern if count is None else pattern[np.argsort(-loading[pattern])][:count]
-        return tuple(counts.series_ids[i] for i in sorted(chosen))
+        return tuple(counts.series_ids[i] for i in pattern)
     rest = np.setdiff1d(np.arange(n), pattern)
-    want = 4 if count is None else count
-    if rest.size < want:
+    if rest.size < 4:
         raise ConfigInvalid(f"only {rest.size} random-segment series available")
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(rest, size=want, replace=False)
+    chosen = rng.choice(rest, size=4, replace=False)
     return tuple(counts.series_ids[i] for i in sorted(chosen))
 
 

@@ -211,8 +211,6 @@ def _block_plan(n: int, length: int) -> tuple[int, int, int] | None:
     benchmark record, where one block lag covers the lags up to 127.
     Reads N and L only.
     """
-    if not uses_block_path(n, length):
-        return None
     size, plan = _BLOCK, None
     while (fit := _fit(n, length, size)) is not None:
         plan = (size, *fit)

@@ -152,7 +152,7 @@ def sweep(
 
 @overload
 def sweep(
-    g: ReturnMatrix, tau_max: int, *, after: ReturnMatrix
+    g: ReturnMatrix, tau_max: int, *, after: ReturnMatrix, equal_time: np.ndarray | None = None
 ) -> tuple[StroboscopicSequence, StroboscopicSequence]: ...
 
 
@@ -170,13 +170,12 @@ def sweep(
     batch (``into``), with the bits of ``eigendecompose(lag_corr(g, k))``
     at the same threads per call.  No matrix, eigenvector or EigenSystem
     is kept or made for the tables, but where
-    ``equal_time``, a C-contiguous N x N float array, is given, g's lag 0
-    is built into it and it holds that matrix, bit for bit, on return: a
-    caller that writes lag 0 needs no second build.  At one lag per batch
-    lag 0 is solved in that array, which the solve restores; at b >= 2 its
-    batch is solved in a copy, as its planes are not consecutive
-    (``eigendecompose``).  The tables are the same with or without it.
-    It is not taken together with ``after`` (ValueError).
+    ``equal_time``, an N x N float array, is given, g's lag 0, built into
+    its worker's plane like every other lag, is copied into it right after
+    the build, so it holds that matrix, bit for bit, on return: a caller
+    that writes lag 0 needs no second build.  Every batch, lag 0's too, is
+    solved in place in its planes.  The tables are the same with or
+    without it.
 
     With ``after``, a record of g's shape (ValueError otherwise), both are
     swept and the pair (g's sequence, after's) is returned; g's is the one
@@ -212,15 +211,13 @@ def sweep(
         )
     if tau_max > length // 2:
         raise LagTooLarge(f"tau_max {tau_max} exceeds half the record (L={length})")
-    if equal_time is not None and after is not None:
-        raise ValueError("equal_time is not taken together with after")
     if equal_time is not None and equal_time.shape != (n, n):
         raise ValueError(f"equal_time must be {n} x {n}, got {equal_time.shape}")
     block_path = uses_block_path(n, length)
     rows = None
     if after is not None:
         if block_path:
-            return sweep(g, tau_max), sweep(after, tau_max)
+            return sweep(g, tau_max, equal_time=equal_time), sweep(after, tau_max)
         differs = np.zeros(n, dtype=bool)
         for span in _blocks(n, length):  # no N x L temporary
             differs[span] = (g.returns[span] != after.returns[span]).any(axis=1)
@@ -238,10 +235,11 @@ def sweep(
         """Lag k's matrix of each record, in record order, each made into
         ``out``, one N x N plane, when it is asked for, so over the one
         before, which is solved by then; on the block path the kernel
-        makes g's lags from 1 on, and g's lag 0 is made into
-        ``equal_time`` where that is given."""
-        plane = equal_time if k == 0 and equal_time is not None else out
-        first = kernel(k, plane) if k and kernel is not None else lag_corr(g, k, out=plane)
+        makes g's lags from 1 on.  g's lag 0 is copied into
+        ``equal_time``, where that is given, before it is solved."""
+        first = kernel(k, out) if k and kernel is not None else lag_corr(g, k, out=out)
+        if k == 0 and equal_time is not None:
+            np.copyto(equal_time, out)
         yield first
         if after is not None and rows is None:
             yield lag_corr(after, k, out=out)

@@ -21,7 +21,7 @@ from lagspec import (
     _blas,
 )
 
-from lagspec.eigensys import EigenSystem, Workspace, _column_iprs, _solve, batch_size
+from lagspec.eigensys import EigenSystem, RmtBounds, Workspace, _column_iprs, _solve, batch_size
 
 from conftest import eigh_reference, iid_returns
 
@@ -156,6 +156,15 @@ def tampered_eigh(monkeypatch, tamper):
     return solves
 
 
+def solve_rows(batch, ws):
+    """A batch solved in ``ws`` into the rows of a (2, b, N) table, its
+    eigenvalues then its IPRs, which are returned; each matrix's
+    eigenvectors are left in its plane of ``ws.z``, one per row."""
+    rows = np.empty((2, len(batch), batch[0].n))
+    assert eigendecompose(batch, out=ws, into=rows) is None
+    return rows
+
+
 @needs_lapack
 class TestWorkspace:
     """``eigendecompose(d, out=ws)`` runs LAPACK's ``dsyevd`` in its three
@@ -199,9 +208,11 @@ class TestWorkspace:
     @pytest.mark.parametrize("n", [2, 8, 33, 64, 90])
     def test_a_batch_equals_single_solves(self, n, threads):
         """A batch of b = ``batch_size(N)`` planes of one stack, or fewer,
-        solved in one call, gives each matrix's single solve bit for bit
-        and leaves the stack's bytes; matrices that are not planes of one
-        stack are solved in a copy, with the same results."""
+        solved in one call into its rows, gives each matrix's single solve
+        bit for bit, its eigenvectors in its plane of ``ws.z``, and leaves
+        the stack's bytes; matrices that are not planes of one stack are
+        solved in a copy, with the same results.  A matrix with ``into``,
+        or a sequence without it, is a TypeError."""
         b = min(batch_size(n), 5)
         stack = np.empty((b, n, n))
         batch = []
@@ -211,37 +222,39 @@ class TestWorkspace:
         before = stack.copy()
         ws = Workspace(n, batch_size(n))
         with _blas.threads(threads):
-            got = eigendecompose(batch, out=ws)
-            assert np.array_equal(stack, before)
             loose = [LagCorrMatrix(lag=i + 1, values=v.copy()) for i, v in enumerate(before)]
             want = [eigendecompose(d) for d in loose]
-            for system, single in zip(got, want, strict=True):
-                assert np.shares_memory(system.eigenvectors, ws.z)
-                assert np.array_equal(system.eigenvalues, single.eigenvalues)
-                assert np.array_equal(system.eigenvectors, single.eigenvectors)
-                assert np.array_equal(system.iprs, single.iprs)
-            copied = eigendecompose(loose, out=ws)
-        for system, single in zip(copied, want, strict=True):
-            assert np.array_equal(system.iprs, single.iprs)
-        assert eigendecompose([], out=ws) == []
+            for given in batch, loose:
+                vals, iprs = solve_rows(given, ws)
+                assert np.array_equal(stack, before)
+                for i, single in enumerate(want):
+                    assert np.array_equal(vals[i], single.eigenvalues)
+                    assert np.array_equal(ws.z[i].T, single.eigenvectors)
+                    assert np.array_equal(iprs[i], single.iprs)
+        assert eigendecompose([], out=ws, into=np.empty((2, 0, n))) is None
+        rule = "one LagCorrMatrix without into, or a sequence of them with into"
+        with pytest.raises(TypeError, match=rule):
+            eigendecompose(batch, out=ws)
+        with pytest.raises(TypeError, match=rule):
+            eigendecompose(batch[0], out=ws, into=np.empty((2, 1, n)))
         if b > 1:
             with pytest.raises(ValueError, match="workspace for"):
-                eigendecompose(batch, out=Workspace(n, b - 1))
+                solve_rows(batch, Workspace(n, b - 1))
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4])
-    def test_rows_written_into_equal_the_list_forms(self, b):
+    def test_rows_written_into_equal_single_solves(self, b):
         """With ``into``, a batch's eigenvalues and IPRs are written into
         its rows of two (b, N) arrays, given as a pair or as one (2, b, N)
-        array, bit for bit those of the list form, a degenerate cluster's
-        included; no EigenSystem is returned, and no byte outside those
-        rows is written."""
+        array, bit for bit those of each matrix's single solve, a
+        degenerate cluster's included; no EigenSystem is returned, and no
+        byte outside those rows is written."""
         n = 7
         # the last matrix's positions 5 and 6 share one eigenvalue
         values = [*(symmetric_matrix(n, seed=s).values for s in range(1, b)),
                   planted_cluster(n, 2, 5, seed=b)[0].values]
         batch = [LagCorrMatrix(lag=k, values=v) for k, v in enumerate(np.stack(values), 1)]
         want = [(system.eigenvalues.copy(), system.iprs.copy())
-                for system in eigendecompose(batch, out=Workspace(n, b))]
+                for system in map(eigendecompose, batch)]
         assert want[-1][1][5] == want[-1][1][6]  # the span's IPR
         for ws, pair in [(Workspace(n, b), True), (Workspace(n, 4), False)]:
             tables = np.random.default_rng(b).standard_normal((2, b + 3, n))
@@ -270,25 +283,12 @@ class TestWorkspace:
         holds: at N = 128 those have fewer rows than one matrix's own."""
         ws = Workspace(n, 3)
         batch = [symmetric_matrix(n, seed=s, lag=s) for s in range(1, count + 1)]
-        got = eigendecompose(batch, out=ws)
-        for system, d in zip(got, batch, strict=True):
+        vals, iprs = solve_rows(batch, ws)
+        for i, d in enumerate(batch):
             want = eigendecompose(d)
-            assert np.array_equal(system.eigenvalues, want.eigenvalues)
-            assert np.array_equal(system.iprs, want.iprs)
-
-    def test_a_checked_batch_is_not_checked_again(self, monkeypatch):
-        """The systems of a batch passed EigenSystem's checks in the batch;
-        one built directly still runs them."""
-        stack = np.stack([symmetric_matrix(6, seed=s).values for s in (1, 2)])
-        batch = [LagCorrMatrix(lag=k, values=v) for k, v in enumerate(stack, 1)]
-
-        def refused(self):
-            raise AssertionError("checked again")
-
-        monkeypatch.setattr(EigenSystem, "__post_init__", refused)
-        got = eigendecompose(batch, out=Workspace(6, 2))
-        with pytest.raises(AssertionError, match="checked again"):
-            EigenSystem(got[0].eigenvalues, got[0].eigenvectors, got[0].iprs)
+            assert np.array_equal(vals[i], want.eigenvalues)
+            assert np.array_equal(ws.z[i].T, want.eigenvectors)
+            assert np.array_equal(iprs[i], want.iprs)
 
     def test_a_batch_names_the_failing_lag(self, monkeypatch):
         """The batch's check names the lag that fails it, and the other
@@ -307,7 +307,7 @@ class TestWorkspace:
 
         monkeypatch.setattr(lagspec.eigensys, "_eigh", doubled)
         with pytest.raises(ConvergenceFailure, match="at lag 5: eigenvectors must be unit norm"):
-            eigendecompose(batch, out=Workspace(7, 3))
+            solve_rows(batch, Workspace(7, 3))
         assert np.array_equal(stack, before)
 
     @pytest.mark.parametrize("later", ["residual", "solver"])
@@ -322,7 +322,7 @@ class TestWorkspace:
         solves = tampered_eigh(monkeypatch, tamper)
         with pytest.raises(ConvergenceFailure,
                            match="^bad eigen system at lag 5: eigenvectors must be unit norm$"):
-            eigendecompose(batch, out=Workspace(8, 4))
+            solve_rows(batch, Workspace(8, 4))
         assert max(solves.values()) == 1
         assert len(solves) == (3 if later == "solver" else 4)
 
@@ -331,7 +331,7 @@ class TestWorkspace:
     def test_a_batch_fails_as_a_serial_loop_would(self, kinds):
         """Each matrix of a batch fails one check, or its solver, or none:
         the batch raises the error that solving its matrices one at a time,
-        in order, meets first, or gives the systems of that loop."""
+        in order, meets first, or gives the rows of that loop."""
         # positions 5 and 6 share an eigenvalue
         stack = np.stack([planted_cluster(7, 2, 5, s)[0].values for s in range(len(kinds))])
         batch = [LagCorrMatrix(lag=k, values=v) for k, v in enumerate(stack, 3)]
@@ -343,7 +343,7 @@ class TestWorkspace:
             except ConvergenceFailure as exc:
                 want = exc
             try:
-                got = eigendecompose(batch, out=Workspace(7, 4))
+                got = solve_rows(batch, Workspace(7, 4))
             except ConvergenceFailure as exc:
                 assert isinstance(want, ConvergenceFailure), exc
                 assert str(exc) == str(want)
@@ -351,8 +351,9 @@ class TestWorkspace:
                     "eigensolver failed" in str(want))
                 return
         assert not isinstance(want, ConvergenceFailure), want
-        for system, single in zip(got, want, strict=True):
-            assert np.array_equal(system.iprs, single.iprs)
+        for vals, iprs, single in zip(*got, want, strict=True):
+            assert np.array_equal(vals, single.eigenvalues)
+            assert np.array_equal(iprs, single.iprs)
 
     @pytest.mark.parametrize("failing", ["sytrd", "stedc", "ormtr"])
     def test_lapack_failure_names_the_lag_and_restores_d(self, monkeypatch, failing):
@@ -378,7 +379,7 @@ class TestWorkspace:
         before = stack.copy()
         called = lapack_spies(monkeypatch, "stedc", ws, after=1)
         with pytest.raises(ConvergenceFailure, match="failed at lag 8: LAPACK dstedc gave info 3"):
-            eigendecompose(batch, out=ws)
+            solve_rows(batch, ws)
         assert called == [*_blas.STAGES, "sytrd", "stedc"]
         assert np.array_equal(stack, before)
 
@@ -404,9 +405,9 @@ class TestWorkspace:
             want_vals, want_vecs, _ = eigh_reference(values)  # signs fixed, as _solve fixes them
             assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs.T)
         if scale < 1:  # a correlation matrix cannot exceed 1
-            got = eigendecompose(batch, out=ws)
+            vals, _ = solve_rows(batch, ws)
             assert np.array_equal(stack, before)
-            assert np.array_equal(got[0].eigenvalues, ws.w[0])
+            assert np.array_equal(vals, [eigh_reference(v)[0] for v in before])
 
     @pytest.mark.parametrize("given", [True, False], ids=["out=ws", "out=None"])
     @pytest.mark.parametrize("layout", ["read-only", "fortran", "strided"])
@@ -433,6 +434,9 @@ class TestWorkspace:
     def test_workspace_of_another_size(self):
         with pytest.raises(ValueError, match="workspace for"):
             eigendecompose(symmetric_matrix(6, seed=5), out=Workspace(5))
+        with pytest.raises(ValueError, match="must have one size"):
+            solve_rows([symmetric_matrix(4, seed=5), symmetric_matrix(5, seed=5)],
+                       Workspace(4, 2))
 
 
 class TestChecks:
@@ -620,6 +624,12 @@ class TestRmtBounds:
             rmt_bounds(64, 64)
         with pytest.raises(DegenerateAspect):
             rmt_bounds(64, 32)
+        with pytest.raises(ValueError, match="n must be positive"):
+            rmt_bounds(0, 32)
+        with pytest.raises(ValueError, match="lambda_minus < lambda_plus"):
+            RmtBounds(lambda_minus=1.0, lambda_plus=1.0, q=4.0)
+        with pytest.raises(ValueError, match="q must exceed 1"):
+            RmtBounds(lambda_minus=0.0, lambda_plus=4.0, q=1.0)
 
 
 class TestSegment:

@@ -207,6 +207,8 @@ class TestSweep:
         g = iid_returns(4, 64, seed=5)
         with pytest.raises(LagTooLarge):
             sweep(g, 33)
+        with pytest.raises(ValueError, match="tau_max must be non-negative"):
+            sweep(g, -1)
 
     def test_eigenvalue_sum_matches_trace_at_every_lag(self):
         g = iid_returns(8, 256, seed=6)
@@ -295,7 +297,7 @@ class TestSweepWorkers:
             def refused(*args):
                 raise AssertionError("an EigenSystem was built")
 
-            monkeypatch.setattr(lagspec.eigensys.EigenSystem, "_checked", refused)
+            monkeypatch.setattr(lagspec.eigensys.EigenSystem, "__post_init__", refused)
             got = [sweep(g, tau_max), *sweep(g, tau_max, after=after)]
         for seq, fresh in zip(want, got, strict=True):
             assert np.array_equal(seq.eigenvalues, fresh.eigenvalues)
@@ -321,30 +323,32 @@ class TestSweepWorkers:
     def test_equal_time_holds_the_solved_lag0(self, monkeypatch, shape, one_lag):
         """``sweep(g, tau_max, equal_time=a)`` leaves g's lag-0 matrix in
         ``a``, bit for bit that of ``lag_corr(g, 0)``, and gives the tables
-        of ``sweep(g, tau_max)``: on the direct path a lag or a batch at a
-        time, where lag 0 is solved in a copy, and on the block path, at 1
-        to 4 OpenBLAS threads.  It is refused with ``after``."""
+        of ``sweep(g, tau_max)``, alone or with ``after``, where it gives
+        the pair of ``sweep(g, tau_max, after=after)``: on the direct path
+        a lag or a batch at a time, and on the block path, at 1 to 4
+        OpenBLAS threads."""
         n, length, tau_max = shape
         if one_lag:
             monkeypatch.setattr(lagspec.eigensys, "_BLOCK_FLOATS", 1)
         g = iid_returns(n, length, seed=30)
+        after = replaced(g, [0], seed=3)
         assert uses_block_path(n, length) == (shape != DIRECT)
         want = lag_corr(g, 0).values
         batches = set()
         for total in range(1, 5):
             with _blas.threads(total):
                 batches.add(_batch(g, tau_max, *_split(g, tau_max)[:2]))
-                plain = sweep(g, tau_max)
-                a = np.full((n, n), np.nan)
-                made = sweep(g, tau_max, equal_time=a)
-            assert np.array_equal(a, want), total
-            assert np.array_equal(plain.eigenvalues, made.eigenvalues), total
-            assert np.array_equal(plain.iprs, made.iprs), total
+                plain = [sweep(g, tau_max), *sweep(g, tau_max, after=after)]
+                a, b = np.full((2, n, n), np.nan)
+                made = [sweep(g, tau_max, equal_time=a),
+                        *sweep(g, tau_max, after=after, equal_time=b)]
+            assert np.array_equal(a, want) and np.array_equal(b, want), total
+            for seq, fresh in zip(plain, made, strict=True):
+                assert np.array_equal(seq.eigenvalues, fresh.eigenvalues), total
+                assert np.array_equal(seq.iprs, fresh.iprs), total
         assert (batches == {1}) == one_lag
         with pytest.raises(ValueError, match=f"equal_time must be {n} x {n}"):
             sweep(g, tau_max, equal_time=np.empty((n, n + 1)))
-        with pytest.raises(ValueError, match="not taken together with after"):
-            sweep(g, tau_max, after=g, equal_time=np.empty((n, n)))
 
     @pytest.mark.usefixtures("one_lag_batches")
     def test_sweep_spreads_a_direct_path_record(self):
@@ -582,9 +586,10 @@ class TestSweepWorkers:
     def test_batches_reach_the_solve_as_views_of_the_workers_stack(
         self, request, monkeypatch, shape, per_lag
     ):
-        """Every lag of every sweep batch is built into a plane of its
-        worker's stack, so the batch reaches ``_solve`` as a view of it,
-        never a copy, with or without an injected record."""
+        """Every lag of every sweep batch, lag 0 too, is built into a plane
+        of its worker's stack, so the batch reaches ``_solve`` as a view of
+        it, never a copy, with or without an injected record or an
+        ``equal_time`` array."""
         if per_lag:
             request.getfixturevalue("one_lag_batches")
         stacked, seen = lagspec.eigensys._stacked, []
@@ -602,11 +607,13 @@ class TestSweepWorkers:
             workers, solvers, _ = _split(g, tau_max)
             batch = _batch(g, tau_max, workers, solvers)
             sweep(g, tau_max)
+            sweep(g, tau_max, equal_time=np.empty((n, n)))
             # one series changed, so after's lags are patched from g's,
             # and all of them
             for rows in [0], range(n):
-                sweep(g, tau_max, after=replaced(g, list(rows), seed=3))
-        assert len(seen) >= 3 and all(seen)
+                sweep(g, tau_max, after=replaced(g, list(rows), seed=3),
+                      equal_time=np.empty((n, n)))
+        assert len(seen) >= 4 and all(seen)
 
     def test_direct_path_build_failure_names_its_lag(self, monkeypatch):
         def failing(g, lag, out=None):
@@ -827,6 +834,11 @@ class TestPowerSpectrum:
         traj = np.ones(16)
         with pytest.raises(ValueError):
             power_spectrum(traj, "linear")
+        spec = power_spectrum(traj, "none")
+        with pytest.raises(ValueError, match="disagree in shape"):
+            PowerSpectrum(spec.frequencies, spec.power[1:], ())
+        with pytest.raises(ValueError, match="must be non-negative"):
+            PowerSpectrum(spec.frequencies, -spec.power - 1.0, ())
 
     def test_no_persistent_false_periodicity_on_iid_data(self):
         """White trajectories may throw isolated detections, but no frequency
@@ -896,6 +908,13 @@ class TestCompareSpectra:
         for entry in report.entries:
             assert entry.ratio == pytest.approx(1.0)
             assert entry.classification == "unchanged"
+        with pytest.raises(KeyError, match="no probe at period 5.0"):
+            report.entry(5.0)
+        # no power before: the ratio is 1 where there is none after either
+        silent = PowerSpectrum(spec.frequencies, np.zeros_like(spec.power), ())
+        assert compare_spectra(silent, silent, [3.0]).entry(3.0).ratio == 1.0
+        woken = compare_spectra(silent, spec, [3.0]).entry(3.0)
+        assert woken.ratio == float("inf") and woken.classification == "enhanced"
 
     @pytest.mark.parametrize("ratio", [10.0, 2.0])
     def test_boosted_peak_classified_enhanced(self, ratio):
