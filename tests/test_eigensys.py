@@ -290,6 +290,20 @@ class TestWorkspace:
             assert np.array_equal(ws.z[i].T, want.eigenvectors)
             assert np.array_equal(iprs[i], want.iprs)
 
+    def test_only_a_single_solve_builds_an_eigen_system(self, monkeypatch):
+        """One matrix's system is built by EigenSystem's constructor, which
+        runs its checks; a batch written ``into`` rows builds none."""
+        stack = np.stack([symmetric_matrix(6, seed=s).values for s in (1, 2)])
+        batch = [LagCorrMatrix(lag=k, values=v) for k, v in enumerate(stack, 1)]
+        built = []
+        checks = EigenSystem.__post_init__
+        monkeypatch.setattr(EigenSystem, "__post_init__",
+                            lambda self: (built.append(self), checks(self)))
+        solve_rows(batch, Workspace(6, 2))
+        assert built == []
+        system = eigendecompose(batch[0], out=Workspace(6, 2))
+        assert len(built) == 1 and built[0] is system
+
     def test_a_batch_names_the_failing_lag(self, monkeypatch):
         """The batch's check names the lag that fails it, and the other
         matrices keep their bytes."""
