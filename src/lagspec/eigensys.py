@@ -133,10 +133,9 @@ class SpectrumSegmentation:
 
 
 def batch_size(n: int) -> int:
-    """The most lags per batch of the sweep at N x N: as many N x N
-    matrices as fill one block of ``_BLOCK_FLOATS`` floats, 4 at N = 64
-    and 1 from N = 91, and at least one.  The sweep may take fewer
-    (``strobo._batch``)."""
+    """How many N x N planes fill one check block of ``_BLOCK_FLOATS``
+    floats, and at least one: 4 at N = 64 and 1 from N = 91.  A
+    ``Workspace`` of that many planes checks them in one block."""
     return max(1, _BLOCK_FLOATS // (n * n))
 
 

@@ -348,8 +348,11 @@ def default_targets(
     Noise injections go to every series of the pattern: those whose
     squared components on the right-segment eigenvectors (which carry the
     correlation pattern) sum to more than 2/N.  Periodic injections go to
-    4 series drawn at random, with ``seed``, from the rest.
+    4 series drawn at random, with ``seed``, from the rest.  Any other
+    ``kind`` is ConfigInvalid, raised before the eigensolve.
     """
+    if kind not in ("noise", "periodic"):
+        raise ConfigInvalid(f"kind must be 'noise' or 'periodic', got {kind!r}")
     g = returns_from_counts(counts)
     system = eigendecompose(equal_time_corr(g))
     bounds = rmt_bounds(g.n_series, g.n_returns)
@@ -449,8 +452,9 @@ def run_experiment(
 
     Probe periods are the two strongest characteristic periods detected
     before the injection plus, for periodic injections, the injection period
-    itself.  Bad watch positions (IndexOutOfRange, ConfigInvalid) and a
-    ``tau_max`` below MIN_SPECTRUM_LEN (TooShort) fail before any work.
+    itself.  Bad watch positions (IndexOutOfRange, ConfigInvalid), a
+    ``tau_max`` below MIN_SPECTRUM_LEN (TooShort) and a ``detrend`` other
+    than "none" or "mean" (ValueError) fail before any work.
     ``on_stage``, if given, is called with "returns" as the injected
     record and both records' returns are made, then with "sweep".
     """
@@ -463,6 +467,8 @@ def run_experiment(
     if int(tau_max) < MIN_SPECTRUM_LEN:
         raise TooShort(f"tau_max {tau_max} gives trajectories of {tau_max} samples, "
                        f"need at least {MIN_SPECTRUM_LEN}")
+    if detrend not in ("none", "mean"):
+        raise ValueError(f"detrend must be 'none' or 'mean', got {detrend!r}")
     stage = on_stage or (lambda name: None)
     stage("returns")
     # the injected counts are freed once their returns exist

@@ -106,7 +106,7 @@ class ReturnMatrix:
         if np.any(np.abs(variances - 1.0) > _VAR_TOL):
             i = int(np.argmax(np.abs(variances - 1.0)))
             raise ValueError(
-                f"row {self.series_ids[i]!r} has variance {variances[i]!r}, not 1"
+                f"row {self.series_ids[i]!r} has variance {float(variances[i])!r}, not 1"
             )
 
     @property

@@ -2,7 +2,7 @@
 spectra.
 
 The sweep solves lags 0..tau_max, several at once where BLAS threads allow
-(see ``_split``), and keeps two tables, eigenvalues and IPRs with one row
+(see ``_plan``), and keeps two tables, eigenvalues and IPRs with one row
 per lag.  Each batch of lags is solved by one ``eigendecompose`` call, in
 its phases (solve, checks, IPRs), which writes the batch's eigenvalues and
 IPRs straight into its rows of the tables: no per-lag object is made.  It
@@ -189,9 +189,9 @@ def sweep(
     ``lag_corr(after, τ)``.
 
     The lags are spread over the OpenBLAS threads counted at entry, and
-    the count is restored on exit: ``_split`` chooses the workers, solvers
-    and threads per lag, ``_batch`` the lags per batch, and
-    ``_solve_rows`` the order of builds and solves.
+    the count is restored on exit: ``_plan`` chooses the workers, solvers,
+    threads per lag and lags per batch, and ``_solve_rows`` the order of
+    builds and solves.
     On the block path the kernel splits its work over the same W threads,
     and is asked for g's lags in increasing order: each worker has it
     build its batch's lags into its own planes as it takes the batch.
@@ -226,8 +226,7 @@ def sweep(
         if 2 * len(changed) < n:
             rows = changed
     records = 1 if after is None else 2
-    workers, solvers, blas_threads = _split(g, tau_max)
-    batch = _batch(g, tau_max, workers, solvers)
+    workers, solvers, blas_threads, batch = _plan(g, tau_max)
     tables = np.empty((2, records, tau_max + 1, n))  # eigenvalues, IPRs
     kernel = block_lag_corrs(g, tau_max, workers) if block_path else None
 
@@ -252,41 +251,28 @@ def sweep(
     return sequences[0] if after is None else sequences
 
 
-def _split(g: ReturnMatrix, tau_max: int) -> tuple[int, int, int | None]:
+def _plan(g: ReturnMatrix, tau_max: int) -> tuple[int, int, int | None, int]:
     """How ``sweep`` spreads lags 0..tau_max over the thread budget T, the
-    OpenBLAS thread count: (W workers, S solvers, BLAS threads per lag),
-    the threads per lag being None where T cannot be read.  README §Thread
-    budget gives the rules: S is at most T and tau_max + 1, and its lags in
-    flight beyond the first may hold at most half the bytes of g's returns.
-    Each holds 3 N^2 floats, a worker's plane and a solver's two N x N
-    buffers (``Workspace``).  So a record takes a second solver where
-    L >= 6 N.  W = S, but where memory leaves one solver, T >= 2 and
-    tau_max >= 1, W = 2.  The records swept do not change the split, as
-    an injected record's matrices are made over g's, so an injected record
-    never changes the arithmetic of g's lags.  The lags per batch are then
-    fitted to the split (``_batch``)."""
-    total = _blas.thread_count()
-    if total is None:
-        return 1, 1, total
+    OpenBLAS thread count: (W workers, S solvers, BLAS threads per lag,
+    b lags per batch), the threads per lag being None where T cannot be
+    read.  README §Thread budget gives the rules: S is at most T and
+    tau_max + 1, and its lags in flight beyond the first may hold at most
+    half the bytes of g's returns.  Each holds 3 N^2 floats, a worker's
+    plane and a solver's two N x N buffers (``Workspace``).  So a record
+    takes a second solver where L >= 6 N.  W = S, but where memory leaves
+    one solver, T >= 2 and tau_max >= 1, W = 2.  b is ``batch_size(N)``,
+    whose check block bounds a batch in flight at 512 KiB, but no more
+    than leaves each worker a batch.  The records swept do not
+    change the plan, as an injected record's matrices are made over g's,
+    so an injected record never changes the arithmetic of g's lags."""
     n = g.returns.shape[0]
-    solvers = min(total, tau_max + 1, 1 + g.returns.nbytes // 2 // (24 * n * n))
-    workers = 2 if solvers == 1 and total >= 2 and tau_max >= 1 else solvers
-    return workers, solvers, total // workers
-
-
-def _batch(g: ReturnMatrix, tau_max: int, workers: int, solvers: int) -> int:
-    """Lags per batch of a sweep split as ``_split`` gives: ``batch_size``,
-    but no more than leaves each of the W workers a batch of lags
-    0..tau_max, and no more than lets the S - 1 batches in flight beyond
-    the first hold half the bytes of g's returns, at 4 b N^2 floats each,
-    the worker's b planes and the solver's three (``Workspace``).  Where
-    that leaves b = 1, a batch is a lag of 3 N^2 floats, as ``_split``
-    counts, so batching never lowers the workers."""
-    n = g.returns.shape[0]
-    batch = min(batch_size(n), -(-(tau_max + 1) // workers))
-    if solvers > 1:
-        batch = min(batch, g.returns.nbytes // 2 // (32 * (solvers - 1) * n * n))
-    return max(1, batch)
+    threads = _blas.thread_count()
+    workers = solvers = 1
+    if threads is not None:
+        solvers = min(threads, tau_max + 1, 1 + g.returns.nbytes // 2 // (24 * n * n))
+        workers = 2 if solvers == 1 and threads >= 2 and tau_max >= 1 else solvers
+        threads //= workers
+    return workers, solvers, threads, min(batch_size(n), -(-(tau_max + 1) // workers))
 
 
 def _solve_rows(

@@ -18,7 +18,7 @@ import lagspec.eigensys
 from lagspec import ReturnMatrix, _blas, normalize
 from lagspec.eigensys import _column_iprs
 from lagspec.lagcorr import block_lag_corrs
-from lagspec.strobo import _split
+from lagspec.strobo import _plan
 
 
 def iid_returns(n: int, length: int, seed: int) -> ReturnMatrix:
@@ -38,7 +38,7 @@ def sweep_blas(g: ReturnMatrix, tau_max: int):
     so that solves made in it match the sweep's bit for bit: the sweep
     solves each matrix in its plane with dsyevd's own stages, which give
     ``np.linalg.eigh``'s bits at the same thread count."""
-    _workers, _solvers, blas_threads = _split(g, tau_max)
+    blas_threads = _plan(g, tau_max)[2]
     return nullcontext() if blas_threads is None else _blas.threads(blas_threads)
 
 

@@ -1050,7 +1050,8 @@ class TestRunDirectory:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
 
     @pytest.mark.parametrize(
-        "name, content", [("notes.txt", "keep\n"), ("config.json", "{}\n")]
+        "name, content",
+        [("notes.txt", "keep\n"), ("config.json", "{}\n"), ("config.json", "{not json\n")],
     )
     def test_other_nonempty_out_exits_2_before_loading(
         self, tmp_path, capsys, monkeypatch, name, content
@@ -1071,6 +1072,25 @@ class TestRunDirectory:
         )
         assert [p.name for p in out.iterdir()] == [name]
         assert (out / name).read_text() == content
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    def test_unreadable_out_exits_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "d"
+        out.mkdir()
+        scandir = os.scandir
+
+        def refused(path="."):
+            if Path(path) == out:
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("input loaded before --out was checked")
+
+        monkeypatch.setattr(lagspec.cli, "synth_generate", no_load)
+        monkeypatch.setattr(os, "scandir", refused)
+        assert self.small(out) == 2
+        assert capsys.readouterr().err == f"ConfigInvalid: --out {out}: Permission denied\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
 
     def test_earlier_run_with_other_files_exits_2_and_is_left_as_it_was(
@@ -1123,10 +1143,13 @@ class TestRunDirectory:
         assert len(list(real.iterdir())) == 8
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
 
+    @pytest.mark.parametrize("fault", ["writer", "rename"])
     @pytest.mark.parametrize("earlier", [False, True])
     def test_writer_fault_exits_1_and_leaves_out_as_it_was(
-        self, tmp_path, capsys, monkeypatch, earlier
+        self, tmp_path, capsys, monkeypatch, earlier, fault
     ):
+        """A writer that fails, or the rename of the finished run into
+        ``--out``, which puts an earlier run back."""
         out = tmp_path / "d"
         if earlier:
             assert self.small(out, "--watch", "3") == 0
@@ -1135,13 +1158,22 @@ class TestRunDirectory:
         def full_disk(spec, path):
             raise OSError(28, "No space left on device", str(path))
 
-        monkeypatch.setattr(lagspec.cli, "write_spectrum_csv", full_disk)
+        rename = os.rename
+
+        def rename_fails_into_out(src, dst):
+            if str(src).endswith(".partial"):
+                raise OSError(28, "No space left on device")
+            rename(src, dst)
+
+        if fault == "writer":
+            monkeypatch.setattr(lagspec.cli, "write_spectrum_csv", full_disk)
+            failed = out / "spectrum_eigenvalue_5.csv"
+        else:
+            monkeypatch.setattr(os, "rename", rename_fails_into_out)
+            failed = out
         assert self.small(out, "--watch", "5") == 1
         err = capsys.readouterr().err
-        assert err == (
-            f"WriteFailed: cannot write {out / 'spectrum_eigenvalue_5.csv'}: "
-            "No space left on device\n"
-        )
+        assert err == f"WriteFailed: cannot write {failed}: No space left on device\n"
         if earlier:
             assert digest_run_dir(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == (["d"] if earlier else [])

@@ -49,6 +49,7 @@ class TestSynthConfig:
             dict(n_series=4, length=100, delta_t=0.0),
             dict(n_series=4, length=100, n_drivers=5),
             dict(n_series=4, length=100, n_drivers=2, driver_periods=(1,)),
+            dict(n_series=4, length=100, n_drivers=2, driver_periods=()),
             dict(n_series=4, length=100, coupling=0.0),
             dict(n_series=4, length=100, coupling=1.5),
             dict(n_series=4, length=100, baseline=-1.0),
@@ -205,8 +206,10 @@ class TestInjectionSpec:
             InjectionSpec(kind="noise", target_ids=("a",), seed=-1)
 
     def test_window_ordering(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid, match="t_end must exceed t_start"):
             InjectionSpec(kind="noise", target_ids=("a",), t_start=5, t_end=5)
+        with pytest.raises(ConfigInvalid, match="t_start must be non-negative"):
+            InjectionSpec(kind="noise", target_ids=("a",), t_start=-1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -367,6 +370,23 @@ class TestDefaultTargets:
         assert not set(a) & {"s000", "s001", "s002", "s003"}
         assert a != c
 
+    @pytest.mark.parametrize("n, kind, message", [
+        (16, "bogus", "kind must be 'noise' or 'periodic', got 'bogus'"),
+        (16, "noise", "no series load on the right segment"),
+        (3, "periodic", "only 3 random-segment series available"),
+    ])
+    def test_refused_targets(self, monkeypatch, n, kind, message):
+        """A record without drivers has no right segment, so no noise
+        targets, and 3 series leave too few for a periodic injection; an
+        unknown kind is refused before the eigensolve."""
+        import lagspec.experiment
+
+        counts = synth_generate(SynthConfig(n_series=n, length=513, n_drivers=0, seed=4))
+        if kind == "bogus":
+            monkeypatch.setattr(lagspec.experiment, "eigendecompose", pytest.fail)
+        with pytest.raises(ConfigInvalid, match=message):
+            default_targets(counts, kind)
+
 
 class TestRunExperiment:
     def test_zero_target_injection_changes_nothing(self):
@@ -392,6 +412,8 @@ class TestRunExperiment:
         )
         report = run_experiment(counts, spec, 100, watch_positions=[63])
         watch = report.watch(63, "eigenvalue")
+        with pytest.raises(KeyError, match="no watch for position 62"):
+            report.watch(62, "eigenvalue")
         by_period = {round(e.period_steps): e for e in watch.resonance.entries}
         assert by_period[3].classification == "enhanced"
         assert by_period[6].classification == "suppressed"
@@ -432,16 +454,17 @@ class TestRunExperiment:
         assert {w.kind for w in report.watches} == {"eigenvalue", "ipr"}
 
     @pytest.mark.parametrize(
-        "watch, tau_max, error, message",
+        "watch, tau_max, detrend, error, message",
         [
-            ([3, 99], 20, IndexOutOfRange, "position 99 outside 0..15"),
-            ([-1], 20, IndexOutOfRange, "position -1 outside 0..15"),
-            ([3, 5, 3], 20, ConfigInvalid, "watch position 3 is named twice"),
-            ([3], 5, TooShort, "tau_max 5 gives trajectories of 5 samples"),
+            ([3, 99], 20, "mean", IndexOutOfRange, "position 99 outside 0..15"),
+            ([-1], 20, "mean", IndexOutOfRange, "position -1 outside 0..15"),
+            ([3, 5, 3], 20, "mean", ConfigInvalid, "watch position 3 is named twice"),
+            ([3], 5, "mean", TooShort, "tau_max 5 gives trajectories of 5 samples"),
+            ([3], 20, "bogus", ValueError, "detrend must be 'none' or 'mean', got 'bogus'"),
         ],
     )
     def test_bad_arguments_fail_before_any_work(
-        self, monkeypatch, watch, tau_max, error, message
+        self, monkeypatch, watch, tau_max, detrend, error, message
     ):
         import lagspec.experiment
 
@@ -453,7 +476,7 @@ class TestRunExperiment:
         counts = synth_generate(SYNTH_PRESETS["small"])
         spec = InjectionSpec(kind="noise", target_ids=("s001",))
         with pytest.raises(error, match=message):
-            run_experiment(counts, spec, tau_max, watch_positions=watch)
+            run_experiment(counts, spec, tau_max, watch_positions=watch, detrend=detrend)
 
     @pytest.mark.parametrize("kind", ["noise", "periodic"])
     def test_random_segment_statistically_unchanged(self, kind):

@@ -16,6 +16,7 @@ from lagspec import (
     LagspecError,
     NonPositiveCount,
     ParseError,
+    ReturnMatrix,
     TooShort,
     ZeroVariance,
     load_counts,
@@ -83,6 +84,8 @@ class TestLoadCounts:
         # median of positive values of 'a' is 2 -> clamp to 2e-6
         assert cm.counts[0, 1] == pytest.approx(2e-6)
         assert np.all(cm.counts > 0)
+        with pytest.raises(NonPositiveCount, match="'a' has no positive counts to clamp"):
+            load_counts(csv_bytes("t,a,b\n0,0,2\n300,0,2\n600,0,2\n"), epsilon_clamp=True)
 
     def test_too_few_rows(self):
         with pytest.raises(TooShort):
@@ -111,6 +114,12 @@ class TestLoadCounts:
     def test_header_must_start_with_t(self):
         with pytest.raises(ParseError):
             load_counts(csv_bytes("time,a,b\n0,1,2\n300,3,4\n600,5,6\n"))
+
+    def test_header_field_over_the_csv_limit(self):
+        limit = csv.field_size_limit()
+        message = f"^header: field larger than field limit \\({limit}\\)$"
+        with pytest.raises(ParseError, match=message):
+            load_counts(csv_bytes("t,a," + "b" * (limit + 1) + "\n0,1,2\n1,3,4\n2,5,6\n"))
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         """A spreadsheet export's leading U+FEFF, from a file or from bytes,
@@ -149,6 +158,9 @@ class TestLoadCounts:
             ("2,x,6", "could not convert string to float: 'x'"),
             ("2,nan,6", "non-finite value"),
             ("2,1e400,6", "non-finite value"),
+            pytest.param("2,%s,6" % ("x" * (csv.field_size_limit() + 1)),
+                         "field larger than field limit (%d)" % csv.field_size_limit(),
+                         id="field-limit"),
         ],
     )
     @pytest.mark.parametrize(
@@ -191,12 +203,16 @@ class TestLoadCounts:
         with pytest.raises(ParseError, match="not UTF-8"):
             load_counts(b"t,a,b\n0,1,2\n1,\xff,4\n2,5,6\n")
 
-    def test_undecodable_bytes_are_parsed_once(self, parses):
-        # beyond the first chunk that reading the header decodes
-        rows = b"".join(b"%d,1,2\n" % k for k in range(5000))
+    @pytest.mark.parametrize("first, dtypes", [("0,1,2", [np.int64]),
+                                               ("0,1.5,2", [np.int64, float])])
+    def test_undecodable_bytes_are_parsed_once(self, parses, first, dtypes):
+        """Beyond the first chunk that reading the header decodes, in the
+        int parse, or in the float parse where a float cell ends the int
+        parse first."""
+        rows = b"".join(b"%d,1,2\n" % k for k in range(1, 100000))
         with pytest.raises(ParseError, match="not UTF-8"):
-            load_counts(b"t,a,b\n" + rows + b"5000,\xff,4\n5001,5,6\n")
-        assert parses == [np.int64]
+            load_counts(b"t,a,b\n%s\n" % first.encode() + rows + b"100000,\xff,4\n100001,5,6\n")
+        assert parses == dtypes
 
     def test_negative_zero_keeps_its_sign(self, parses):
         with pytest.raises(
@@ -306,6 +322,19 @@ class TestRateChanges:
         )
 
 
+@pytest.mark.parametrize("ids, interval, counts, error, message", [
+    (("a", "b"), 1.0, [1.0, 2.0, 3.0], ParseError, "counts must be a 2-D array"),
+    (("a",), 1.0, [[1.0] * 3] * 2, ParseError, "1 series ids for 2 count rows"),
+    (("a",), 1.0, [[1.0] * 3], ParseError, "need at least 2 series"),
+    (("a", "b"), 1.0, [[1.0] * 2] * 2, TooShort, "need at least 3 time points, got 2"),
+    (("a", "b"), 0.0, [[1.0] * 3] * 2, ParseError, "interval must be positive, got 0.0"),
+    (("a", "b"), 1.0, [[1.0, np.inf, 1.0], [1.0] * 3], ParseError, "non-finite values"),
+])
+def test_bad_count_matrices(ids, interval, counts, error, message):
+    with pytest.raises(error, match=message):
+        CountMatrix(ids, interval, counts)
+
+
 class TestNormalize:
     def test_constant_row_rejected(self):
         with pytest.raises(ZeroVariance, match="'a'"):
@@ -326,6 +355,19 @@ class TestNormalize:
             1.3416407864998738,
         ]
         assert rm.returns[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_one_dimensional_rate_changes_rejected(self):
+        with pytest.raises(ParseError, match="rate changes must be a 2-D array"):
+            normalize(np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("returns, error, message", [
+        ([[1.0, -1.0]], ParseError, "one row per series id"),
+        ([[1.0, -1.0], [2.0, 0.0]], ValueError, "row 'b' has mean 1.000e\\+00, not 0"),
+        ([[1.0, -1.0], [2.0, -2.0]], ValueError, "row 'b' has variance 4.0, not 1"),
+    ])
+    def test_bad_return_matrices(self, returns, error, message):
+        with pytest.raises(error, match=message):
+            ReturnMatrix(("a", "b"), returns)
 
     def test_traceability_fields(self):
         raw = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 1.0, 3.0]])

@@ -93,6 +93,13 @@ class TestLagCorr:
         g = iid_returns(4, 100, seed=0)
         with pytest.raises(ValueError):
             lag_corr(g, -1)
+        with pytest.raises(ValueError, match="lag must be non-negative"):
+            LagCorrMatrix(lag=-1, values=np.eye(2))
+
+    def test_equal_time_diagonal_must_be_one(self):
+        LagCorrMatrix(lag=1, values=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="equal-time diagonal must be 1"):
+            LagCorrMatrix(lag=0, values=np.zeros((2, 2)))
 
     def test_bitwise_symmetry(self):
         for seed in range(5):
@@ -202,6 +209,9 @@ class TestBlockPath:
             (16, 8192, 100),  # L a multiple of 32
             (64, 32768, 75),  # the shape of the long benchmark record
             (64, 32768, 300),  # there three block lags of 128 samples
+            # blocks of 128 in chunks of 6 and batches of 2 block lags:
+            # a chunk that a batch's later block lag does not reach
+            (6, 10000, 300),
         ],
     )
     def test_matches_lag_corr(self, n, length, tau_max):
@@ -239,6 +249,8 @@ class TestBlockPath:
         g = iid_returns(16, 8192, seed=0)
         with pytest.raises(LagTooLarge):
             block_lag_corrs(g, 4097)
+        with pytest.raises(ValueError, match="tau_max must be non-negative, got -1"):
+            block_lag_corrs(g, -1)
         with pytest.raises(ValueError, match="lag 1 is outside the block path's lags 1..0"):
             block_lag_corrs(g, 0)(1)
 

@@ -3,6 +3,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, product
 from types import SimpleNamespace
 
@@ -41,7 +42,7 @@ from lagspec import (
 from lagspec import _blas, _threads
 from lagspec.lagcorr import patch_rows, uses_block_path
 from lagspec.eigensys import batch_size
-from lagspec.strobo import _batch, _local_maxima, _solve_rows, _split
+from lagspec.strobo import _local_maxima, _plan, _solve_rows
 
 from conftest import (
     block_lags,
@@ -309,7 +310,7 @@ class TestSweepWorkers:
         n, length, tau_max = 512, 4096, 12
         g = iid_returns(n, length, seed=18)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, 2, 1)
+            assert _plan(g, tau_max)[:3] == (2, 2, 1)
             seq = sweep(g, tau_max)
             with sweep_blas(g, tau_max):
                 for k in range(tau_max + 1):
@@ -337,7 +338,7 @@ class TestSweepWorkers:
         batches = set()
         for total in range(1, 5):
             with _blas.threads(total):
-                batches.add(_batch(g, tau_max, *_split(g, tau_max)[:2]))
+                batches.add(_plan(g, tau_max)[3])
                 plain = [sweep(g, tau_max), *sweep(g, tau_max, after=after)]
                 a, b = np.full((2, n, n), np.nan)
                 made = [sweep(g, tau_max, equal_time=a),
@@ -355,10 +356,10 @@ class TestSweepWorkers:
         n, length, tau_max = DIRECT
         g = iid_returns(n, length, seed=12)
         with _blas.threads(1):
-            assert _split(g, tau_max) == (1, 1, 1)
+            assert _plan(g, tau_max)[:3] == (1, 1, 1)
             serial = sweep(g, tau_max)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, 2, 1)
+            assert _plan(g, tau_max)[:3] == (2, 2, 1)
             spread = sweep(g, tau_max)
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
         assert np.array_equal(serial.iprs, spread.iprs)
@@ -370,10 +371,10 @@ class TestSweepWorkers:
         n, length, tau_max = BLOCK
         g = iid_returns(n, length, seed=12)
         with _blas.threads(1):
-            assert _split(g, tau_max) == (1, 1, 1)
+            assert _plan(g, tau_max)[:3] == (1, 1, 1)
             serial = sweep(g, tau_max)
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, 2, 1)
+            assert _plan(g, tau_max)[:3] == (2, 2, 1)
             spread = sweep(g, tau_max)
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
         assert np.array_equal(serial.iprs, spread.iprs)
@@ -397,11 +398,11 @@ class TestSweepWorkers:
         thread, one serial worker."""
         g = iid_returns(n, length, seed=0)
         with _blas.threads(2):
-            assert _split(g, tau_max) == at_2
+            assert _plan(g, tau_max)[:3] == at_2
         with _blas.threads(3):
-            assert _split(g, tau_max) == at_3
+            assert _plan(g, tau_max)[:3] == at_3
         with _blas.threads(1):
-            assert _split(g, tau_max) == (1, 1, 1)
+            assert _plan(g, tau_max)[:3] == (1, 1, 1)
 
     @pytest.mark.parametrize("n", [8, 64, 512])
     def test_a_lag_in_flight_holds_three_matrices(self, n):
@@ -410,45 +411,50 @@ class TestSweepWorkers:
         solver from L = 6 N."""
         def split(length):
             with _blas.threads(2):
-                return _split(SimpleNamespace(returns=np.empty((n, length))), 30)
+                return _plan(SimpleNamespace(returns=np.empty((n, length))), 30)[:3]
 
         assert split(6 * n - 1) == (2, 1, 1) and split(6 * n) == (2, 2, 1)
 
     @pytest.mark.parametrize("n", [16, 64])
-    def test_a_batch_in_flight_holds_four_planes_per_lag(self, n):
-        """At b >= 2 each batch in flight beyond the first holds 4 b N^2
-        floats within half the bytes of the returns, so batches shrink to
-        fit the solvers that ``_split`` gives, down to one lag: b lags on
-        two solvers from L = 8 b N, one from L = 6 N at T = 3.  One
-        solver takes b, and no worker is left without a batch."""
+    def test_a_batch_is_batch_size_shared_over_the_workers(self, n):
+        """b is ``batch_size(N)`` on one solver or several, whatever the
+        bytes of the returns, but no more than leaves each worker a batch
+        of lags 0..tau_max."""
         b = batch_size(n)
 
-        def fitted(length, total=2, tau_max=1000):
+        def planned(length, total=2, tau_max=1000):
             g = SimpleNamespace(returns=np.empty((n, length)))
             with _blas.threads(total):
-                return _batch(g, tau_max, *_split(g, tau_max)[:2])
+                return _plan(g, tau_max)[3]
 
         assert b >= 2
-        assert fitted(8 * b * n) == b and fitted(8 * b * n - 1) == b - 1
-        assert fitted(6 * n, 3) == 1
-        assert fitted(6 * n - 1) == b and fitted(6 * n, 1) == b
-        assert fitted(8 * b * n, tau_max=2 * b - 3) == b - 1
+        assert planned(8 * b * n) == b and planned(8 * b * n - 1) == b
+        assert planned(6 * n, 3) == b
+        assert planned(6 * n - 1) == b and planned(6 * n, 1) == b
+        assert planned(8 * b * n, tau_max=2 * b - 3) == b - 1
 
-    def test_preset_batches_never_lower_the_workers(self):
-        """The default experiment preset's shape keeps the solvers of one
-        lag at a time, 3 N^2 floats each, at any T: batches of 4 at T = 2,
-        of 2 at T = 3, and of one lag from T = 4."""
-        g = SimpleNamespace(returns=np.empty((64, 2048)))
-        for total, split, batch in ((2, (2, 2, 1), 4), (3, (3, 3, 1), 2),
-                                    (4, (4, 4, 1), 1), (6, (6, 6, 1), 1)):
-            with _blas.threads(total):
-                assert _split(g, 400) == split
-                assert _batch(g, 400, *split[:2]) == batch
+    @pytest.mark.parametrize("n, length, tau_max, total, plan", [
+        # the wide, long and inject benchmark shapes at T = 2
+        (512, 4096, 30, 2, (2, 2, 1, 1)),
+        (64, 32768, 100, 2, (2, 2, 1, 4)),
+        (64, 2048, 400, 2, (2, 2, 1, 4)),
+        # the 64-series presets at more threads
+        (64, 2048, 400, 3, (3, 3, 1, 4)),
+        (64, 2048, 400, 4, (4, 4, 1, 4)),
+        (64, 2048, 400, 6, (6, 6, 1, 4)),
+    ])
+    def test_plans_of_the_benchmark_shapes(self, n, length, tau_max, total, plan):
+        """(W, S, threads per lag, b): the 64-series presets keep batches
+        of 4 at any T, with a solver per worker, so batching never lowers
+        the workers."""
+        g = SimpleNamespace(returns=np.empty((n, length)))
+        with _blas.threads(total):
+            assert _plan(g, tau_max) == plan
 
     def test_one_worker_without_lags_to_build(self):
         g = iid_returns(*POOLED[:2], seed=0)
         with _blas.threads(2):
-            assert _split(g, 0) == (1, 1, 2)
+            assert _plan(g, 0)[:3] == (1, 1, 2)
 
     def test_blas_threads_restored(self, monkeypatch):
         assert_restored_after_sweeps(monkeypatch, DIRECT)
@@ -470,7 +476,7 @@ class TestSweepWorkers:
         g = iid_returns(64, 2048, seed=14)
         assert batch_size(64) == 4
         with _blas.threads(2):
-            assert _split(g, 20) == (2, 2, 1)
+            assert _plan(g, 20)[:3] == (2, 2, 1)
             with sweep_blas(g, 20):
                 faulty_eigh(monkeypatch, lagged(g, 20), {6, 7, 9}, slow={5})
             with pytest.raises(ConvergenceFailure, match="at lag 6.*unit norm"):
@@ -499,7 +505,7 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(lagspec.eigensys, "_eigh", faulty)
         with _blas.threads(1):
-            assert _split(g, 20) == (1, 1, 1) and batch_size(64) == 4
+            assert _plan(g, 20)[:3] == (1, 1, 1) and batch_size(64) == 4
             with pytest.raises(ConvergenceFailure, match="at lag 5: .* unit norm"):
                 sweep(g, 20)
 
@@ -526,7 +532,7 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(lagspec.eigensys, "_eigh", counted)
         with _blas.threads(1):
-            assert _split(g, 20) == (1, 1, 1) and batch_size(64) == 4
+            assert _plan(g, 20)[:3] == (1, 1, 1) and batch_size(64) == 4
             with pytest.raises(ConvergenceFailure, match="at lag 5"):
                 sweep(g, 20)
         assert max(solves.values()) == 1
@@ -577,7 +583,7 @@ class TestSweepWorkers:
             with _blas.threads(1):
                 faulty_eigh(monkeypatch, block_lags(g, tau_max), range(34, 41))
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, 2, 1)
+            assert _plan(g, tau_max)[:3] == (2, 2, 1)
             with pytest.raises(error, match=match):
                 sweep(g, tau_max)
 
@@ -604,8 +610,7 @@ class TestSweepWorkers:
         n, length, tau_max = shape
         g = iid_returns(n, length, seed=19)
         with _blas.threads(2):
-            workers, solvers, _ = _split(g, tau_max)
-            batch = _batch(g, tau_max, workers, solvers)
+            batch = _plan(g, tau_max)[3]
             sweep(g, tau_max)
             sweep(g, tau_max, equal_time=np.empty((n, n)))
             # one series changed, so after's lags are patched from g's,
@@ -634,7 +639,7 @@ class TestSweepWorkers:
     def test_one_worker_solves_every_lag_on_the_calling_thread_in_order(
         self, monkeypatch, shape, total
     ):
-        """Where ``_split`` gives one worker, at one thread on either path,
+        """Where ``_plan`` gives one worker, at one thread on either path,
         the calling thread solves lags 0..tau_max in order."""
         solves = []
 
@@ -646,7 +651,7 @@ class TestSweepWorkers:
         g = iid_returns(n, length, seed=22)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
         with _blas.threads(total):
-            assert _split(g, tau_max) == (1, 1, total)
+            assert _plan(g, tau_max)[:3] == (1, 1, total)
             sweep(g, tau_max)
         assert solves == [(threading.get_ident(), k) for k in range(tau_max + 1)]
 
@@ -662,8 +667,8 @@ class TestSweepWorkers:
             spread = sweep(g, DIRECT[2])
         monkeypatch.setattr(_blas, "_functions", lambda: None)
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
-        assert _split(g, DIRECT[2]) == (1, 1, None)
-        assert _split(g, POOLED[2]) == (1, 1, None)
+        assert _plan(g, DIRECT[2])[:3] == (1, 1, None)
+        assert _plan(g, POOLED[2])[:3] == (1, 1, None)
         serial = sweep(g, DIRECT[2])
         assert threads == {threading.get_ident()}
         assert np.array_equal(serial.eigenvalues, spread.eigenvalues)
@@ -688,7 +693,7 @@ class TestSweepWorkers:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(8):
-                assert _split(g, 200) == (8, 8, 1)
+                assert _plan(g, 200)[:3] == (8, 8, 1)
                 runner = threading.Thread(target=lambda: results.append(sweep(g, 200)))
                 runner.start()
                 runner.join(timeout=120)
@@ -720,7 +725,7 @@ class TestSweepWorkers:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(8):
-                assert _split(g, tau_max) == (8, 8, 1)
+                assert _plan(g, tau_max)[:3] == (8, 8, 1)
                 runner = threading.Thread(target=lambda: results.append(sweep(g, tau_max)))
                 runner.start()
                 runner.join(timeout=120)
@@ -1114,7 +1119,7 @@ class TestPooledSweep:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(2):
-                assert _split(g, 60) == (2, 1, 1)
+                assert _plan(g, 60)[:3] == (2, 1, 1)
                 runner = threading.Thread(target=lambda: results.append(sweep(g, 60)))
                 runner.start()
                 runner.join(timeout=60)
@@ -1155,7 +1160,7 @@ class TestInterrupt:
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", interrupted)
         threads = threading.active_count()
         with _blas.threads(2):
-            assert _split(g, tau_max) == split
+            assert _plan(g, tau_max)[:3] == split
             with pytest.raises(KeyboardInterrupt):
                 sweep(g, tau_max, after=after)
             assert _blas.thread_count() == 2
@@ -1209,7 +1214,7 @@ class TestInterrupt:
         monkeypatch.setattr(lagspec.strobo, "eigendecompose", solve)
         threads = threading.active_count()
         with _blas.threads(2):
-            assert _split(g, tau_max) == (2, 2, 1)
+            assert _plan(g, tau_max)[:3] == (2, 2, 1)
             monkeypatch.setattr(_blas, "threads", watched_threads)
             monkeypatch.setattr(threading.Thread, "join", join_once_interrupted)
             with pytest.raises(KeyboardInterrupt):
@@ -1255,6 +1260,34 @@ class TestInterrupt:
             _threads.run([lambda: None, other], stop)
         assert ended == [True]
         assert [str(exc) for exc in calls] == ["first", "first"]
+
+    def test_the_lowest_failing_targets_error_is_raised(self):
+        """Targets 1 and 2 raise: target 1's error is raised once every
+        target has ended, though target 2's came first; where target 0
+        raises too, its error wins over both, and ``stop`` is given it."""
+        released, ended, stops = threading.Event(), [], []
+
+        def failing(name, wait):
+            def target():
+                wait()
+                ended.append(name)
+                raise ValueError(name)
+            return target
+
+        def stop(exc):
+            stops.append(exc)
+            released.set()
+
+        late = partial(time.sleep, 0.05)
+        with pytest.raises(ValueError, match="^1$"):
+            _threads.run([partial(ended.append, "0"), failing("1", late),
+                          failing("2", lambda: None)], stop)
+        assert sorted(ended) == ["0", "1", "2"] and not stops
+        ended.clear()
+        with pytest.raises(ValueError, match="^0$"):
+            _threads.run([failing("0", lambda: None), failing("1", partial(released.wait, 30)),
+                          failing("2", lambda: None)], stop)
+        assert sorted(ended) == ["0", "1", "2"] and [str(exc) for exc in stops] == ["0"]
 
     def test_interrupt_while_the_kernel_runs(self, monkeypatch):
         """An interrupt in one of the block kernel's parts, at its third
@@ -1348,7 +1381,7 @@ class TestPairedSweep:
         a = replaced(g, [3, 9, 20, 40], seed=42)
         for total, split in ((6, (6, 6, 1)), (12, (6, 6, 2))):
             with _blas.threads(total):
-                assert _split(g, 400) == split
+                assert _plan(g, 400)[:3] == split
         with _blas.threads(6):
             before, after = sweep(g, 40, after=a)
             lone_before, lone_after = sweep(g, 40), sweep(a, 40)
@@ -1390,7 +1423,7 @@ class TestPairedSweep:
             with pytest.raises(ValueError, match="differ in shape"):
                 sweep(g, 20, after=other)
 
-    # below L = 6 N a record has one solver; batches of 16 and 4 lags
+    # below L = 6 N a record has one solver; batches of 151 and 4 lags
     @pytest.mark.parametrize("shape", [(8, 1024, 300), (64, 380, 180)], ids=["workers", "pooled"])
     def test_a_fault_in_g_at_any_lag_is_raised_first(self, monkeypatch, shape):
         """a's solve fails at lag 3 and g's at tau_max: g's error is raised,
@@ -1402,7 +1435,7 @@ class TestPairedSweep:
         a = replaced(g, rows, seed=36)
         with _blas.threads(2):
             expected = (2, 2, 1) if n == 8 else (2, 1, 1)
-            assert _split(g, tau_max) == expected
+            assert _plan(g, tau_max)[:3] == expected
             with sweep_blas(g, tau_max):
                 a_at_3 = patch_rows(lag_corr(g, 3), a, rows)
                 g_at_last = lag_corr(g, tau_max)
@@ -1436,7 +1469,7 @@ class TestPairedSweep:
         sys.setswitchinterval(1e-6)
         try:
             with _blas.threads(8):
-                assert _split(g, 200) == (8, 8, 1)
+                assert _plan(g, 200)[:3] == (8, 8, 1)
                 runner = threading.Thread(
                     target=lambda: results.append(sweep(g, 200, after=a)))
                 runner.start()
@@ -1557,7 +1590,7 @@ def test_sweep_equals_a_serial_loop(data):
         st.integers(0, 0 if after is None else 1), st.integers(0, tau_max)), label="fault")
 
     with _blas.threads(total), pytest.MonkeyPatch.context() as mp:
-        blas_threads = _split(g, tau_max)[2]
+        blas_threads = _plan(g, tau_max)[2]
         with _blas.threads(blas_threads):
             if fault is not None:
                 try:

@@ -250,7 +250,7 @@ def test_workspace_holds_two_matrices(n):
     """A solver of one lag at a time holds z and LAPACK's scratch, 2 N^2
     floats, a few vectors of N, and one check block with its mask; with
     the worker's plane that is the 3 N^2 per lag in flight of
-    ``strobo._split``."""
+    ``strobo._plan``."""
     ws = Workspace(n)
     held = sum(x.nbytes for x in vars(ws).values()
                if isinstance(x, np.ndarray) and x.base is None)
@@ -261,8 +261,8 @@ def test_workspace_holds_two_matrices(n):
 def test_batch_workspace_holds_three_planes_per_lag(n):
     """At b = ``batch_size(N)`` >= 2 a solver holds the planes of z, the
     checks' scratch and their block, b N^2 floats each, and vectors of
-    b N; with the worker's stack that is the 4 b N^2 per batch in flight
-    of ``strobo._batch``."""
+    b N; with the worker's stack a batch in flight holds 4 b N^2 floats,
+    at most 4 ``_BLOCK_FLOATS``, 512 KiB."""
     b = batch_size(n)
     ws = Workspace(n, b)
     held = sum(x.nbytes for x in vars(ws).values()
